@@ -11,8 +11,8 @@ Two questions:
 2. **Enforcement overhead** — the paper argues the predicate evaluation is
    "little (local) processing".  We time the strong-consensus ``out`` and
    ``cas`` paths with the reference monitor on (PEATS) and off (raw
-   augmented tuple space) — the ablation called out in DESIGN.md.  Expected
-   shape: the policy-enforced operation stays within a small constant
+   augmented tuple space) — the ablation ROADMAP item 1 prices as
+   ``peo.enforce_factor``.  Expected shape: the policy-enforced operation stays within a small constant
    factor of the raw one (microseconds, not milliseconds).
 """
 

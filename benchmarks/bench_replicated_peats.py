@@ -20,6 +20,7 @@ latency but not results.
 import pytest
 
 from benchmarks._output import emit_table
+from repro.api import connect
 from repro.peo import PEATS
 from repro.policy import strong_consensus_policy
 from repro.replication import ReplicatedPEATS
@@ -60,21 +61,21 @@ def test_e7_local_peats(benchmark):
 
 def test_e7_replicated_peats_f1(benchmark):
     service = ReplicatedPEATS(POLICY(), f=1)
-    shared = service.as_shared_space()
+    shared = connect(service=service)
     counter = iter(range(10**9))
     benchmark(lambda: out_rdp_round_replicated(shared, next(counter)))
 
 
 def test_e7_replicated_peats_f2(benchmark):
     service = ReplicatedPEATS(POLICY(), f=2)
-    shared = service.as_shared_space()
+    shared = connect(service=service)
     counter = iter(range(10**9))
     benchmark(lambda: out_rdp_round_replicated(shared, next(counter)))
 
 
 def test_e7_replicated_peats_with_lying_replica(benchmark):
     service = ReplicatedPEATS(POLICY(), f=1, replica_faults={2: ReplicaFaultMode.LYING})
-    shared = service.as_shared_space()
+    shared = connect(service=service)
     counter = iter(range(10**9))
     benchmark(lambda: out_rdp_round_replicated(shared, next(counter)))
 
@@ -86,7 +87,7 @@ def test_e7_message_complexity_table(benchmark):
         rows = []
         for f in (0, 1, 2):
             service = ReplicatedPEATS(POLICY(), f=f)
-            shared = service.as_shared_space()
+            shared = connect(service=service)
             operations = 20
             for i in range(operations):
                 shared.out(entry("PROPOSE", i % 8, i % 2), process=i % 8)

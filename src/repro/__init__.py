@@ -26,7 +26,7 @@ Quick start::
     assert consensus.propose("p1", "blue") == "blue"
     assert consensus.propose("p2", "red") == "blue"   # p1 won
 
-See ``examples/`` and ``DESIGN.md`` for the full tour.
+See ``examples/`` and ``README.md`` for the full tour.
 """
 
 from repro.consensus import (

@@ -66,7 +66,6 @@ def connect(
     view_change_timeout: float = 50.0,
     max_batch_size: int = 8,
     checkpoint_interval: int = 8,
-    max_inp_rounds: Optional[int] = None,
     obs: Any = None,
 ) -> Space:
     """Build (or wrap) a deployment and return its unified :class:`Space`.
@@ -91,8 +90,7 @@ def connect(
 
     The remaining keywords configure the built deployment and are ignored
     where they do not apply (``f``/``network_config`` for the simulated
-    backends, ``shards``/``routing``/``max_inp_rounds`` for the sharded
-    one).
+    backends, ``shards``/``routing`` for the sharded one).
     """
     if service is not None:
         if transport is not None:
@@ -113,7 +111,7 @@ def connect(
                 f"connect(backend={backend!r}) disagrees with the provided "
                 f"service, which is a {inferred!r} deployment"
             )
-        return _wrap(inferred, service, max_inp_rounds)
+        return _wrap(inferred, service)
     if backend is None:
         raise TupleSpaceError("connect() needs a backend name or a service=")
     if backend not in BACKENDS:
@@ -164,8 +162,7 @@ def connect(
                 max_batch_size=max_batch_size,
                 checkpoint_interval=checkpoint_interval,
                 obs=obs,
-            ),
-            max_inp_rounds=max_inp_rounds,
+            )
         )
     except BaseException:
         # A deployment that failed to build must not leak the reactor
@@ -212,9 +209,9 @@ def _infer_backend(service: Any) -> str:
     )
 
 
-def _wrap(backend: str, service: Any, max_inp_rounds: Optional[int]) -> Space:
+def _wrap(backend: str, service: Any) -> Space:
     if backend == "sharded":
-        return ShardedSpace(service, max_inp_rounds=max_inp_rounds)
+        return ShardedSpace(service)
     if backend == "replicated":
         return ReplicatedSpace(service)
     return LocalSpace(service)

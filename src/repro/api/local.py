@@ -43,6 +43,7 @@ class LocalSpace(Space):
     default_poll_interval = 0.05
 
     def __init__(self, peats: PEATS) -> None:
+        super().__init__(peats.obs)
         self._peats = peats
         self._request_ids = itertools.count()
 

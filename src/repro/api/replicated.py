@@ -10,14 +10,17 @@ clock — all in **simulated milliseconds**.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Optional
 
 from repro.errors import ReplicationError
 from repro.futures import OperationFuture
 from repro.api.space import Space
 from repro.notify import Subscription, WaiterHandle
 from repro.replication.service import ReplicatedPEATS
-from repro.tuples import Entry
+from repro.tuples import Entry, Template
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.net.transport import Transport
 
 __all__ = ["ReplicatedSpace"]
 
@@ -31,6 +34,7 @@ class ReplicatedSpace(Space):
     default_poll_interval = 10.0
 
     def __init__(self, service: ReplicatedPEATS) -> None:
+        super().__init__(service.obs)
         self._service = service
         # On a real transport (repro.net) the deployment's clock is the
         # wall clock; label timeouts accordingly (same numeric defaults —
@@ -43,7 +47,7 @@ class ReplicatedSpace(Space):
         return self._service
 
     @property
-    def network(self):
+    def network(self) -> "Transport":
         return self._service.network
 
     # ------------------------------------------------------------------
@@ -51,11 +55,11 @@ class ReplicatedSpace(Space):
     # ------------------------------------------------------------------
 
     def _submit_probe(
-        self, operation: str, arguments: tuple, process: Hashable
+        self, operation: str, arguments: tuple[Any, ...], process: Hashable
     ) -> OperationFuture:
         return self._service.client(process).submit(operation, tuple(arguments))
 
-    def _submit_txn(self, legs: tuple, process: Hashable) -> OperationFuture:
+    def _submit_txn(self, legs: tuple[Any, ...], process: Hashable) -> OperationFuture:
         """One group holds every leg, so one ordered ``txn_exec`` request
         is the whole commit: the PBFT instance is the atomicity."""
         return self._service.client(process).submit("txn_exec", (legs,))
@@ -80,7 +84,13 @@ class ReplicatedSpace(Space):
     # Notification channel (repro.notify)
     # ------------------------------------------------------------------
 
-    def _arm_waiter(self, operation, template, process, wake):
+    def _arm_waiter(
+        self,
+        operation: str,
+        template: Template,
+        process: Hashable,
+        wake: Callable[[Any, Any], None],
+    ) -> Optional[WaiterHandle]:
         """Arm one waiter on every replica of the group; wake on f+1 pushes."""
         client = self._service.client(process)
         waiter = client.arm_waiter(template, operation, wake)
@@ -90,7 +100,9 @@ class ReplicatedSpace(Space):
             rearm=lambda: client.rearm_waiter(waiter.waiter_id),
         )
 
-    def _register_watch(self, subscription: Subscription, process: Hashable):
+    def _register_watch(
+        self, subscription: Subscription, process: Hashable
+    ) -> Callable[[], None]:
         client = self._service.client(process)
         waiter = client.arm_waiter(
             subscription.template,
@@ -99,7 +111,7 @@ class ReplicatedSpace(Space):
         )
         return lambda: client.disarm_waiter(waiter.waiter_id)
 
-    def _stats_extra(self) -> dict:
+    def _stats_extra(self) -> dict[str, Any]:
         return {
             "nodes": {node.replica_id: node.statistics for node in self._service.nodes},
             "notify": {

@@ -66,10 +66,9 @@ class ShardedSpace(Space):
     #: the race and answering ``None``.
     max_inp_rounds = 8
 
-    def __init__(self, service: ShardedPEATS, *, max_inp_rounds: int | None = None) -> None:
+    def __init__(self, service: ShardedPEATS) -> None:
+        super().__init__(service.obs)
         self._service = service
-        if max_inp_rounds is not None:
-            self.max_inp_rounds = max_inp_rounds
         # On a real transport (repro.net) the deployment's clock is the
         # wall clock; label timeouts accordingly (same numeric defaults —
         # a millisecond is a millisecond on either clock).

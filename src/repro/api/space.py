@@ -11,10 +11,12 @@ the sharded cluster — behind a single handle produced by
   **future** form (``space.submit_rd(t)``) returning an
   :class:`~repro.futures.OperationFuture`;
 * operations take the invoking identity as an optional ``process=``
-  keyword, and :meth:`Space.bind` produces a per-process view implementing
-  the classic :class:`~repro.tspace.interface.TupleSpaceInterface`, so the
-  consensus algorithms, universal constructions and coordination recipes
-  run against any backend unmodified;
+  keyword, and :meth:`Space.bind` produces the per-process
+  :class:`BoundSpace` view (the library's one
+  :class:`~repro.tspace.interface.BoundView`, plus the future/watch/
+  transaction forms) through which the consensus algorithms, universal
+  constructions and coordination recipes run against any backend
+  unmodified;
 * timeouts and errors are uniform: blocking reads raise
   :class:`~repro.errors.OperationTimeoutError` (template in the message)
   on every backend, denials surface exactly as they do on the local PEATS
@@ -36,12 +38,11 @@ from typing import Any, Callable, Hashable, Optional
 from repro.errors import AccessDeniedError, OperationTimeoutError, TupleSpaceError
 from repro.futures import OperationFuture
 from repro.notify import Subscription
-from repro.obs import NULL_OBS
 from repro.peo.base import DENIED, DeniedResult
 from repro.policy.invocation import Invocation
 from repro.policy.monitor import Decision
 from repro.replication.replica import TXN_LOCKED
-from repro.tspace.interface import TupleSpaceInterface
+from repro.tspace.interface import BoundView, TupleSpaceInterface
 from repro.tuples import Entry, Template
 
 __all__ = ["Space", "BoundSpace", "PROBE_OPERATIONS", "BLOCKING_OPERATIONS"]
@@ -62,7 +63,36 @@ def _denied_result(process: Hashable, operation: str, reason: Any) -> DeniedResu
     return DeniedResult(decision)
 
 
-class Space(TupleSpaceInterface):
+class _SubmitForms:
+    """The per-operation ``submit_*`` spellings of the host class's
+    ``submit(operation, arguments, **options)``, shared by :class:`Space`
+    and its bound view."""
+
+    def submit_out(self, entry: Entry, **options: Any) -> OperationFuture:
+        return self.submit("out", (entry,), **options)
+
+    def submit_rdp(self, template: Template, **options: Any) -> OperationFuture:
+        return self.submit("rdp", (template,), **options)
+
+    def submit_inp(self, template: Template, **options: Any) -> OperationFuture:
+        return self.submit("inp", (template,), **options)
+
+    def submit_cas(self, template: Template, entry: Entry, **options: Any) -> OperationFuture:
+        return self.submit("cas", (template, entry), **options)
+
+    def submit_rd(self, template: Template, **options: Any) -> OperationFuture:
+        return self.submit("rd", (template,), **options)
+
+    def submit_in(self, template: Template, **options: Any) -> OperationFuture:
+        return self.submit("in", (template,), **options)
+
+    def submit_transfer(
+        self, take_template: Template, put_tuple: Entry, **options: Any
+    ) -> OperationFuture:
+        return self.submit("transfer", (take_template, put_tuple), **options)
+
+
+class Space(_SubmitForms, TupleSpaceInterface):
     """Uniform handle over one tuple-space deployment.
 
     Subclasses supply the backend hooks (submit a probe, drive the event
@@ -110,6 +140,28 @@ class Space(TupleSpaceInterface):
     #: and expired ones are force-resolved, so exhausting this bound means
     #: pathological lock churn, not a wedged transaction.
     txn_lock_retries: int = 128
+
+    def __init__(self, obs: Any) -> None:
+        """``obs`` is the deployment's observability bundle (``NULL_OBS``
+        when it has none); every backend constructor calls this."""
+        self._obs = obs
+        #: Live ``watch()`` subscriptions; cancelling one removes it.
+        self._watches: list[Subscription] = []
+        self._txn_stats: dict[str, Any] = {
+            "committed": 0,
+            "aborted": {},
+            "commit_latency": {"count": 0, "total": 0.0, "max": 0.0},
+        }
+        registry = obs.registry
+        self._txn_metrics = (
+            registry.counter("txn_committed_total", "Transactions that committed").labels(),
+            registry.counter(
+                "txn_aborted_total", "Transactions that aborted, by reason kind"
+            ),
+            registry.histogram(
+                "txn_commit_latency", "Backend-time latency of txn commits"
+            ).labels(),
+        )
 
     # ------------------------------------------------------------------
     # Backend hooks
@@ -284,24 +336,6 @@ class Space(TupleSpaceInterface):
         if on_complete is not None:
             future.add_done_callback(on_complete)
         return future
-
-    def submit_out(self, entry: Entry, **options: Any) -> OperationFuture:
-        return self.submit("out", (entry,), **options)
-
-    def submit_rdp(self, template: Template, **options: Any) -> OperationFuture:
-        return self.submit("rdp", (template,), **options)
-
-    def submit_inp(self, template: Template, **options: Any) -> OperationFuture:
-        return self.submit("inp", (template,), **options)
-
-    def submit_cas(self, template: Template, entry: Entry, **options: Any) -> OperationFuture:
-        return self.submit("cas", (template, entry), **options)
-
-    def submit_rd(self, template: Template, **options: Any) -> OperationFuture:
-        return self.submit("rd", (template,), **options)
-
-    def submit_in(self, template: Template, **options: Any) -> OperationFuture:
-        return self.submit("in", (template,), **options)
 
     def _submit_blocking(
         self,
@@ -597,11 +631,6 @@ class Space(TupleSpaceInterface):
         txn = Txn(self, process).in_(take_template).out(put_tuple)
         return txn.commit().raise_for_abort()
 
-    def submit_transfer(
-        self, take_template: Template, put_tuple: Entry, **options: Any
-    ) -> OperationFuture:
-        return self.submit("transfer", (take_template, put_tuple), **options)
-
     def _submit_txn(self, legs: tuple, process: Hashable) -> OperationFuture:
         """Backend hook: submit one normalized leg sequence atomically."""
         raise TupleSpaceError(
@@ -616,33 +645,6 @@ class Space(TupleSpaceInterface):
         future.add_done_callback(self._record_txn)
         return future
 
-    def _txn_state(self) -> dict[str, Any]:
-        state = getattr(self, "_txn_stats", None)
-        if state is None:
-            state = self._txn_stats = {
-                "committed": 0,
-                "aborted": {},
-                "commit_latency": {"count": 0, "total": 0.0, "max": 0.0},
-            }
-        return state
-
-    def _txn_meters(self) -> tuple[Any, Any, Any]:
-        meters = getattr(self, "_txn_metrics", None)
-        if meters is None:
-            registry = self.observability.registry
-            meters = self._txn_metrics = (
-                registry.counter(
-                    "txn_committed_total", "Transactions that committed"
-                ).labels(),
-                registry.counter(
-                    "txn_aborted_total", "Transactions that aborted, by reason kind"
-                ),
-                registry.histogram(
-                    "txn_commit_latency", "Backend-time latency of txn commits"
-                ).labels(),
-            )
-        return meters
-
     @staticmethod
     def _txn_abort_label(reason: Any) -> str:
         # Bounded label space: only the reason *kind* (its leading tag),
@@ -655,8 +657,8 @@ class Space(TupleSpaceInterface):
         """Completion hook of every tracked transaction: passive accounting
         only — it never touches the event loop, so same-seed traces are
         byte-identical with or without transaction instrumentation."""
-        state = self._txn_state()
-        committed, aborted, latency = self._txn_meters()
+        state = self._txn_stats
+        committed, aborted, latency = self._txn_metrics
         if future.exception is not None:
             label = type(future.exception).__name__
             state["aborted"][label] = state["aborted"].get(label, 0) + 1
@@ -711,9 +713,14 @@ class Space(TupleSpaceInterface):
         subscription = Subscription(
             template, buffer=buffer, on_event=on_event, clock=self._now
         )
-        canceller = self._register_watch(subscription, process)
-        subscription._attach(canceller, self._watch_pump)
-        self._watch_list().append(subscription)
+        disarm = self._register_watch(subscription, process)
+
+        def cancel() -> None:
+            disarm()
+            self._watches.remove(subscription)
+
+        subscription._attach(cancel, self._watch_pump)
+        self._watches.append(subscription)
         return subscription
 
     def _register_watch(
@@ -738,12 +745,6 @@ class Space(TupleSpaceInterface):
         deadline = self._now() + budget
         network.run_until(lambda: condition() or self._now() >= deadline)
 
-    def _watch_list(self) -> list:
-        watches = getattr(self, "_watches", None)
-        if watches is None:
-            watches = self._watches = []
-        return watches
-
     # ------------------------------------------------------------------
     # Per-process views
     # ------------------------------------------------------------------
@@ -758,14 +759,10 @@ class Space(TupleSpaceInterface):
 
     @property
     def observability(self) -> Any:
-        """The deployment's observability bundle (``NULL_OBS`` when none).
-
-        Every backend stores the bundle on its service object; the handle
-        just surfaces it so callers can reach the metrics registry and the
-        request tracer without knowing the deployment shape.
-        """
-        service = getattr(self, "service", None)
-        return getattr(service, "obs", NULL_OBS)
+        """The deployment's observability bundle (``NULL_OBS`` when none):
+        the metrics registry and request tracer, whatever the deployment
+        shape."""
+        return self._obs
 
     def stats(self) -> dict[str, Any]:
         """One deployment-wide statistics snapshot, uniform across backends.
@@ -802,7 +799,7 @@ class Space(TupleSpaceInterface):
                 report["health"] = [
                     finding.as_dict() for finding in obs.health.active()
                 ]
-        state = self._txn_state()
+        state = self._txn_stats
         report["txn"] = {
             "committed": state["committed"],
             "aborted": dict(state["aborted"]),
@@ -828,7 +825,7 @@ class Space(TupleSpaceInterface):
         ``connect(..., transport="asyncio"/"tcp")`` should be closed (or
         used as context managers) when done.
         """
-        for subscription in self._watch_list():
+        for subscription in list(self._watches):
             subscription.cancel()
         network = getattr(self, "network", None)
         close = getattr(network, "close", None)
@@ -845,47 +842,15 @@ class Space(TupleSpaceInterface):
         return f"{type(self).__name__}(backend={self.backend!r})"
 
 
-class BoundSpace(TupleSpaceInterface):
-    """Per-process view of a :class:`Space`.
-
-    Implements the classic :class:`~repro.tspace.interface.
-    TupleSpaceInterface` (so algorithms written against it run on any
-    backend) and carries the whole ``submit_*`` family with the process
-    pre-bound.
-    """
-
-    def __init__(self, space: Space, process: Hashable) -> None:
-        self._space = space
-        self._process = process
-
-    @property
-    def process(self) -> Hashable:
-        return self._process
-
-    @property
-    def space(self) -> Space:
-        return self._space
+class BoundSpace(_SubmitForms, BoundView):
+    """Per-process view of a :class:`Space`: the classic
+    :class:`~repro.tspace.interface.BoundView` (so algorithms written
+    against ``TupleSpaceInterface`` run on any backend) plus the
+    ``submit_*`` family, ``watch`` and the transaction forms with the
+    process pre-bound."""
 
     def submit(self, operation: str, arguments: tuple, **options: Any) -> OperationFuture:
         return self._space.submit(operation, arguments, process=self._process, **options)
-
-    def submit_out(self, entry: Entry, **options: Any) -> OperationFuture:
-        return self.submit("out", (entry,), **options)
-
-    def submit_rdp(self, template: Template, **options: Any) -> OperationFuture:
-        return self.submit("rdp", (template,), **options)
-
-    def submit_inp(self, template: Template, **options: Any) -> OperationFuture:
-        return self.submit("inp", (template,), **options)
-
-    def submit_cas(self, template: Template, entry: Entry, **options: Any) -> OperationFuture:
-        return self.submit("cas", (template, entry), **options)
-
-    def submit_rd(self, template: Template, **options: Any) -> OperationFuture:
-        return self.submit("rd", (template,), **options)
-
-    def submit_in(self, template: Template, **options: Any) -> OperationFuture:
-        return self.submit("in", (template,), **options)
 
     def watch(self, template: Template, **options: Any) -> Subscription:
         return self._space.watch(template, process=self._process, **options)
@@ -895,48 +860,6 @@ class BoundSpace(TupleSpaceInterface):
 
     def transfer(self, take_template: Template, put_tuple: Entry) -> Any:
         return self._space.transfer(take_template, put_tuple, process=self._process)
-
-    def submit_transfer(
-        self, take_template: Template, put_tuple: Entry, **options: Any
-    ) -> OperationFuture:
-        return self.submit("transfer", (take_template, put_tuple), **options)
-
-    def out(self, entry: Entry) -> Any:
-        return self._space.out(entry, process=self._process)
-
-    def rdp(self, template: Template) -> Optional[Entry]:
-        return self._space.rdp(template, process=self._process)
-
-    def inp(self, template: Template) -> Optional[Entry]:
-        return self._space.inp(template, process=self._process)
-
-    def rd(
-        self,
-        template: Template,
-        *,
-        timeout: float | None = None,
-        poll_interval: float | None = None,
-    ) -> Entry:
-        return self._space.rd(
-            template, timeout=timeout, poll_interval=poll_interval, process=self._process
-        )
-
-    def in_(
-        self,
-        template: Template,
-        *,
-        timeout: float | None = None,
-        poll_interval: float | None = None,
-    ) -> Entry:
-        return self._space.in_(
-            template, timeout=timeout, poll_interval=poll_interval, process=self._process
-        )
-
-    def cas(self, template: Template, entry: Entry) -> tuple[Any, Optional[Entry]]:
-        return self._space.cas(template, entry, process=self._process)
-
-    def snapshot(self) -> tuple[Entry, ...]:
-        return self._space.snapshot()
 
     def __repr__(self) -> str:
         return f"BoundSpace(backend={self._space.backend!r}, process={self._process!r})"

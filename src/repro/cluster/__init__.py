@@ -14,26 +14,31 @@ replica groups ordering disjoint request streams in parallel —
   :class:`~repro.replication.service.ReplicatedPEATS` groups with
   namespaced replica ids on one shared
   :class:`~repro.replication.network.SimulatedNetwork` clock;
-* :mod:`repro.cluster.client` — :class:`ShardedClient` /
-  :class:`ShardedClientView`: one client identity whose operations are
-  routed to the owning group (templates with wildcard name fields raise
-  :class:`~repro.errors.CrossShardError` here — the unified API resolves
-  them instead: scatter-gather reads, and atomic transactions for
-  wildcard/cross-shard ``cas`` via ``Space.transact``).
+* :mod:`repro.cluster.client` — :class:`ShardedClient`: one client
+  identity whose requests are routed to the owning group (templates with
+  wildcard name fields raise :class:`~repro.errors.CrossShardError` at
+  this layer).
+
+A :class:`ShardedPEATS` is the deployment; programs reach it through the
+one client path, :func:`repro.api.connect`, whose ``bind(process)`` views
+route concrete names through the client above and resolve the multi-shard
+forms it rejects — scatter-gather for wildcard-name reads, atomic
+transactions (``Space.transact``) for wildcard/cross-shard ``cas``.
 
 Quick start::
 
+    from repro.api import connect
     from repro.cluster import ShardedPEATS
     from repro.sim import open_sim_policy
     from repro.tuples import entry, template, Formal
 
     cluster = ShardedPEATS(open_sim_policy(), shards=4, f=1)
-    space = cluster.client_view("p1")
+    space = connect(service=cluster).bind("p1")
     space.out(entry("JOB", 1))                      # routed by name "JOB"
     match = space.rdp(template("JOB", Formal("x")))  # same shard, found
 """
 
-from repro.cluster.client import ShardedClient, ShardedClientView
+from repro.cluster.client import ShardedClient
 from repro.cluster.routing import (
     ExplicitRouting,
     HashRouting,
@@ -51,5 +56,4 @@ __all__ = [
     "ShardMap",
     "ShardedPEATS",
     "ShardedClient",
-    "ShardedClientView",
 ]

@@ -12,13 +12,9 @@ submission time (see the routing module); the unified API's
 multi-shard forms (using this client's per-request ``replica_ids``
 override): wildcard-name ``rdp``/``inp`` by scatter-gathering over every
 group, wildcard-name and cross-shard ``cas`` as atomic transactions via
-``Space.transact`` (:mod:`repro.txn`).
-
-:class:`ShardedClientView` is the tuple-space facade over that client; it
-is the single-group :class:`~repro.replication.service.ReplicatedClientView`
-verbatim (same denial handling, same bounded-polling blocking reads), just
-backed by a routing client — which is the point: sharding is invisible to
-callers until they ask for a cross-shard read.
+``Space.transact`` (:mod:`repro.txn`).  That handle —
+``connect(service=cluster).bind(process)`` — is the only tuple-space view
+of the cluster; this client is its request/reply transport.
 """
 
 from __future__ import annotations
@@ -26,12 +22,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Hashable
 
 from repro.replication.client import PEATSClient, PendingRequest
-from repro.replication.service import ReplicatedClientView
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.cluster.service import ShardedPEATS
 
-__all__ = ["ShardedClient", "ShardedClientView"]
+__all__ = ["ShardedClient"]
 
 
 class ShardedClient(PEATSClient):
@@ -113,59 +108,3 @@ class ShardedClient(PEATSClient):
             f"ShardedClient(client_id={self.client_id!r}, "
             f"shards={self._service.n_shards})"
         )
-
-
-class ShardedClientView(ReplicatedClientView):
-    """Per-process tuple-space view over the sharded cluster.
-
-    Inherits the whole single-group interface: denied invocations come
-    back falsy, ``rd``/``in_`` are bounded polling loops on the shared
-    virtual clock, and ``snapshot`` merges every shard's space.  Wildcard
-    name fields surface as :class:`~repro.errors.CrossShardError` from the
-    underlying routing client.
-    """
-
-    def _resolve_lock_sync(self, conflict: Any) -> None:
-        """Synchronous lock resolution: outwait a live holder, force an
-        expired one at its replicated coordinator group, then apply the
-        recorded outcome at every participant group (releasing the locks).
-        The synchronous twin of ``ShardedSpace._resolve_lock``."""
-        service = self._service
-        if not (isinstance(conflict, (tuple, list)) and len(conflict) == 3):
-            service.network.run_for(self.default_poll_interval)
-            return
-        txn_key, coordinator_shard, expired = conflict
-        if (
-            not expired
-            or not isinstance(coordinator_shard, int)
-            or not 0 <= coordinator_shard < service.n_shards
-            or not isinstance(txn_key, (tuple, list))
-        ):
-            service.network.run_for(self.default_poll_interval)
-            return
-        txn_id = tuple(txn_key)
-        forced = self._invoke_at(
-            coordinator_shard, "txn_force", (txn_id,)
-        )
-        value = forced[1] if isinstance(forced, tuple) and len(forced) == 2 else None
-        if not (isinstance(value, tuple) and len(value) == 4 and value[0] == "decided"):
-            service.network.run_for(self.default_poll_interval)
-            return
-        _tag, outcome, _reason, participants = value
-        for shard in sorted(
-            {s for s in participants if isinstance(s, int) and 0 <= s < service.n_shards}
-        ):
-            self._invoke_at(shard, "txn_apply", (txn_id, outcome))
-
-    def _invoke_at(self, shard: int, operation: str, arguments: tuple) -> Any:
-        """One synchronous request addressed to ``shard``'s replica group."""
-        pending = self._client.submit(
-            operation,
-            arguments,
-            replica_ids=self._service.group(shard).replica_ids,
-        )
-        self._service.network.run_until(lambda: pending.done)
-        return pending.result()
-
-    def __repr__(self) -> str:
-        return f"ShardedClientView(process={self.process!r})"

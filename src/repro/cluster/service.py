@@ -30,7 +30,7 @@ from repro.policy.policy import AccessPolicy
 from repro.replication.network import NetworkConfig, SimulatedNetwork
 from repro.replication.pbft import OrderingNode, ReplicaFaultMode
 from repro.replication.service import ReplicatedPEATS
-from repro.cluster.client import ShardedClient, ShardedClientView
+from repro.cluster.client import ShardedClient
 from repro.cluster.routing import RoutingPolicy, ShardMap
 from repro.tuples import Entry
 
@@ -187,10 +187,6 @@ class ShardedPEATS:
             # per-request state (each also holds a network registration).
             self._clients[process] = ShardedClient(process, self)
         return self._clients[process]
-
-    def client_view(self, process: Hashable) -> ShardedClientView:
-        """A tuple-space view through which ``process`` issues operations."""
-        return ShardedClientView(self, process)
 
     # ------------------------------------------------------------------
     # Administrative introspection (tests, benchmarks)

@@ -15,8 +15,9 @@ Four variants are provided:
     Section 5.4 — multivalued with optimal resilience ``n >= 3t + 1``; the
     decision is a value proposed by a correct process or the default ``⊥``.
 
-Each object takes the shared :class:`~repro.peo.peats.PEATS` (or a
-replicated PEATS client) and exposes ``propose(process, value)``.  The
+Each object takes a shared space offering ``bind(process)`` — a local
+:class:`~repro.peo.peats.PEATS` or a :func:`repro.api.connect` handle over
+any deployment — and exposes ``propose(process, value)``.  The
 algorithms are also available as explicit step generators
 (``propose_steps``) so that the deterministic runners in
 :mod:`repro.consensus.runner` can interleave processes, inject Byzantine

@@ -97,12 +97,12 @@ class DefaultConsensus(ConsensusObject):
         """Stepwise default consensus (one yield per polling round)."""
         if value == BOTTOM:
             raise ValueError("processes may not propose the default value ⊥")
-        space = self._space
+        space = self._space.bind(process)
         n = len(self._processes)
         threshold = self._t + 1
         quorum = n - self._t
 
-        self._out(space, process, entry(PROPOSE, process, value))
+        space.out(entry(PROPOSE, process, value))
 
         supporters: dict[Any, set[Hashable]] = {}
         classified: set[Hashable] = set()
@@ -113,7 +113,7 @@ class DefaultConsensus(ConsensusObject):
             for other in self._processes:
                 if other in classified:
                     continue
-                found = self._rdp(space, process, template(PROPOSE, other, Formal("v")))
+                found = space.rdp(template(PROPOSE, other, Formal("v")))
                 if found is None:
                     continue
                 observed = found.fields[2]
@@ -134,9 +134,7 @@ class DefaultConsensus(ConsensusObject):
                 break
             yield
 
-        inserted, existing = self._cas(
-            space,
-            process,
+        inserted, existing = space.cas(
             template(DECISION, Formal("d"), ANY),
             entry(DECISION, decision_value, justification),
         )
@@ -162,28 +160,3 @@ class DefaultConsensus(ConsensusObject):
             if matches(stored, pattern):
                 return stored.fields[1]
         return None
-
-    # ------------------------------------------------------------------
-    # Space helpers
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _out(space: Any, process: Hashable, new_entry) -> Any:
-        try:
-            return space.out(new_entry, process=process)
-        except TypeError:
-            return space.out(new_entry)
-
-    @staticmethod
-    def _rdp(space: Any, process: Hashable, pattern) -> Any:
-        try:
-            return space.rdp(pattern, process=process)
-        except TypeError:
-            return space.rdp(pattern)
-
-    @staticmethod
-    def _cas(space: Any, process: Hashable, pattern, new_entry) -> tuple[Any, Any]:
-        try:
-            return space.cas(pattern, new_entry, process=process)
-        except TypeError:
-            return space.cas(pattern, new_entry)

@@ -132,9 +132,9 @@ class StrongConsensus(ConsensusObject):
 
     def propose_steps(self, process: Hashable, value: Any) -> Generator[None, None, Any]:
         """Stepwise Algorithm 2: yields once per polling round (lines 5–11)."""
-        space = self._space
+        space = self._space.bind(process)
         # Line 2: publish the proposal.
-        self._out(space, process, entry(PROPOSE, process, value))
+        space.out(entry(PROPOSE, process, value))
 
         # Lines 3–4: one set S_v per value (generalised for k values).
         supporters: dict[Any, set[Hashable]] = {v: set() for v in self._values}
@@ -146,7 +146,7 @@ class StrongConsensus(ConsensusObject):
             for other in self._processes:
                 if other in classified:
                     continue
-                found = self._rdp(space, process, template(PROPOSE, other, Formal("v")))
+                found = space.rdp(template(PROPOSE, other, Formal("v")))
                 if found is None:
                     continue
                 observed = found.fields[2]
@@ -160,9 +160,7 @@ class StrongConsensus(ConsensusObject):
 
         # Lines 12–14: try to commit the chosen value with its justification.
         justification = frozenset(supporters[chosen_value])
-        inserted, existing = self._cas(
-            space,
-            process,
+        inserted, existing = space.cas(
             template(DECISION, Formal("d"), ANY),
             entry(DECISION, chosen_value, justification),
         )
@@ -192,28 +190,3 @@ class StrongConsensus(ConsensusObject):
             if matches(stored, pattern):
                 return stored.fields[1]
         return None
-
-    # ------------------------------------------------------------------
-    # Space access helpers (tolerate both PEATS and process-bound spaces)
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _out(space: Any, process: Hashable, new_entry) -> Any:
-        try:
-            return space.out(new_entry, process=process)
-        except TypeError:
-            return space.out(new_entry)
-
-    @staticmethod
-    def _rdp(space: Any, process: Hashable, pattern) -> Any:
-        try:
-            return space.rdp(pattern, process=process)
-        except TypeError:
-            return space.rdp(pattern)
-
-    @staticmethod
-    def _cas(space: Any, process: Hashable, pattern, new_entry) -> tuple[Any, Any]:
-        try:
-            return space.cas(pattern, new_entry, process=process)
-        except TypeError:
-            return space.cas(pattern, new_entry)

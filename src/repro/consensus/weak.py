@@ -31,8 +31,10 @@ class WeakConsensus(ConsensusObject):
     Parameters
     ----------
     space:
-        The shared PEATS.  When omitted, a fresh local PEATS guarded by the
-        Fig. 3 policy is created — the common case for tests and examples.
+        The shared space (anything offering ``bind(process)``: a PEATS or a
+        :func:`repro.api.connect` handle).  When omitted, a fresh local
+        PEATS guarded by the Fig. 3 policy is created — the common case for
+        tests and examples.
     """
 
     termination = TerminationCondition.WAIT_FREE
@@ -55,7 +57,9 @@ class WeakConsensus(ConsensusObject):
 
     def propose(self, process: Hashable, value: Any, *, max_iterations: int = 1) -> Any:
         """Propose ``value``; returns the (unique) consensus value."""
-        inserted, existing = self._cas(process, value)
+        inserted, existing = self._space.bind(process).cas(
+            template(DECISION, Formal("d")), entry(DECISION, value)
+        )
         if inserted:
             return value
         # The failed cas "reads" the DECISION tuple: ?d binds to its value.
@@ -65,22 +69,6 @@ class WeakConsensus(ConsensusObject):
         """Stepwise variant; Algorithm 1 has a single step."""
         yield
         return self.propose(process, value)
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _cas(self, process: Hashable, value: Any):
-        pattern = template(DECISION, Formal("d"))
-        proposal = entry(DECISION, value)
-        if hasattr(self._space, "cas"):
-            try:
-                return self._space.cas(pattern, proposal, process=process)
-            except TypeError:
-                # Process-bound spaces / replicated clients do not take the
-                # ``process`` keyword — the identity is already bound.
-                return self._space.cas(pattern, proposal)
-        raise TypeError("weak consensus requires a space with a cas operation")
 
     def decision(self) -> Any:
         """Return the decided value, or ``None`` if no process proposed yet.

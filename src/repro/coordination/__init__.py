@@ -4,7 +4,13 @@ The paper motivates the PEATS with the coordination problems real systems
 face — electing leaders, serialising access to a resource, rendezvousing a
 set of untrusted processes.  This package builds those primitives on top of
 the library's consensus objects and universal constructions, exactly the
-way a downstream user of the paper's system would:
+way a downstream user of the paper's system would.  Every primitive takes
+an optional ``space=``: any shared space offering ``bind(process)`` — a
+local :class:`~repro.peo.peats.PEATS`, or the handle
+:func:`repro.api.connect` returns for a replicated or sharded deployment
+(``connect(service=...)`` wraps one that already exists) — and reaches it
+only through the bound views ``bind`` returns, so the same program runs on
+any backend:
 
 ``LeaderElection``
     Justified leader election: the winner must be nominated by ``t + 1``

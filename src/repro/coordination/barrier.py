@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Any, Collection, Hashable
 
-from repro.coordination.binding import bound_view
 from repro.errors import TerminationError
 from repro.peo.peats import PEATS
 from repro.policy.expressions import Condition
@@ -78,10 +77,9 @@ class Barrier:
         *,
         space: Any | None = None,
     ) -> None:
-        """``space`` may be any shared handle speaking the unified protocol
-        — a local :class:`~repro.peo.peats.PEATS`, a replicated shared
-        space, or a :class:`~repro.api.Space` from
-        :func:`repro.api.connect` — so the same barrier runs over any
+        """``space`` may be any shared space offering ``bind(process)`` — a
+        local :class:`~repro.peo.peats.PEATS` or a :class:`~repro.api.Space`
+        from :func:`repro.api.connect` — so the same barrier runs over any
         deployment shape.  A local PEATS guarded by the barrier policy is
         created when omitted."""
         self._processes = tuple(processes)
@@ -89,7 +87,6 @@ class Barrier:
         if len(self._processes) <= t:
             raise ValueError("the barrier needs more processes than Byzantine faults")
         self._space = space if space is not None else PEATS(barrier_policy(self._processes))
-        self._views: dict[Hashable, Any] = {}
 
     @property
     def space(self) -> Any:
@@ -106,13 +103,14 @@ class Barrier:
 
     def arrive(self, process: Hashable, phase: int = 0) -> Any:
         """Record ``process``'s arrival at ``phase`` (idempotent per phase)."""
-        return self._out(entry(ARRIVE, process, phase), process)
+        return self._space.bind(process).out(entry(ARRIVE, process, phase))
 
     def arrived_count(self, process: Hashable, phase: int = 0) -> int:
         """Number of distinct arrivals visible to ``process`` for ``phase``."""
+        view = self._space.bind(process)
         count = 0
         for other in self._processes:
-            if self._rdp(template(ARRIVE, other, phase), process) is not None:
+            if view.rdp(template(ARRIVE, other, phase)) is not None:
                 count += 1
         return count
 
@@ -140,18 +138,3 @@ class Barrier:
                 raise TerminationError(
                     f"barrier phase {phase} not reached after {max_iterations} rounds"
                 )
-
-    # ------------------------------------------------------------------
-    # Space helpers (per-process views of the unified protocol)
-    # ------------------------------------------------------------------
-
-    def _view(self, process):
-        if process not in self._views:
-            self._views[process] = bound_view(self._space, process)
-        return self._views[process]
-
-    def _out(self, new_entry, process):
-        return self._view(process).out(new_entry)
-
-    def _rdp(self, pattern, process):
-        return self._view(process).rdp(pattern)

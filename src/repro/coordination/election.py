@@ -36,9 +36,8 @@ class LeaderElection:
         which every correct process computes identically from the PROPOSE
         tuples visible in the space.
     space:
-        Optional shared space speaking the unified protocol (a local
-        PEATS, a replicated shared-space adapter, or a
-        :class:`~repro.api.Space` from :func:`repro.api.connect`); a local
+        Optional shared space offering ``bind(process)`` (a local PEATS or
+        a :class:`~repro.api.Space` from :func:`repro.api.connect`); a local
         PEATS guarded by the Fig. 5 policy is created when omitted.
     """
 

@@ -83,11 +83,10 @@ def ticket_lock_type() -> ObjectType:
 class DistributedLock:
     """Mutual exclusion for a known set of processes over a PEATS.
 
-    ``space`` may be any shared handle speaking the unified protocol — a
-    local :class:`~repro.peo.peats.PEATS`, a replicated shared space, or a
-    :class:`~repro.api.Space` from :func:`repro.api.connect` — so one lock
-    program runs unmodified over the in-process, replicated and sharded
-    deployments.
+    ``space`` may be any shared space offering ``bind(process)`` — a local
+    :class:`~repro.peo.peats.PEATS` or a :class:`~repro.api.Space` from
+    :func:`repro.api.connect` — so one lock program runs unmodified over the
+    in-process, replicated and sharded deployments.
     """
 
     def __init__(

@@ -88,7 +88,7 @@ class OperationTimeoutError(TupleSpaceError, TimeoutError):
     """Raised when a blocking ``rd``/``in`` finds no match within its budget.
 
     The one timeout exception of the unified API: every backend — the local
-    spaces (wall-clock seconds), the replicated client views and the
+    spaces (wall-clock seconds) and the replicated and sharded
     :mod:`repro.api` handles (simulated milliseconds) — raises this same
     class, with the unmatched template in the message.  It derives from the
     builtin :class:`TimeoutError`, so pre-existing ``except TimeoutError``

@@ -6,7 +6,7 @@ Two flavours are provided:
   pluggable into :func:`repro.consensus.runner.run_consensus` as the
   ``byzantine`` mapping.  Each generator performs its misbehaviour in small
   steps so the deterministic runner can interleave it with the correct
-  processes;
+  processes, always through ``consensus.space.bind(process)``;
 * **space attack drivers** — :func:`attack_peats` issues a battery of
   forbidden invocations directly against a PEATS and reports how many were
   denied, which experiment E5 uses to quantify policy enforcement.
@@ -38,36 +38,6 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# Helpers to talk to whatever space flavour the consensus object exposes.
-# ----------------------------------------------------------------------
-
-
-def _space_of(consensus: Any) -> Any:
-    return consensus.space
-
-
-def _out(space: Any, process: Hashable, new_entry) -> Any:
-    try:
-        return space.out(new_entry, process=process)
-    except TypeError:
-        return space.out(new_entry)
-
-
-def _inp(space: Any, process: Hashable, pattern) -> Any:
-    try:
-        return space.inp(pattern, process=process)
-    except TypeError:
-        return space.inp(pattern)
-
-
-def _cas(space: Any, process: Hashable, pattern, new_entry) -> Any:
-    try:
-        return space.cas(pattern, new_entry, process=process)
-    except TypeError:
-        return space.cas(pattern, new_entry)
-
-
-# ----------------------------------------------------------------------
 # Consensus strategies (step generators).
 # ----------------------------------------------------------------------
 
@@ -82,10 +52,10 @@ def double_proposing_byzantine(value_a: Any = 0, value_b: Any = 1):
     """Propose two different values (the second ``out`` must be denied)."""
 
     def strategy(consensus: Any, process: Hashable) -> Generator[None, None, Any]:
-        space = _space_of(consensus)
-        _out(space, process, entry(PROPOSE, process, value_a))
+        space = consensus.space.bind(process)
+        space.out(entry(PROPOSE, process, value_a))
         yield
-        _out(space, process, entry(PROPOSE, process, value_b))
+        space.out(entry(PROPOSE, process, value_b))
         yield
         return None
 
@@ -96,8 +66,8 @@ def conflicting_value_byzantine(value: Any):
     """Participate normally but with a chosen (possibly minority) value."""
 
     def strategy(consensus: Any, process: Hashable) -> Generator[None, None, Any]:
-        space = _space_of(consensus)
-        _out(space, process, entry(PROPOSE, process, value))
+        space = consensus.space.bind(process)
+        space.out(entry(PROPOSE, process, value))
         yield
         return None
 
@@ -108,8 +78,8 @@ def impersonating_byzantine(victim: Hashable, value: Any = 1):
     """Try to publish a proposal in the name of another process."""
 
     def strategy(consensus: Any, process: Hashable) -> Generator[None, None, Any]:
-        space = _space_of(consensus)
-        _out(space, process, entry(PROPOSE, victim, value))
+        space = consensus.space.bind(process)
+        space.out(entry(PROPOSE, victim, value))
         yield
         return None
 
@@ -120,11 +90,9 @@ def unjustified_deciding_byzantine(value: Any = 1, fake_supporters: Sequence[Has
     """Try to commit a DECISION whose justification set is fabricated."""
 
     def strategy(consensus: Any, process: Hashable) -> Generator[None, None, Any]:
-        space = _space_of(consensus)
+        space = consensus.space.bind(process)
         justification = frozenset(fake_supporters) if fake_supporters else frozenset({process})
-        _cas(
-            space,
-            process,
+        space.cas(
             template(DECISION, Formal("d"), ANY),
             entry(DECISION, value, justification),
         )
@@ -138,11 +106,9 @@ def bottom_forcing_byzantine():
     """Try to force the default consensus to ``⊥`` with a bogus proof."""
 
     def strategy(consensus: Any, process: Hashable) -> Generator[None, None, Any]:
-        space = _space_of(consensus)
+        space = consensus.space.bind(process)
         bogus_proof = frozenset({(0, frozenset({process}))})
-        _cas(
-            space,
-            process,
+        space.cas(
             template(DECISION, Formal("d"), ANY),
             entry(DECISION, BOTTOM, bogus_proof),
         )
@@ -156,11 +122,11 @@ def spamming_byzantine(rounds: int = 5):
     """Hammer the space with forbidden operations for several rounds."""
 
     def strategy(consensus: Any, process: Hashable) -> Generator[None, None, Any]:
-        space = _space_of(consensus)
+        space = consensus.space.bind(process)
         for round_number in range(rounds):
-            _out(space, process, entry("GARBAGE", process, round_number))
-            _inp(space, process, template(DECISION, Formal("d"), ANY))
-            _inp(space, process, template(PROPOSE, ANY, Formal("v")))
+            space.out(entry("GARBAGE", process, round_number))
+            space.inp(template(DECISION, Formal("d"), ANY))
+            space.inp(template(PROPOSE, ANY, Formal("v")))
             yield
         return None
 
@@ -218,6 +184,7 @@ def attack_peats(
     """
     report = AttackReport()
     victims = list(victims)
+    view = space.bind(attacker)
 
     def attempt(description: str, result: Any) -> None:
         if isinstance(result, tuple):
@@ -226,69 +193,59 @@ def attack_peats(
 
     attempt(
         "remove the DECISION tuple",
-        _inp(space, attacker, template(DECISION, Formal("d"), ANY)) is not None,
+        view.inp(template(DECISION, Formal("d"), ANY)) is not None,
     )
     attempt(
         "remove another process's PROPOSE tuple",
-        _inp(space, attacker, template(PROPOSE, ANY, Formal("v"))) is not None,
+        view.inp(template(PROPOSE, ANY, Formal("v"))) is not None,
     )
-    attempt("insert a garbage tuple", _out(space, attacker, entry("GARBAGE", attacker, 0)))
+    attempt("insert a garbage tuple", view.out(entry("GARBAGE", attacker, 0)))
     attempt(
         "insert a malformed PROPOSE tuple (wrong arity)",
-        _out(space, attacker, entry(PROPOSE, attacker)),
+        view.out(entry(PROPOSE, attacker)),
     )
     for victim in victims:
         attempt(
             f"impersonate {victim!r} in a PROPOSE tuple",
-            _out(space, attacker, entry(PROPOSE, victim, 1)),
+            view.out(entry(PROPOSE, victim, 1)),
         )
     attempt(
         "decide with a justification smaller than t+1",
-        _cas(
-            space,
-            attacker,
+        view.cas(
             template(DECISION, Formal("d"), ANY),
             entry(DECISION, 1, frozenset({attacker})),
         ),
     )
     attempt(
         "decide with a justification of unknown processes",
-        _cas(
-            space,
-            attacker,
+        view.cas(
             template(DECISION, Formal("d"), ANY),
             entry(DECISION, 1, frozenset({f"ghost-{i}" for i in range(t + 1)})),
         ),
     )
     attempt(
         "decide without a formal field in the template",
-        _cas(
-            space,
-            attacker,
+        view.cas(
             template(DECISION, 1, ANY),
             entry(DECISION, 1, frozenset({attacker})),
         ),
     )
     attempt(
         "force the default value with a bogus proof",
-        _cas(
-            space,
-            attacker,
+        view.cas(
             template(DECISION, Formal("d"), ANY),
             entry(DECISION, BOTTOM, frozenset({(0, frozenset({attacker}))})),
         ),
     )
     attempt(
         "thread a SEQ tuple out of order",
-        _cas(
-            space,
-            attacker,
+        view.cas(
             template(SEQ, 100, Formal("x")),
             entry(SEQ, 100, "bogus-invocation"),
         ),
     )
     attempt(
         "announce on behalf of another index",
-        _out(space, attacker, entry(ANN, 99, "bogus-invocation")),
+        view.out(entry(ANN, 99, "bogus-invocation")),
     )
     return report

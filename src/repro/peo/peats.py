@@ -5,7 +5,8 @@ augmented tuple space whose every operation is mediated by a reference
 monitor evaluating a fine-grained access policy.  This module provides the
 *local* (single address space) PEATS; the replicated Byzantine
 fault-tolerant deployment of Fig. 2 is :class:`repro.replication.service.
-ReplicatedPEATS` and exposes the same per-process interface.
+ReplicatedPEATS`, and :func:`repro.api.connect` fronts either with the same
+``bind(process)`` protocol.
 
 Semantics of denied operations
 ------------------------------
@@ -35,10 +36,10 @@ from repro.peo.base import DENIED, DeniedResult, PolicyEnforcedObject
 from repro.policy.policy import AccessPolicy
 from repro.tspace.augmented import AugmentedTupleSpace
 from repro.tspace.history import HistoryRecorder
-from repro.tspace.interface import TupleSpaceInterface
+from repro.tspace.interface import BoundView
 from repro.tuples import Entry, Template
 
-__all__ = ["PEATS", "ProcessBoundPEATS"]
+__all__ = ["PEATS"]
 
 
 class PEATS(PolicyEnforcedObject):
@@ -205,58 +206,12 @@ class PEATS(PolicyEnforcedObject):
         """Total bits stored in the space (experiment E1 accounting)."""
         return sum(stored.size_bits() for stored in self.snapshot())
 
-    def bind(self, process: Any) -> "ProcessBoundPEATS":
+    def bind(self, process: Any) -> BoundView:
         """Return a view through which ``process`` issues its operations."""
-        return ProcessBoundPEATS(self, process)
+        return BoundView(self, process)
 
     def __len__(self) -> int:
         return len(self.snapshot())
 
     def __repr__(self) -> str:
         return f"PEATS(policy={self.policy.name!r}, size={len(self)})"
-
-
-class ProcessBoundPEATS(TupleSpaceInterface):
-    """Per-process view of a :class:`PEATS`.
-
-    Implements :class:`~repro.tspace.interface.TupleSpaceInterface`, so the
-    consensus algorithms and universal constructions — written against that
-    interface — can run over a policy-enforced space without carrying the
-    invoker identity themselves.
-    """
-
-    def __init__(self, peats: PEATS, process: Any) -> None:
-        self._peats = peats
-        self._process = process
-
-    @property
-    def process(self) -> Any:
-        return self._process
-
-    @property
-    def peats(self) -> PEATS:
-        return self._peats
-
-    def out(self, entry: Entry) -> Any:
-        return self._peats.out(entry, process=self._process)
-
-    def rdp(self, template: Template) -> Optional[Entry]:
-        return self._peats.rdp(template, process=self._process)
-
-    def inp(self, template: Template) -> Optional[Entry]:
-        return self._peats.inp(template, process=self._process)
-
-    def rd(self, template: Template, *, timeout: float | None = None) -> Entry:
-        return self._peats.rd(template, timeout=timeout, process=self._process)
-
-    def in_(self, template: Template, *, timeout: float | None = None) -> Entry:
-        return self._peats.in_(template, timeout=timeout, process=self._process)
-
-    def cas(self, template: Template, entry: Entry) -> tuple[Any, Optional[Entry]]:
-        return self._peats.cas(template, entry, process=self._process)
-
-    def snapshot(self) -> tuple[Entry, ...]:
-        return self._peats.snapshot()
-
-    def __repr__(self) -> str:
-        return f"ProcessBoundPEATS(process={self._process!r})"

@@ -21,10 +21,15 @@ fully-simulated substitute:
   deterministically;
 * :mod:`repro.replication.client` — the client proxy that multicasts
   requests and accepts a result vouched for by ``f + 1`` matching replies;
-* :mod:`repro.replication.service` — :class:`ReplicatedPEATS`, the facade
-  that wires everything together and hands out per-process client views
-  compatible with the local PEATS interface, so every algorithm in the
-  library runs unchanged on top of it.
+* :mod:`repro.replication.service` — :class:`ReplicatedPEATS`, the
+  deployment that wires everything together and keeps one authenticated
+  client per process identity.
+
+Programs reach a deployment through the one client path:
+``repro.api.connect(service=ReplicatedPEATS(...))`` (or
+``connect("replicated", policy=...)`` to build one) returns a handle whose
+``bind(process)`` views speak the local PEATS interface, so every
+algorithm in the library runs unchanged on top of it.
 """
 
 from repro.replication.client import PEATSClient, PendingRequest

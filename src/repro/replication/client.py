@@ -35,7 +35,7 @@ import dataclasses
 import threading
 from typing import Any, Callable, Hashable, Optional, TYPE_CHECKING
 
-from repro.errors import QuorumError, ReplicationError
+from repro.errors import QuorumError
 from repro.futures import OperationFuture
 from repro.notify import ClientWaiter
 from repro.obs import NULL_OBS
@@ -593,19 +593,3 @@ class PEATSClient:
         if not pending.done:  # pragma: no cover - retransmit timer prevents this
             self._fail(pending, QuorumError(f"network drained before {pending.key} resolved"))
         return pending.result()
-
-    # ------------------------------------------------------------------
-    # Convenience wrappers used by ReplicatedPEATS views
-    # ------------------------------------------------------------------
-
-    def execute_tuple_operation(self, operation: str, arguments: tuple) -> Any:
-        """Invoke and unwrap a tuple-space operation.
-
-        Raises :class:`ReplicationError` on malformed replies; returns the
-        value for ``OK`` results and ``("DENIED", reason)`` markers as-is so
-        the caller can decide how to surface denials.
-        """
-        payload = self.invoke(operation, arguments)
-        if not isinstance(payload, tuple) or len(payload) != 2:
-            raise ReplicationError(f"malformed reply payload: {payload!r}")
-        return payload

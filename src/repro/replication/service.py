@@ -1,52 +1,51 @@
-"""The replicated PEATS facade (the full Fig. 2 deployment, simulated).
+"""The replicated PEATS deployment (the full Fig. 2 architecture).
 
-:class:`ReplicatedPEATS` wires together the simulated network, ``3f + 1``
-ordering nodes each hosting a :class:`~repro.replication.replica.
-PEATSReplica` (tuple space + reference monitor), and hands out per-process
-client views whose interface matches the local
-:class:`~repro.peo.peats.PEATS`/:class:`~repro.peo.peats.ProcessBoundPEATS`.
-Every consensus algorithm and universal construction in the library
+:class:`ReplicatedPEATS` wires together the network, ``3f + 1`` ordering
+nodes each hosting a :class:`~repro.replication.replica.PEATSReplica`
+(tuple space + reference monitor), and one authenticated
+:class:`~repro.replication.client.PEATSClient` per process identity.  It
+is the *deployment*, not a tuple-space handle: programs reach it through
+the one client path, :func:`repro.api.connect`, whose ``bind(process)``
+views speak the same interface as a local :class:`~repro.peo.peats.PEATS`
+view.  Every consensus algorithm and universal construction in the library
 therefore runs unchanged over the Byzantine fault-tolerant deployment —
 which is exactly the claim of Section 4.
 
 Usage::
 
+    from repro.api import connect
     from repro.policy import weak_consensus_policy
     from repro.replication import ReplicatedPEATS
 
     service = ReplicatedPEATS(weak_consensus_policy(), f=1)
-    space = service.client_view("p1")
+    space = connect(service=service).bind("p1")
     inserted, _ = space.cas(template("DECISION", Formal("d")), entry("DECISION", 7))
 
-The simulation is single-threaded, but no longer one-request-at-a-time:
-synchronous view calls drive the network until their reply vote succeeds,
-while :meth:`~repro.replication.client.PEATSClient.submit` exposes the
-non-blocking path that lets the :mod:`repro.sim` scenario engine keep
+The simulation is single-threaded, but not one-request-at-a-time:
+blocking calls on the handle drive the network until their reply vote
+succeeds, while :meth:`~repro.replication.client.PEATSClient.submit` is
+the non-blocking path that lets the :mod:`repro.sim` scenario engine keep
 dozens of clients' requests in flight concurrently under one virtual
 clock.
 """
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Iterable, Optional, Sequence, TYPE_CHECKING
+from typing import Any, Hashable, TYPE_CHECKING
 
-from repro.errors import AccessDeniedError, OperationTimeoutError, ReplicationError
+from repro.errors import ReplicationError
 from repro.obs import NULL_OBS
-from repro.peo.base import DeniedResult
-from repro.policy.monitor import Decision
-from repro.policy.invocation import Invocation
 from repro.policy.policy import AccessPolicy
 from repro.replication.client import PEATSClient
 from repro.replication.network import NetworkConfig, SimulatedNetwork
 from repro.replication.pbft import OrderingNode, ReplicaFaultMode
-from repro.replication.replica import DENIED, TXN_LOCKED, PEATSReplica
-from repro.tspace.interface import TupleSpaceInterface
-from repro.tuples import Entry, Template
+from repro.replication.replica import PEATSReplica
+from repro.tuples import Entry
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.net.transport import Transport
 
-__all__ = ["ReplicatedPEATS", "ReplicatedClientView"]
+__all__ = ["ReplicatedPEATS"]
 
 
 class ReplicatedPEATS:
@@ -188,22 +187,6 @@ class ReplicatedPEATS:
             )
         return self._clients[process]
 
-    def client_view(self, process: Hashable) -> "ReplicatedClientView":
-        """A tuple-space view through which ``process`` issues operations."""
-        return ReplicatedClientView(self, process)
-
-    def as_shared_space(self) -> "SharedReplicatedSpace":
-        """A PEATS-style shared space (operations take ``process=``).
-
-        The consensus objects and universal constructions accept either a
-        local :class:`~repro.peo.peats.PEATS` or this adapter, so they run
-        unchanged over the replicated deployment::
-
-            service = ReplicatedPEATS(strong_consensus_policy(procs, 1), f=1)
-            consensus = StrongConsensus(procs, 1, space=service.as_shared_space())
-        """
-        return SharedReplicatedSpace(self)
-
     # ------------------------------------------------------------------
     # Administrative introspection (tests, benchmarks)
     # ------------------------------------------------------------------
@@ -243,213 +226,3 @@ class ReplicatedPEATS:
             f"ReplicatedPEATS(policy={self._policy.name!r}, f={self.f}, "
             f"replicas={self.n_replicas})"
         )
-
-
-class ReplicatedClientView(TupleSpaceInterface):
-    """Per-process tuple-space interface backed by the replicated service.
-
-    Mirrors :class:`~repro.peo.peats.ProcessBoundPEATS`: denied invocations
-    come back falsy, reads come back as entries or ``None``, and ``cas``
-    returns ``(inserted, existing)``.
-    """
-
-    def __init__(self, service: ReplicatedPEATS, process: Hashable) -> None:
-        self._service = service
-        self._process = process
-        self._client = service.client(process)
-
-    @property
-    def process(self) -> Hashable:
-        return self._process
-
-    @property
-    def service(self) -> ReplicatedPEATS:
-        return self._service
-
-    # ------------------------------------------------------------------
-    # TupleSpaceInterface
-    # ------------------------------------------------------------------
-
-    #: Bounded retries of one operation bounced by a transaction lock.
-    txn_lock_retries: int = 128
-
-    def _execute(self, operation: str, arguments: tuple) -> tuple:
-        """One voted operation, transparently retried past ``TXN-LOCKED``
-        bounces: a name held by an in-flight transaction refuses ordinary
-        operations until the decision applies (or the lock's ordered
-        expiry lets any client force-resolve it — see
-        :meth:`_resolve_lock_sync`)."""
-        for _attempt in range(self.txn_lock_retries):
-            payload = self._client.execute_tuple_operation(operation, arguments)
-            if not (
-                isinstance(payload, tuple)
-                and len(payload) == 2
-                and payload[0] == TXN_LOCKED
-            ):
-                return payload
-            self._resolve_lock_sync(payload[1])
-        raise ReplicationError(
-            f"{operation} still blocked by transaction locks after "
-            f"{self.txn_lock_retries} resolution attempts"
-        )
-
-    def _resolve_lock_sync(self, conflict: Any) -> None:
-        """Give the lock's holder time to decide; the sharded view
-        overrides this to force-resolve expired holders."""
-        self._service.network.run_for(self.default_poll_interval)
-
-    def out(self, entry: Entry) -> Any:
-        status, value = self._execute("out", (entry,))
-        if status == DENIED:
-            return _denied(self._process, "out", value)
-        return value
-
-    def rdp(self, template: Template) -> Optional[Entry]:
-        status, value = self._execute("rdp", (template,))
-        if status == DENIED:
-            return None
-        return value
-
-    def inp(self, template: Template) -> Optional[Entry]:
-        status, value = self._execute("inp", (template,))
-        if status == DENIED:
-            return None
-        return value
-
-    #: Default bound for blocking reads when no timeout is given, in
-    #: **simulated milliseconds** (virtual clock, *not* the wall-clock
-    #: seconds of the local spaces — there is no wall clock here).  A true
-    #: unbounded wait would hang the single-threaded simulation if no other
-    #: client ever produces the tuple.
-    default_blocking_timeout: float = 1_000.0
-    #: Virtual time between polls of a blocking read (simulated ms).
-    default_poll_interval: float = 10.0
-
-    def rd(
-        self,
-        template: Template,
-        *,
-        timeout: float | None = None,
-        poll_interval: float | None = None,
-    ) -> Entry:
-        return self._poll_until_found("rdp", "rd", template, timeout, poll_interval)
-
-    def in_(
-        self,
-        template: Template,
-        *,
-        timeout: float | None = None,
-        poll_interval: float | None = None,
-    ) -> Entry:
-        return self._poll_until_found("inp", "in", template, timeout, poll_interval)
-
-    def _poll_until_found(
-        self,
-        probe_operation: str,
-        blocking_name: str,
-        template: Template,
-        timeout: float | None,
-        poll_interval: float | None,
-    ) -> Entry:
-        """Blocking ``rd``/``in`` emulated as a bounded rdp/inp retry loop.
-
-        The replicated service has no server-side blocking primitive, so the
-        recipe of Section 4 applies: poll the non-blocking variant, letting
-        virtual time advance between attempts so concurrent clients (and
-        view changes) can make progress.
-
-        Mirroring the local :class:`~repro.peo.peats.PEATS`, a policy denial
-        raises :class:`~repro.errors.AccessDeniedError` immediately (it is
-        checked on the first probe, not retried until the timeout).  When no
-        match appears within the budget, raises
-        :class:`~repro.errors.OperationTimeoutError` like the local
-        :class:`~repro.tspace.space.TupleSpace` — but note the
-        unit: ``timeout``/``poll_interval`` are **simulated milliseconds**
-        on the deployment's virtual clock, whereas the local spaces wait in
-        wall-clock seconds.
-        """
-        interval = self.default_poll_interval if poll_interval is None else poll_interval
-        budget = self.default_blocking_timeout if timeout is None else timeout
-        network = self._service.network
-        deadline = network.now + budget
-        while True:
-            status, value = self._execute(probe_operation, (template,))
-            if status == DENIED:
-                raise AccessDeniedError(
-                    str(value), process=self._process, operation=blocking_name
-                )
-            if value is not None:
-                return value
-            remaining = deadline - network.now
-            if remaining <= 0:
-                raise OperationTimeoutError(
-                    f"no tuple matching {template!r} appeared within {budget} simulated ms"
-                )
-            network.run_for(min(interval, remaining))
-
-    def cas(self, template: Template, entry: Entry) -> tuple[Any, Optional[Entry]]:
-        status, value = self._execute("cas", (template, entry))
-        if status == DENIED:
-            return _denied(self._process, "cas", value), None
-        inserted, existing = value
-        return inserted, existing
-
-    def snapshot(self) -> tuple[Entry, ...]:
-        return self._service.snapshot()
-
-    def __repr__(self) -> str:
-        return f"ReplicatedClientView(process={self._process!r})"
-
-
-class SharedReplicatedSpace:
-    """Adapter giving the replicated PEATS the local PEATS call signature.
-
-    Every operation takes the invoking process as a keyword argument and is
-    routed through that process's authenticated client, so the consensus
-    algorithms (which pass ``process=``) work over the replicated service
-    exactly as they do over a local :class:`~repro.peo.peats.PEATS`.
-    """
-
-    def __init__(self, service: ReplicatedPEATS) -> None:
-        self._service = service
-        self._views: dict[Hashable, ReplicatedClientView] = {}
-
-    def _view(self, process: Hashable) -> ReplicatedClientView:
-        if process not in self._views:
-            # repro-lint: disable=RL006 — one view per process identity,
-            # mirroring the per-process client registry above.
-            self._views[process] = self._service.client_view(process)
-        return self._views[process]
-
-    def out(self, entry: Entry, *, process: Hashable = None) -> Any:
-        return self._view(process).out(entry)
-
-    def rdp(self, template: Template, *, process: Hashable = None) -> Optional[Entry]:
-        return self._view(process).rdp(template)
-
-    def inp(self, template: Template, *, process: Hashable = None) -> Optional[Entry]:
-        return self._view(process).inp(template)
-
-    def cas(
-        self, template: Template, entry: Entry, *, process: Hashable = None
-    ) -> tuple[Any, Optional[Entry]]:
-        return self._view(process).cas(template, entry)
-
-    def snapshot(self) -> tuple[Entry, ...]:
-        return self._service.snapshot()
-
-    def bind(self, process: Hashable) -> ReplicatedClientView:
-        return self._view(process)
-
-    def __repr__(self) -> str:
-        return f"SharedReplicatedSpace({self._service!r})"
-
-
-def _denied(process: Hashable, operation: str, reason: Any) -> DeniedResult:
-    decision = Decision(
-        allowed=False,
-        invocation=Invocation(process=process, operation=operation, arguments=()),
-        rule=None,
-        reason=str(reason),
-    )
-    return DeniedResult(decision)

@@ -1,19 +1,27 @@
-"""Abstract interface of an augmented tuple space.
+"""Abstract interface of an augmented tuple space, and the one bound view.
 
 Every tuple-space flavour in the library — the plain in-memory space, the
-linearizable wrapper, the policy-enforced PEATS and the replicated PEATS
-client proxy — implements this interface, so the consensus algorithms and
-universal constructions of Sections 5 and 6 run unchanged on any of them.
+linearizable wrapper, the policy-enforced PEATS and the unified
+:class:`~repro.api.Space` over every deployment — implements
+:class:`TupleSpaceInterface`, so the consensus algorithms and universal
+constructions of Sections 5 and 6 run unchanged on any of them.
+
+There is one way to name the caller.  A *shared* space (one several
+processes invoke) takes the invoking identity as a ``process=`` keyword on
+every operation and offers ``bind(process)``, which returns a
+:class:`BoundView`: the per-process handle every algorithm programs
+against.  Algorithms always obtain their view through ``bind`` — they never
+pass ``process=`` speculatively.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Any, Iterable, Optional
+from typing import Any, Hashable, Optional
 
 from repro.tuples import Entry, Template
 
-__all__ = ["TupleSpaceInterface"]
+__all__ = ["TupleSpaceInterface", "BoundView"]
 
 
 class TupleSpaceInterface(abc.ABC):
@@ -83,3 +91,66 @@ class TupleSpaceInterface(abc.ABC):
         if isinstance(item, Template):
             return any(matches(stored, item) for stored in self.snapshot())
         return False
+
+
+class BoundView(TupleSpaceInterface):
+    """Per-process view of a shared space: every operation is forwarded with
+    ``process=`` pre-bound, so algorithms written against
+    :class:`TupleSpaceInterface` need not carry the invoker identity.
+
+    :meth:`bind` re-binds on the parent space, so code handed a view and a
+    process always runs under *that* process — a caller-supplied identity
+    replaces the view's, it is never silently dropped.
+    """
+
+    def __init__(self, space: Any, process: Hashable) -> None:
+        self._space = space
+        self._process = process
+
+    @property
+    def process(self) -> Hashable:
+        return self._process
+
+    @property
+    def space(self) -> Any:
+        """The shared space this view was bound on."""
+        return self._space
+
+    def bind(self, process: Hashable) -> Any:
+        return self._space.bind(process)
+
+    def out(self, entry: Entry) -> Any:
+        return self._space.out(entry, process=self._process)
+
+    def rdp(self, template: Template) -> Optional[Entry]:
+        result: Optional[Entry] = self._space.rdp(template, process=self._process)
+        return result
+
+    def inp(self, template: Template) -> Optional[Entry]:
+        result: Optional[Entry] = self._space.inp(template, process=self._process)
+        return result
+
+    def rd(self, template: Template, *, timeout: float | None = None, **options: Any) -> Entry:
+        result: Entry = self._space.rd(
+            template, timeout=timeout, process=self._process, **options
+        )
+        return result
+
+    def in_(self, template: Template, *, timeout: float | None = None, **options: Any) -> Entry:
+        result: Entry = self._space.in_(
+            template, timeout=timeout, process=self._process, **options
+        )
+        return result
+
+    def cas(self, template: Template, entry: Entry) -> tuple[Any, Optional[Entry]]:
+        result: tuple[Any, Optional[Entry]] = self._space.cas(
+            template, entry, process=self._process
+        )
+        return result
+
+    def snapshot(self) -> tuple[Entry, ...]:
+        result: tuple[Entry, ...] = self._space.snapshot()
+        return result
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(process={self._process!r})"

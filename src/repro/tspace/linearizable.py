@@ -27,9 +27,9 @@ from repro.errors import PendingOperationError, TupleSpaceError
 from repro.tuples import Entry, Template
 from repro.tspace.augmented import AugmentedTupleSpace
 from repro.tspace.history import HistoryRecorder
-from repro.tspace.interface import TupleSpaceInterface
+from repro.tspace.interface import BoundView, TupleSpaceInterface
 
-__all__ = ["LinearizableTupleSpace", "ProcessBoundTupleSpace"]
+__all__ = ["LinearizableTupleSpace"]
 
 
 class LinearizableTupleSpace(TupleSpaceInterface):
@@ -171,51 +171,9 @@ class LinearizableTupleSpace(TupleSpaceInterface):
     def inner(self) -> AugmentedTupleSpace:
         return self._inner
 
-    def bind(self, process: Any) -> "ProcessBoundTupleSpace":
+    def bind(self, process: Any) -> BoundView:
         """Return a view of the space whose operations are attributed to ``process``."""
-        return ProcessBoundTupleSpace(self, process)
+        return BoundView(self, process)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(size={len(self.snapshot())})"
-
-
-class ProcessBoundTupleSpace(TupleSpaceInterface):
-    """A per-process view of a :class:`LinearizableTupleSpace`.
-
-    Algorithms written against :class:`TupleSpaceInterface` can be handed
-    one of these so that every operation they issue is attributed to the
-    right process in the recorded history, without each algorithm having to
-    thread a ``process=`` argument through every call.
-    """
-
-    def __init__(self, space: LinearizableTupleSpace, process: Any) -> None:
-        self._space = space
-        self._process = process
-
-    @property
-    def process(self) -> Any:
-        return self._process
-
-    def out(self, entry: Entry) -> bool:
-        return self._space.out(entry, process=self._process)
-
-    def rdp(self, template: Template) -> Optional[Entry]:
-        return self._space.rdp(template, process=self._process)
-
-    def inp(self, template: Template) -> Optional[Entry]:
-        return self._space.inp(template, process=self._process)
-
-    def rd(self, template: Template, *, timeout: float | None = None) -> Entry:
-        return self._space.rd(template, timeout=timeout, process=self._process)
-
-    def in_(self, template: Template, *, timeout: float | None = None) -> Entry:
-        return self._space.in_(template, timeout=timeout, process=self._process)
-
-    def cas(self, template: Template, entry: Entry) -> tuple[bool, Optional[Entry]]:
-        return self._space.cas(template, entry, process=self._process)
-
-    def snapshot(self) -> tuple[Entry, ...]:
-        return self._space.snapshot()
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(process={self._process!r})"

@@ -69,7 +69,7 @@ class LockFreeHandle:
 
     def __init__(self, construction: LockFreeUniversalConstruction, process: Hashable) -> None:
         self._construction = construction
-        self._space = construction.space
+        self._space = construction.space.bind(process)
         self._object_type = construction.object_type
         self._process = process
         self._state = construction.object_type.initial_state
@@ -135,7 +135,7 @@ class LockFreeHandle:
     def refresh(self) -> Any:
         """Replay any operations threaded by other processes (read-only catch-up)."""
         while True:
-            found = self._rdp(template(SEQ, self._pos + 1, Formal("inv")))
+            found = self._space.rdp(template(SEQ, self._pos + 1, Formal("inv")))
             if found is None:
                 return self._state
             self._pos += 1
@@ -153,7 +153,7 @@ class LockFreeHandle:
         when the position is still empty and the ``cas`` was denied.
         """
         self._statistics["cas_attempts"] += 1
-        inserted, existing = self._cas(
+        inserted, existing = self._space.cas(
             template(SEQ, position, Formal("einv")),
             entry(SEQ, position, invocation),
         )
@@ -162,20 +162,8 @@ class LockFreeHandle:
             return invocation
         if existing is not None:
             return existing.fields[2]
-        found = self._rdp(template(SEQ, position, Formal("einv")))
+        found = self._space.rdp(template(SEQ, position, Formal("einv")))
         return None if found is None else found.fields[2]
-
-    def _rdp(self, pattern):
-        try:
-            return self._space.rdp(pattern, process=self._process)
-        except TypeError:
-            return self._space.rdp(pattern)
-
-    def _cas(self, pattern, new_entry):
-        try:
-            return self._space.cas(pattern, new_entry, process=self._process)
-        except TypeError:
-            return self._space.cas(pattern, new_entry)
 
     def __repr__(self) -> str:
         return (

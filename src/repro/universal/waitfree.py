@@ -97,7 +97,7 @@ class WaitFreeHandle:
 
     def __init__(self, construction: WaitFreeUniversalConstruction, process: Hashable) -> None:
         self._construction = construction
-        self._space = construction.space
+        self._space = construction.space.bind(process)
         self._object_type = construction.object_type
         self._process = process
         self._index = construction.index_of(process)
@@ -145,7 +145,7 @@ class WaitFreeHandle:
         self._statistics["invocations"] += 1
 
         # Line 4: announce the invocation.
-        self._out(entry(ANN, self._index, invocation))
+        self._space.out(entry(ANN, self._index, invocation))
 
         reply: Any = None
         attempts = 0
@@ -171,13 +171,13 @@ class WaitFreeHandle:
             self._statistics["helped_replays"] += 1
 
         # Line 22: withdraw the announcement.
-        self._inp(template(ANN, self._index, invocation))
+        self._space.inp(template(ANN, self._index, invocation))
         return reply
 
     def refresh(self) -> Any:
         """Replay operations threaded by others without invoking anything."""
         while True:
-            found = self._rdp(template(SEQ, self._pos + 1, Formal("inv")))
+            found = self._space.rdp(template(SEQ, self._pos + 1, Formal("inv")))
             if found is None:
                 return self._state
             self._pos += 1
@@ -196,7 +196,7 @@ class WaitFreeHandle:
         (policy denial while the position is still empty).
         """
         # Line 8: is the position already occupied?
-        found = self._rdp(template(SEQ, position, Formal("einv")))
+        found = self._space.rdp(template(SEQ, position, Formal("einv")))
         if found is not None:
             return found.fields[2]
 
@@ -204,10 +204,10 @@ class WaitFreeHandle:
         to_thread = invocation
         helping = False
         if self._index != preferred:
-            announced = self._rdp(template(ANN, preferred, Formal("tinv")))
+            announced = self._space.rdp(template(ANN, preferred, Formal("tinv")))
             if announced is not None:
                 announced_invocation = announced.fields[2]
-                already_threaded = self._rdp(template(SEQ, ANY, announced_invocation))
+                already_threaded = self._space.rdp(template(SEQ, ANY, announced_invocation))
                 if already_threaded is None:
                     # Lines 9–12: the preferred process needs help.
                     to_thread = announced_invocation
@@ -215,7 +215,7 @@ class WaitFreeHandle:
 
         # Lines 16–18: try to thread ``to_thread`` at ``position``.
         self._statistics["cas_attempts"] += 1
-        inserted, existing = self._cas(
+        inserted, existing = self._space.cas(
             template(SEQ, position, Formal("einv")),
             entry(SEQ, position, to_thread),
         )
@@ -228,36 +228,8 @@ class WaitFreeHandle:
             return existing.fields[2]
         # Denied: check once more whether someone filled the position in the
         # meantime; otherwise report "unknown" so the caller retries.
-        found = self._rdp(template(SEQ, position, Formal("einv")))
+        found = self._space.rdp(template(SEQ, position, Formal("einv")))
         return None if found is None else found.fields[2]
-
-    # ------------------------------------------------------------------
-    # Space helpers
-    # ------------------------------------------------------------------
-
-    def _out(self, new_entry):
-        try:
-            return self._space.out(new_entry, process=self._process)
-        except TypeError:
-            return self._space.out(new_entry)
-
-    def _rdp(self, pattern):
-        try:
-            return self._space.rdp(pattern, process=self._process)
-        except TypeError:
-            return self._space.rdp(pattern)
-
-    def _inp(self, pattern):
-        try:
-            return self._space.inp(pattern, process=self._process)
-        except TypeError:
-            return self._space.inp(pattern)
-
-    def _cas(self, pattern, new_entry):
-        try:
-            return self._space.cas(pattern, new_entry, process=self._process)
-        except TypeError:
-            return self._space.cas(pattern, new_entry)
 
     def __repr__(self) -> str:
         return (

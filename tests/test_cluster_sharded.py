@@ -2,14 +2,15 @@
 
 Covers the tentpole properties: operations route to the owning replica
 group and nowhere else (isolation), the groups coexist on one network
-without cross-talk, wildcard-name templates are rejected as cross-shard,
-sharded scenarios replay deterministically with per-shard-tagged metrics,
+without cross-talk, wildcard-name templates are rejected as cross-shard by
+the routing client (and scatter-gathered by the Space above it), sharded scenarios replay deterministically with per-shard-tagged metrics,
 faults can target a single shard, and a crash on one shard leaves the
 other shard's throughput untouched.
 """
 
 import pytest
 
+from repro.api import connect
 from repro.cluster import ExplicitRouting, ShardedPEATS
 from repro.errors import CrossShardError, ReplicationError
 from repro.replication.pbft import ReplicaFaultMode
@@ -32,7 +33,7 @@ def two_shard_cluster(**kwargs):
 class TestShardedService:
     def test_operations_land_on_the_owning_group_only(self):
         cluster = two_shard_cluster()
-        view = cluster.client_view("p1")
+        view = connect(service=cluster).bind("p1")
         assert view.out(entry("A", 1)) is True
         assert view.out(entry("B", 2)) is True
         # Each group's replicas hold exactly their shard's tuples.
@@ -45,7 +46,7 @@ class TestShardedService:
 
     def test_reads_and_cas_route_with_the_writes(self):
         cluster = two_shard_cluster()
-        view = cluster.client_view("p1")
+        view = connect(service=cluster).bind("p1")
         view.out(entry("B", 7))
         assert view.rdp(template("B", Formal("x"))).fields[1] == 7
         inserted, existing = view.cas(template("A", Formal("d")), entry("A", 1))
@@ -55,22 +56,27 @@ class TestShardedService:
 
     def test_blocking_read_works_within_a_shard(self):
         cluster = two_shard_cluster()
-        producer = cluster.client_view("writer")
-        consumer = cluster.client_view("reader")
+        producer = connect(service=cluster).bind("writer")
+        consumer = connect(service=cluster).bind("reader")
         producer.out(entry("A", "ready"))
         assert consumer.rd(template("A", ANY), timeout=200.0).fields[1] == "ready"
         with pytest.raises(TimeoutError):
             consumer.in_(template("B", ANY), timeout=30.0)
 
     def test_wildcard_name_is_rejected_as_cross_shard(self):
+        # The routing client is where a wildcard name is a CrossShardError;
+        # the Space above it scatter-gathers those forms by design.
         cluster = two_shard_cluster()
-        view = cluster.client_view("p1")
+        client = cluster.client("p1")
         with pytest.raises(CrossShardError):
-            view.rdp(template(ANY, 1))
+            client.submit("rdp", (template(ANY, 1),))
         with pytest.raises(CrossShardError):
-            view.inp(template(Formal("name"), ANY))
+            client.submit("inp", (template(Formal("name"), ANY),))
         with pytest.raises(CrossShardError):
-            view.cas(template(ANY, ANY), entry("A", 1))
+            client.submit("cas", (template(ANY, ANY), entry("A", 1)))
+        view = connect(service=cluster).bind("p1")
+        view.out(entry("B", 1))
+        assert view.rdp(template(ANY, 1)) == entry("B", 1)
 
     def test_groups_do_not_cross_talk(self):
         # Both groups order traffic concurrently on one network; replica
@@ -78,7 +84,7 @@ class TestShardedService:
         # itself, and each group's correct replicas converge on their own
         # state digest — tuples never leak between groups.
         cluster = two_shard_cluster()
-        view = cluster.client_view("p1")
+        view = connect(service=cluster).bind("p1")
         for i in range(6):
             view.out(entry("A", i))
             view.out(entry("B", i))
@@ -101,7 +107,7 @@ class TestShardedService:
         )
         assert cluster.group(1).nodes[2].fault_mode is ReplicaFaultMode.LYING
         assert cluster.group(0).nodes[1].fault_mode is ReplicaFaultMode.CRASHED
-        view = cluster.client_view("p1")
+        view = connect(service=cluster).bind("p1")
         assert view.out(entry("A", 1)) is True
         assert view.out(entry("B", 2)) is True
         assert view.rdp(template("B", ANY)).fields[1] == 2

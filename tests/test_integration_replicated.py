@@ -7,6 +7,7 @@ Byzantine clients *and* Byzantine replicas at the same time.
 
 import pytest
 
+from repro.api import connect
 from repro.consensus import DefaultConsensus, StrongConsensus, WeakConsensus, run_consensus
 from repro.consensus.base import check_agreement, check_strong_validity
 from repro.model.faults import bottom_forcing_byzantine, unjustified_deciding_byzantine
@@ -27,7 +28,7 @@ from repro.universal.emulated import counter_type, kv_store_type
 class TestConsensusOverReplication:
     def test_weak_consensus(self):
         service = ReplicatedPEATS(weak_consensus_policy(), f=1)
-        consensus = WeakConsensus(service.as_shared_space())
+        consensus = WeakConsensus(connect(service=service))
         assert consensus.propose("p1", "v1") == "v1"
         assert consensus.propose("p2", "v2") == "v1"
         assert len(set(service.replica_state_digests().values())) == 1
@@ -39,7 +40,7 @@ class TestConsensusOverReplication:
             f=1,
             replica_faults={3: ReplicaFaultMode.LYING},
         )
-        consensus = StrongConsensus(processes, 1, space=service.as_shared_space())
+        consensus = StrongConsensus(processes, 1, space=connect(service=service))
         proposals = {0: 1, 1: 1, 2: 1}
         run = run_consensus(
             consensus,
@@ -60,7 +61,7 @@ class TestConsensusOverReplication:
     def test_default_consensus_over_replication(self):
         processes = list(range(4))
         service = ReplicatedPEATS(default_consensus_policy(processes, 1), f=1)
-        consensus = DefaultConsensus(processes, 1, space=service.as_shared_space())
+        consensus = DefaultConsensus(processes, 1, space=connect(service=service))
         run = run_consensus(
             consensus,
             {0: "a", 1: "a", 2: "b"},
@@ -76,7 +77,7 @@ class TestConsensusOverReplication:
             f=1,
             replica_faults={2: ReplicaFaultMode.CRASHED},
         )
-        consensus = StrongConsensus(processes, 1, space=service.as_shared_space())
+        consensus = StrongConsensus(processes, 1, space=connect(service=service))
         run = run_consensus(consensus, {p: 0 for p in range(4)})
         assert run.terminated and run.decision() == 0
 
@@ -84,7 +85,7 @@ class TestConsensusOverReplication:
 class TestUniversalConstructionsOverReplication:
     def test_lock_free_counter(self):
         service = ReplicatedPEATS(lock_free_universal_policy(), f=1)
-        shared = service.as_shared_space()
+        shared = connect(service=service)
         construction = LockFreeUniversalConstruction(counter_type(), space=shared.bind("w1"))
         handle = construction.handle("w1")
         tickets = [handle.invoke("increment") for _ in range(4)]
@@ -93,7 +94,7 @@ class TestUniversalConstructionsOverReplication:
     def test_wait_free_kv_store_two_clients(self):
         processes = ["alice", "bob"]
         service = ReplicatedPEATS(wait_free_universal_policy(processes), f=1)
-        shared = service.as_shared_space()
+        shared = connect(service=service)
         construction = WaitFreeUniversalConstruction(kv_store_type(), processes, space=shared)
         alice = construction.handle("alice")
         bob = construction.handle("bob")
@@ -105,7 +106,7 @@ class TestUniversalConstructionsOverReplication:
     def test_replicas_converge_after_universal_construction_traffic(self):
         service = ReplicatedPEATS(lock_free_universal_policy(), f=1)
         construction = LockFreeUniversalConstruction(
-            counter_type(), space=service.as_shared_space().bind("w")
+            counter_type(), space=connect(service=service).bind("w")
         )
         handle = construction.handle("w")
         for _ in range(5):
@@ -122,7 +123,7 @@ class TestViewChangeUnderLoad:
             replica_faults={0: ReplicaFaultMode.CRASHED},
             view_change_timeout=10.0,
         )
-        consensus = StrongConsensus(processes, 1, space=service.as_shared_space())
+        consensus = StrongConsensus(processes, 1, space=connect(service=service))
         run = run_consensus(consensus, {p: 1 for p in range(4)})
         assert run.terminated and run.decision() == 1
         assert all(node.view >= 1 for node in service.correct_nodes())

@@ -10,7 +10,8 @@ from repro.model import (
     reversed_schedule,
     round_robin_schedule,
 )
-from repro.model.faults import attack_peats
+from repro.consensus import StrongConsensus
+from repro.model.faults import attack_peats, impersonating_byzantine
 from repro.peo import PEATS
 from repro.policy import (
     default_consensus_policy,
@@ -95,6 +96,21 @@ class TestAttackBattery:
         wait_free = PEATS(wait_free_universal_policy(["a", "b", "c"]))
         report = attack_peats(wait_free.bind("a"), "a", t=1)
         assert report.succeeded_attacks() == []
+
+    def test_attacker_is_judged_as_itself_on_a_view_bound_to_someone_else(self):
+        """A view must never lend its identity: handed ``peats.bind(0)`` and
+        attacker 3, the battery and the strategies re-bind on the parent,
+        so impersonating 0's PROPOSE is denied exactly as on the unbound
+        PEATS (the retired ``process=`` fallback silently ran it as 0)."""
+        policy = lambda: strong_consensus_policy(range(4), 1)  # noqa: E731
+        unbound = attack_peats(PEATS(policy()), 3, victims=[0], t=1)
+        bound = attack_peats(PEATS(policy()).bind(0), 3, victims=[0], t=1)
+        assert bound.attempts == unbound.attempts
+        assert bound.succeeded_attacks() == []
+        space = PEATS(policy())
+        consensus = StrongConsensus(range(4), 1, space=space.bind(0))
+        list(impersonating_byzantine(victim=0)(consensus, 3))
+        assert space.snapshot() == ()
 
     def test_report_accessors(self):
         space = PEATS(strong_consensus_policy(range(4), 1))

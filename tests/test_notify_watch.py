@@ -490,6 +490,21 @@ def notify_scenario(push: bool = True, obs=None) -> Scenario:
     )
 
 
+@pytest.mark.parametrize("backend", ["local", "replicated"])
+def test_cancelled_subscriptions_are_forgotten(backend):
+    """Regression: the space kept every cancelled Subscription (and its
+    event buffer) until close(); a cancelled one must leave the list."""
+    space = connect(backend, policy=open_policy())
+    for _ in range(1_000):
+        with space.watch(template("A", ANY), process="w"):
+            pass
+    assert space._watches == []
+    kept = space.watch(template("A", ANY), process="w")
+    assert space._watches == [kept]
+    space.close()
+    assert space._watches == [] and not kept.active
+
+
 class TestNotifyDeterminism:
     def test_same_seed_replay_is_byte_identical_with_notify_active(self):
         first = run_scenario(notify_scenario())

@@ -127,7 +127,7 @@ class TestAtomicityOfPolicyAndOperation:
 
 
 class TestProcessBoundPEATS:
-    def test_bound_view_carries_identity(self):
+    def test_bind_carries_identity(self):
         processes = list(range(4))
         space = PEATS(strong_consensus_policy(processes, 1))
         view0 = space.bind(0)
@@ -138,5 +138,5 @@ class TestProcessBoundPEATS:
         assert view1.out(entry("PROPOSE", 1, 1)) is True
         assert view0.rdp(template("PROPOSE", 1, Formal("v"))) == entry("PROPOSE", 1, 1)
         assert view0.process == 0
-        assert view0.peats is space
+        assert view0.space is space
         assert len(view0.snapshot()) == 2

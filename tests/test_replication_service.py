@@ -1,12 +1,14 @@
-"""Tests for the BFT ordering protocol and the replicated PEATS facade."""
+"""Tests for the BFT ordering protocol and the replicated PEATS deployment,
+reached through the one client path: ``connect(service=...).bind(p)``."""
 
 import pytest
 
+from repro.api import connect
+from repro.api.replicated import ReplicatedSpace
 from repro.errors import AccessDeniedError, QuorumError, ReplicationError
 from repro.policy import AccessPolicy, Rule, strong_consensus_policy, weak_consensus_policy
 from repro.replication import ReplicatedPEATS
 from repro.replication.pbft import ReplicaFaultMode
-from repro.replication.service import ReplicatedClientView
 from repro.tuples import ANY, Formal, entry, template
 
 
@@ -19,7 +21,7 @@ def open_policy():
 class TestHappyPath:
     def test_basic_operations_round_trip(self):
         service = ReplicatedPEATS(open_policy(), f=1)
-        view = service.client_view("c1")
+        view = connect(service=service).bind("c1")
         assert view.out(entry("A", 1)) is True
         assert view.rdp(template("A", ANY)) == entry("A", 1)
         inserted, existing = view.cas(template("B", Formal("x")), entry("B", 2))
@@ -29,7 +31,7 @@ class TestHappyPath:
 
     def test_all_correct_replicas_reach_the_same_state(self):
         service = ReplicatedPEATS(open_policy(), f=1)
-        view = service.client_view("c1")
+        view = connect(service=service).bind("c1")
         for i in range(5):
             view.out(entry("A", i))
         digests = set(service.replica_state_digests().values())
@@ -38,8 +40,8 @@ class TestHappyPath:
 
     def test_multiple_clients_are_serialised(self):
         service = ReplicatedPEATS(weak_consensus_policy(), f=1)
-        first = service.client_view("p1")
-        second = service.client_view("p2")
+        first = connect(service=service).bind("p1")
+        second = connect(service=service).bind("p2")
         inserted1, _ = first.cas(template("DECISION", Formal("d")), entry("DECISION", "a"))
         inserted2, existing = second.cas(template("DECISION", Formal("d")), entry("DECISION", "b"))
         assert inserted1 is True
@@ -48,23 +50,23 @@ class TestHappyPath:
     def test_policy_is_enforced_at_the_replicas(self):
         processes = list(range(4))
         service = ReplicatedPEATS(strong_consensus_policy(processes, 1), f=1)
-        honest = service.client_view(0)
-        byzantine = service.client_view(3)
+        honest = connect(service=service).bind(0)
+        byzantine = connect(service=service).bind(3)
         assert honest.out(entry("PROPOSE", 0, 1)) is True
         assert not byzantine.out(entry("PROPOSE", 0, 0))  # impersonation denied
         assert byzantine.rdp(template("PROPOSE", 0, Formal("v"))) == entry("PROPOSE", 0, 1)
         assert byzantine.inp(template("PROPOSE", 0, Formal("v"))) is None  # removal denied
 
-    def test_blocking_reads_poll_until_found(self):
+    def test_blocking_reads_return_a_present_match(self):
         service = ReplicatedPEATS(open_policy(), f=1)
-        view = service.client_view("c1")
+        view = connect(service=service).bind("c1")
         view.out(entry("A", 1))
         assert view.rd(template("A", ANY)) == entry("A", 1)
         assert view.in_(template("A", ANY)) == entry("A", 1)
 
     def test_blocking_reads_time_out_when_no_match_appears(self):
         service = ReplicatedPEATS(open_policy(), f=1)
-        view = service.client_view("c1")
+        view = connect(service=service).bind("c1")
         before = service.network.now
         with pytest.raises(TimeoutError):
             view.rd(template("A", ANY), timeout=50.0, poll_interval=5.0)
@@ -75,7 +77,7 @@ class TestHappyPath:
     def test_blocking_read_sees_tuple_produced_while_polling(self):
         service = ReplicatedPEATS(open_policy(), f=1)
         producer = service.client("p")
-        view = service.client_view("c1")
+        view = connect(service=service).bind("c1")
         # Schedule another client's out() to land mid-poll: the polling rd
         # must pick it up once the network delivers and executes it.
         service.network.schedule_after(
@@ -86,7 +88,7 @@ class TestHappyPath:
     def test_f_zero_single_replica(self):
         service = ReplicatedPEATS(open_policy(), f=0)
         assert service.n_replicas == 1
-        view = service.client_view("c1")
+        view = connect(service=service).bind("c1")
         assert view.out(entry("A", 1)) is True
         assert view.rdp(template("A", ANY)) == entry("A", 1)
 
@@ -100,7 +102,7 @@ class TestByzantineReplicas:
         service = ReplicatedPEATS(
             open_policy(), f=1, replica_faults={2: ReplicaFaultMode.LYING}
         )
-        view = service.client_view("c1")
+        view = connect(service=service).bind("c1")
         assert view.out(entry("A", 1)) is True
         assert view.rdp(template("A", ANY)) == entry("A", 1)
 
@@ -108,7 +110,7 @@ class TestByzantineReplicas:
         service = ReplicatedPEATS(
             open_policy(), f=1, replica_faults={2: ReplicaFaultMode.CRASHED}
         )
-        view = service.client_view("c1")
+        view = connect(service=service).bind("c1")
         for i in range(3):
             assert view.out(entry("A", i)) is True
 
@@ -119,7 +121,7 @@ class TestByzantineReplicas:
             replica_faults={0: ReplicaFaultMode.CRASHED},
             view_change_timeout=10.0,
         )
-        view = service.client_view("c1")
+        view = connect(service=service).bind("c1")
         assert view.out(entry("A", 1)) is True
         views = [node.view for node in service.correct_nodes()]
         assert all(v >= 1 for v in views)
@@ -129,7 +131,7 @@ class TestByzantineReplicas:
         service = ReplicatedPEATS(
             open_policy(), f=1, replica_faults={1: ReplicaFaultMode.MUTE}
         )
-        view = service.client_view("c1")
+        view = connect(service=service).bind("c1")
         assert view.out(entry("A", 1)) is True
 
     def test_too_many_lying_replicas_yield_no_quorum(self):
@@ -159,7 +161,7 @@ class TestViewChangeSequenceHoles:
         network = service.network
         network.partition("replica-0", "replica-2")
         network.partition("replica-0", "replica-3")
-        view = service.client_view("c1")
+        view = connect(service=service).bind("c1")
         assert view.out(entry("A", 1)) is True  # forces the view change
         network.heal_all()
         # The service must keep serving after the partition heals.
@@ -179,7 +181,7 @@ class TestViewChangeSequenceHoles:
         network = service.network
         for peer in ("replica-0", "replica-2", "replica-3", "c1"):
             network.partition("replica-1", peer)
-        view = service.client_view("c1")
+        view = connect(service=service).bind("c1")
         assert view.out(entry("A", 1)) is True  # executed by replicas 0,2,3
         assert view.out(entry("A", 2)) is True
         network.heal_all()
@@ -201,31 +203,38 @@ class TestViewChangeSequenceHoles:
         mirroring the local PEATS — not poll until a TimeoutError."""
         processes = list(range(4))
         service = ReplicatedPEATS(strong_consensus_policy(processes, 1), f=1)
-        honest = service.client_view(0)
+        honest = connect(service=service).bind(0)
         assert honest.out(entry("PROPOSE", 0, 1)) is True
-        intruder = service.client_view(3)
+        intruder = connect(service=service).bind(3)
         before = service.network.now
         with pytest.raises(AccessDeniedError):
             intruder.in_(template("PROPOSE", 0, Formal("v")))  # removal denied
         # One round trip, not a full polling window.
-        assert service.network.now - before < ReplicatedClientView.default_blocking_timeout
+        assert service.network.now - before < ReplicatedSpace.default_blocking_timeout
 
 
 class TestSharedSpaceAdapter:
     def test_adapter_routes_by_process(self):
         processes = list(range(4))
         service = ReplicatedPEATS(strong_consensus_policy(processes, 1), f=1)
-        shared = service.as_shared_space()
+        shared = connect(service=service)
         assert shared.out(entry("PROPOSE", 0, 1), process=0) is True
-        assert not shared.out(entry("PROPOSE", 1, 1), process=0)
+        denied = shared.out(entry("PROPOSE", 1, 1), process=0)
+        assert not denied and denied.reason  # falsy, and says why
         assert shared.rdp(template("PROPOSE", 0, Formal("v")), process=2) == entry("PROPOSE", 0, 1)
         assert len(shared.snapshot()) == 1
         bound = shared.bind(1)
         assert bound.out(entry("PROPOSE", 1, 1)) is True
+        # Each process is one authenticated client identity on the service.
+        assert service.client(1).statistics["requests"] == 1
+        assert service.client(0).statistics["requests"] == 2
+        # Re-binding a view replaces its identity, never lends it.
+        assert bound.bind(3).process == 3
+        assert not bound.bind(3).out(entry("PROPOSE", 2, 1))  # judged as 3
 
     def test_statistics_and_views(self):
         service = ReplicatedPEATS(open_policy(), f=1)
-        view = service.client_view("c1")
+        view = connect(service=service).bind("c1")
         view.out(entry("A", 1))
         stats = service.client("c1").statistics
         assert stats["requests"] >= 1

@@ -124,14 +124,14 @@ class TestConcurrency:
 
 
 class TestProcessBoundView:
-    def test_bound_view_attributes_operations(self, space, recorder):
+    def test_bind_attributes_operations(self, space, recorder):
         view = space.bind("p7")
         view.out(entry("A", 1))
         view.rdp(template("A", ANY))
         view.cas(template("D", Formal("v")), entry("D", 1))
         assert all(record.process == "p7" for record in recorder.records())
 
-    def test_bound_view_snapshot_and_process(self, space):
+    def test_bind_snapshot_and_process(self, space):
         view = space.bind("p7")
         view.out(entry("A", 1))
         assert view.process == "p7"
