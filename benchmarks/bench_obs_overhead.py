@@ -3,7 +3,9 @@
 Three arms run the *same seeded scenario* (so the consensus work is
 identical — the trace digests are asserted byte-equal):
 
-* **bare** — ``obs=None``; every instrument is the shared null object.
+* **bare** — ``obs=None``; tracer, recorder and monitor are the null
+  objects, the counters run on the deployment's private registry (the
+  registry is the only counter store, so there is no arm without it).
 * **tracer** — ``Observability(flight=NULL_FLIGHT, health=NULL_HEALTH)``;
   the PR 6 tracer/metrics arm, the pre-PR 10 cost.
 * **full** — ``Observability()``; tracer + flight recorder + one health

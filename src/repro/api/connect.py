@@ -33,6 +33,7 @@ from repro.api.space import Space
 from repro.cluster.routing import RoutingPolicy
 from repro.cluster.service import ShardedPEATS
 from repro.net import AsyncioLoopbackTransport, TcpTransport, Transport
+from repro.obs import resolve_obs
 from repro.peo.peats import PEATS
 from repro.policy.policy import AccessPolicy
 from repro.replication.network import NetworkConfig
@@ -131,6 +132,9 @@ def connect(
             "network_config configures the simulated network; pass either "
             "it or a real transport, not both"
         )
+    # One bundle per deployment: the transport built here and the service
+    # count on the same registry, attached or private.
+    obs = resolve_obs(obs)
     network = _build_transport(
         transport, reactors=shards if backend == "sharded" else 1, obs=obs
     )
@@ -167,9 +171,8 @@ def connect(
     except BaseException:
         # A deployment that failed to build must not leak the reactor
         # threads of a transport we created for it.
-        close = getattr(network, "close", None)
-        if close is not None:
-            close()
+        if network is not None:
+            network.close()
         raise
 
 

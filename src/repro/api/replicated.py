@@ -39,7 +39,7 @@ class ReplicatedSpace(Space):
         # On a real transport (repro.net) the deployment's clock is the
         # wall clock; label timeouts accordingly (same numeric defaults —
         # a millisecond is a millisecond on either clock).
-        if not getattr(service.network, "virtual_time", True):
+        if not service.network.virtual_time:
             self.time_unit = service.network.time_unit
 
     @property

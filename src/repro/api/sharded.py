@@ -72,7 +72,7 @@ class ShardedSpace(Space):
         # On a real transport (repro.net) the deployment's clock is the
         # wall clock; label timeouts accordingly (same numeric defaults —
         # a millisecond is a millisecond on either clock).
-        if not getattr(service.network, "virtual_time", True):
+        if not service.network.virtual_time:
             self.time_unit = service.network.time_unit
         registry = service.obs.registry
         self._obs_scatter_rounds = registry.counter(

@@ -142,16 +142,14 @@ class Space(_SubmitForms, TupleSpaceInterface):
     txn_lock_retries: int = 128
 
     def __init__(self, obs: Any) -> None:
-        """``obs`` is the deployment's observability bundle (``NULL_OBS``
-        when it has none); every backend constructor calls this."""
-        self._obs = obs
+        """Every backend constructor calls this with its deployment's
+        observability bundle."""
+        #: The deployment's bundle — metrics registry, tracer, recorder,
+        #: monitor — whatever its shape (``enabled`` is False, and the
+        #: registry private, when it was built without ``obs=``).
+        self.observability = obs
         #: Live ``watch()`` subscriptions; cancelling one removes it.
         self._watches: list[Subscription] = []
-        self._txn_stats: dict[str, Any] = {
-            "committed": 0,
-            "aborted": {},
-            "commit_latency": {"count": 0, "total": 0.0, "max": 0.0},
-        }
         registry = obs.registry
         self._txn_metrics = (
             registry.counter("txn_committed_total", "Transactions that committed").labels(),
@@ -657,30 +655,20 @@ class Space(_SubmitForms, TupleSpaceInterface):
         """Completion hook of every tracked transaction: passive accounting
         only — it never touches the event loop, so same-seed traces are
         byte-identical with or without transaction instrumentation."""
-        state = self._txn_stats
         committed, aborted, latency = self._txn_metrics
         if future.exception is not None:
-            label = type(future.exception).__name__
-            state["aborted"][label] = state["aborted"].get(label, 0) + 1
-            aborted.labels(reason=label).inc()
+            aborted.labels(reason=type(future.exception).__name__).inc()
             return
         payload = future.result()
         value = payload[1] if isinstance(payload, tuple) and len(payload) == 2 else None
         if isinstance(value, tuple) and value and value[0] == "committed":
-            state["committed"] += 1
             committed.inc()
             elapsed = future.latency
             if elapsed is not None:
-                bucket = state["commit_latency"]
-                bucket["count"] += 1
-                bucket["total"] += elapsed
-                bucket["max"] = max(bucket["max"], elapsed)
                 latency.observe(elapsed)
             return
         reason = value[1] if isinstance(value, tuple) and len(value) > 1 else None
-        label = self._txn_abort_label(reason)
-        state["aborted"][label] = state["aborted"].get(label, 0) + 1
-        aborted.labels(reason=label).inc()
+        aborted.labels(reason=self._txn_abort_label(reason)).inc()
 
     # ------------------------------------------------------------------
     # Reactive API (repro.notify)
@@ -757,19 +745,11 @@ class Space(_SubmitForms, TupleSpaceInterface):
     # Observability
     # ------------------------------------------------------------------
 
-    @property
-    def observability(self) -> Any:
-        """The deployment's observability bundle (``NULL_OBS`` when none):
-        the metrics registry and request tracer, whatever the deployment
-        shape."""
-        return self._obs
-
     def stats(self) -> dict[str, Any]:
         """One deployment-wide statistics snapshot, uniform across backends.
 
-        Always contains ``backend`` and ``time_unit``; adds ``network``
-        (the transport's counter dict, with ``handler_errors`` defaulted
-        so the key exists on every transport), ``metrics``/``tracing``
+        Always contains ``backend``, ``time_unit`` and ``txn``; adds
+        ``network`` (the transport's counter dict), ``metrics``/``tracing``
         when an observability bundle is attached, and whatever the
         backend's :meth:`_stats_extra` contributes (tuple counts, per-node
         ordering progress, per-shard statistics).
@@ -777,33 +757,30 @@ class Space(_SubmitForms, TupleSpaceInterface):
         report: dict[str, Any] = {"backend": self.backend, "time_unit": self.time_unit}
         network = getattr(self, "network", None)
         if network is not None:
-            net = dict(network.statistics)
-            # SimulatedNetwork predates the handler-error counter; a real
-            # transport counts them.  Either way the key is reachable here.
-            net.setdefault("handler_errors", 0)
-            report["network"] = net
+            report["network"] = network.statistics
         obs = self.observability
         if obs.enabled:
-            report["metrics"] = obs.registry.snapshot()
-            report["tracing"] = obs.tracer.statistics()
-            report["flight"] = obs.flight.statistics()
+            report.update(obs.snapshot())  # metrics, tracing, flight, health
             service = getattr(self, "service", None)
             if obs.health.enabled and service is not None and hasattr(service, "nodes"):
                 # One health evaluation per stats() call: probes read only
                 # state the deployment already tracks (no extra messages),
                 # and the monitor's hysteresis smooths the cadence.
-                report["health"] = [
-                    finding.as_dict() for finding in obs.health.check(service)
-                ]
+                findings = obs.health.check(service)
             else:
-                report["health"] = [
-                    finding.as_dict() for finding in obs.health.active()
-                ]
-        state = self._txn_stats
+                findings = obs.health.active()
+            report["health"] = [finding.as_dict() for finding in findings]
+        committed, aborted, latency = self._txn_metrics
         report["txn"] = {
-            "committed": state["committed"],
-            "aborted": dict(state["aborted"]),
-            "commit_latency": dict(state["commit_latency"]),
+            "committed": int(committed.value),
+            "aborted": {
+                dict(key)["reason"]: int(child.value) for key, child in aborted.samples()
+            },
+            "commit_latency": {
+                "count": latency.count,
+                "total": latency.sum,
+                "max": latency.max,
+            },
         }
         report.update(self._stats_extra())
         return report
@@ -828,9 +805,8 @@ class Space(_SubmitForms, TupleSpaceInterface):
         for subscription in list(self._watches):
             subscription.cancel()
         network = getattr(self, "network", None)
-        close = getattr(network, "close", None)
-        if close is not None:
-            close()
+        if network is not None:
+            network.close()
 
     def __enter__(self) -> "Space":
         return self

@@ -25,10 +25,11 @@ from __future__ import annotations
 from typing import Any, Hashable, Mapping, TYPE_CHECKING, Union
 
 from repro.errors import ReplicationError
-from repro.obs import NULL_OBS
+from repro.obs import resolve_obs
 from repro.policy.policy import AccessPolicy
 from repro.replication.network import NetworkConfig, SimulatedNetwork
 from repro.replication.pbft import OrderingNode, ReplicaFaultMode
+from repro.replication.client import summed_statistics
 from repro.replication.service import ReplicatedPEATS
 from repro.cluster.client import ShardedClient
 from repro.cluster.routing import RoutingPolicy, ShardMap
@@ -82,14 +83,12 @@ class ShardedPEATS:
         self._shard_map = ShardMap(shards, routing)
         self._network = network or SimulatedNetwork(network_config or NetworkConfig())
         #: Observability bundle shared by every shard's replica group.
-        self.obs = NULL_OBS if obs is None else obs
+        self.obs = resolve_obs(obs)
         group_size = 3 * f + 1
-        pin = getattr(self._network, "pin", None)
-        reactor_count = getattr(self._network, "reactor_count", 1)
-        if pin is not None and reactor_count > 1:
-            for shard in range(shards):
-                for index in range(group_size):
-                    pin(f"shard-{shard}:replica-{index}", shard % reactor_count)
+        reactor_count = self._network.reactor_count
+        for shard in range(shards):
+            for index in range(group_size):
+                self._network.pin(f"shard-{shard}:replica-{index}", shard % reactor_count)
         per_group: list[dict[int, ReplicaFaultMode]] = [{} for _ in range(shards)]
         for key, mode in (replica_faults or {}).items():
             if isinstance(key, tuple):
@@ -218,18 +217,8 @@ class ShardedPEATS:
         return checkpoints
 
     def client_statistics(self) -> dict[str, int]:
-        """Counters summed over every routing client of the cluster —
-        what the health monitor's reply-divergence probe samples."""
-        totals = {
-            "requests": 0,
-            "retransmissions": 0,
-            "mismatched_replies": 0,
-            "quorum_failures": 0,
-        }
-        for client in self._clients.values():
-            for name, value in client.statistics.items():
-                totals[name] = totals.get(name, 0) + value
-        return totals
+        """Counters summed over every routing client of the cluster."""
+        return summed_statistics(self._clients.values())
 
     def shard_statistics(self) -> dict[int, dict[str, Any]]:
         """Per-shard ordering progress (executed sequences, views, ...)."""

@@ -353,7 +353,7 @@ class BoundedCollections(Rule):
     id = "RL006"
     name = "bounded-collections"
     summary = "collection attributes that grow per-request need a pruning site"
-    scope = ("repro.replication", "repro.cluster", "repro.api")
+    scope = ("repro.replication", "repro.cluster", "repro.api", "repro.obs.registry")
 
     def check_module(self, module: ModuleInfo) -> Iterable[Violation]:
         for node in module.tree.body:

@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Any, Hashable
 
 from repro.net.transport import RealTransport
-from repro.replication.crypto import KeyStore
 
 __all__ = ["AsyncioLoopbackTransport"]
 
@@ -29,21 +28,7 @@ __all__ = ["AsyncioLoopbackTransport"]
 class AsyncioLoopbackTransport(RealTransport):
     """Asyncio tasks + queues transport delivering payloads in memory."""
 
-    def __init__(
-        self,
-        *,
-        reactors: int = 1,
-        keystore: KeyStore | None = None,
-        default_wait_timeout: float = 30_000.0,
-        obs: Any = None,
-    ) -> None:
-        super().__init__(
-            reactors=reactors,
-            keystore=keystore,
-            default_wait_timeout=default_wait_timeout,
-            name="loopback",
-            obs=obs,
-        )
+    name = "loopback"
 
     def _dispatch(self, sender: Hashable, receiver: Hashable, payload: Any, mac: str) -> None:
         # The payload crosses threads by reference; the MAC is verified on

@@ -47,6 +47,8 @@ class _Outbound:
 class TcpTransport(RealTransport):
     """Authenticated length-prefixed frames over localhost/remote TCP."""
 
+    name = "tcp"
+
     def __init__(
         self,
         *,
@@ -55,24 +57,15 @@ class TcpTransport(RealTransport):
         keystore: KeyStore | None = None,
         addresses: Mapping[Hashable, tuple[str, int]] | None = None,
         port_of: Callable[[Hashable], int] | None = None,
-        default_wait_timeout: float = 30_000.0,
-        connect_retries: int = 5,
         obs: Any = None,
     ) -> None:
         """``addresses`` seeds endpoints for *remote* nodes (other
         processes); ``port_of`` assigns fixed listening ports to local
         nodes (default: ephemeral, self-discovered)."""
-        super().__init__(
-            reactors=reactors,
-            keystore=keystore,
-            default_wait_timeout=default_wait_timeout,
-            name="tcp",
-            obs=obs,
-        )
+        super().__init__(reactors=reactors, keystore=keystore, obs=obs)
         self._host = host
         self._addresses: dict[Hashable, tuple[str, int]] = dict(addresses or {})
         self._port_of = port_of
-        self._connect_retries = connect_retries
         self._servers: dict[Hashable, asyncio.base_events.Server] = {}
         self._outbound: dict[tuple[int, Hashable], _Outbound] = {}
 
@@ -141,7 +134,7 @@ class TcpTransport(RealTransport):
                 header = await reader.readexactly(_HEADER_SIZE)
                 (length,) = struct.unpack(codec.FRAME_HEADER, header)
                 if length > codec.MAX_FRAME_BYTES:
-                    self._count("rejected")
+                    self._count(self._obs_mac_rejects)
                     break
                 body = await reader.readexactly(length)
                 self._deliver_frame(node, body)
@@ -156,45 +149,35 @@ class TcpTransport(RealTransport):
             writer.close()
 
     def _deliver_frame(self, node: Hashable, body: bytes) -> None:
-        with self._lock:
-            self._bytes_received += len(body) + _HEADER_SIZE
-            self._obs_bytes_received.inc(float(len(body) + _HEADER_SIZE))
+        self._count(self._obs_bytes_received, len(body) + _HEADER_SIZE)
         try:
             sender, receiver, payload_bytes, mac = codec.decode_frame(body)
         except codec.CodecError:
-            self._count("rejected")
+            self._count(self._obs_mac_rejects)
             return
         if receiver != node:
             # A frame addressed elsewhere landed on this node's socket —
             # misrouted or forged; never hand it to the handler.
-            self._count("dropped")
+            self._count(self._obs_frames_dropped)
             return
         if not self._authenticator.verify(sender, receiver, payload_bytes, mac):
-            self._count("rejected")
+            self._count(self._obs_mac_rejects)
             return
         try:
             payload = codec.decode_payload(payload_bytes)
         except codec.CodecError:
-            self._count("rejected")
+            self._count(self._obs_mac_rejects)
             return
         handler = self._handlers.get(node)
         if handler is None:  # pragma: no cover - register precedes serving
-            self._count("dropped")
+            self._count(self._obs_frames_dropped)
             return
-        self._count("delivered")
+        self._count(self._obs_frames_delivered)
         self._guarded(lambda: handler(sender, payload))()
 
-    def _count(self, counter: str) -> None:
+    def _count(self, counter: Any, amount: float = 1.0) -> None:
         with self._lock:
-            if counter == "delivered":
-                self._delivered += 1
-                self._obs_frames_delivered.inc()
-            elif counter == "dropped":
-                self._dropped += 1
-                self._obs_frames_dropped.inc()
-            else:
-                self._rejected += 1
-                self._obs_mac_rejects.inc()
+            counter.inc(amount)
 
     # ------------------------------------------------------------------
     # Sending
@@ -210,8 +193,6 @@ class TcpTransport(RealTransport):
         mac = self._authenticator.mac(sender, receiver, payload_bytes)
         frame = codec.encode_frame(sender, receiver, payload_bytes, mac)
         with self._lock:
-            self._frames_sent += 1
-            self._bytes_sent += len(frame)
             self._obs_frames_sent.inc()
             self._obs_bytes_sent.inc(float(len(frame)))
         reactor = self.reactor_of(sender if sender in self._handlers else receiver)
@@ -234,6 +215,9 @@ class TcpTransport(RealTransport):
     #: Write attempts (each over a fresh connection) per head-of-line
     #: frame before the whole backlog is conceded as dropped.
     WRITE_ATTEMPTS = 3
+    #: Connection attempts (with linear backoff) before a peer counts as
+    #: unreachable.
+    CONNECT_RETRIES = 5
 
     async def _pump(self, out: _Outbound, receiver: Hashable) -> None:
         """Drain one backlog over one (re)connecting stream."""
@@ -248,8 +232,7 @@ class TcpTransport(RealTransport):
                     if writer is None:
                         writer = await self._connect(receiver)
                         if writer is None:
-                            with self._lock:
-                                self._dropped += len(out.frames)
+                            self._count(self._obs_frames_dropped, len(out.frames))
                             out.frames.clear()
                             attempts = 0
                             break
@@ -265,8 +248,7 @@ class TcpTransport(RealTransport):
                         writer = None
                         attempts += 1
                         if attempts >= self.WRITE_ATTEMPTS:
-                            with self._lock:
-                                self._dropped += len(out.frames)
+                            self._count(self._obs_frames_dropped, len(out.frames))
                             out.frames.clear()
                             attempts = 0
                             break
@@ -281,7 +263,7 @@ class TcpTransport(RealTransport):
         address = self._addresses.get(receiver)
         if address is None:
             return None
-        for attempt in range(self._connect_retries):
+        for attempt in range(self.CONNECT_RETRIES):
             try:
                 _, writer = await asyncio.open_connection(*address)
                 return writer
@@ -299,9 +281,3 @@ class TcpTransport(RealTransport):
         # closed) by each reactor's drain before its loop stops.
         self._outbound.clear()
         super().close()
-
-    def __repr__(self) -> str:
-        return (
-            f"TcpTransport(host={self._host!r}, reactors={len(self._reactors)}, "
-            f"nodes={len(self._handlers)}, delivered={self._delivered})"
-        )

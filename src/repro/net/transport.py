@@ -49,7 +49,7 @@ import time
 from typing import Any, Callable, Hashable, Iterable, Optional, Protocol, runtime_checkable
 
 from repro.errors import SimulationError
-from repro.obs import NULL_OBS
+from repro.obs import resolve_obs
 from repro.replication.crypto import KeyStore, MessageAuthenticator
 
 __all__ = ["Transport", "NetTimer", "Reactor", "RealTransport"]
@@ -60,7 +60,7 @@ class Transport(Protocol):
     """The network contract the replication stack is written against.
 
     Extracted from :class:`~repro.replication.network.SimulatedNetwork`
-    (which implements it structurally, unchanged); the real transports in
+    (which implements it structurally); the real transports in
     this package implement the same surface over asyncio.  ``timeout``/
     ``delay`` values are **milliseconds of the transport's own clock** —
     virtual for the simulation, wall-clock for the real transports; the
@@ -100,6 +100,17 @@ class Transport(Protocol):
     ) -> bool: ...
 
     def run_for(self, duration: float, *, max_events: int = 1_000_000) -> int: ...
+
+    #: Event loops serving the nodes: ``pin`` chooses a node's loop, ``post``
+    #: runs a callback in the node's serial context, ``close`` releases
+    #: threads and sockets (one loop, the caller's, on the simulation).
+    reactor_count: int
+
+    def pin(self, node: Hashable, reactor: int) -> None: ...
+
+    def post(self, node: Hashable, callback: Callable[[], None]) -> None: ...
+
+    def close(self) -> None: ...
 
     @property
     def statistics(self) -> dict[str, float]: ...
@@ -232,42 +243,36 @@ class RealTransport:
 
     virtual_time = False
     time_unit = "wall-clock ms"
+    #: Wall-clock ms :meth:`run_until` waits when the caller names no budget.
+    DEFAULT_WAIT_TIMEOUT = 30_000.0
+    #: Names the reactor threads and the ``transport=`` metric label.
+    name = "net"
 
     def __init__(
         self,
         *,
         reactors: int = 1,
         keystore: KeyStore | None = None,
-        default_wait_timeout: float = 30_000.0,
-        name: str = "net",
         obs: Any = None,
     ) -> None:
         if reactors < 1:
             raise SimulationError("a real transport needs at least one reactor")
-        self.name = name
         self._authenticator = MessageAuthenticator(keystore or KeyStore())
         self._reactors = tuple(
-            Reactor(f"repro-{name}-reactor-{index}") for index in range(reactors)
+            Reactor(f"repro-{self.name}-reactor-{index}") for index in range(reactors)
         )
         self._handlers: dict[Hashable, Callable[[Hashable, Any], None]] = {}
         self._pins: dict[Hashable, int] = {}
         self._epoch = time.monotonic()
-        self._default_wait_timeout = default_wait_timeout
+        #: Guards every counter child below: reactors and caller threads
+        #: count concurrently, and ``inc`` is a read-modify-write.
         self._lock = threading.Lock()
         self._closed = False
-        self._delivered = 0
-        self._dropped = 0
-        self._rejected = 0
-        self._timers_fired = 0
-        self._handler_errors = 0
-        self._frames_sent = 0
-        self._bytes_sent = 0
-        self._bytes_received = 0
         self._last_handler_error: Optional[BaseException] = None
-        self.obs = NULL_OBS if obs is None else obs
+        self.obs = resolve_obs(obs)
         registry = self.obs.registry
         self._flight = self.obs.flight
-        labels = {"transport": name}
+        labels = {"transport": self.name}
         self._obs_frames_sent = registry.counter(
             "net_frames_sent_total", "Frames authenticated and dispatched"
         ).labels(**labels)
@@ -288,6 +293,9 @@ class RealTransport:
         ).labels(**labels)
         self._obs_bytes_received = registry.counter(
             "net_bytes_received_total", "Wire bytes read (0 for in-memory transports)"
+        ).labels(**labels)
+        self._obs_timers_fired = registry.counter(
+            "net_timers_fired_total", "Timer callbacks run on a reactor"
         ).labels(**labels)
 
     # ------------------------------------------------------------------
@@ -330,7 +338,6 @@ class RealTransport:
                 callback()
             except Exception as error:  # noqa: BLE001 - reactor must survive
                 with self._lock:
-                    self._handler_errors += 1
                     self._last_handler_error = error
                     self._obs_handler_errors.inc()
                 if self._flight.enabled:
@@ -399,7 +406,7 @@ class RealTransport:
 
         def fire(fn: Callable[[], None]) -> None:
             with self._lock:
-                self._timers_fired += 1
+                self._obs_timers_fired.inc()
             self._guarded(fn)()
 
         return NetTimer(self._timer_loop(), self.now + delay, delay, callback, fire)
@@ -425,7 +432,6 @@ class RealTransport:
             raise SimulationError(f"unknown receiver {receiver!r}")
         mac = self._authenticator.mac(sender, receiver, payload)
         with self._lock:
-            self._frames_sent += 1
             self._obs_frames_sent.inc()
         self._dispatch(sender, receiver, payload, mac)
 
@@ -442,12 +448,10 @@ class RealTransport:
         handler = self._handlers.get(receiver)
         if handler is None:
             with self._lock:
-                self._dropped += 1
                 self._obs_frames_dropped.inc()
             return
         if not self._authenticator.verify(sender, receiver, payload, mac):
             with self._lock:
-                self._rejected += 1
                 self._obs_mac_rejects.inc()
             if self._flight.enabled:
                 self._flight.record(
@@ -460,7 +464,6 @@ class RealTransport:
                 )
             return
         with self._lock:
-            self._delivered += 1
             self._obs_frames_delivered.inc()
         self._guarded(lambda: handler(sender, payload))()
 
@@ -480,12 +483,12 @@ class RealTransport:
         The reactors make progress on their own threads; this just blocks
         the calling thread, polling the condition.  Returns the final
         truth value — ``False`` when the wait timed out (default budget:
-        the transport's ``default_wait_timeout``), which callers treat
+        ``DEFAULT_WAIT_TIMEOUT``), which callers treat
         exactly like the simulation's "queue drained without the
         condition holding".  ``max_events`` is accepted for signature
         parity and ignored.
         """
-        budget_ms = self._default_wait_timeout if timeout is None else timeout
+        budget_ms = self.DEFAULT_WAIT_TIMEOUT if timeout is None else timeout
         deadline = time.monotonic() + budget_ms / 1000.0
         wait = 0.0002
         while not condition():
@@ -535,19 +538,19 @@ class RealTransport:
         with self._lock:
             return {
                 "now": self.now,
-                "delivered": self._delivered,
-                "dropped": self._dropped,
-                "rejected": self._rejected,
-                "timers_fired": self._timers_fired,
-                "handler_errors": self._handler_errors,
-                "frames_sent": self._frames_sent,
-                "bytes_sent": self._bytes_sent,
-                "bytes_received": self._bytes_received,
+                "delivered": int(self._obs_frames_delivered.value),
+                "dropped": int(self._obs_frames_dropped.value),
+                "rejected": int(self._obs_mac_rejects.value),
+                "timers_fired": int(self._obs_timers_fired.value),
+                "handler_errors": int(self._obs_handler_errors.value),
+                "frames_sent": int(self._obs_frames_sent.value),
+                "bytes_sent": int(self._obs_bytes_sent.value),
+                "bytes_received": int(self._obs_bytes_received.value),
                 "pending": 0,
             }
 
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}(reactors={len(self._reactors)}, "
-            f"nodes={len(self._handlers)}, delivered={self._delivered})"
+            f"nodes={len(self._handlers)}, delivered={self.statistics['delivered']})"
         )

@@ -19,13 +19,16 @@ The package bundles four passive instruments:
   fire/clear hysteresis, surfaced via ``Space.stats()["health"]``.
 
 :class:`Observability` carries all four through ``connect(obs=...)`` /
-``Scenario(obs=...)`` into every layer.  Components default to the
-shared :data:`NULL_OBS` (a disabled registry + tracer + recorder +
-monitor whose operations are no-ops), so instrumentation costs ~nothing
-until someone attaches a real bundle.  No instrument reads a clock or an
-RNG — enabling observability never perturbs the seeded simulation, so
-same-seed replays stay byte-identical (the determinism tests pin this
-down).
+``Scenario(obs=...)`` into every layer.  The registry is the one store
+for every counted fact: components bind children on the deployment's
+registry, and their ``statistics`` dicts (``node.statistics``,
+``client.statistics``, ``network.statistics``, ``Space.stats()["txn"]``)
+are read-only views over those children.  Without ``obs=`` the registry
+is private and unexported (:func:`resolve_obs`), so the counters are live
+either way and attaching a bundle only decides who else can read them.
+No instrument reads a clock or an RNG — enabling observability never
+perturbs the seeded simulation, so same-seed replays stay byte-identical
+(the determinism tests pin this down).
 
 Quick start::
 
@@ -42,7 +45,7 @@ Quick start::
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Optional, Union
 
 from repro.obs.registry import (
     DEFAULT_BUCKETS,
@@ -50,8 +53,6 @@ from repro.obs.registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
-    NULL_REGISTRY,
 )
 from repro.obs.trace import PHASES, NullTracer, Tracer, NULL_TRACER
 from repro.obs.flight import (
@@ -72,8 +73,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
     "DEFAULT_BUCKETS",
     "PHASES",
     "Tracer",
@@ -88,7 +87,7 @@ __all__ = [
     "NullHealthMonitor",
     "NULL_HEALTH",
     "Observability",
-    "NULL_OBS",
+    "resolve_obs",
 ]
 
 
@@ -98,7 +97,13 @@ class Observability:
     Every instrument defaults to a live instance; pass the matching
     null object (``NULL_FLIGHT``, ``NULL_HEALTH``, ...) to switch one
     off individually — e.g. ``Observability(flight=NULL_FLIGHT)`` is
-    the tracer-only configuration the overhead bench measures.
+    the tracer-only configuration the overhead bench measures.  The
+    registry has no null twin: it is the deployment's counter store.
+
+    One bundle belongs to one deployment.  Components bind their metric
+    children by node / client / transport label, and those ids are
+    unique per network — so within one bundle label identity is instance
+    identity, and two deployments sharing a bundle would share counters.
     """
 
     enabled = True
@@ -107,9 +112,9 @@ class Observability:
         self,
         *,
         registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
-        flight: Optional[FlightRecorder] = None,
-        health: Optional[HealthMonitor] = None,
+        tracer: Union[Tracer, NullTracer, None] = None,
+        flight: Union[FlightRecorder, NullFlightRecorder, None] = None,
+        health: Union[HealthMonitor, NullHealthMonitor, None] = None,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
@@ -133,31 +138,14 @@ class Observability:
         )
 
 
-class _NullObservability:
-    """The disabled bundle every component defaults to."""
-
-    enabled = False
-    registry = NULL_REGISTRY
-    tracer = NULL_TRACER
-    flight = NULL_FLIGHT
-    health = NULL_HEALTH
-
-    def snapshot(self) -> dict[str, Any]:
-        return {
-            "metrics": {},
-            "tracing": NULL_TRACER.statistics(),
-            "flight": NULL_FLIGHT.statistics(),
-            "health": NULL_HEALTH.statistics(),
-        }
-
-    def __repr__(self) -> str:
-        return "NULL_OBS"
-
-
-#: Shared disabled bundle (``enabled`` is False; all operations no-op).
-NULL_OBS = _NullObservability()
-
-
-def resolve_obs(obs: Any) -> Any:
-    """Normalise an ``obs=`` argument: ``None`` → :data:`NULL_OBS`."""
-    return NULL_OBS if obs is None else obs
+def resolve_obs(obs: Optional[Observability]) -> Observability:
+    """Normalise an ``obs=`` argument.  ``None`` → a fresh *disabled*
+    bundle, one per deployment or stand-alone component: nothing is traced,
+    recorded, probed or exported (``enabled`` is False), but the registry
+    is real and private — the ``statistics`` views read their counters
+    from it."""
+    if obs is not None:
+        return obs
+    bundle = Observability(tracer=NULL_TRACER, flight=NULL_FLIGHT, health=NULL_HEALTH)
+    bundle.enabled = False
+    return bundle

@@ -53,6 +53,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from repro.obs.registry import MetricsRegistry
+
 __all__ = [
     "HealthReport",
     "HealthMonitor",
@@ -128,7 +130,7 @@ class HealthMonitor:
         occupancy_warn: float = 0.80,
         occupancy_critical: float = 0.95,
         churn_threshold: int = 2,
-        registry: Any = None,
+        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if fire_after < 1 or clear_after < 1:
             raise ValueError("fire_after and clear_after must be at least 1")
@@ -137,8 +139,19 @@ class HealthMonitor:
         self.occupancy_warn = occupancy_warn
         self.occupancy_critical = occupancy_critical
         self.churn_threshold = churn_threshold
-        self._registry = registry
-        self._meters: Any = None
+        registry = registry if registry is not None else MetricsRegistry()
+        self._obs_evaluations = registry.counter(
+            "health_evaluations_total", "Health probe evaluation rounds"
+        ).labels()
+        self._obs_findings = registry.counter(
+            "health_findings_total", "Health findings fired, by probe/level"
+        )
+        self._obs_cleared = registry.counter(
+            "health_cleared_total", "Active health findings that cleared"
+        ).labels()
+        self._obs_active = registry.gauge(
+            "health_alerts_active", "Currently active health alerts by probe"
+        )
         # (probe, subject) -> consecutive evaluations the finding appeared.
         self._pending: dict[tuple[str, str], int] = {}
         # (probe, subject) -> the active (fired) report, refreshed each check.
@@ -147,9 +160,6 @@ class HealthMonitor:
         self._missing: dict[tuple[str, str], int] = {}
         # Previous counter samples for the delta probes.
         self._prev: dict[tuple[str, str], dict[str, Any]] = {}
-        self._evaluations = 0
-        self._fired = 0
-        self._cleared = 0
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -165,7 +175,7 @@ class HealthMonitor:
         candidates: dict[tuple[str, str], HealthReport] = {}
         for report in self._probe_all(service, clients):
             candidates[(report.probe, report.subject)] = report
-        self._evaluations += 1
+        self._obs_evaluations.inc()
 
         for key, report in candidates.items():
             if key in self._active:
@@ -177,8 +187,7 @@ class HealthMonitor:
             if streak >= self.fire_after:
                 self._pending.pop(key, None)
                 self._active[key] = report
-                self._fired += 1
-                self._count_finding(report)
+                self._obs_findings.labels(probe=report.probe, level=report.level).inc()
             else:
                 self._pending[key] = streak
 
@@ -191,7 +200,7 @@ class HealthMonitor:
                 if misses >= self.clear_after:
                     del self._active[key]
                     self._missing.pop(key, None)
-                    self._cleared += 1
+                    self._obs_cleared.inc()
                 else:
                     self._missing[key] = misses
 
@@ -199,6 +208,19 @@ class HealthMonitor:
         return sorted(
             self._active.values(), key=lambda report: (report.probe, report.subject)
         )
+
+    def _update_gauges(self) -> None:
+        counts: dict[str, int] = {}
+        for probe, _subject in self._active:
+            counts[probe] = counts.get(probe, 0) + 1
+        for probe in (
+            "checkpoint-starvation",
+            "view-churn",
+            "reply-divergence",
+            "occupancy",
+            "shard-skew",
+        ):
+            self._obs_active.labels(probe=probe).set(counts.get(probe, 0))
 
     def active(self) -> list[HealthReport]:
         """The currently active reports without re-evaluating."""
@@ -208,25 +230,16 @@ class HealthMonitor:
 
     def statistics(self) -> dict[str, int]:
         return {
-            "evaluations": self._evaluations,
+            "evaluations": int(self._obs_evaluations.value),
             "active": len(self._active),
-            "fired": self._fired,
-            "cleared": self._cleared,
+            "fired": int(sum(child.value for _, child in self._obs_findings.samples())),
+            "cleared": int(self._obs_cleared.value),
         }
-
-    def clear(self) -> None:
-        self._pending.clear()
-        self._active.clear()
-        self._missing.clear()
-        self._prev.clear()
-        self._evaluations = 0
-        self._fired = 0
-        self._cleared = 0
 
     def __repr__(self) -> str:
         return (
             f"HealthMonitor(active={len(self._active)}, "
-            f"evaluations={self._evaluations})"
+            f"evaluations={int(self._obs_evaluations.value)})"
         )
 
     # ------------------------------------------------------------------
@@ -434,51 +447,6 @@ class HealthMonitor:
             data={"progress": progress, "skew": skew, "log_window": window},
         )
 
-    # ------------------------------------------------------------------
-    # Metric families
-    # ------------------------------------------------------------------
-
-    def _metric_meters(self):
-        if self._meters is None and self._registry is not None:
-            registry = self._registry
-            self._meters = (
-                registry.counter(
-                    "health_evaluations_total", "Health probe evaluation rounds"
-                ).labels(),
-                registry.counter(
-                    "health_findings_total", "Health findings fired, by probe/level"
-                ),
-                registry.gauge(
-                    "health_alerts_active", "Currently active health alerts by probe"
-                ),
-            )
-        return self._meters
-
-    def _count_finding(self, report: HealthReport) -> None:
-        meters = self._metric_meters()
-        if meters is None:
-            return
-        _, findings, _ = meters
-        findings.labels(probe=report.probe, level=report.level).inc()
-
-    def _update_gauges(self) -> None:
-        meters = self._metric_meters()
-        if meters is None:
-            return
-        evaluations, _, active = meters
-        evaluations.inc()
-        counts: dict[str, int] = {}
-        for probe, _subject in self._active:
-            counts[probe] = counts.get(probe, 0) + 1
-        for probe in (
-            "checkpoint-starvation",
-            "view-churn",
-            "reply-divergence",
-            "occupancy",
-            "shard-skew",
-        ):
-            active.labels(probe=probe).set(counts.get(probe, 0))
-
 
 class NullHealthMonitor:
     """Disabled monitor: ``enabled`` is False, every probe a no-op."""
@@ -493,9 +461,6 @@ class NullHealthMonitor:
 
     def statistics(self) -> dict[str, int]:
         return {"evaluations": 0, "active": 0, "fired": 0, "cleared": 0}
-
-    def clear(self) -> None:
-        pass
 
     def __repr__(self) -> str:
         return "NullHealthMonitor()"

@@ -15,9 +15,11 @@ Iteration order is deterministic: metrics render in creation order and
 samples in first-seen label order (plain dict insertion order), so two
 identical runs produce identical exporter output.
 
-When no observability is attached, components bind against
-:data:`NULL_REGISTRY` instead — its children are a shared no-op object,
-so the disabled hot path costs one no-op method call.
+The registry is also the deployment's *only* counter store: the
+``statistics`` dicts of nodes, clients and transports are read-only views
+over the children those components bound here.  When no observability
+bundle is attached the deployment still gets a registry — a private one
+nobody exports (see :func:`repro.obs.resolve_obs`).
 
 Exporters: :meth:`MetricsRegistry.snapshot` (plain dicts, for
 ``Space.stats()``), :meth:`MetricsRegistry.to_json_lines` and
@@ -36,8 +38,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
     "DEFAULT_BUCKETS",
 ]
 
@@ -76,8 +76,7 @@ def _render_labels(key: LabelKey, extra: Tuple[Tuple[str, str], ...] = ()) -> st
 
 def _format_bound(bound: float) -> str:
     """Render a bucket bound the way Prometheus clients do (no trailing 0s)."""
-    text = f"{bound:g}"
-    return text
+    return f"{bound:g}"
 
 
 class _CounterChild:
@@ -111,20 +110,23 @@ class _GaugeChild:
 
 
 class _HistogramChild:
-    """One labelled histogram sample: bucket counts + sum + count."""
+    """One labelled histogram sample: bucket counts + sum + count + max."""
 
-    __slots__ = ("bounds", "counts", "sum", "count")
+    __slots__ = ("bounds", "counts", "sum", "count", "max")
 
     def __init__(self, bounds: Tuple[float, ...]) -> None:
         self.bounds = bounds
         self.counts = [0] * (len(bounds) + 1)  # last slot = +Inf overflow
         self.sum = 0.0
         self.count = 0
+        self.max = 0.0
 
     def observe(self, value: float) -> None:
         self.counts[bisect.bisect_left(self.bounds, value)] += 1
         self.sum += value
         self.count += 1
+        if value > self.max:
+            self.max = value
 
     def cumulative(self) -> Iterator[Tuple[str, int]]:
         """``(le, cumulative_count)`` pairs, ending with ``+Inf``."""
@@ -169,6 +171,9 @@ class _Family:
                 child = self._children.get(key)
                 if child is None:
                     child = self._new_child()
+                    # repro-lint: disable=RL006 — one child per label set and
+                    # never pruned, so call sites label by bounded vocabularies
+                    # (node ids, operations, reason *kinds*), never free text.
                     self._children[key] = child
         return child
 
@@ -248,8 +253,6 @@ class Histogram(_Family):
 class MetricsRegistry:
     """Deterministically-ordered collection of metric families."""
 
-    enabled = True
-
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: dict[str, _Family] = {}
@@ -267,24 +270,17 @@ class MetricsRegistry:
     def histogram(
         self, name: str, help: str = "", *, buckets: Optional[Sequence[float]] = None
     ) -> Histogram:
-        metric = self._metrics.get(name)
-        if metric is None:
-            with self._lock:
-                metric = self._metrics.get(name)
-                if metric is None:
-                    metric = Histogram(name, help, self._lock, buckets or DEFAULT_BUCKETS)
-                    self._metrics[name] = metric
-        if not isinstance(metric, Histogram):
-            raise TypeError(f"metric {name!r} already registered as {metric.kind}")
-        return metric
+        return self._family(Histogram, name, help, buckets or DEFAULT_BUCKETS)
 
-    def _family(self, cls: type[_F], name: str, help: str) -> _F:
+    def _family(self, cls: type[_F], name: str, help: str, *args: Any) -> _F:
         metric = self._metrics.get(name)
         if metric is None:
             with self._lock:
                 metric = self._metrics.get(name)
                 if metric is None:
-                    metric = cls(name, help, self._lock)
+                    metric = cls(name, help, self._lock, *args)
+                    # repro-lint: disable=RL006 — keyed by family name, which
+                    # RL004 requires to be a literal at every creation site.
                     self._metrics[name] = metric
         if type(metric) is not cls:
             raise TypeError(f"metric {name!r} already registered as {metric.kind}")
@@ -367,6 +363,7 @@ class MetricsRegistry:
                         target.counts[index] += count
                     target.sum += child.sum
                     target.count += child.count
+                    target.max = max(target.max, child.max)
             elif isinstance(family, Counter):
                 counter = self.counter(family.name, family.help)
                 for key, child in family.samples():
@@ -380,72 +377,3 @@ class MetricsRegistry:
 
     def __repr__(self) -> str:
         return f"MetricsRegistry(metrics={len(self._metrics)})"
-
-
-class _NullMetric:
-    """The do-nothing sample/family: every method is a no-op, ``labels``
-    returns itself, so disabled instrumentation binds once and the hot
-    path is a single no-op call."""
-
-    __slots__ = ()
-
-    value = 0.0
-    sum = 0.0
-    count = 0
-
-    def labels(self, **labels: Any) -> "_NullMetric":
-        return self
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-_NULL_METRIC = _NullMetric()
-
-
-class NullRegistry:
-    """Disabled registry: hands out the shared no-op metric, exports nothing."""
-
-    enabled = False
-
-    def counter(self, name: str, help: str = "") -> _NullMetric:
-        return _NULL_METRIC
-
-    def gauge(self, name: str, help: str = "") -> _NullMetric:
-        return _NULL_METRIC
-
-    def histogram(
-        self, name: str, help: str = "", *, buckets: Optional[Sequence[float]] = None
-    ) -> _NullMetric:
-        return _NULL_METRIC
-
-    def families(self) -> Iterator[Any]:
-        return iter(())
-
-    def snapshot(self) -> dict[str, Any]:
-        return {}
-
-    def to_json_lines(self) -> str:
-        return ""
-
-    def to_prometheus_text(self) -> str:
-        return ""
-
-    def merge(self, other: Any) -> None:
-        pass
-
-    def __repr__(self) -> str:
-        return "NullRegistry()"
-
-
-#: Shared disabled registry — the default every component binds against.
-NULL_REGISTRY = NullRegistry()

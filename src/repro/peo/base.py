@@ -26,7 +26,7 @@ import threading
 from typing import Any, Callable, Sequence
 
 from repro.errors import AccessDeniedError
-from repro.obs import NULL_OBS
+from repro.obs import resolve_obs
 from repro.policy.invocation import Invocation
 from repro.policy.monitor import Decision, ReferenceMonitor
 from repro.policy.policy import AccessPolicy
@@ -93,17 +93,17 @@ class PolicyEnforcedObject:
         self._history = history
         self._raise_on_deny = raise_on_deny
         self._lock = threading.RLock()
-        #: Observability bundle (defaults to the shared no-op NULL_OBS).
-        self.obs = NULL_OBS if obs is None else obs
+        #: Observability bundle (a private disabled one when none is given).
+        self.obs = resolve_obs(obs)
         registry = self.obs.registry
         self._obs_operations = registry.counter(
             "peats_operations_total", "Invocations the reference monitor authorized"
         )
         self._obs_denials = registry.counter(
-            "peats_denials_total", "Invocations the reference monitor denied, by reason"
+            "peats_denials_total", "Invocations the reference monitor denied, by reason kind"
         )
         # Per-operation bound children, created on first use so the hot
-        # path is one dict hit + one no-arg inc (a no-op when disabled).
+        # path is one dict hit + one no-arg inc.
         self._obs_op_children: dict[str, Any] = {}
 
     # ------------------------------------------------------------------
@@ -133,7 +133,9 @@ class PolicyEnforcedObject:
         with self._lock:
             decision = self._monitor.authorize(invocation, self._policy_state())
             if not decision.allowed:
-                self._obs_denials.labels(operation=operation, reason=decision.reason).inc()
+                # Labelled by the bounded reason *kind*: the reason text can
+                # quote an exception raised on the caller's own arguments.
+                self._obs_denials.labels(operation=operation, reason=decision.kind).inc()
                 if self._history is not None:
                     self._history.record(
                         process=process,

@@ -18,7 +18,7 @@ import threading
 from typing import Any, Callable
 
 from repro.policy.invocation import Invocation
-from repro.policy.policy import AccessPolicy
+from repro.policy.policy import AccessPolicy, denial_kind
 from repro.policy.rules import Rule
 
 __all__ = ["Decision", "ReferenceMonitor"]
@@ -32,6 +32,11 @@ class Decision:
     invocation: Invocation
     rule: Rule | None
     reason: str
+
+    @property
+    def kind(self) -> str:
+        """Bounded classification of ``reason`` — what metrics label by."""
+        return denial_kind(self.reason)
 
     def __bool__(self) -> bool:  # pragma: no cover - convenience
         return self.allowed

@@ -8,7 +8,25 @@ from repro.errors import PolicyEvaluationError
 from repro.policy.invocation import Invocation
 from repro.policy.rules import Rule
 
-__all__ = ["AccessPolicy"]
+__all__ = ["AccessPolicy", "denial_kind"]
+
+#: The three ways :meth:`AccessPolicy.evaluate` denies, as ``kind → fixed
+#: reason prefix``.  What follows the prefix quotes rule names and the
+#: messages of exceptions raised on the invocation's own arguments —
+#: unbounded and caller-influenced, fit for logs but never for a label.
+_DENIAL_PREFIXES = {
+    "no-rule": "no rule of policy",
+    "evaluation-error": "denied: condition evaluation failed for",
+    "condition-false": "denied: no applicable rule's condition holds",
+}
+
+
+def denial_kind(reason: str) -> str:
+    """The bounded kind of a denial ``reason`` (a safe metric label)."""
+    for kind, prefix in _DENIAL_PREFIXES.items():
+        if reason.startswith(prefix):
+            return kind
+    return "other"
 
 
 class AccessPolicy:
@@ -58,7 +76,7 @@ class AccessPolicy:
         applicable = [rule for rule in self._rules if rule.applies_to(invocation)]
         if not applicable:
             return False, None, (
-                f"no rule of policy {self.name!r} applies to operation "
+                f"{_DENIAL_PREFIXES['no-rule']} {self.name!r} applies to operation "
                 f"{invocation.operation!r} (fail-safe default: deny)"
             )
         evaluation_errors: list[str] = []
@@ -70,11 +88,11 @@ class AccessPolicy:
                 evaluation_errors.append(f"{rule.name}: {exc}")
         if evaluation_errors:
             return False, None, (
-                "denied: condition evaluation failed for "
+                f"{_DENIAL_PREFIXES['evaluation-error']} "
                 + "; ".join(evaluation_errors)
             )
         return False, None, (
-            "denied: no applicable rule's condition holds ("
+            f"{_DENIAL_PREFIXES['condition-false']} ("
             + ", ".join(rule.name for rule in applicable)
             + ")"
         )

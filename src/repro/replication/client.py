@@ -33,12 +33,12 @@ from __future__ import annotations
 import collections
 import dataclasses
 import threading
-from typing import Any, Callable, Hashable, Optional, TYPE_CHECKING
+from typing import Any, Callable, Hashable, Iterable, Optional, TYPE_CHECKING
 
 from repro.errors import QuorumError
 from repro.futures import OperationFuture
 from repro.notify import ClientWaiter
-from repro.obs import NULL_OBS
+from repro.obs import resolve_obs
 from repro.replication.crypto import digest
 from repro.replication.messages import (
     CancelWaiter,
@@ -56,7 +56,13 @@ from repro.replication.messages import (
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.net.transport import Transport
 
-__all__ = ["PendingRequest", "PEATSClient", "TXN_PUSH_TYPES", "TXN_PUSH_RETENTION"]
+__all__ = [
+    "PendingRequest",
+    "PEATSClient",
+    "summed_statistics",
+    "TXN_PUSH_TYPES",
+    "TXN_PUSH_RETENTION",
+]
 
 #: The replica→owner push messages of the transaction commit protocol.
 TXN_PUSH_TYPES = (TxnPrepare, TxnVote, TxnDecision, TxnAck)
@@ -121,6 +127,13 @@ class PendingRequest(OperationFuture):
 class PEATSClient:
     """One authenticated client identity of the replicated PEATS."""
 
+    #: Retransmission backoff (transport ms): first retry after
+    #: ``RETRANSMIT_INTERVAL``, each later one ``RETRANSMIT_BACKOFF`` times
+    #: longer, capped at ``MAX_RETRANSMIT_INTERVAL``.
+    RETRANSMIT_INTERVAL = 100.0
+    RETRANSMIT_BACKOFF = 2.0
+    MAX_RETRANSMIT_INTERVAL = 1600.0
+
     def __init__(
         self,
         client_id: Hashable,
@@ -130,9 +143,6 @@ class PEATSClient:
         *,
         nudge_timeouts: Any = None,
         max_retransmissions: int = 20,
-        retransmit_interval: float = 100.0,
-        retransmit_backoff: float = 2.0,
-        max_retransmit_interval: float = 1600.0,
         obs: Any = None,
     ) -> None:
         self.client_id = client_id
@@ -150,28 +160,24 @@ class PEATSClient:
         self._pending: dict[tuple, PendingRequest] = {}
         self._nudge_timeouts = nudge_timeouts
         self._max_retransmissions = max_retransmissions
-        self._retransmit_interval = retransmit_interval
-        self._retransmit_backoff = retransmit_backoff
-        self._max_retransmit_interval = max_retransmit_interval
-        self._statistics = {
-            "requests": 0,
-            "retransmissions": 0,
-            "mismatched_replies": 0,
-            "quorum_failures": 0,
-        }
-        self.obs = NULL_OBS if obs is None else obs
+        self.obs = resolve_obs(obs)
         registry = self.obs.registry
         self._tracer = self.obs.tracer
         self._flight = self.obs.flight
+        client = str(client_id)
         self._obs_requests = registry.counter(
             "client_requests_total", "Requests submitted by replicated-PEATS clients"
-        ).labels()
+        ).labels(client=client)
         self._obs_retransmissions = registry.counter(
             "client_retransmissions_total", "Request re-broadcasts after a stalled vote"
-        ).labels()
+        ).labels(client=client)
+        self._obs_mismatched_replies = registry.counter(
+            "client_mismatched_replies_total",
+            "Reply sets that were complete yet held no f+1 matching vote",
+        ).labels(client=client)
         self._obs_quorum_failures = registry.counter(
             "client_quorum_failures_total", "Requests abandoned without an f+1 reply vote"
-        ).labels()
+        ).labels(client=client)
         self._obs_wake_latency = registry.histogram(
             "notify_wake_latency",
             "Delay from arming a waiter to its first f+1-voted wake-up",
@@ -199,7 +205,12 @@ class PEATSClient:
 
     @property
     def statistics(self) -> dict[str, int]:
-        return dict(self._statistics)
+        return {
+            "requests": int(self._obs_requests.value),
+            "retransmissions": int(self._obs_retransmissions.value),
+            "mismatched_replies": int(self._obs_mismatched_replies.value),
+            "quorum_failures": int(self._obs_quorum_failures.value),
+        }
 
     @property
     def pending_requests(self) -> tuple[PendingRequest, ...]:
@@ -361,7 +372,7 @@ class PEATSClient:
             if len(matching) >= self.f + 1:
                 return matching[0].result
         if len(replies) >= len(pending.targets):
-            self._statistics["mismatched_replies"] += 1
+            self._obs_mismatched_replies.inc()
             if self._flight.enabled:
                 self._flight.record(
                     "reply-mismatch",
@@ -395,7 +406,6 @@ class PEATSClient:
             return
         pending.attempts += 1
         if pending.attempts > self._max_retransmissions:
-            self._statistics["quorum_failures"] += 1
             self._obs_quorum_failures.inc()
             if self._flight.enabled:
                 self._flight.record(
@@ -416,7 +426,6 @@ class PEATSClient:
         # The vote has not succeeded within the retransmission interval:
         # nudge the replicas' view-change timers (virtual time has already
         # advanced to this timer's firing point) and retransmit.
-        self._statistics["retransmissions"] += 1
         self._obs_retransmissions.inc()
         if self._nudge_timeouts is not None:
             self._nudge_timeouts()
@@ -435,8 +444,8 @@ class PEATSClient:
         guaranteeing the request is eventually retried.
         """
         return min(
-            self._retransmit_interval * (self._retransmit_backoff ** attempts),
-            self._max_retransmit_interval,
+            self.RETRANSMIT_INTERVAL * (self.RETRANSMIT_BACKOFF ** attempts),
+            self.MAX_RETRANSMIT_INTERVAL,
         )
 
     # ------------------------------------------------------------------
@@ -547,6 +556,7 @@ class PEATSClient:
         with self._mint_lock:
             request_id = self._next_request_id
             self._next_request_id += 1
+            self._obs_requests.inc()
         request = ClientRequest(
             client=self.client_id,
             request_id=request_id,
@@ -556,8 +566,6 @@ class PEATSClient:
         request = authenticate_request(request, self.network.authenticator, targets)
         pending = PendingRequest(request, self.network.now, targets=targets)
         self._pending[request.key] = pending
-        self._statistics["requests"] += 1
-        self._obs_requests.inc()
         if self._tracer.enabled:
             self._tracer.record("submit", request.key, self.client_id, self.network.now)
         if self._flight.enabled:
@@ -593,3 +601,16 @@ class PEATSClient:
         if not pending.done:  # pragma: no cover - retransmit timer prevents this
             self._fail(pending, QuorumError(f"network drained before {pending.key} resolved"))
         return pending.result()
+
+
+def summed_statistics(clients: Iterable[PEATSClient]) -> dict[str, int]:
+    """``PEATSClient.statistics`` summed over ``clients``: a deployment's
+    ``client_statistics()``, which the health monitor's reply-divergence
+    probe samples between evaluations."""
+    totals = dict.fromkeys(
+        ("requests", "retransmissions", "mismatched_replies", "quorum_failures"), 0
+    )
+    for client in clients:
+        for name, value in client.statistics.items():
+            totals[name] += value
+    return totals

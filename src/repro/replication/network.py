@@ -109,6 +109,8 @@ class SimulatedNetwork:
     #: transport's clock is virtual and single-threaded.
     virtual_time = True
     time_unit = "virtual ms"
+    #: One event loop — the caller's thread (see ``pin``/``post``/``close``).
+    reactor_count = 1
 
     def __init__(self, config: NetworkConfig | None = None, *, keystore: KeyStore | None = None) -> None:
         self._config = config or NetworkConfig()
@@ -167,6 +169,16 @@ class SimulatedNetwork:
     def has_node(self, node: Hashable) -> bool:
         """Whether ``node`` is registered (senders can probe before sending)."""
         return node in self._handlers
+
+    def pin(self, node: Hashable, reactor: int) -> None:
+        """No-op: every node shares the simulation's single loop."""
+
+    def post(self, node: Hashable, callback: Callable[[], None]) -> None:
+        """Run ``callback()`` now: the caller already is the event loop."""
+        callback()
+
+    def close(self) -> None:
+        """No-op: the simulation holds no threads or sockets."""
 
     def partition(self, a: Hashable, b: Hashable) -> None:
         """Cut the link between ``a`` and ``b`` (both directions)."""
@@ -388,6 +400,9 @@ class SimulatedNetwork:
             "dropped": self._dropped,
             "rejected": self._rejected,
             "timers_fired": self._timers_fired,
+            # Handler exceptions propagate to the caller here (there is no
+            # reactor to protect), so none is ever swallowed and counted.
+            "handler_errors": 0,
             "pending": len(self._queue),
         }
 

@@ -72,7 +72,7 @@ import enum
 from typing import Any, Dict, Hashable, Optional, TYPE_CHECKING
 
 from repro.errors import ReplicationError
-from repro.obs import NULL_OBS
+from repro.obs import resolve_obs
 from repro.replication.crypto import digest
 from repro.replication.messages import (
     NULL_REQUEST_CLIENT,
@@ -198,7 +198,6 @@ class OrderingNode:
         # state, so a single Byzantine responder cannot feed us fabricated
         # state (and cannot grow this map beyond one slot).
         self._state_responses: Dict[Hashable, StateResponse] = {}
-        self._state_transfers = 0
         # Set when our own checkpoint digest contradicted a stable
         # certificate: the sequence whose certified state we must install
         # even though we already executed past it.
@@ -221,9 +220,9 @@ class OrderingNode:
         # sequence ceiling below, so it holds at most ~log_window entries.
         self._out_of_window: Dict[int, tuple[Hashable, PrePrepare]] = {}
 
-        # Observability: pre-bound per-node metric children (no-ops when no
-        # bundle is attached) plus plain-int mirrors for ``statistics``.
-        self.obs = NULL_OBS if obs is None else obs
+        # Observability: pre-bound per-node children on the deployment's
+        # registry, the only store of these counts (``statistics`` is a view).
+        self.obs = resolve_obs(obs)
         registry = self.obs.registry
         self._tracer = self.obs.tracer
         self._flight = self.obs.flight
@@ -257,12 +256,9 @@ class OrderingNode:
         self._obs_notify_pushed = registry.counter(
             "notify_pushed_total", "Waiter notifications this node pushed to clients"
         ).labels(node=node)
-        self._batches_proposed = 0
-        self._view_changes_started = 0
-        self._checkpoints_taken = 0
-        self._truncations = 0
-        self._reply_cache_hits = 0
-        self._requests_executed = 0
+        self._obs_state_transfers = registry.counter(
+            "pbft_state_transfers_total", "Certified states this node installed from peers"
+        ).labels(node=node)
 
         network.register(replica_id, self.on_message)
 
@@ -420,7 +416,6 @@ class OrderingNode:
         if cached is not None:
             # Retransmission of the client's latest executed request:
             # resend the cached reply.
-            self._reply_cache_hits += 1
             self._obs_reply_cache_hits.inc()
             self._reply(request, cached)
             return
@@ -570,7 +565,6 @@ class OrderingNode:
         sequence = self.next_sequence
         self.next_sequence += 1
         self._ordered_keys.update(batch.keys())
-        self._batches_proposed += 1
         self._obs_batches.inc()
         self._obs_batch_size.observe(float(len(batch.requests)))
         if self._tracer.enabled:
@@ -766,7 +760,6 @@ class OrderingNode:
                         operation=request.operation,
                     )
                 result = self.application.execute(request)
-                self._requests_executed += 1
                 self._obs_executed.inc()
                 self._executed_keys.add(request.key)
                 self._executed_at[request.key] = sequence
@@ -822,7 +815,6 @@ class OrderingNode:
     # ------------------------------------------------------------------
 
     def _take_checkpoint(self, sequence: int) -> None:
-        self._checkpoints_taken += 1
         self._obs_checkpoints.inc()
         state = self.application.capture_state()
         self._checkpoint_states[sequence] = state
@@ -936,7 +928,6 @@ class OrderingNode:
 
     def _truncate(self, sequence: int) -> None:
         """Garbage-collect all ordering state at or below ``sequence``."""
-        self._truncations += 1
         self._obs_truncations.inc()
         self._pre_prepares = {
             key: value for key, value in self._pre_prepares.items() if key[1] > sequence
@@ -1105,7 +1096,7 @@ class OrderingNode:
             self._checkpoint_proof = message.proof
             self._stable_state = message.state
             self._checkpoint_states[message.sequence] = message.state
-        self._state_transfers += 1
+        self._obs_state_transfers.inc()
         self._truncate(message.sequence)
         self._adopt_transferred_progress(message.sequence, matching)
         self._state_responses.clear()
@@ -1284,7 +1275,6 @@ class OrderingNode:
 
     def _start_view_change(self, new_view: int) -> None:
         new_view = max(new_view, self.view + 1)
-        self._view_changes_started += 1
         self._obs_view_changes.inc()
         self._view_changing = True
         self._view_change_started_at = self.network.now
@@ -1558,15 +1548,15 @@ class OrderingNode:
             "stable_checkpoint": self.stable_checkpoint,
             "buffered": len(self._buffered),
             "log_instances": len(self._pre_prepares),
-            "state_transfers": self._state_transfers,
+            "state_transfers": int(self._obs_state_transfers.value),
             "fault_mode": self.fault_mode.value,
-            "batches_proposed": self._batches_proposed,
+            "batches_proposed": int(self._obs_batches.value),
             "pending_unordered": len(self._unordered),
-            "view_changes_started": self._view_changes_started,
-            "checkpoints_taken": self._checkpoints_taken,
-            "truncations": self._truncations,
-            "reply_cache_hits": self._reply_cache_hits,
-            "requests_executed": self._requests_executed,
+            "view_changes_started": int(self._obs_view_changes.value),
+            "checkpoints_taken": int(self._obs_checkpoints.value),
+            "truncations": int(self._obs_truncations.value),
+            "reply_cache_hits": int(self._obs_reply_cache_hits.value),
+            "requests_executed": int(self._obs_executed.value),
         }
 
     def __repr__(self) -> str:

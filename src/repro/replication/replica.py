@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.notify import Notification, WaiterTable
-from repro.obs import NULL_OBS
+from repro.obs import resolve_obs
 from repro.peo.base import DENIED
 from repro.policy.invocation import Invocation
 from repro.policy.monitor import ReferenceMonitor
@@ -158,7 +158,7 @@ class PEATSReplica:
         # them and checkpoints must not.
         self._waiters = WaiterTable()
         self._pending_notifications: list[Notification] = []
-        self.obs = NULL_OBS if obs is None else obs
+        self.obs = resolve_obs(obs)
         registry = self.obs.registry
         self._flight = self.obs.flight
         # Flight-event timestamp source: the owning service passes its
@@ -169,7 +169,7 @@ class PEATSReplica:
             "peats_operations_total", "Invocations the reference monitor authorized"
         )
         self._obs_denials = registry.counter(
-            "peats_denials_total", "Invocations the reference monitor denied, by reason"
+            "peats_denials_total", "Invocations the reference monitor denied, by reason kind"
         )
         self._obs_node = str(replica_id)
         self._obs_op_children: dict[str, Any] = {}
@@ -230,8 +230,10 @@ class PEATSReplica:
         )
         decision = self._monitor.authorize(invocation, self._space)
         if not decision.allowed:
+            # Labelled by the bounded reason *kind*; the full text (which can
+            # quote the client's own arguments) goes to the flight recorder.
             self._obs_denials.labels(
-                node=self._obs_node, operation=operation, reason=decision.reason
+                node=self._obs_node, operation=operation, reason=decision.kind
             ).inc()
             if self._flight.enabled:
                 self._flight.record(

@@ -34,9 +34,9 @@ from __future__ import annotations
 from typing import Any, Hashable, TYPE_CHECKING
 
 from repro.errors import ReplicationError
-from repro.obs import NULL_OBS
+from repro.obs import resolve_obs
 from repro.policy.policy import AccessPolicy
-from repro.replication.client import PEATSClient
+from repro.replication.client import PEATSClient, summed_statistics
 from repro.replication.network import NetworkConfig, SimulatedNetwork
 from repro.replication.pbft import OrderingNode, ReplicaFaultMode
 from repro.replication.replica import PEATSReplica
@@ -93,7 +93,7 @@ class ReplicatedPEATS:
         self._policy = policy
         self._network = network or SimulatedNetwork(network_config or NetworkConfig())
         #: Observability bundle threaded into every replica, node and client.
-        self.obs = NULL_OBS if obs is None else obs
+        self.obs = resolve_obs(obs)
         prefix = f"{group}:" if group is not None else ""
         self._replica_ids = tuple(
             f"{prefix}replica-{index}" for index in range(self.n_replicas)
@@ -153,20 +153,14 @@ class ReplicatedPEATS:
     def check_timeouts(self) -> None:
         """Fire the view-change timers of every replica.
 
-        On the simulation this is a synchronous sweep (the caller *is*
-        the event loop).  On a real transport every node is pinned to a
-        reactor and only ever touched on it, so the sweep is marshalled
-        through :meth:`~repro.net.transport.RealTransport.post` — the
-        nudge typically arrives from a client's retransmission timer
-        running on a different loop.
+        The sweep goes through :meth:`Transport.post`: on the simulation
+        that is a synchronous call (the caller *is* the event loop); on a
+        real transport every node is pinned to a reactor and only ever
+        touched on it, and the nudge typically arrives from a client's
+        retransmission timer running on a different loop.
         """
-        post = getattr(self._network, "post", None)
-        if post is None:
-            for node in self._nodes:
-                node.check_timeouts()
-        else:
-            for node in self._nodes:
-                post(node.replica_id, node.check_timeouts)
+        for node in self._nodes:
+            self._network.post(node.replica_id, node.check_timeouts)
 
     # ------------------------------------------------------------------
     # Clients
@@ -208,18 +202,8 @@ class ReplicatedPEATS:
         return {node.replica_id: node.stable_checkpoint for node in self._nodes}
 
     def client_statistics(self) -> dict[str, int]:
-        """Counters summed over every attached client — what the health
-        monitor's reply-divergence probe samples between evaluations."""
-        totals = {
-            "requests": 0,
-            "retransmissions": 0,
-            "mismatched_replies": 0,
-            "quorum_failures": 0,
-        }
-        for client in self._clients.values():
-            for name, value in client.statistics.items():
-                totals[name] = totals.get(name, 0) + value
-        return totals
+        """Counters summed over every attached client."""
+        return summed_statistics(self._clients.values())
 
     def __repr__(self) -> str:
         return (

@@ -350,8 +350,10 @@ def test_time_unit_reflects_the_transport():
 class _CheckTimeoutsSpy(RealTransport):
     """Loopback variant recording post() targets (nudge marshalling)."""
 
+    name = "spy"
+
     def __init__(self) -> None:
-        super().__init__(reactors=1, name="spy")
+        super().__init__(reactors=1)
         self.posted = []
 
     def _dispatch(self, sender, receiver, payload, mac):

@@ -1,19 +1,15 @@
-"""repro.obs.registry — label semantics, exporters, merge, null overhead."""
+"""repro.obs.registry — label semantics, exporters, merge, private registries."""
 
 from __future__ import annotations
 
 import json
-import time
 
 import pytest
 
-from repro.obs import (
-    DEFAULT_BUCKETS,
-    MetricsRegistry,
-    NULL_REGISTRY,
-    Observability,
-    NULL_OBS,
-)
+from repro.api import connect
+from repro.obs import DEFAULT_BUCKETS, MetricsRegistry, Observability, resolve_obs
+from repro.policy import AccessPolicy, Rule
+from repro.tuples import entry
 
 
 # ----------------------------------------------------------------------
@@ -151,41 +147,33 @@ def test_merge_rejects_mismatched_histogram_buckets():
 
 
 # ----------------------------------------------------------------------
-# Null objects: disabled observability costs ~nothing and exports nothing
+# No obs= : a private registry per deployment, never a shared one
 # ----------------------------------------------------------------------
 
 
-def test_null_registry_hands_out_shared_noop_child():
-    child = NULL_REGISTRY.counter("anything", "help").labels(a="b")
-    assert child is NULL_REGISTRY.histogram("other")
-    child.inc()
-    child.observe(3.0)
-    child.set(1.0)
-    assert NULL_REGISTRY.snapshot() == {}
-    assert NULL_REGISTRY.to_prometheus_text() == ""
-    assert NULL_REGISTRY.to_json_lines() == ""
-    assert not NULL_REGISTRY.enabled and not NULL_OBS.enabled
+def test_two_deployments_built_without_obs_do_not_share_counters():
+    policy = AccessPolicy([Rule("out", "out"), Rule("rdp", "rdp")], name="open")
+    busy = connect("replicated", policy=policy, f=1)
+    idle = connect("replicated", policy=policy, f=1)
+    for value in range(3):
+        busy.out(entry("k", value), process="p0")
+    assert busy.service.client_statistics()["requests"] == 3
+    assert idle.service.client_statistics()["requests"] == 0
+    assert all(node.statistics["requests_executed"] == 3 for node in busy.service.nodes)
+    assert all(node.statistics["requests_executed"] == 0 for node in idle.service.nodes)
+    assert busy.observability.registry is not idle.observability.registry
 
 
-def test_null_registry_overhead_smoke():
-    """The disabled hot path must stay within a small factor of a bare
-    no-op call — it is a pre-bound no-op method, not a formatting path."""
-    null_child = NULL_OBS.registry.counter("x").labels()
-    live_child = MetricsRegistry().counter("x").labels()
-    n = 50_000
-
-    def timed(fn) -> float:
-        started = time.perf_counter()
-        for _ in range(n):
-            fn()
-        return time.perf_counter() - started
-
-    null_cost = min(timed(null_child.inc) for _ in range(3))
-    live_cost = min(timed(live_child.inc) for _ in range(3))
-    # The no-op must not be slower than ~3x the live increment (generous:
-    # both are single attribute calls; a formatting/lookup regression on
-    # the disabled path would blow far past this).
-    assert null_cost < live_cost * 3 + 0.05
+def test_resolve_obs_hands_out_a_fresh_disabled_bundle_with_a_live_registry():
+    first, second = resolve_obs(None), resolve_obs(None)
+    assert first is not second and first.registry is not second.registry
+    assert not first.enabled
+    assert not (first.tracer.enabled or first.flight.enabled or first.health.enabled)
+    first.registry.counter("x").inc()
+    assert first.registry.counter("x").value == 1.0
+    assert "x" not in second.registry.snapshot()
+    attached = Observability()
+    assert resolve_obs(attached) is attached and attached.enabled
 
 
 def test_default_buckets_are_sorted_and_positive():

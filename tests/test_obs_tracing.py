@@ -190,6 +190,8 @@ def test_peo_denials_are_counted_by_reason():
     snap = obs.registry.snapshot()
     denials = snap["peats_denials_total"]["samples"]
     assert denials and all(s["labels"]["operation"] == "inp" for s in denials)
+    # The label is the bounded kind, never the free-form reason text.
+    assert {s["labels"]["reason"] for s in denials} == {"no-rule"}
 
 
 # ----------------------------------------------------------------------
