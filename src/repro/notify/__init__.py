@@ -3,8 +3,10 @@
 The re-anchor gap this subsystem closes: every blocking ``rd``/``in`` on
 every transport was client-side polling.  Here, replicas keep a table of
 per-template *waiters* (:mod:`repro.notify.waiters`, soft state beside the
-replicated application) and push a :class:`~repro.replication.messages.
-Notify` when a matching tuple is inserted by the ordered request stream;
+replicated application); when the ordered request stream inserts a
+matching tuple the replica itself builds the :class:`~repro.replication.
+messages.Notify` wire message (it knows its own id) and queues it on its
+one push outbox, which the ordering node drains after every batch;
 the client side (:mod:`repro.notify.subscription`) tallies pushes from
 distinct replicas and acts on a wake-up only after ``f + 1`` of them agree
 — a Byzantine replica can neither forge a match nor (because the polling
@@ -21,11 +23,10 @@ waiting is delegated to the owning backend's pump.
 """
 
 from repro.notify.subscription import ClientWaiter, Subscription, WaiterHandle, WatchEvent
-from repro.notify.waiters import Notification, Waiter, WaiterTable
+from repro.notify.waiters import Waiter, WaiterTable
 
 __all__ = [
     "ClientWaiter",
-    "Notification",
     "Subscription",
     "Waiter",
     "WaiterHandle",

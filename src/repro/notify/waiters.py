@@ -25,7 +25,7 @@ from typing import Any, Hashable, Optional
 
 from repro.tuples import Entry, Template, matches
 
-__all__ = ["Waiter", "WaiterTable", "Notification"]
+__all__ = ["Waiter", "WaiterTable"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -36,21 +36,6 @@ class Waiter:
     waiter_id: int
     template: Template
     operation: str
-
-
-@dataclasses.dataclass(frozen=True)
-class Notification:
-    """One pending push, produced at execution time and drained by the
-    ordering layer (which owns the network and the silent/lying modes)."""
-
-    client: Hashable
-    waiter_id: int
-    #: The inserting request's ``(client, request_id)`` key — every correct
-    #: replica derives the same value from the ordered execution stream,
-    #: which is what lets the client tally pushes across replicas.
-    event: tuple
-    entry: Entry
-    entry_digest: str
 
 
 class WaiterTable:

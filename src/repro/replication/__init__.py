@@ -13,12 +13,17 @@ fully-simulated substitute:
   session keys; the "IPSec/SSL" of Section 4);
 * :mod:`repro.replication.network` — a deterministic discrete-event network
   with seeded latencies, message loss and Byzantine corruption hooks;
-* :mod:`repro.replication.pbft` — a simplified PBFT-style total-order
-  protocol (pre-prepare / prepare / commit with ``2f + 1`` quorums and a
-  view change), the "replica coordination" box of Fig. 2;
+* :mod:`repro.replication.pbft` — the ordering core of a simplified
+  PBFT-style total-order protocol (pre-prepare / prepare / commit with
+  ``2f + 1`` quorums), the "replica coordination" box of Fig. 2, with its
+  two other halves mixed into the one ``OrderingNode`` from
+  :mod:`repro.replication.checkpointing` (checkpoint certificates, log
+  truncation, state transfer) and :mod:`repro.replication.viewchange`;
+* :mod:`repro.replication.application` — the one interface through which
+  the ordering core reaches the state machine it replicates;
 * :mod:`repro.replication.replica` — the replica application: reference
   monitor + augmented tuple space executing ordered requests
-  deterministically;
+  deterministically, and the outbox of replica→client pushes;
 * :mod:`repro.replication.client` — the client proxy that multicasts
   requests and accepts a result vouched for by ``f + 1`` matching replies;
 * :mod:`repro.replication.service` — :class:`ReplicatedPEATS`, the

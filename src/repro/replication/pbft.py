@@ -1,4 +1,4 @@
-"""A simplified PBFT-style total-order protocol for the PEATS replicas.
+"""A simplified PBFT-style total-order protocol: the ordering core.
 
 The protocol follows the structure of Castro & Liskov's PBFT [3], which is
 the replica-coordination protocol the paper suggests for the Fig. 2
@@ -12,52 +12,32 @@ deployment, simplified to what the simulation needs:
   backups answer with ``PREPARE``; once a replica has the pre-prepare and
   ``2f`` matching prepares it multicasts ``COMMIT``; once it has ``2f + 1``
   matching commits it executes the batch's requests (in sequence order, in
-  batch order) on its local
-  :class:`~repro.replication.replica.PEATSReplica` and replies to each
-  request's client;
-* every ``checkpoint_interval`` sequence numbers a replica multicasts a
-  ``CHECKPOINT`` carrying a digest of its application state; ``2f + 1``
-  matching checkpoints form a *stable certificate*, after which all
-  ordering state at or below the stable sequence is garbage-collected and
-  the water marks advance (a primary never assigns sequence numbers beyond
-  ``stable + log_window``, so the message log is bounded);
-* a replica that learns a stable checkpoint ahead of its own execution
-  horizon fetches the checkpointed application state from a peer and
-  installs it after validating it against the certificate digest (the
-  minimal state transfer a recovering replica needs; incremental/partial
-  transfer is future work);
-* a backup that has buffered a request for longer than the view-change
-  timeout broadcasts ``VIEW-CHANGE`` (carrying its prepared certificates
-  *and* its stable-checkpoint proof); on ``2f + 1`` view-change votes the
-  new primary installs the view with ``NEW-VIEW``, re-proposing every
-  batch reported as prepared above the quorum's best stable checkpoint,
-  and re-ordering the still-pending requests.
+  batch order) on its local application and replies to each request's
+  client;
+* checkpoint certificates, log truncation and state transfer live in
+  :mod:`repro.replication.checkpointing`, the view change in
+  :mod:`repro.replication.viewchange` — two mix-ins of the one
+  :class:`OrderingNode`, split out along the protocol's seams.
+
+The node reaches the replicated state machine only through the
+:class:`~repro.replication.application.Application` interface: it orders
+and executes requests without interpreting them, hands un-ordered client
+messages to the application unread, and sends whatever replica→client
+pushes execution queued.
 
 Remaining omissions relative to full PBFT: MAC-vector authenticators (we
 use per-link HMACs provided by the network), digital signatures on
-view-change and checkpoint messages, and big-O optimisations.  The
-missing signatures matter where one replica relays another's words:
-per-link MACs cannot be verified by a third party, so the checkpoint
-proofs embedded in ``VIEW-CHANGE``/``NEW-VIEW``/``STATE-RESPONSE`` and
-the view-change fields ``last_executed``/``highest_sequence``/
-``prepared`` are only structurally validated.  Three mitigations narrow
-(but do not close) the gap: a state transfer installs only state shipped
-byte-identically by ``f + 1`` distinct responders, a new primary adopts
-a view-change vote's stable checkpoint as its re-proposal floor only
-when ``f + 1`` voters corroborate it, and a backup adopts a ``NEW-VIEW``
-floor only when corroborated by the view-change votes it saw itself.
-The unauthenticated ``prepared``/``highest_sequence`` fields remain
-trusted as in the pre-batching protocol; closing that needs signed
-certificates, which is future work.  The client requests relayed inside
-a ``PRE-PREPARE`` batch, however, *are* client-authenticated: every
-request carries a MAC vector (one HMAC per target replica under the
-client↔replica shared key, full PBFT's authenticator scheme), and a
-replica accepts a request — direct or relayed — only after verifying its
-own entry, so a faulty primary cannot forge a request under another
-client's name.  None of this
-affects the fault-free and crash-fault scenarios the experiments
-measure (safety with ``f`` silent/lying replicas, liveness after the
-failure of a primary, request/reply message complexity).
+view-change and checkpoint messages (see the two mix-in modules for what
+that leaves only structurally validated), and big-O optimisations.  The
+client requests relayed inside a ``PRE-PREPARE`` batch, however, *are*
+client-authenticated: every request carries a MAC vector (one HMAC per
+target replica under the client↔replica shared key, full PBFT's
+authenticator scheme), and a replica accepts a request — direct or relayed
+— only after verifying its own entry, so a faulty primary cannot forge a
+request under another client's name.  None of this affects the fault-free
+and crash-fault scenarios the experiments measure (safety with ``f``
+silent/lying replicas, liveness after the failure of a primary,
+request/reply message complexity).
 
 Byzantine replica behaviour is modelled with :class:`ReplicaFaultMode`:
 ``CRASHED`` replicas go silent, ``MUTE`` ones execute but never send
@@ -67,40 +47,34 @@ to clients (caught by the client's ``f + 1`` matching-reply vote).
 
 from __future__ import annotations
 
-import dataclasses
 import enum
-from typing import Any, Dict, Hashable, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, Hashable, Optional, TYPE_CHECKING
 
 from repro.errors import ReplicationError
 from repro.obs import resolve_obs
+from repro.replication.checkpointing import CheckpointingMixin
 from repro.replication.crypto import digest
 from repro.replication.messages import (
     NULL_REQUEST_CLIENT,
     Batch,
-    CancelWaiter,
     Checkpoint,
     ClientReply,
     ClientRequest,
     Commit,
     NewView,
-    Notify,
     PrePrepare,
     Prepare,
-    RegisterWaiter,
     StateRequest,
     StateResponse,
-    TxnAck,
-    TxnDecision,
-    TxnPrepare,
-    TxnVote,
     ViewChange,
-    null_batch,
+    lying_push,
     request_auth_payload,
 )
-from repro.replication.replica import PEATSReplica
+from repro.replication.viewchange import ViewChangeMixin
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.net.transport import Transport
+    from repro.replication.application import Application
 
 __all__ = ["ReplicaFaultMode", "OrderingNode"]
 
@@ -119,15 +93,15 @@ class ReplicaFaultMode(enum.Enum):
     DIVERGENT = "divergent"
 
 
-class OrderingNode:
-    """One replica of the replicated PEATS: ordering layer + application."""
+class OrderingNode(CheckpointingMixin, ViewChangeMixin):
+    """One replica of a replicated service: ordering layer + application."""
 
     def __init__(
         self,
         replica_id: Hashable,
         replica_ids: tuple[Hashable, ...],
         f: int,
-        application: PEATSReplica,
+        application: "Application",
         network: "Transport",
         *,
         view_change_timeout: float = 50.0,
@@ -253,21 +227,36 @@ class OrderingNode:
         self._obs_executed = registry.counter(
             "pbft_executed_total", "Client requests executed in sequence order"
         ).labels(node=node)
-        self._obs_notify_pushed = registry.counter(
-            "notify_pushed_total", "Waiter notifications this node pushed to clients"
-        ).labels(node=node)
         self._obs_state_transfers = registry.counter(
             "pbft_state_transfers_total", "Certified states this node installed from peers"
         ).labels(node=node)
 
+        # Replica-to-replica protocol handlers by message type; anything
+        # else is garbage (from a replica) or the application's business
+        # (from a client) — see on_message.
+        self._handlers: Dict[type, Callable[[Hashable, Any], None]] = {
+            ClientRequest: self._on_request,
+            PrePrepare: self._on_pre_prepare,
+            Prepare: self._on_prepare,
+            Commit: self._on_commit,
+            Checkpoint: self._on_checkpoint,
+            StateRequest: self._on_state_request,
+            StateResponse: self._on_state_response,
+            ViewChange: self._on_view_change,
+            NewView: self._on_new_view,
+        }
         network.register(replica_id, self.on_message)
 
-    def _trace_batch(self, phase: str, requests: tuple, now: float) -> None:
+    def _trace_batch(self, phase: str, batch: Batch) -> None:
         """Record ``phase`` for every real request of a batch (tracing on)."""
-        tracer = self._tracer
-        for request in requests:
+        for request in batch.requests:
             if request.client != NULL_REQUEST_CLIENT:
-                tracer.record(phase, request.key, self.replica_id, now)
+                self._tracer.record(phase, request.key, self.replica_id, self.network.now)
+
+    def _flight_event(self, kind: str, **fields: Any) -> None:
+        """Record one flight event of this node, stamped with the transport
+        clock (flight recording on)."""
+        self._flight.record(kind, self.replica_id, self.network.now, **fields)
 
     # ------------------------------------------------------------------
     # Helpers
@@ -304,12 +293,7 @@ class OrderingNode:
         if self.is_silent:
             return
         if self._flight.enabled:
-            self._flight.record(
-                "msg-send",
-                self.replica_id,
-                self.network.now,
-                type=type(payload).__name__,
-            )
+            self._flight_event("msg-send", type=type(payload).__name__)
         self.network.broadcast(self.replica_id, self.replica_ids, payload)
 
     def _send(self, receiver: Hashable, payload: Any) -> None:
@@ -329,48 +313,27 @@ class OrderingNode:
         """Network entry point for this replica."""
         if self.fault_mode is ReplicaFaultMode.CRASHED:
             return
-        if (
-            not isinstance(payload, (ClientRequest, RegisterWaiter, CancelWaiter))
-            and sender not in self._replica_set
-        ):
-            # Every other message is replica-to-replica protocol traffic.
-            # Accepting it from arbitrary network identities would let a
+        handler = self._handlers.get(type(payload))
+        if sender not in self._replica_set and type(payload) is not ClientRequest:
+            # Only requests enter the ordered stream from outside the group;
+            # whatever else a client sends is soft state for the application.
+            # The protocol handlers are replica-to-replica only: accepting
+            # their messages from arbitrary network identities would let a
             # Byzantine *client* stuff quorums (checkpoint certificates,
             # state-transfer thresholds) or pull a full state dump past
             # the access policy via StateRequest.
+            handler = self.application.on_client_message
+        if handler is None:
+            # Unknown payloads are ignored (a Byzantine node may send garbage).
             return
         if self._flight.enabled:
-            self._flight.record(
+            self._flight_event(
                 "msg-recv",
-                self.replica_id,
-                self.network.now,
                 key=payload.key if isinstance(payload, ClientRequest) else None,
                 type=type(payload).__name__,
                 sender=str(sender),
             )
-        if isinstance(payload, ClientRequest):
-            self._on_request(sender, payload)
-        elif isinstance(payload, RegisterWaiter):
-            self._on_register_waiter(sender, payload)
-        elif isinstance(payload, CancelWaiter):
-            self._on_cancel_waiter(sender, payload)
-        elif isinstance(payload, PrePrepare):
-            self._on_pre_prepare(sender, payload)
-        elif isinstance(payload, Prepare):
-            self._on_prepare(sender, payload)
-        elif isinstance(payload, Commit):
-            self._on_commit(sender, payload)
-        elif isinstance(payload, Checkpoint):
-            self._on_checkpoint(sender, payload)
-        elif isinstance(payload, StateRequest):
-            self._on_state_request(sender, payload)
-        elif isinstance(payload, StateResponse):
-            self._on_state_response(sender, payload)
-        elif isinstance(payload, ViewChange):
-            self._on_view_change(sender, payload)
-        elif isinstance(payload, NewView):
-            self._on_new_view(sender, payload)
-        # Unknown payloads are ignored (a Byzantine node may send garbage).
+        handler(sender, payload)
 
     # ------------------------------------------------------------------
     # Client requests and batch assembly
@@ -432,119 +395,6 @@ class OrderingNode:
         self._maybe_drain()
         self._obs_pending_depth.set(len(self._unordered))
 
-    # ------------------------------------------------------------------
-    # Waiter registrations (repro.notify)
-    # ------------------------------------------------------------------
-
-    def _on_register_waiter(self, sender: Hashable, message: RegisterWaiter) -> None:
-        """Arm a waiter for ``sender`` (soft state, outside the ordered stream).
-
-        The per-link envelope MAC authenticates the immediate sender and
-        registrations are never relayed, so ``sender == message.client`` is
-        the whole origin check — no MAC vector needed.
-        """
-        if sender != message.client:
-            return
-        self.application.register_waiter(
-            message.client, message.waiter_id, message.template, message.operation
-        )
-
-    def _on_cancel_waiter(self, sender: Hashable, message: CancelWaiter) -> None:
-        if sender != message.client:
-            return
-        self.application.cancel_waiter(message.client, message.waiter_id)
-
-    def _drain_notifications(self) -> None:
-        """Push the notifications execution queued (fault modes apply here)."""
-        for notification in self.application.drain_notifications():
-            self._notify(notification)
-
-    def _notify(self, notification: Any) -> None:
-        if self.is_silent:
-            return
-        if self._tracer.enabled:
-            self._tracer.record(
-                "notify", notification.event, self.replica_id, self.network.now
-            )
-        if self._flight.enabled:
-            self._flight.record(
-                "waiter-notify",
-                self.replica_id,
-                self.network.now,
-                client=str(notification.client),
-                waiter_id=notification.waiter_id,
-            )
-        entry = notification.entry
-        entry_digest = notification.entry_digest
-        if self.fault_mode is ReplicaFaultMode.LYING:
-            # Same corruption model as _reply: each liar fabricates its own
-            # entry (replica id baked in), so f liars can never assemble the
-            # f + 1 matching pushes the client's wake-up vote demands.
-            entry = ("CORRUPTED", self.replica_id, repr(entry))
-            entry_digest = digest(entry)
-        self._obs_notify_pushed.inc()
-        self._send(
-            notification.client,
-            Notify(
-                replica=self.replica_id,
-                client=notification.client,
-                waiter_id=notification.waiter_id,
-                event=notification.event,
-                entry=entry,
-                entry_digest=entry_digest,
-            ),
-        )
-
-    def _drain_txn_pushes(self) -> None:
-        """Push the transaction outcome messages execution queued."""
-        for push in self.application.drain_txn_pushes():
-            self._txn_push(push)
-
-    def _txn_push(self, push: Any) -> None:
-        """Send one replica→owner transaction push (fault modes apply).
-
-        Pushes are the owner-addressed broadcast channel of the commit
-        protocol: a client accepts one only as part of an ``f + 1``
-        matching pile, so — exactly like replies and notifications — each
-        LYING replica corrupts *independently* (its replica id baked into
-        the lie) and ``f`` liars can never assemble a certificate.
-        """
-        if self.is_silent:
-            return
-        if self._flight.enabled:
-            kind = "txn-vote" if isinstance(push, TxnVote) else "txn-decision"
-            self._flight.record(
-                kind,
-                self.replica_id,
-                self.network.now,
-                txn=repr(push.txn_id),
-                client=str(push.client),
-                type=type(push).__name__,
-            )
-        if self.fault_mode is ReplicaFaultMode.LYING:
-            if isinstance(push, TxnVote):
-                push = dataclasses.replace(
-                    push,
-                    vote="no" if push.vote == "yes" else "yes",
-                    reason=("LYING", self.replica_id),
-                    pins_digest=digest(("LYING", self.replica_id)),
-                )
-            elif isinstance(push, (TxnDecision, TxnAck)):
-                push = dataclasses.replace(
-                    push,
-                    outcome="abort" if push.outcome == "commit" else "commit",
-                    **(
-                        {"reason": ("LYING", self.replica_id)}
-                        if isinstance(push, TxnDecision)
-                        else {}
-                    ),
-                )
-            elif isinstance(push, TxnPrepare):
-                push = dataclasses.replace(
-                    push, participants=(("LYING", self.replica_id),)
-                )
-        self._send(push.client, push)
-
     def _maybe_drain(self) -> None:
         """Primary: drain unordered requests into batches within the window."""
         if not self.is_primary or self._view_changing or self.is_silent:
@@ -560,53 +410,68 @@ class OrderingNode:
             if chunk:
                 self._order_batch(Batch(requests=tuple(chunk)))
 
+
     def _order_batch(self, batch: Batch) -> None:
         """Primary: assign the next sequence number and pre-prepare a batch."""
         sequence = self.next_sequence
         self.next_sequence += 1
-        self._ordered_keys.update(batch.keys())
         self._obs_batches.inc()
         self._obs_batch_size.observe(float(len(batch.requests)))
         if self._tracer.enabled:
-            self._trace_batch("pre-prepare", batch.requests, self.network.now)
-        message = PrePrepare(
-            view=self.view,
-            sequence=sequence,
-            batch_digest=digest(batch),
-            batch=batch,
-            primary=self.replica_id,
-        )
-        # The primary also records its own pre-prepare locally.
-        self._pre_prepares[(self.view, sequence)] = message
-        self._multicast(message)
-        self._maybe_send_commit(self.view, sequence, message.batch_digest)
+            self._trace_batch("pre-prepare", batch)
+        self._propose(sequence, batch)
 
     # ------------------------------------------------------------------
     # Ordering phases
     # ------------------------------------------------------------------
 
-    def _on_pre_prepare(self, sender: Hashable, message: PrePrepare) -> None:
+    def _log_pre_prepare(self, view: int, sequence: int, batch: Batch) -> PrePrepare:
+        """Build ``view``'s pre-prepare for ``batch`` and enter it in the log."""
+        message = PrePrepare(
+            view=view,
+            sequence=sequence,
+            batch_digest=digest(batch),
+            batch=batch,
+            primary=self.primary_of(view),
+        )
+        self._pre_prepares[(view, sequence)] = message
+        return message
+
+    def _propose(self, sequence: int, batch: Batch) -> None:
+        """Primary: pre-prepare ``batch`` at ``sequence`` in the current view
+        (the primary also records its own pre-prepare locally)."""
+        keys = batch.keys()
+        self._ordered_keys.update(keys)
+        for key in keys:
+            self._unordered.pop(key, None)
+        message = self._log_pre_prepare(self.view, sequence, batch)
+        self._multicast(message)
+        self._maybe_send_commit(self.view, sequence, message.batch_digest)
+
+    def _in_window(self, sender: Hashable, message: Any) -> bool:
+        """View and window guard shared by the three ordering phases."""
         if message.view > self.view:
             self._buffer_future(sender, message)
-            return
-        if message.view != self.view or sender != self.primary_of(message.view):
-            return
-        if self._view_changing:
-            # PBFT: while view-changing, accept only checkpoint and
-            # view-change traffic.  Progressing the old view here would let
-            # a batch commit that our already-cast view-change vote does
-            # not report as prepared — the new primary could then null-fill
-            # its sequence number while we execute it, silently diverging.
-            return
-        if message.sequence <= self.stable_checkpoint:
-            # Already covered by a stable checkpoint: garbage-collected.
+            return False
+        if message.view != self.view or message.sequence <= self.stable_checkpoint:
+            # Another view, or already covered by a stable checkpoint.
+            return False
+        if message.sequence > self.stable_checkpoint + 2 * self.log_window:
+            # Outside any window a correct replica could be in (a correct
+            # primary's can lead ours by at most one certificate): a faulty
+            # peer spraying arbitrary sequences must not grow the log.
+            return False
+        # PBFT: while view-changing, accept only checkpoint and
+        # view-change traffic.  Progressing the old view here would let
+        # a batch commit that our already-cast view-change vote does
+        # not report as prepared — the new primary could then null-fill
+        # its sequence number while we execute it, silently diverging.
+        return not self._view_changing
+
+    def _on_pre_prepare(self, sender: Hashable, message: PrePrepare) -> None:
+        if not self._in_window(sender, message) or sender != self.primary_of(message.view):
             return
         if message.sequence > self.high_water_mark:
-            if message.sequence > self.stable_checkpoint + 2 * self.log_window:
-                # A correct primary's window can lead ours by at most one
-                # certificate; anything further is a faulty primary trying
-                # to fill this buffer.
-                return
             # Our checkpoint certificate may be lagging the primary's;
             # retry once the window slides instead of dropping.
             self._out_of_window[message.sequence] = (sender, message)
@@ -628,7 +493,7 @@ class OrderingNode:
         self._pre_prepares[key] = message
         self._ordered_keys.update(message.batch.keys())
         if self._tracer.enabled:
-            self._trace_batch("pre-prepare", message.batch.requests, self.network.now)
+            self._trace_batch("pre-prepare", message.batch)
         for request in message.batch.requests:
             self._unordered.pop(request.key, None)
             if request.client != NULL_REQUEST_CLIENT:
@@ -636,33 +501,37 @@ class OrderingNode:
         # Track the highest sequence number this replica has seen assigned:
         # if it later becomes primary it must not reuse any of them.
         self.next_sequence = max(self.next_sequence, message.sequence + 1)
+        self._vote_on(message.view, message.sequence, message.batch_digest)
+
+    def _replay_out_of_window(self) -> None:
+        if not self._out_of_window:
+            return
+        replay, self._out_of_window = self._out_of_window, {}
+        for sequence in sorted(replay):
+            sender, message = replay[sequence]
+            self._on_pre_prepare(sender, message)
+
+    def _vote_on(self, view: int, sequence: int, batch_digest: str) -> None:
+        """Backup: multicast PREPARE for a logged pre-prepare, once; then
+        COMMIT as soon as the instance is prepared."""
+        key = (view, sequence)
         if not self.is_primary and key not in self._sent_prepare:
             self._sent_prepare.add(key)
             self._multicast(
                 Prepare(
-                    view=message.view,
-                    sequence=message.sequence,
-                    batch_digest=message.batch_digest,
+                    view=view,
+                    sequence=sequence,
+                    batch_digest=batch_digest,
                     replica=self.replica_id,
                 )
             )
-        self._maybe_send_commit(message.view, message.sequence, message.batch_digest)
+        self._maybe_send_commit(view, sequence, batch_digest)
 
     def _on_prepare(self, sender: Hashable, message: Prepare) -> None:
-        if message.view > self.view:
-            self._buffer_future(sender, message)
-            return
-        if message.view != self.view or message.sequence <= self.stable_checkpoint:
-            return
-        if message.sequence > self.stable_checkpoint + 2 * self.log_window:
-            # Outside any window a correct replica could be in: a faulty
-            # peer spraying arbitrary sequences must not grow the vote maps.
-            return
-        if self._view_changing:
-            return
-        key = (message.view, message.sequence, message.batch_digest)
-        self._prepares.setdefault(key, set()).add(sender)
-        self._maybe_send_commit(message.view, message.sequence, message.batch_digest)
+        if self._in_window(sender, message):
+            key = (message.view, message.sequence, message.batch_digest)
+            self._prepares.setdefault(key, set()).add(sender)
+            self._maybe_send_commit(message.view, message.sequence, message.batch_digest)
 
     def _prepared(self, view: int, sequence: int, batch_digest: str) -> bool:
         """PBFT ``prepared`` predicate: pre-prepare + 2f prepares (incl. self)."""
@@ -675,6 +544,18 @@ class OrderingNode:
         votes.add(self.replica_id)
         return len(votes) >= self.quorum
 
+    def _prepared_certificates(self) -> dict[int, tuple[int, Batch]]:
+        """Per sequence above the stable checkpoint, the ``(view, batch)``
+        this replica holds a prepared certificate for.  Sorted iteration
+        lets a later view's certificate for the same sequence win."""
+        prepared: dict[int, tuple[int, Batch]] = {}
+        for (view, sequence), message in sorted(self._pre_prepares.items()):
+            if sequence > self.stable_checkpoint and self._prepared(
+                view, sequence, message.batch_digest
+            ):
+                prepared[sequence] = (view, message.batch)
+        return prepared
+
     def _maybe_send_commit(self, view: int, sequence: int, batch_digest: str) -> None:
         key = (view, sequence)
         if key in self._sent_commit:
@@ -683,9 +564,7 @@ class OrderingNode:
             return
         self._sent_commit.add(key)
         if self._tracer.enabled:
-            self._trace_batch(
-                "prepare", self._pre_prepares[key].batch.requests, self.network.now
-            )
+            self._trace_batch("prepare", self._pre_prepares[key].batch)
         self._multicast(
             Commit(
                 view=view,
@@ -699,18 +578,10 @@ class OrderingNode:
         self._maybe_execute(view, sequence, batch_digest)
 
     def _on_commit(self, sender: Hashable, message: Commit) -> None:
-        if message.view > self.view:
-            self._buffer_future(sender, message)
-            return
-        if message.view != self.view or message.sequence <= self.stable_checkpoint:
-            return
-        if message.sequence > self.stable_checkpoint + 2 * self.log_window:
-            return
-        if self._view_changing:
-            return
-        key = (message.view, message.sequence, message.batch_digest)
-        self._commits.setdefault(key, set()).add(sender)
-        self._maybe_execute(message.view, message.sequence, message.batch_digest)
+        if self._in_window(sender, message):
+            key = (message.view, message.sequence, message.batch_digest)
+            self._commits.setdefault(key, set()).add(sender)
+            self._maybe_execute(message.view, message.sequence, message.batch_digest)
 
     def _maybe_execute(self, view: int, sequence: int, batch_digest: str) -> None:
         key = (view, sequence)
@@ -723,9 +594,7 @@ class OrderingNode:
             return
         self._committed[sequence] = self._pre_prepares[key].batch
         if self._tracer.enabled:
-            self._trace_batch(
-                "commit", self._pre_prepares[key].batch.requests, self.network.now
-            )
+            self._trace_batch("commit", self._pre_prepares[key].batch)
         self._execute_ready()
 
     def _execute_ready(self) -> None:
@@ -740,195 +609,37 @@ class OrderingNode:
                     self._tracer.record(
                         "execute", request.key, self.replica_id, self.network.now
                     )
-                    # Transaction sub-protocol steps get their own lifecycle
-                    # phases, so a trace timeline shows prepare→decision.
-                    if request.operation == "txn_prepare":
-                        self._tracer.record(
-                            "txn-prepare", request.key, self.replica_id, self.network.now
-                        )
-                    elif request.operation in ("txn_decision", "txn_force"):
-                        self._tracer.record(
-                            "txn-decision", request.key, self.replica_id, self.network.now
-                        )
                 if self._flight.enabled and request.client != NULL_REQUEST_CLIENT:
-                    self._flight.record(
-                        "execute",
-                        self.replica_id,
-                        self.network.now,
-                        key=request.key,
-                        sequence=sequence,
-                        operation=request.operation,
+                    self._flight_event(
+                        "execute", key=request.key, sequence=sequence, operation=request.operation
                     )
                 result = self.application.execute(request)
                 self._obs_executed.inc()
                 self._executed_keys.add(request.key)
                 self._executed_at[request.key] = sequence
-                self._buffered.pop(request.key, None)
-                self._buffered_since.pop(request.key, None)
-                self._unordered.pop(request.key, None)
+                self._forget_buffered(request.key)
                 if not stale:
                     # A stale duplicate (the same request re-ordered across
                     # a view change after the client already moved on) must
                     # not be answered with the newer cached payload.
                     self._reply(request, result)
             # Drain unconditionally: MUTE replicas execute too, and their
-            # queued notifications must not pile up (_notify re-checks the
-            # fault mode before actually sending).
-            self._drain_notifications()
-            self._drain_txn_pushes()
+            # queued pushes must not pile up (_push re-checks the fault
+            # mode before actually sending).
+            for push in self.application.drain_pushes():
+                self._push(push)
             self.last_executed = sequence
             if sequence % self.checkpoint_interval == 0:
                 self._take_checkpoint(sequence)
 
-    def _reply(self, request: ClientRequest, result: Any) -> None:
-        if self.is_silent:
-            return
-        if request.client == NULL_REQUEST_CLIENT:
-            # Gap-filling no-ops have no real client to answer.
-            return
-        if self._tracer.enabled:
-            self._tracer.record("reply", request.key, self.replica_id, self.network.now)
-        if self._flight.enabled:
-            self._flight.record(
-                "reply",
-                self.replica_id,
-                self.network.now,
-                key=request.key,
-                client=str(request.client),
-            )
-        if self.fault_mode is ReplicaFaultMode.LYING:
-            # Each liar corrupts independently (the replica id is baked into
-            # the lie), so colluding on an identical wrong answer — which
-            # would defeat the client's f+1 vote — is not modelled here.
-            result = ("CORRUPTED", self.replica_id, repr(result))
-        reply = ClientReply(
-            replica=self.replica_id,
-            view=self.view,
-            request_key=request.key,
-            result_digest=digest(result),
-            result=result,
-        )
-        self._send(request.client, reply)
+    def _forget_buffered(self, key: tuple) -> None:
+        """Drop a request from the pending-work bookkeeping."""
+        self._buffered.pop(key, None)
+        self._buffered_since.pop(key, None)
+        self._unordered.pop(key, None)
 
-    # ------------------------------------------------------------------
-    # Checkpoints and log truncation
-    # ------------------------------------------------------------------
-
-    def _take_checkpoint(self, sequence: int) -> None:
-        self._obs_checkpoints.inc()
-        state = self.application.capture_state()
-        self._checkpoint_states[sequence] = state
-        state_digest = digest(state)
-        if self.fault_mode is ReplicaFaultMode.DIVERGENT:
-            # Deterministically corrupted digest: the vote is internally
-            # consistent (the same wrong digest every time), so two such
-            # replicas split the quorum instead of merely being outvoted —
-            # the certificate starves and the log window jams, which is
-            # exactly how PR 9's nondeterministic-digest bug manifested.
-            state_digest = digest((state, "divergent-checkpoint"))
-        message = Checkpoint(
-            sequence=sequence, state_digest=state_digest, replica=self.replica_id
-        )
-        self._own_checkpoint = message
-        self._record_checkpoint_vote(self.replica_id, message)
-        self._multicast(message)
-        self._maybe_stabilize(sequence, message.state_digest)
-
-    def _record_checkpoint_vote(self, replica: Hashable, message: Checkpoint) -> None:
-        current = self._checkpoint_votes.get(replica)
-        if current is None or message.sequence >= current.sequence:
-            self._checkpoint_votes[replica] = message
-            if self._flight.enabled:
-                self._flight.record(
-                    "checkpoint-vote",
-                    self.replica_id,
-                    self.network.now,
-                    sequence=message.sequence,
-                    digest=message.state_digest,
-                    voter=str(replica),
-                )
-
-    def checkpoint_vote_table(self) -> dict[Hashable, tuple[int, str]]:
-        """The latest checkpoint vote this node has seen per replica,
-        as ``{replica: (sequence, state_digest)}`` — what the health
-        monitor merges to attribute a starved certificate to the
-        replicas whose digests diverge."""
-        return {
-            replica: (vote.sequence, vote.state_digest)
-            for replica, vote in self._checkpoint_votes.items()
-        }
-
-    def _on_checkpoint(self, sender: Hashable, message: Checkpoint) -> None:
-        if message.replica != sender:
-            # A replica may only vouch for its own state.
-            return
-        if message.sequence <= self.stable_checkpoint:
-            return
-        self._record_checkpoint_vote(sender, message)
-        self._maybe_stabilize(message.sequence, message.state_digest)
-
-    def _maybe_stabilize(self, sequence: int, state_digest: str) -> None:
-        if sequence <= self.stable_checkpoint:
-            return
-        votes = {
-            replica: vote
-            for replica, vote in self._checkpoint_votes.items()
-            if vote.sequence == sequence and vote.state_digest == state_digest
-        }
-        if len(votes) < self.quorum:
-            return
-        proof = tuple(votes[replica] for replica in sorted(votes, key=repr))
-        self._stabilize(sequence, proof)
-
-    def _stabilize(self, sequence: int, proof: tuple[Checkpoint, ...]) -> None:
-        """Adopt a stable checkpoint certificate: truncate and slide the window."""
-        self.stable_checkpoint = sequence
-        self._checkpoint_proof = proof
-        if self._flight.enabled:
-            self._flight.record(
-                "checkpoint-cert",
-                self.replica_id,
-                self.network.now,
-                sequence=sequence,
-                digest=proof[0].state_digest if proof else None,
-                votes=len(proof),
-            )
-        own_state = self._checkpoint_states.get(sequence)
-        certified_digest = proof[0].state_digest if proof else None
-        self._truncate(sequence)
-        if (
-            own_state is not None
-            and certified_digest is not None
-            and digest(own_state) != certified_digest
-        ):
-            # Our execution history contradicts the certified majority —
-            # possible only outside the protocol's trust envelope (see the
-            # module docstring), but self-healing is cheap: discard our
-            # copy and install the certified state even though we already
-            # executed past it.
-            self._checkpoint_states.pop(sequence, None)
-            self._stable_state = None
-            self._resync_below = sequence
-            self._request_state(sequence)
-        else:
-            self._stable_state = own_state
-            if self.last_executed < sequence:
-                # The group advanced without us (crash window, partition):
-                # fetch the checkpointed state instead of replaying history
-                # that has been garbage-collected.
-                self._request_state(sequence)
-        self._slide_window()
-
-    def _slide_window(self) -> None:
-        """Resume work the old window was blocking (shared tail of every
-        adopt-checkpoint path except ``_enter_view``, which must re-propose
-        the old sequences before it may drain fresh ones)."""
-        self._maybe_drain()
-        self._replay_out_of_window()
-
-    def _truncate(self, sequence: int) -> None:
-        """Garbage-collect all ordering state at or below ``sequence``."""
-        self._obs_truncations.inc()
+    def _truncate_log(self, sequence: int) -> None:
+        """Garbage-collect the ordering log at or below ``sequence``."""
         self._pre_prepares = {
             key: value for key, value in self._pre_prepares.items() if key[1] > sequence
         }
@@ -943,19 +654,6 @@ class OrderingNode:
         }
         self._sent_prepare = {key for key in self._sent_prepare if key[1] > sequence}
         self._sent_commit = {key for key in self._sent_commit if key[1] > sequence}
-        self._checkpoint_votes = {
-            replica: vote
-            for replica, vote in self._checkpoint_votes.items()
-            if vote.sequence > sequence
-        }
-        self._checkpoint_states = {
-            seq: state for seq, state in self._checkpoint_states.items() if seq >= sequence
-        }
-        self._state_responses = {
-            sender: response
-            for sender, response in self._state_responses.items()
-            if response.sequence > sequence
-        }
         # Per-request bookkeeping below the stable checkpoint: from here on
         # the application's per-client reply cache covers retransmissions.
         for key, executed_at in list(self._executed_at.items()):
@@ -963,578 +661,46 @@ class OrderingNode:
                 del self._executed_at[key]
                 self._executed_keys.discard(key)
                 self._ordered_keys.discard(key)
-                self._buffered.pop(key, None)
-                self._buffered_since.pop(key, None)
-                self._unordered.pop(key, None)
+                self._forget_buffered(key)
 
-    def _buffer_future(self, sender: Hashable, message: Any) -> None:
-        """Hold an ordering message for a view we have not entered yet.
-
-        Bounded per sender: a correct replica can only be a view or so
-        ahead, so the tail of a long backlog is droppable — anything lost
-        is recovered by the new view's re-proposals and client
-        retransmissions.
-        """
-        queue = self._future_messages.setdefault(sender, [])
-        queue.append(message)
-        if len(queue) > self._future_limit:
-            del queue[: len(queue) - self._future_limit]
-
-    def _replay_out_of_window(self) -> None:
-        if not self._out_of_window:
+    def _reply(self, request: ClientRequest, result: Any) -> None:
+        if self.is_silent:
             return
-        replay, self._out_of_window = self._out_of_window, {}
-        for sequence in sorted(replay):
-            sender, message = replay[sequence]
-            self._on_pre_prepare(sender, message)
-
-    # ------------------------------------------------------------------
-    # Checkpoint state transfer (recovering / lagging replicas)
-    # ------------------------------------------------------------------
-
-    def _request_state(self, sequence: int) -> None:
+        if request.client == NULL_REQUEST_CLIENT:
+            # Gap-filling no-ops have no real client to answer.
+            return
+        if self._tracer.enabled:
+            self._tracer.record("reply", request.key, self.replica_id, self.network.now)
         if self._flight.enabled:
-            self._flight.record(
-                "state-request", self.replica_id, self.network.now, sequence=sequence
-            )
-        self._multicast(StateRequest(sequence=sequence, replica=self.replica_id))
-
-    def _on_state_request(self, sender: Hashable, message: StateRequest) -> None:
-        if self.is_silent or self._stable_state is None:
-            return
-        if self.stable_checkpoint < message.sequence:
-            return
-        if self._flight.enabled:
-            self._flight.record(
-                "state-response",
-                self.replica_id,
-                self.network.now,
-                sequence=self.stable_checkpoint,
-                requester=str(sender),
-            )
-        self._send(
-            sender,
-            StateResponse(
-                sequence=self.stable_checkpoint,
-                state_digest=digest(self._stable_state),
-                state=self._stable_state,
-                proof=self._checkpoint_proof,
-                replica=self.replica_id,
-                prepared=self._in_window_progress(),
-            ),
+            self._flight_event("reply", key=request.key, client=str(request.client))
+        if self.fault_mode is ReplicaFaultMode.LYING:
+            # Each liar corrupts independently (the replica id is baked into
+            # the lie), so colluding on an identical wrong answer — which
+            # would defeat the client's f+1 vote — is not modelled here.
+            result = ("CORRUPTED", self.replica_id, repr(result))
+        reply = ClientReply(
+            replica=self.replica_id,
+            view=self.view,
+            request_key=request.key,
+            result_digest=digest(result),
+            result=result,
         )
+        self._send(request.client, reply)
 
-    def _in_window_progress(self) -> tuple:
-        """Ordering progress above the stable checkpoint, for state transfer.
+    def _push(self, push: Any) -> None:
+        """Send one replica→client push the application queued.
 
-        One ``(sequence, view, batch, committed)`` entry per sequence this
-        replica has committed (authoritative batch, view normalised to 0 so
-        responders in different views still corroborate each other) or
-        prepared (certificate view kept — the requester can only vote on it
-        in that view).  Shipping these alongside the checkpoint lets a
-        recovering replica execute the committed tail and vote on the open
-        instances immediately instead of waiting for the next checkpoint
-        boundary.
-        """
-        entries: Dict[int, tuple[int, Batch, bool]] = {}
-        for sequence, batch in self._committed.items():
-            if sequence > self.stable_checkpoint:
-                entries[sequence] = (0, batch, True)
-        for (view, sequence), message in sorted(self._pre_prepares.items()):
-            if sequence <= self.stable_checkpoint:
-                continue
-            current = entries.get(sequence)
-            if current is not None and current[2]:
-                continue
-            if not self._prepared(view, sequence, message.batch_digest):
-                continue
-            if current is None or view > current[0]:
-                entries[sequence] = (view, message.batch, False)
-        return tuple(
-            (sequence, view, batch, committed)
-            for sequence, (view, batch, committed) in sorted(entries.items())
-        )
-
-    def _on_state_response(self, sender: Hashable, message: StateResponse) -> None:
-        if message.replica != sender:
-            return
-        if message.sequence <= self.last_executed and message.sequence != self._resync_below:
-            return
-        if digest(message.state) != message.state_digest:
-            return
-        certificate = self._checkpoint_certificate(message.proof)
-        if certificate != (message.sequence, message.state_digest):
-            return
-        # The proof's inner Checkpoint votes are not origin-authenticated
-        # (per-link MACs cannot be verified by a third party), so a lone
-        # Byzantine responder could fabricate one.  Require f + 1 distinct
-        # senders shipping byte-identical state: at least one is correct.
-        self._state_responses[sender] = message
-        matching = [
-            response
-            for response in self._state_responses.values()
-            if response.sequence == message.sequence
-            and response.state_digest == message.state_digest
-        ]
-        if len(matching) < self.f + 1:
-            return
-        if self._flight.enabled:
-            self._flight.record(
-                "state-install",
-                self.replica_id,
-                self.network.now,
-                sequence=message.sequence,
-                digest=message.state_digest,
-                responders=len(matching),
-            )
-        self.application.install_state(message.state)
-        self.last_executed = message.sequence
-        self.next_sequence = max(self.next_sequence, message.sequence + 1)
-        self._resync_below = None
-        if message.sequence >= self.stable_checkpoint:
-            self.stable_checkpoint = message.sequence
-            self._checkpoint_proof = message.proof
-            self._stable_state = message.state
-            self._checkpoint_states[message.sequence] = message.state
-        self._obs_state_transfers.inc()
-        self._truncate(message.sequence)
-        self._adopt_transferred_progress(message.sequence, matching)
-        self._state_responses.clear()
-        # Requests buffered before the blackout may have been executed (and
-        # garbage-collected) by the rest of the group; the transferred
-        # reply cache is the authority.  Dropping them here keeps them from
-        # reading as overdue and triggering spurious view changes.
-        for key in list(self._buffered):
-            client, request_id = key
-            latest = self.application.last_request_id(client)
-            if latest is not None and latest >= request_id:
-                self._buffered.pop(key, None)
-                self._buffered_since.pop(key, None)
-                self._unordered.pop(key, None)
-                self._ordered_keys.discard(key)
-        self._slide_window()
-        self._execute_ready()
-
-    def _valid_transfer_entry(self, item: Any, floor: int) -> bool:
-        """Structural check of one transferred ``prepared`` entry."""
-        if not (isinstance(item, tuple) and len(item) == 4):
-            return False
-        sequence, view, batch, committed = item
-        if not isinstance(sequence, int) or isinstance(sequence, bool):
-            return False
-        if not isinstance(view, int) or isinstance(view, bool):
-            return False
-        if not isinstance(batch, Batch) or not isinstance(committed, bool):
-            return False
-        if sequence <= floor or sequence > floor + 2 * self.log_window:
-            return False
-        return all(
-            isinstance(request, ClientRequest) and self._client_authenticated(request)
-            for request in batch.requests
-        )
-
-    def _adopt_transferred_progress(self, floor: int, matching: list) -> None:
-        """Adopt in-window ordering progress shipped with a state transfer.
-
-        The ``prepared`` payload is no better authenticated than the state
-        itself, so the same rule applies: an entry counts only when every
-        one of the ``f + 1`` matching responders ships it byte-identically
-        (at least one of them is correct, and a correct replica only
-        reports batches it really committed or prepared).  Committed
-        batches join the execution queue directly; prepared-but-open
-        instances are re-entered at the ordering layer so this replica can
-        cast its votes immediately.
-        """
-        threshold = self.f + 1
-        support: Dict[tuple, int] = {}
-        for response in matching:
-            prepared = response.prepared if isinstance(response.prepared, tuple) else ()
-            seen: set[tuple] = set()
-            # Per-response cap: a faulty responder's oversized payload must
-            # not grow the support map beyond what a window can hold.
-            for item in prepared[: 4 * self.log_window]:
-                if item in seen or not self._valid_transfer_entry(item, floor):
-                    continue
-                seen.add(item)
-                support[item] = support.get(item, 0) + 1
-        adopted = sorted(
-            (item for item, count in support.items() if count >= threshold),
-            key=lambda item: item[0],
-        )
-        for sequence, view, batch, committed in adopted:
-            self._ordered_keys.update(batch.keys())
-            for request in batch.requests:
-                self._unordered.pop(request.key, None)
-            if committed:
-                self._committed.setdefault(sequence, batch)
-                continue
-            if view != self.view:
-                # A prepared certificate from another view cannot be voted
-                # on here; the view-change protocol re-arbitrates it.
-                continue
-            key = (view, sequence)
-            batch_digest = digest(batch)
-            if key not in self._pre_prepares:
-                self._pre_prepares[key] = PrePrepare(
-                    view=view,
-                    sequence=sequence,
-                    batch_digest=batch_digest,
-                    batch=batch,
-                    primary=self.primary_of(view),
-                )
-            if not self.is_primary and key not in self._sent_prepare:
-                self._sent_prepare.add(key)
-                self._multicast(
-                    Prepare(
-                        view=view,
-                        sequence=sequence,
-                        batch_digest=batch_digest,
-                        replica=self.replica_id,
-                    )
-                )
-            self._maybe_send_commit(view, sequence, batch_digest)
-
-    def _valid_checkpoint_proof(
-        self, proof: tuple, sequence: int, state_digest: str
-    ) -> bool:
-        """Structural check of a checkpoint certificate: 2f + 1 distinct
-        replicas vouching for the same (sequence, state digest)."""
-        if len(proof) > self.n:
-            # More votes than replicas means padding; reject rather than
-            # store/iterate/re-propagate an attacker-sized tuple.
-            return False
-        replicas = set()
-        for vote in proof:
-            if not isinstance(vote, Checkpoint):
-                return False
-            if vote.sequence != sequence or vote.state_digest != state_digest:
-                return False
-            if vote.replica not in self.replica_ids:
-                return False
-            replicas.add(vote.replica)
-        return len(replicas) >= self.quorum
-
-    def _checkpoint_certificate(self, proof: tuple) -> Optional[tuple[int, str]]:
-        """The (sequence, digest) a structurally valid proof certifies."""
-        if not proof or not isinstance(proof[0], Checkpoint):
-            return None
-        head = proof[0]
-        if self._valid_checkpoint_proof(proof, head.sequence, head.state_digest):
-            return (head.sequence, head.state_digest)
-        return None
-
-    # ------------------------------------------------------------------
-    # View change
-    # ------------------------------------------------------------------
-
-    def check_timeouts(self) -> None:
-        """Start a view change if a buffered request has waited too long.
-
-        Called by the service after advancing simulated time; a real
-        deployment would use wall-clock timers.
+        Pushes count at the client only as part of an ``f + 1`` matching
+        pile, so — exactly like replies — each LYING replica corrupts
+        *independently* (see :func:`~repro.replication.messages.lying_push`)
+        and ``f`` liars can never assemble a certificate.
         """
         if self.is_silent:
             return
-        now = self.network.now
-        overdue = [
-            key
-            for key, since in self._buffered_since.items()
-            if key not in self._executed_keys and now - since > self.view_change_timeout
-        ]
-        if not overdue:
-            return
-        # Progress may be gated on a checkpoint certificate (the window is
-        # full) or on a state transfer whose messages were dropped by a
-        # partition; re-multicast the cheap idempotent pieces before
-        # escalating to a view change.
-        if self._own_checkpoint is not None and self._own_checkpoint.sequence > self.stable_checkpoint:
-            self._multicast(self._own_checkpoint)
-        if self.stable_checkpoint > self.last_executed:
-            self._request_state(self.stable_checkpoint)
-        if self._view_changing:
-            # The view change itself has stalled (e.g. the designated new
-            # primary is partitioned away and can never gather a quorum).
-            # PBFT's answer is to escalate: after another timeout, vote for
-            # the *next* view so the primary role rotates past the
-            # unreachable replica.
-            if now - self._view_change_started_at > self.view_change_timeout:
-                self._start_view_change(self._highest_vote + 1)
-            return
-        self._start_view_change(self.view + 1)
-
-    def force_view_change(self) -> None:
-        """Vote to leave the current view now, regardless of timers.
-
-        Used by fault schedules (:mod:`repro.sim.faults`) to model
-        suspicious replicas / view-change storms without waiting for a
-        request to go overdue.
-        """
-        if self.is_silent or self._view_changing:
-            return
-        self._start_view_change(self.view + 1)
-
-    def _start_view_change(self, new_view: int) -> None:
-        new_view = max(new_view, self.view + 1)
-        self._obs_view_changes.inc()
-        self._view_changing = True
-        self._view_change_started_at = self.network.now
-        if self._flight.enabled:
-            self._flight.record(
-                "view-change",
-                self.replica_id,
-                self.network.now,
-                new_view=new_view,
-                last_executed=self.last_executed,
-                stable_checkpoint=self.stable_checkpoint,
-            )
-        self._highest_vote = max(self._highest_vote, new_view)
-        # Report every prepared certificate this replica holds above its
-        # stable checkpoint — including sequences it already executed.  A
-        # new primary that missed part of the history (it was partitioned
-        # while the rest of the quorum executed) needs those certificates
-        # to re-propose the *real* batches at the old numbers; otherwise it
-        # would null-fill them and silently diverge from the other correct
-        # replicas.  Execution is idempotent per request, so replicas that
-        # already ran them are unaffected.  Sorted iteration lets a later
-        # view's certificate for the same sequence win.
-        prepared: dict[int, tuple[int, Batch]] = {}
-        for (view, sequence), message in sorted(self._pre_prepares.items()):
-            if sequence <= self.stable_checkpoint:
-                continue
-            if self._prepared(view, sequence, message.batch_digest):
-                prepared[sequence] = (view, message.batch)
-        vote = ViewChange(
-            new_view=new_view,
-            replica=self.replica_id,
-            last_executed=self.last_executed,
-            prepared=prepared,
-            highest_sequence=self.next_sequence - 1,
-            stable_checkpoint=self.stable_checkpoint,
-            checkpoint_proof=self._checkpoint_proof,
-        )
-        self._view_change_votes.setdefault(new_view, {})[self.replica_id] = vote
-        self._multicast(vote)
-        self._maybe_install_view(new_view)
-
-    def _on_view_change(self, sender: Hashable, message: ViewChange) -> None:
-        if message.new_view <= self.view:
-            return
-        self._view_change_votes.setdefault(message.new_view, {})[sender] = message
-        # Bound the map: a faulty replica naming millions of distinct
-        # future views must not grow it.  Keep the *lowest* pending views —
-        # view numbers advance one certificate at a time, so far-future
-        # entries can only be junk — plus whatever view we voted for.
-        if len(self._view_change_votes) > 16:
-            keep = set(sorted(self._view_change_votes)[:16])
-            keep.add(self._highest_vote)
-            self._view_change_votes = {
-                view: votes
-                for view, votes in self._view_change_votes.items()
-                if view in keep
-            }
-            if message.new_view not in self._view_change_votes:
-                return
-        # Join the view change once f + 1 replicas are asking for it (we
-        # cannot all be faulty), even if our own timer has not fired — and
-        # also when they ask for a *higher* view than the one we are
-        # currently voting for, otherwise concurrent change attempts can
-        # deadlock one vote short of every quorum.
-        votes = self._view_change_votes[message.new_view]
-        if len(votes) >= self.f + 1 and (
-            not self._view_changing or message.new_view > self._highest_vote
-        ):
-            self._start_view_change(message.new_view)
-        self._maybe_install_view(message.new_view)
-
-    def _maybe_install_view(self, new_view: int) -> None:
-        votes = self._view_change_votes.get(new_view, {})
-        if len(votes) < self.quorum:
-            return
-        if self.primary_of(new_view) != self.replica_id:
-            return
-        if new_view <= self.view:
-            return
-        # The quorum's best *certified and corroborated* stable checkpoint
-        # is the floor: nothing at or below it needs re-proposing.  The
-        # proof alone is only structurally checkable (its inner votes are
-        # not origin-authenticated), so additionally require f + 1 voters
-        # to report a stable checkpoint at least that high — at least one
-        # of them is correct, and a correct replica only reaches a stable
-        # checkpoint through a real certificate.
-        stable = self.stable_checkpoint
-        stable_proof = self._checkpoint_proof
-        candidates = []
-        for vote in votes.values():
-            if vote.stable_checkpoint <= stable:
-                continue
-            certificate = self._checkpoint_certificate(vote.checkpoint_proof)
-            if certificate is not None and certificate[0] == vote.stable_checkpoint:
-                candidates.append((vote.stable_checkpoint, vote.checkpoint_proof))
-        for candidate_stable, candidate_proof in sorted(
-            candidates, key=lambda candidate: candidate[0], reverse=True
-        ):
-            support = sum(
-                1 for vote in votes.values() if vote.stable_checkpoint >= candidate_stable
-            )
-            if support >= self.f + 1:
-                stable = candidate_stable
-                stable_proof = candidate_proof
-                break
-        # Collect every batch reported prepared by some member of the
-        # quorum.  Per sequence, the certificate from the *highest* view
-        # wins (PBFT's rule): a batch superseded by a later view's
-        # null-fill or re-proposal must not resurface just because the
-        # older certificate's vote arrived first.
-        best: dict[int, tuple[int, Batch]] = {}
-        max_executed = 0
-        max_sequence = 0
-        for vote in votes.values():
-            max_executed = max(max_executed, vote.last_executed)
-            max_sequence = max(max_sequence, vote.highest_sequence)
-            for sequence, (certificate_view, batch) in vote.prepared.items():
-                if sequence <= stable:
-                    continue
-                current = best.get(sequence)
-                if current is None or certificate_view > current[0]:
-                    best[sequence] = (certificate_view, batch)
-        reproposals = {sequence: batch for sequence, (_, batch) in best.items()}
-        announcement = NewView(
-            view=new_view,
-            primary=self.replica_id,
-            reproposals=reproposals,
-            stable_checkpoint=stable,
-            checkpoint_proof=stable_proof,
-        )
-        self._multicast(announcement)
-        self._enter_view(
-            new_view, reproposals, max(max_executed, max_sequence), stable, stable_proof
-        )
-
-    def _on_new_view(self, sender: Hashable, message: NewView) -> None:
-        if message.view <= self.view:
-            return
-        if sender != self.primary_of(message.view):
-            return
-        stable = self.stable_checkpoint
-        stable_proof = self._checkpoint_proof
-        if message.stable_checkpoint > stable:
-            certificate = self._checkpoint_certificate(message.checkpoint_proof)
-            supporters = sum(
-                1
-                for vote in self._view_change_votes.get(message.view, {}).values()
-                if vote.stable_checkpoint >= message.stable_checkpoint
-            )
-            # Corroborate the announced floor against the view-change votes
-            # we saw ourselves; an uncorroborated floor is simply not
-            # adopted (we keep more log than strictly needed, never less).
-            if (
-                certificate is not None
-                and certificate[0] == message.stable_checkpoint
-                and supporters >= self.f + 1
-            ):
-                stable = message.stable_checkpoint
-                stable_proof = message.checkpoint_proof
-        votes = self._view_change_votes.get(message.view, {}).values()
-        max_executed = max(
-            [self.last_executed]
-            + [vote.last_executed for vote in votes]
-            + [vote.highest_sequence for vote in votes],
-        )
-        self._enter_view(
-            message.view, dict(message.reproposals), max_executed, stable, stable_proof
-        )
-
-    def _enter_view(
-        self,
-        new_view: int,
-        reproposals: dict[int, Batch],
-        max_executed: int,
-        stable: int,
-        stable_proof: tuple[Checkpoint, ...],
-    ) -> None:
-        self.view = new_view
-        self._view_changing = False
-        if self._flight.enabled:
-            self._flight.record(
-                "view-installed",
-                self.replica_id,
-                self.network.now,
-                view=new_view,
-                reproposals=len(reproposals),
-            )
-        self._sent_prepare.clear()
-        self._sent_commit.clear()
-        if stable > self.stable_checkpoint:
-            # Adopt the quorum's certified checkpoint horizon; if we have
-            # not executed up to it ourselves, fetch the state.
-            self.stable_checkpoint = stable
-            self._checkpoint_proof = stable_proof
-            self._stable_state = self._checkpoint_states.get(stable)
-            self._truncate(stable)
-            if self.last_executed < stable:
-                self._request_state(stable)
-        highest = max(
-            [self.next_sequence - 1, max_executed, self.last_executed, self.stable_checkpoint]
-            + list(reproposals.keys())
-        )
-        self.next_sequence = highest + 1
-        # A request ordered in an earlier view but neither executed nor
-        # re-proposed by the quorum would otherwise be stuck forever: its
-        # key sits in _ordered_keys, so retransmissions are ignored and it
-        # is never assigned a new sequence number.  Rebuild the set from
-        # what actually survives into the new view; execution is idempotent
-        # per request, so re-ordering a request that does eventually commit
-        # under its old number is harmless.
-        self._ordered_keys = set(self._executed_keys)
-        for batch in reproposals.values():
-            self._ordered_keys.update(batch.keys())
-        self._unordered = {
-            key: request
-            for key, request in self._buffered.items()
-            if key not in self._ordered_keys and key not in self._executed_keys
-        }
-        if self.is_primary:
-            # Re-propose every sequence number above the checkpoint floor
-            # up to the highest one assigned anywhere, keeping the quorum's
-            # prepared batches under their old numbers.  Sequences nobody
-            # prepared would otherwise be permanent holes — execution is
-            # strictly contiguous — so they are plugged: with this
-            # replica's own committed batch if it has one, else with a
-            # no-op null batch (PBFT's rule).
-            floor = max(self.last_executed, self.stable_checkpoint)
-            for sequence in range(floor + 1, self.next_sequence):
-                batch = reproposals.get(sequence) or self._committed.get(sequence)
-                if batch is None:
-                    batch = null_batch(sequence)
-                message = PrePrepare(
-                    view=self.view,
-                    sequence=sequence,
-                    batch_digest=digest(batch),
-                    batch=batch,
-                    primary=self.replica_id,
-                )
-                self._pre_prepares[(self.view, sequence)] = message
-                self._ordered_keys.update(batch.keys())
-                for key in batch.keys():
-                    self._unordered.pop(key, None)
-                self._multicast(message)
-                self._maybe_send_commit(self.view, sequence, message.batch_digest)
-            # Then assign fresh numbers to the still-buffered requests.
-            self._maybe_drain()
-        # Reset request timers so we do not immediately trigger another change.
-        for key in self._buffered_since:
-            self._buffered_since[key] = self.network.now
-        # Votes for views at or below the one just entered can never be
-        # used again (both install paths ignore them): drop them.
-        self._view_change_votes = {
-            view: votes for view, votes in self._view_change_votes.items() if view > new_view
-        }
-        # Replay ordering messages that overtook the NEW-VIEW announcement.
-        replay, self._future_messages = self._future_messages, {}
-        for sender, messages in replay.items():
-            for message in messages:
-                self.on_message(sender, message)
-        self._replay_out_of_window()
+        self.application.push_sent(push)
+        if self.fault_mode is ReplicaFaultMode.LYING:
+            push = lying_push(push, self.replica_id)
+        self._send(push.client, push)
 
     # ------------------------------------------------------------------
     # Introspection

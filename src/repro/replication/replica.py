@@ -28,16 +28,20 @@ its own per-request bookkeeping at checkpoints.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Hashable, Optional
 
-from repro.notify import Notification, WaiterTable
+from repro.notify import WaiterTable
 from repro.obs import resolve_obs
 from repro.peo.base import DENIED
 from repro.policy.invocation import Invocation
 from repro.policy.monitor import ReferenceMonitor
 from repro.policy.policy import AccessPolicy
+from repro.replication.crypto import digest
 from repro.replication.messages import (
+    CancelWaiter,
     ClientRequest,
+    Notify,
+    RegisterWaiter,
     TxnAck,
     TxnDecision,
     TxnPrepare,
@@ -56,6 +60,14 @@ __all__ = ["DENIED", "TXN_LOCKED", "PEATSReplica", "ExecutionResult"]
 #: needs to retry — or, once ``expired`` is true, to force-resolve the
 #: abandoned transaction at its coordinator group.
 TXN_LOCKED = "TXN-LOCKED"
+
+
+#: Tracer phase of the commit-protocol steps that have one.
+_TRACED_STEPS = {
+    "txn_prepare": "txn-prepare",
+    "txn_decision": "txn-decision",
+    "txn_force": "txn-decision",
+}
 
 
 class ExecutionResult:
@@ -148,7 +160,9 @@ class PEATSReplica:
         self._locks = LockTable()
         self._txn_coord = CoordinatorTable()
         self._txn_part = ParticipantTable()
-        self._pending_txn_pushes: list[Any] = []
+        # Replica→client wire messages execution queued (waiter wake-ups,
+        # transaction pushes), drained by the ordering layer once per batch.
+        self._outbox: list[Any] = []
         # Last executed (request_id, reply payload) per client: PBFT's
         # bounded reply cache (clients issue one request at a time).
         self._last_reply: dict[Any, tuple[int, Any]] = {}
@@ -157,9 +171,9 @@ class PEATSReplica:
         # request stream, so correct replicas legitimately disagree about
         # them and checkpoints must not.
         self._waiters = WaiterTable()
-        self._pending_notifications: list[Notification] = []
         self.obs = resolve_obs(obs)
         registry = self.obs.registry
+        self._tracer = self.obs.tracer
         self._flight = self.obs.flight
         # Flight-event timestamp source: the owning service passes its
         # transport clock; standalone replicas (unit tests, the local
@@ -180,6 +194,13 @@ class PEATSReplica:
             "notify_suppressed_total",
             "Notifications withheld because the access policy denied the waiter",
         ).labels(node=self._obs_node)
+        self._obs_pushed = registry.counter(
+            "notify_pushed_total", "Waiter notifications this node pushed to clients"
+        ).labels(node=self._obs_node)
+
+    def _flight_event(self, kind: str, **fields: Any) -> None:
+        """Record one flight event of this replica (flight recording on)."""
+        self._flight.record(kind, self.replica_id, self._now(), **fields)
 
     # ------------------------------------------------------------------
     # Deterministic execution
@@ -236,10 +257,8 @@ class PEATSReplica:
                 node=self._obs_node, operation=operation, reason=decision.kind
             ).inc()
             if self._flight.enabled:
-                self._flight.record(
+                self._flight_event(
                     "policy-deny",
-                    self.replica_id,
-                    self._now(),
                     key=request.key,
                     operation=operation,
                     reason=str(decision.reason),
@@ -288,12 +307,21 @@ class PEATSReplica:
                 names.append(field if is_defined(field) else None)
         return tuple(names)
 
-    def _txn_push(self, push: Any) -> None:
-        self._pending_txn_pushes.append(push)
+    def _push_to_owner(self, push: type, txn_id: tuple, **fields: Any) -> None:
+        """Queue one transaction push, addressed to the transaction's owner."""
+        self._outbox.append(
+            push(replica=self.replica_id, client=txn_id[0], txn_id=tuple(txn_id), **fields)
+        )
 
     def _execute_txn(self, request: ClientRequest) -> ExecutionResult:
         operation = request.operation
         arguments = request.arguments
+        if self._tracer.enabled and operation in _TRACED_STEPS:
+            # Commit-protocol steps get their own lifecycle phases, so a
+            # trace timeline shows prepare→decision.
+            self._tracer.record(
+                _TRACED_STEPS[operation], request.key, self.replica_id, self._now()
+            )
         try:
             if operation == "txn_exec":
                 return self._txn_exec(request, *arguments)
@@ -335,15 +363,7 @@ class PEATSReplica:
         record = self._txn_coord.prepare(
             tuple(txn_id), tuple(participants), self._op_counter + self.txn_ttl_ops
         )
-        self._txn_push(
-            TxnPrepare(
-                replica=self.replica_id,
-                client=txn_id[0],
-                txn_id=tuple(txn_id),
-                participants=record[0],
-                expires_at=record[1],
-            )
-        )
+        self._push_to_owner(TxnPrepare, txn_id, participants=record[0], expires_at=record[1])
         return ExecutionResult(("prepared", record[0], record[1]))
 
     def _txn_vote(
@@ -362,8 +382,6 @@ class PEATSReplica:
         final: the recorded vote is what a later ``txn_apply`` is checked
         against, so a lying replica cannot retro-actively "have voted yes".
         """
-        from repro.replication.crypto import digest
-
         record = self._txn_part.get(tuple(txn_id))
         if record is None:
             names = tuple(name for leg in legs for name in leg_names(leg))
@@ -386,10 +404,8 @@ class PEATSReplica:
                         coordinator_shard,
                     )
                     if self._flight.enabled:
-                        self._flight.record(
+                        self._flight_event(
                             "lock-grant",
-                            self.replica_id,
-                            self._now(),
                             txn=repr(tuple(txn_id)),
                             names=sorted(str(name) for name in names),
                             expires_at=self._op_counter + self.txn_ttl_ops,
@@ -400,16 +416,13 @@ class PEATSReplica:
                 tuple(txn_id), shard, tuple(legs), tuple(pins), vote, reason
             )
         pins_digest = digest(record[2])
-        self._txn_push(
-            TxnVote(
-                replica=self.replica_id,
-                client=txn_id[0],
-                txn_id=tuple(txn_id),
-                shard=record[0],
-                vote=record[3],
-                reason=record[4],
-                pins_digest=pins_digest,
-            )
+        self._push_to_owner(
+            TxnVote,
+            txn_id,
+            shard=record[0],
+            vote=record[3],
+            reason=record[4],
+            pins_digest=pins_digest,
         )
         return ExecutionResult(("vote", record[3], record[4], pins_digest))
 
@@ -457,16 +470,7 @@ class PEATSReplica:
                 return ExecutionResult(("invalid-evidence",))
         decided = self._txn_coord.decide(tuple(txn_id), outcome, reason)
         assert decided is not None
-        self._txn_push(
-            TxnDecision(
-                replica=self.replica_id,
-                client=txn_id[0],
-                txn_id=tuple(txn_id),
-                outcome=decided[2],
-                reason=decided[3],
-            )
-        )
-        return ExecutionResult(("decided", decided[2], decided[3], decided[0]))
+        return self._announce_decision(txn_id, decided)
 
     def _txn_force(self, request: ClientRequest, txn_id: tuple) -> ExecutionResult:
         """Coordinator: resolve an expired transaction (abort iff undecided).
@@ -480,31 +484,26 @@ class PEATSReplica:
         record = self._txn_coord.get(tuple(txn_id))
         if record is None:
             return ExecutionResult(("unknown",))
-        participants, expires_at, outcome, reason = record
-        if outcome is None:
+        expires_at = record[1]
+        if record[2] is None:
             if self._op_counter < expires_at:
                 return ExecutionResult(("not-expired", expires_at))
-            decided = self._txn_coord.decide(tuple(txn_id), "abort", ("expired",))
-            assert decided is not None
-            participants, expires_at, outcome, reason = decided
+            record = self._txn_coord.decide(tuple(txn_id), "abort", ("expired",))
+            assert record is not None
             if self._flight.enabled:
-                self._flight.record(
+                self._flight_event(
                     "lock-expire",
-                    self.replica_id,
-                    self._now(),
                     txn=repr(tuple(txn_id)),
                     expired_at=expires_at,
                     forced_by=str(request.client),
                 )
-        self._txn_push(
-            TxnDecision(
-                replica=self.replica_id,
-                client=txn_id[0],
-                txn_id=tuple(txn_id),
-                outcome=outcome,
-                reason=reason,
-            )
-        )
+        return self._announce_decision(txn_id, record)
+
+    def _announce_decision(self, txn_id: tuple, record: tuple) -> ExecutionResult:
+        """Push a coordinator record's outcome to the transaction's owner
+        and answer whoever ordered (or forced) it with the same."""
+        participants, _, outcome, reason = record
+        self._push_to_owner(TxnDecision, txn_id, outcome=outcome, reason=reason)
         return ExecutionResult(("decided", outcome, reason, participants))
 
     def _txn_apply(
@@ -537,67 +536,44 @@ class PEATSReplica:
                 self._collect_matches(entry, request)
         self._locks.release(tuple(txn_id))
         if self._flight.enabled:
-            self._flight.record(
-                "lock-release",
-                self.replica_id,
-                self._now(),
-                txn=repr(tuple(txn_id)),
-                outcome=outcome,
-            )
+            self._flight_event("lock-release", txn=repr(tuple(txn_id)), outcome=outcome)
         self._txn_part.mark_applied(tuple(txn_id), outcome)
-        self._txn_push(
-            TxnAck(
-                replica=self.replica_id,
-                client=txn_id[0],
-                txn_id=tuple(txn_id),
-                shard=shard,
-                outcome=outcome,
-            )
-        )
+        self._push_to_owner(TxnAck, txn_id, shard=shard, outcome=outcome)
         return ExecutionResult(("applied", outcome, results))
-
-    def drain_txn_pushes(self) -> tuple:
-        """Hand pending transaction pushes to the ordering layer (which
-        owns the network and the fault modes) and clear the queue."""
-        if not self._pending_txn_pushes:
-            return ()
-        drained = tuple(self._pending_txn_pushes)
-        self._pending_txn_pushes.clear()
-        return drained
 
     # ------------------------------------------------------------------
     # Notification channel (repro.notify)
     # ------------------------------------------------------------------
 
-    def register_waiter(self, client: Any, waiter_id: int, template: Any, operation: str) -> bool:
-        """Arm one soft-state waiter for ``client`` (idempotent refresh)."""
-        accepted = self._waiters.register(client, waiter_id, template, operation)
-        self._obs_waiters.set(len(self._waiters))
-        if self._flight.enabled:
-            self._flight.record(
-                "waiter-register",
-                self.replica_id,
-                self._now(),
-                client=str(client),
-                waiter_id=waiter_id,
-                operation=operation,
-                accepted=accepted,
-            )
-        return accepted
+    def on_client_message(self, sender: Hashable, payload: Any) -> None:
+        """Arm or disarm one of ``sender``'s waiters (soft state, outside
+        the ordered stream; both idempotent).  Anything else is ignored.
 
-    def cancel_waiter(self, client: Any, waiter_id: int) -> bool:
-        """Disarm one waiter (idempotent)."""
-        existed = self._waiters.cancel(client, waiter_id)
-        self._obs_waiters.set(len(self._waiters))
-        if self._flight.enabled:
-            self._flight.record(
-                "waiter-cancel",
-                self.replica_id,
-                self._now(),
-                client=str(client),
-                waiter_id=waiter_id,
+        The per-link envelope MAC authenticates the immediate sender and
+        registrations are never relayed, so ``sender == payload.client`` is
+        the whole origin check — no MAC vector needed.
+        """
+        if not isinstance(payload, (RegisterWaiter, CancelWaiter)) or sender != payload.client:
+            return
+        if isinstance(payload, RegisterWaiter):
+            accepted = self._waiters.register(
+                payload.client, payload.waiter_id, payload.template, payload.operation
             )
-        return existed
+            if self._flight.enabled:
+                self._flight_event(
+                    "waiter-register",
+                    client=str(payload.client),
+                    waiter_id=payload.waiter_id,
+                    operation=payload.operation,
+                    accepted=accepted,
+                )
+        else:
+            self._waiters.cancel(payload.client, payload.waiter_id)
+            if self._flight.enabled:
+                self._flight_event(
+                    "waiter-cancel", client=str(payload.client), waiter_id=payload.waiter_id
+                )
+        self._obs_waiters.set(len(self._waiters))
 
     @property
     def waiters(self) -> WaiterTable:
@@ -614,7 +590,7 @@ class PEATSReplica:
         }
 
     def _collect_matches(self, entry: Any, request: ClientRequest) -> None:
-        """Queue a notification per armed waiter matching a fresh insert.
+        """Queue a :class:`Notify` per armed waiter matching a fresh insert.
 
         Called from the ordered execution path, so ``request.key`` — the
         notification's ``event`` — is identical on every correct replica.
@@ -625,8 +601,6 @@ class PEATSReplica:
         """
         if not isinstance(entry, Entry) or not len(self._waiters):
             return
-        from repro.replication.crypto import digest
-
         entry_digest: Optional[str] = None
         for waiter in self._waiters.matching(entry):
             probe = "inp" if waiter.operation == "in" else "rdp"
@@ -639,8 +613,9 @@ class PEATSReplica:
                 continue
             if entry_digest is None:
                 entry_digest = digest(entry)
-            self._pending_notifications.append(
-                Notification(
+            self._outbox.append(
+                Notify(
+                    replica=self.replica_id,
                     client=waiter.client,
                     waiter_id=waiter.waiter_id,
                     event=request.key,
@@ -649,14 +624,39 @@ class PEATSReplica:
                 )
             )
 
-    def drain_notifications(self) -> tuple[Notification, ...]:
-        """Hand the pending pushes to the ordering layer (which owns the
-        network and the fault modes) and clear the queue."""
-        if not self._pending_notifications:
+    def drain_pushes(self) -> tuple:
+        """Hand the queued replica→client messages to the ordering layer
+        (which owns the network and the fault modes) and clear the outbox.
+
+        A batch's waiter wake-ups leave before its transaction pushes —
+        a stable partition, execution order kept within each kind.  The
+        order is part of the same-seed trace: every ``SimulatedNetwork.send``
+        draws a latency from the seeded RNG, so reordering the sends
+        reshuffles the draws and shifts every virtual latency after them.
+        """
+        if not self._outbox:
             return ()
-        drained = tuple(self._pending_notifications)
-        self._pending_notifications.clear()
+        drained = tuple(sorted(self._outbox, key=lambda push: not isinstance(push, Notify)))
+        self._outbox.clear()
         return drained
+
+    def push_sent(self, push: Any) -> None:
+        """Account for one drained push the node actually sent."""
+        if isinstance(push, Notify):
+            if self._tracer.enabled:
+                self._tracer.record("notify", push.event, self.replica_id, self._now())
+            if self._flight.enabled:
+                self._flight_event(
+                    "waiter-notify", client=str(push.client), waiter_id=push.waiter_id
+                )
+            self._obs_pushed.inc()
+        elif self._flight.enabled:
+            self._flight_event(
+                "txn-vote" if isinstance(push, TxnVote) else "txn-decision",
+                txn=repr(push.txn_id),
+                client=str(push.client),
+                type=type(push).__name__,
+            )
 
     # ------------------------------------------------------------------
     # Checkpoint state capture / transfer
@@ -700,8 +700,6 @@ class PEATSReplica:
 
     def state_digest(self) -> str:
         """Digest of :meth:`capture_state` (checkpoint votes, reply safety)."""
-        from repro.replication.crypto import digest
-
         return digest(self.capture_state())
 
     # ------------------------------------------------------------------
