@@ -68,6 +68,13 @@ class TcpTransport(RealTransport):
         self._port_of = port_of
         self._servers: dict[Hashable, asyncio.base_events.Server] = {}
         self._outbound: dict[tuple[int, Hashable], _Outbound] = {}
+        #: ``(payload, wire bytes)`` of the payload last encoded by
+        #: :meth:`send`, compared by identity: the n−1 sends of one
+        #: broadcast share one encoding — and, handing the authenticator
+        #: the same ``bytes`` object each time, one canonical
+        #: serialisation (see :mod:`repro.replication.crypto`).  Initially
+        #: a fresh object no payload can be.
+        self._encoded: tuple[Any, bytes] = (object(), b"")
 
     # ------------------------------------------------------------------
     # Topology
@@ -184,12 +191,16 @@ class TcpTransport(RealTransport):
     # ------------------------------------------------------------------
 
     def send(self, sender: Hashable, receiver: Hashable, payload: Any) -> None:
-        """Serialise once, MAC the bytes, enqueue on the sender's reactor."""
+        """Serialise once per payload, MAC the bytes per receiver, enqueue
+        on the sender's reactor."""
         if self._closed:
             return
         if not self.has_node(receiver):
             raise SimulationError(f"unknown receiver {receiver!r}")
-        payload_bytes = codec.encode_payload(payload)
+        encoded, payload_bytes = self._encoded
+        if encoded is not payload:
+            payload_bytes = codec.encode_payload(payload)
+            self._encoded = (payload, payload_bytes)
         mac = self._authenticator.mac(sender, receiver, payload_bytes)
         frame = codec.encode_frame(sender, receiver, payload_bytes, mac)
         with self._lock:

@@ -194,10 +194,18 @@ class Reactor:
     def call_soon(self, callback: Callable[[], None]) -> None:
         """Schedule ``callback()`` on this reactor from any thread.
 
-        A no-op once the loop is closed (shutdown races lose quietly).
+        Both branches append to the loop's one ready queue, so callbacks
+        run in submission order whichever thread queued them; only a
+        foreign thread needs the thread-safe variant's self-pipe write
+        to wake the loop (a syscall per message otherwise, since handlers
+        send from the reactor they run on).  A no-op once the loop is
+        closed (shutdown races lose quietly).
         """
         try:
-            self.loop.call_soon_threadsafe(callback)
+            if threading.get_ident() == self._thread.ident:
+                self.loop.call_soon(callback)
+            else:
+                self.loop.call_soon_threadsafe(callback)
         except RuntimeError:
             pass
 

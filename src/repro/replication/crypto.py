@@ -12,6 +12,39 @@ with pairwise shared keys and HMAC-SHA256 message authentication codes:
 * a receiver drops messages whose MAC does not verify (the transports
   count them: ``statistics["rejected"]``), so a Byzantine node can only
   ever speak under its own identity.
+
+What a message pays for, and what it pays only once
+---------------------------------------------------
+
+A MAC costs microseconds once the session key exists (Castro–Liskov's
+authenticators rest on exactly that), so :class:`MessageAuthenticator`
+keeps two things between calls — neither changes a byte of any tag:
+
+* **The pairwise key.**  A pair's key never changes, so it is derived
+  once and kept in a cache keyed by the same text the derivation hashes
+  (the two principals' ``repr``): the cache is an exact memo of
+  :meth:`KeyStore.shared_key`, and names that merely compare equal
+  (``1``, ``True``, ``1.0``) can never be served each other's key.  The
+  cache is **bounded**: on TCP the ``sender`` of a frame is text chosen
+  by whoever wrote to the socket, so an unbounded cache would be a
+  memory leak any outsider can drive.  At :data:`KEY_CACHE_CAP` entries
+  it is emptied; honest pairs re-derive on their next message (a few
+  microseconds each), which is all a flood of invented names can cost.
+* **The canonical bytes of the payload being multicast.**  ``mac``
+  remembers the last payload it serialised — by identity, holding a
+  strong reference so the ``id`` cannot be recycled — and reuses those
+  bytes when the very same object is sealed again.  The n−1 back-to-back
+  ``send`` calls of one ``broadcast`` and the n entries of a client MAC
+  vector therefore serialise once and differ only in the key.  Payloads
+  are immutable protocol values; one mutated between two sends would be
+  sealed with its earlier bytes and rejected by the receiver.
+
+The memo is **sender-side only**: :meth:`MessageAuthenticator.verify`
+never reads it.  A receiver recomputes the canonical bytes from the
+object it was actually delivered, so a payload rewritten in flight
+(``SimulatedNetwork.set_tampering``) is rejected at every receiver even
+though sender and receivers share one process, one authenticator and —
+on the in-memory transports — one payload object.
 """
 
 from __future__ import annotations
@@ -20,9 +53,14 @@ import hashlib
 import hmac
 import io
 import pickle
+import threading
 from typing import Any, Hashable
 
-__all__ = ["KeyStore", "MessageAuthenticator", "canonical_bytes", "digest"]
+__all__ = ["KEY_CACHE_CAP", "KeyStore", "MessageAuthenticator", "canonical_bytes", "digest"]
+
+#: Pairwise keys one :class:`MessageAuthenticator` keeps before it starts
+#: over (32-byte keys: ~100 kB at the cap; a deployment has tens of pairs).
+KEY_CACHE_CAP = 1024
 
 
 def canonical_bytes(payload: Any) -> bytes:
@@ -69,23 +107,57 @@ class KeyStore:
         """The symmetric key shared by principals ``a`` and ``b``."""
         first, second = sorted((repr(a), repr(b)))
         material = f"{first}|{second}".encode()
-        return hmac.new(self._master_secret, material, hashlib.sha256).digest()
+        return hmac.digest(self._master_secret, material, "sha256")
 
 
 class MessageAuthenticator:
-    """Computes and verifies per-pair HMACs for network messages."""
+    """Computes and verifies per-pair HMACs for network messages.
+
+    One instance serves a whole transport, from every reactor and caller
+    thread at once: the seal memo is one tuple swapped whole, the key
+    cache is only ever written under a lock.
+    """
 
     def __init__(self, keystore: KeyStore) -> None:
         self._keystore = keystore
+        self._keys: dict[tuple[str, str], bytes] = {}
+        self._keys_lock = threading.Lock()
+        #: ``(payload, canonical bytes)`` of the payload last sealed by
+        #: :meth:`mac` — compared by identity, read by ``mac`` alone
+        #: (initially a fresh object no payload can be).
+        self._sealed: tuple[Any, bytes] = (object(), b"")
+
+    def _key(self, sender: Hashable, receiver: Hashable) -> bytes:
+        pair = (repr(sender), repr(receiver))
+        key = self._keys.get(pair)
+        if key is None:
+            key = self._keystore.shared_key(sender, receiver)
+            with self._keys_lock:
+                if len(self._keys) >= KEY_CACHE_CAP:
+                    self._keys.clear()
+                self._keys[pair] = key
+        return key
 
     def mac(self, sender: Hashable, receiver: Hashable, payload: Any) -> str:
         """MAC of ``payload`` under the sender/receiver shared key."""
-        key = self._keystore.shared_key(sender, receiver)
-        # Canonical bytes, not a plain pickle: the receiver recomputes the
-        # MAC over its own decoded copy of the payload, whose object graph
-        # need not share sub-objects the way the sender's did.
-        return hmac.new(key, canonical_bytes(payload), hashlib.sha256).hexdigest()
+        sealed, body = self._sealed
+        if sealed is not payload:
+            # Canonical bytes, not a plain pickle: the receiver recomputes
+            # the MAC over its own decoded copy of the payload, whose object
+            # graph need not share sub-objects the way the sender's did.
+            body = canonical_bytes(payload)
+            self._sealed = (payload, body)
+        return hmac.digest(self._key(sender, receiver), body, "sha256").hex()
 
-    def verify(self, sender: Hashable, receiver: Hashable, payload: Any, tag: str) -> bool:
-        """Constant-time verification of a received MAC."""
-        return hmac.compare_digest(self.mac(sender, receiver, payload), tag)
+    def verify(self, sender: Hashable, receiver: Hashable, payload: Any, tag: Any) -> bool:
+        """Constant-time verification of a received MAC.
+
+        ``tag`` arrives from outside: anything that is not an ASCII ``str``
+        (``compare_digest`` raises on the rest) is rejected, never raised.
+        """
+        if not isinstance(tag, str) or not tag.isascii():
+            return False
+        expected = hmac.digest(
+            self._key(sender, receiver), canonical_bytes(payload), "sha256"
+        ).hex()
+        return hmac.compare_digest(expected, tag)

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import socket
 import struct
+import sys
+import threading
 import time
 
 import pytest
@@ -22,8 +24,11 @@ import pytest
 from repro.api import connect
 from repro.errors import OperationTimeoutError, SimulationError
 from repro.net import AsyncioLoopbackTransport, TcpTransport, Transport, codec
-from repro.net.transport import RealTransport
+from repro.net.transport import Reactor, RealTransport
 from repro.policy import AccessPolicy, Rule
+from repro.replication import ReplicatedPEATS, crypto
+from repro.replication.crypto import KeyStore, MessageAuthenticator
+from repro.replication.messages import ClientRequest, Prepare
 from repro.replication.network import SimulatedNetwork
 from repro.tuples import ANY, entry, template
 
@@ -377,3 +382,199 @@ def test_view_change_nudges_are_marshalled_through_post():
         assert set(net.posted) == set(service.replica_ids)
     finally:
         net.close()
+
+
+# ----------------------------------------------------------------------
+# The per-message tax is paid once (counted with plain wrappers, per thread:
+# the ``count_calls`` fixture of conftest.py)
+# ----------------------------------------------------------------------
+
+
+TRANSPORTS = {
+    "sim": SimulatedNetwork,
+    "loopback": AsyncioLoopbackTransport,
+    "tcp": TcpTransport,
+}
+
+
+@pytest.mark.parametrize("kind", list(TRANSPORTS))
+def test_a_broadcast_serialises_once_and_a_second_round_derives_no_key(
+    kind, monkeypatch, count_calls
+):
+    peers = ("r0", "r1", "r2", "r3")
+    net = TRANSPORTS[kind]()
+    try:
+        inboxes = {peer: [] for peer in peers}
+        for peer in peers:
+            net.register(peer, lambda s, p, peer=peer: inboxes[peer].append((s, p)))
+        me = threading.get_ident()
+        serialised = count_calls(crypto, "canonical_bytes")
+        encoded = count_calls(codec, "encode_payload")
+        derived = count_calls(KeyStore, "shared_key")
+        original_mac = MessageAuthenticator.mac
+        tags = []
+
+        def recording_mac(self, sender, receiver, payload):
+            tags.append(original_mac(self, sender, receiver, payload))
+            return tags[-1]
+
+        monkeypatch.setattr(MessageAuthenticator, "mac", recording_mac)
+
+        def everyone_heard(count: int):
+            return lambda: all(len(inboxes[peer]) == count for peer in peers[1:])
+
+        first = Prepare(view=0, sequence=1, batch_digest="d", replica="r0")
+        net.broadcast("r0", peers, first)
+        # Sender side — this thread, before the simulation pumps a single
+        # delivery: one canonical serialisation, one wire encoding on TCP,
+        # and one tag per receiver under that pair's key.
+        assert serialised.count(me) == 1
+        assert encoded.count(me) == (1 if kind == "tcp" else 0)
+        assert len(tags) == len(set(tags)) == len(peers) - 1
+        assert net.run_until(everyone_heard(1))
+        assert len(derived) == len(peers) - 1
+
+        del derived[:]
+        second = Prepare(view=0, sequence=2, batch_digest="d", replica="r0")
+        net.broadcast("r0", peers, second)
+        assert net.run_until(everyone_heard(2))
+        assert derived == []
+        assert all(inboxes[peer] == [("r0", first), ("r0", second)] for peer in peers[1:])
+        assert net.statistics["rejected"] == 0
+        assert net.statistics["delivered"] == 2 * (len(peers) - 1)
+    finally:
+        net.close()
+
+
+def test_two_reactors_multicasting_concurrently_reject_nothing():
+    """Two groups on two loops share one authenticator: its one-entry seal
+    memo is overwritten from both threads at once and must only ever cost
+    a miss, never seal one group's payload with the other's bytes."""
+    rounds, size = 150, 4
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with AsyncioLoopbackTransport(reactors=2) as net:
+            groups = [tuple(f"g{g}-{i}" for i in range(size)) for g in range(2)]
+            heard = {node: 0 for group in groups for node in group}
+
+            def member(node: str, group: tuple):
+                def on_message(sender, payload):
+                    heard[node] += 1
+                    # Every message from the group's first node is answered
+                    # with a multicast of a fresh payload: (size-1) more
+                    # sends of one object, back to back, on this loop.
+                    if sender == group[0] and node != group[0]:
+                        net.broadcast(node, group, Prepare(0, payload.sequence, "echo", node))
+
+                return on_message
+
+            for index, group in enumerate(groups):
+                for node in group:
+                    net.pin(node, index)
+                    net.register(node, member(node, group))
+
+            def drive(group: tuple):
+                for sequence in range(rounds):
+                    net.broadcast(group[0], group, Prepare(0, sequence, "lead", group[0]))
+
+            for group in groups:
+                net.post(group[0], lambda group=group: drive(group))
+            # Per group and round: size-1 leads, then size-1 echoes to size-1 peers.
+            expected = 2 * rounds * ((size - 1) + (size - 1) * (size - 1))
+            assert net.run_until(lambda: sum(heard.values()) == expected, timeout=WAIT_MS)
+            assert net.statistics["rejected"] == 0
+            assert net.statistics["handler_errors"] == 0
+            assert net.statistics["delivered"] == expected
+    finally:
+        sys.setswitchinterval(previous)
+
+
+# ----------------------------------------------------------------------
+# A malformed tag is rejected, never raised
+# ----------------------------------------------------------------------
+
+
+def test_non_ascii_tcp_frame_mac_is_rejected_and_the_connection_keeps_serving():
+    with TcpTransport() as net:
+        received = []
+        net.register("victim", lambda s, p: received.append(p))
+        net.register("peer", lambda s, p: None)
+        payload_bytes = codec.encode_payload(("evil", 666))
+        hostile = codec.encode_frame("peer", "victim", payload_bytes, mac="é" * 64)
+        legit_bytes = codec.encode_payload(("legit", 1))
+        legit = codec.encode_frame(
+            "peer", "victim", legit_bytes, net.authenticator.mac("peer", "victim", legit_bytes)
+        )
+        before = net.statistics["rejected"]
+        with socket.create_connection(net.address_of("victim")) as sock:
+            sock.sendall(hostile)
+            assert net.run_until(
+                lambda: net.statistics["rejected"] == before + 1, timeout=WAIT_MS
+            )
+            # Same connection, next frame: the serving task survived.
+            sock.sendall(legit)
+            assert net.run_until(lambda: received, timeout=WAIT_MS)
+        assert received == [("legit", 1)]
+        assert net.statistics["handler_errors"] == 0
+
+
+@pytest.mark.parametrize("kind", list(TRANSPORTS))
+def test_hostile_client_mac_vector_is_dropped_and_the_group_keeps_committing(kind):
+    net = TRANSPORTS[kind]()
+    try:
+        service = ReplicatedPEATS(open_policy(), f=1, network=net)
+        net.register("mallory", lambda sender, payload: None)
+        for tag in ("é" * 64, None, 7):
+            hostile = ClientRequest(
+                client="mallory",
+                request_id=0,
+                operation="out",
+                arguments=(entry("EVIL", 1),),
+                auth=tuple((replica, tag) for replica in service.replica_ids),
+            )
+            net.broadcast("mallory", service.replica_ids, hostile)
+        # An honest request behind the hostile ones is ordered and executed.
+        client = service.client("alice")
+        assert client.invoke("out", (entry("OK", 1),)) == ("OK", True)
+        assert net.run_until(lambda: all(node.last_executed == 1 for node in service.nodes))
+        assert service.snapshot() == (entry("OK", 1),)
+        assert net.statistics["handler_errors"] == 0
+        assert net.statistics["rejected"] == 0  # the envelopes were mallory's own, and valid
+    finally:
+        net.close()
+
+
+# ----------------------------------------------------------------------
+# Reactor.call_soon: one FIFO whichever thread queues
+# ----------------------------------------------------------------------
+
+
+def test_reactor_call_soon_keeps_submission_order_from_both_sides():
+    reactor = Reactor("test-reactor-order")
+    try:
+        ran: list[tuple[str, int]] = []
+        done = threading.Event()
+        count = 500
+
+        def from_the_loop() -> None:
+            # Queued from the reactor's own thread, while the foreign
+            # thread below is queueing too.
+            for index in range(count):
+                reactor.call_soon(lambda index=index: ran.append(("loop", index)))
+            reactor.call_soon(done.set)
+
+        reactor.call_soon(from_the_loop)
+        for index in range(count):
+            reactor.call_soon(lambda index=index: ran.append(("foreign", index)))
+        assert done.wait(WAIT_MS / 1000.0)
+        foreign_done = threading.Event()
+        reactor.call_soon(foreign_done.set)
+        assert foreign_done.wait(WAIT_MS / 1000.0)
+        for side in ("loop", "foreign"):
+            assert [index for who, index in ran if who == side] == list(range(count))
+    finally:
+        reactor.stop()
+    # After stop() the loop is closed: a quiet no-op, from any thread.
+    reactor.call_soon(lambda: ran.append(("late", 0)))
+    assert ("late", 0) not in ran

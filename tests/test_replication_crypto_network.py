@@ -1,9 +1,15 @@
 """Tests for the authenticated channels and the discrete-event network."""
 
+import dataclasses
+import hashlib
+import hmac
+
 import pytest
 
 from repro.errors import SimulationError
-from repro.replication.crypto import KeyStore, MessageAuthenticator, digest
+from repro.replication import crypto
+from repro.replication.crypto import KEY_CACHE_CAP, KeyStore, MessageAuthenticator, digest
+from repro.replication.messages import ClientRequest, Prepare, authenticate_request
 from repro.replication.network import NetworkConfig, SimulatedNetwork
 
 
@@ -24,6 +30,114 @@ class TestCrypto:
         assert not authenticator.verify("a", "b", {"op": "inp"}, tag)
         assert not authenticator.verify("c", "b", {"op": "out"}, tag)
         assert not authenticator.verify("a", "b", {"op": "out"}, "bogus-tag")
+
+    def test_tags_are_hmac_sha256_over_the_canonical_bytes(self):
+        # The reference construction, spelled out: caching the key and the
+        # bytes must not change one byte of any tag.
+        keystore = KeyStore()
+        authenticator = MessageAuthenticator(keystore)
+        payload = Prepare(view=0, sequence=3, batch_digest="d", replica="r1")
+        for receiver in ("r0", "r2", "r0"):
+            expected = hmac.new(
+                keystore.shared_key("r1", receiver),
+                crypto.canonical_bytes(payload),
+                hashlib.sha256,
+            ).hexdigest()
+            assert authenticator.mac("r1", receiver, payload) == expected
+
+    @pytest.mark.parametrize(
+        "tag",
+        ["é" * 64, None, 7, b"00" * 32, ("00" * 32,)],
+        ids=["non-ascii", "none", "int", "bytes", "tuple"],
+    )
+    def test_verify_rejects_a_malformed_tag_and_never_raises(self, tag):
+        # hmac.compare_digest raises TypeError on a non-ASCII str (and on
+        # anything that is not str/bytes); a tag is outside input.
+        authenticator = MessageAuthenticator(KeyStore())
+        assert authenticator.verify("a", "b", {"op": "out"}, tag) is False
+
+    def test_one_payload_sealed_for_many_receivers_is_serialised_once(self, count_calls):
+        authenticator = MessageAuthenticator(KeyStore())
+        serialised = count_calls(crypto, "canonical_bytes")
+        derived = count_calls(KeyStore, "shared_key")
+        payload = Prepare(view=0, sequence=1, batch_digest="d", replica="r0")
+        receivers = ("r1", "r2", "r3")
+        tags = [authenticator.mac("r0", receiver, payload) for receiver in receivers]
+        assert len(serialised) == 1
+        assert len(set(tags)) == len(receivers)  # one tag per pair, under that pair's key
+        assert len(derived) == len(receivers)
+        # Receivers recompute from what they hold: one serialisation each.
+        for receiver, tag in zip(receivers, tags):
+            assert authenticator.verify("r0", receiver, payload, tag)
+        assert len(serialised) == 1 + len(receivers)
+        # Second round: every key is already there.
+        del derived[:]
+        again = Prepare(view=0, sequence=2, batch_digest="d", replica="r0")
+        for receiver in receivers:
+            assert authenticator.verify(
+                "r0", receiver, again, authenticator.mac("r0", receiver, again)
+            )
+        assert derived == []
+
+    def test_client_mac_vector_serialises_the_request_once(self, count_calls):
+        authenticator = MessageAuthenticator(KeyStore())
+        serialised = count_calls(crypto, "canonical_bytes")
+        request = ClientRequest(client="c", request_id=0, operation="out", arguments=(1,))
+        replicas = ("r0", "r1", "r2", "r3")
+        sealed = authenticate_request(request, authenticator, replicas)
+        assert len(serialised) == 1
+        assert len({tag for _, tag in sealed.auth}) == len(replicas)
+
+    def test_equal_but_distinct_payloads_each_get_their_own_bytes(self, count_calls):
+        # The memo is keyed by identity: a dataclasses.replace'd or merely
+        # equal payload sealed right after another is never served the
+        # other's bytes.
+        authenticator = MessageAuthenticator(KeyStore())
+        serialised = count_calls(crypto, "canonical_bytes")
+        first = Prepare(view=0, sequence=1, batch_digest="d", replica="r0")
+        changed = dataclasses.replace(first, sequence=2)
+        twin = dataclasses.replace(changed, sequence=1)
+        assert twin == first and twin is not first
+        tags = [authenticator.mac("r0", "r1", payload) for payload in (first, changed, twin)]
+        assert len(serialised) == 3
+        assert tags[0] == tags[2] != tags[1]
+        for payload, tag in zip((first, changed, twin), tags):
+            assert authenticator.verify("r0", "r1", payload, tag)
+        assert not authenticator.verify("r0", "r1", changed, tags[0])
+
+    def test_verify_never_reads_the_senders_memo(self):
+        # Seal P, then ask whether a *different* payload carries P's tag:
+        # a verifier that reused the sender's bytes would say yes.
+        authenticator = MessageAuthenticator(KeyStore())
+        sealed = Prepare(view=0, sequence=1, batch_digest="d", replica="r0")
+        tag = authenticator.mac("r0", "r1", sealed)
+        assert not authenticator.verify("r0", "r1", ("forged", sealed), tag)
+        assert authenticator.verify("r0", "r1", sealed, tag)
+
+    def test_names_that_compare_equal_do_not_share_a_cached_key(self):
+        # 1 == True == 1.0 as dict keys, but they are three principals to
+        # the key derivation; the cache must not let one poison another.
+        keystore = KeyStore()
+        authenticator = MessageAuthenticator(keystore)
+        assert not authenticator.verify(True, "r", "x", "00" * 32)  # cached first
+        tag = authenticator.mac(1, "r", "x")
+        assert tag == hmac.new(
+            keystore.shared_key(1, "r"), crypto.canonical_bytes("x"), hashlib.sha256
+        ).hexdigest()
+        assert authenticator.verify(1, "r", "x", tag)
+        assert not authenticator.verify(1.0, "r", "x", tag)
+
+    def test_key_cache_is_bounded_under_hostile_sender_names(self, count_calls):
+        authenticator = MessageAuthenticator(KeyStore())
+        honest = authenticator.mac("peer", "victim", "legit")
+        for index in range(10 * KEY_CACHE_CAP):
+            assert not authenticator.verify(f"ghost-{index}", "victim", "evil", "00" * 32)
+            assert len(authenticator._keys) <= KEY_CACHE_CAP
+        assert authenticator.verify("peer", "victim", "legit", honest)
+        # ... and the honest pair is cached again after the flood.
+        derived = count_calls(KeyStore, "shared_key")
+        assert authenticator.verify("peer", "victim", "legit", honest)
+        assert derived == []
 
 
 class TestNetwork:
@@ -114,6 +228,17 @@ class TestNetwork:
         network.send("a", "b", "clean")
         network.run()
         assert inboxes["b"] == [("a", "clean")]
+
+    def test_tampered_multicast_is_rejected_at_every_receiver(self):
+        # One payload object, sealed once for both receivers, rewritten in
+        # flight: each receiver recomputes from what it was delivered.
+        network, inboxes = self.make_network()
+        network.set_tampering("a", lambda payload: dataclasses.replace(payload, sequence=99))
+        network.broadcast("a", ["a", "b", "c"], Prepare(0, 1, "d", "a"))
+        network.run()
+        assert inboxes["b"] == inboxes["c"] == []
+        assert network.statistics["rejected"] == 2
+        assert network.statistics["delivered"] == 0
 
     def test_run_until_condition(self):
         network, inboxes = self.make_network()
