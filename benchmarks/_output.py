@@ -9,18 +9,12 @@ EXPERIMENTS.md is kept honest.
 
 from __future__ import annotations
 
-import json
-import pathlib
 import sys
 from typing import Any, Mapping, Sequence
 
 from repro.analysis import format_table
 
-__all__ = ["emit", "emit_table", "write_bench_json", "bench_json_path"]
-
-#: Repository root — where the machine-readable ``BENCH_*.json``
-#: trajectories live (committed, diffed by ``benchmarks/compare.py``).
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+__all__ = ["emit", "emit_table"]
 
 
 def emit(text: str) -> None:
@@ -32,21 +26,3 @@ def emit(text: str) -> None:
 def emit_table(rows: Sequence[Mapping[str, Any]], *, title: str, columns: Sequence[str] | None = None) -> None:
     emit("")
     emit(format_table(rows, title=title, columns=columns))
-
-
-def bench_json_path(name: str) -> pathlib.Path:
-    """The canonical location of ``BENCH_<name>.json``."""
-    return REPO_ROOT / f"BENCH_{name}.json"
-
-
-def write_bench_json(name: str, payload: Mapping[str, Any]) -> pathlib.Path:
-    """Write one benchmark's machine-readable report to the repo root.
-
-    The file is the committed perf trajectory ``benchmarks/compare.py``
-    diffs fresh runs against; ``payload`` should carry a ``"benchmark"``
-    key naming the experiment.
-    """
-    path = bench_json_path(name)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    emit(f"wrote {path.name}")
-    return path

@@ -11,13 +11,16 @@ identical — the trace digests are asserted byte-equal):
 * **full** — ``Observability()``; tracer + flight recorder + one health
   evaluation at the end (what ``Space.stats()`` would run).
 
-Reported factors are same-machine ratios (like the policy-enforcement
-``overhead_factor``), so they are gateable even though their inputs are
-wall-clock.  CI holds ``full_vs_bare_factor`` to a dedicated 10%
-regression threshold — the flight recorder must stay in the noise of a
-replicated deployment's end-to-end cost.
+Reported factors are same-machine ratios, so they are gateable even
+though their inputs are wall-clock.  ``--check BASELINE.json`` (CI's
+``obs-passivity`` job, against the committed ``BENCH_obs_overhead.json``)
+re-measures and holds ``full_vs_bare_factor`` to 10% over the baseline —
+the flight recorder must stay in the noise of a replicated deployment's
+end-to-end cost — and the replay's ``trace_digest`` to equality.
 """
 
+import argparse
+import json
 import pathlib
 import sys
 import time
@@ -26,7 +29,7 @@ if __name__ == "__main__":  # standalone: make src/ importable
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
-from benchmarks._output import emit, emit_table, write_bench_json
+from benchmarks._output import emit, emit_table
 from repro.obs import NULL_FLIGHT, NULL_HEALTH, Observability
 from repro.sim import Scenario, run_scenario
 from repro.sim.workloads import consensus_storm
@@ -37,6 +40,9 @@ CLIENTS = 8
 #: Timed repetitions per arm; the best (minimum) wall-clock is kept, the
 #: standard trick for squeezing scheduler noise out of short runs.
 REPEATS = 5
+#: The committed trajectory — the one ``BENCH_*.json`` outside the ladder —
+#: at the repository root, regenerated by running this script.
+BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_obs_overhead.json"
 
 ARMS = (
     ("bare", lambda: None),
@@ -114,15 +120,36 @@ def run_obs_bench() -> dict:
         f"(tracer x{overhead['tracer_vs_bare_factor']}, "
         f"flight on top x{overhead['full_vs_tracer_factor']})"
     )
-    write_bench_json("obs_overhead", report)
+    BENCH_JSON.write_text(json.dumps(report, indent=2) + "\n")
+    emit(f"wrote {BENCH_JSON.name}")
     return report
 
 
-def test_obs_overhead_emits_bench_json():
-    from benchmarks._output import bench_json_path
+def check(baseline: dict, fresh: dict, threshold: float = 0.10) -> list[str]:
+    """What ``fresh`` breaks of the passivity contract ``baseline`` set.
 
+    Empty when the instrumented replay is still the same replay (equal
+    ``trace_digest``) and ``full_vs_bare_factor`` has not risen more than
+    ``threshold`` over the baseline's.
+    """
+    was, now = baseline["overhead"], fresh["overhead"]
+    problems = []
+    if now["trace_digest"] != was["trace_digest"]:
+        problems.append(
+            f"trace_digest moved: {was['trace_digest'][:12]} -> {now['trace_digest'][:12]}"
+        )
+    ceiling = was["full_vs_bare_factor"] * (1.0 + threshold)
+    if now["full_vs_bare_factor"] > ceiling:
+        problems.append(
+            f"full_vs_bare_factor {now['full_vs_bare_factor']} exceeds "
+            f"{was['full_vs_bare_factor']} by more than {threshold:.0%} (ceiling {ceiling:.3f})"
+        )
+    return problems
+
+
+def test_obs_overhead_emits_bench_json():
     report = run_obs_bench()
-    assert bench_json_path("obs_overhead").exists()
+    assert BENCH_JSON.exists()
     overhead = report["overhead"]
     # The digest assertion inside measure_obs_overhead is the real check;
     # here only a loose sanity bound (CI gates the committed factor at 10%).
@@ -139,4 +166,18 @@ def test_full_instrumentation_replay(benchmark):
 
 
 if __name__ == "__main__":
-    run_obs_bench()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check",
+        type=pathlib.Path,
+        metavar="BASELINE.json",
+        help="after regenerating, exit 1 if the run breaks this baseline's contract",
+    )
+    args = parser.parse_args()
+    # Read first: the baseline may be the very file the run overwrites.
+    baseline = None if args.check is None else json.loads(args.check.read_text())
+    report = run_obs_bench()
+    problems = [] if baseline is None else check(baseline, report)
+    for problem in problems:
+        emit(f"obs-passivity: {problem}")
+    sys.exit(1 if problems else 0)

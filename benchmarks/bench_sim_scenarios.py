@@ -14,7 +14,7 @@ replica perturbs latency but not correctness; all workloads complete all
 correct-client operations.
 """
 
-from benchmarks._output import emit_table, write_bench_json
+from benchmarks._output import emit_table
 from repro.cluster import ExplicitRouting
 from repro.replication.pbft import ReplicaFaultMode
 from repro.sim import PartitionWindow, Scenario, run_scenario
@@ -22,7 +22,6 @@ from repro.sim.workloads import (
     consensus_storm,
     kv_readwrite,
     lock_contention,
-    queue_consumers,
     queue_producer_consumer,
     wildcard_probe_mix,
 )
@@ -335,99 +334,6 @@ def test_e8_wildcard_scatter_sweep(benchmark):
     # all-groups scatters: the message bill must grow monotonically.
     assert by_locality[0.5]["messages"] > by_locality[1.0]["messages"]
     assert by_locality[0.0]["messages"] > by_locality[0.5]["messages"]
-
-
-def notify_sweep_scenario(push: bool, producers: int = 4, items: int = 6) -> Scenario:
-    """Blocking consumers under bursty production, push vs. pure polling.
-
-    The workload (and therefore the produced/consumed job schedule) is
-    identical in both modes; only the *wake-up mechanism* of the blocking
-    ``in`` steps differs.  ``push=True`` arms ``repro.notify`` waiters, so
-    a blocked consumer re-probes one round trip after the matching insert;
-    ``push=False`` is the Section 4 polling recipe, which discovers the
-    insert only at its next backed-off poll tick.  One consumer per job
-    (quota 1) keeps every consumer blocked across the whole burst
-    schedule, so the pollers escalate to the capped interval — the
-    long-wait regime where the discovery-latency-vs-probe-cost tradeoff
-    bites and the push channel escapes it.  Both arms pay the same
-    inherent wait for the producer, so the latency delta is the wake cost
-    itself.
-    """
-    return Scenario(
-        name=f"queue-wake-{'push' if push else 'poll'}",
-        clients=queue_consumers(
-            producers,
-            producers * items,
-            items_per_producer=items,
-            burst_pause=60.0,
-            timeout=6_000.0,
-            poll_interval=10.0,
-        ),
-        notify=push,
-        seed=17,
-    )
-
-
-def test_e8_notify_push_vs_poll(benchmark):
-    """Wake latency of blocking reads: server push vs. the polling fallback.
-
-    Asserts the PR-8 tentpole claim: with the notification channel armed,
-    blocked consumers wake in one round trip plus a voted re-probe, so the
-    blocking-``in`` latency distribution must beat pure polling at the
-    mean and the tail — on the *same* deterministic workload and seed.
-    Emits ``BENCH_notify.json`` for the bench-regression gate.
-    """
-
-    def measure():
-        rows = []
-        for push in (False, True):
-            result = run_scenario(notify_sweep_scenario(push))
-            assert result.completed, f"push={push}: unfinished clients"
-            replay = run_scenario(notify_sweep_scenario(push))
-            # Same seed ⇒ byte-identical trace: the notification channel
-            # (armed or not) adds no nondeterminism beyond the network's.
-            assert result.metrics.trace_text() == replay.metrics.trace_text()
-            blocked = result.metrics.latency_of("in").summary()
-            summary = result.metrics.summary()
-            rows.append(
-                {
-                    "mode": "push" if push else "poll",
-                    "ops": summary["ops"],
-                    "virtual_ms": summary["virtual_ms"],
-                    "in_mean": blocked["mean"],
-                    "in_p50": blocked["p50"],
-                    "in_p95": blocked["p95"],
-                    "in_max": blocked["max"],
-                    "messages": summary["messages"],
-                }
-            )
-        return rows
-
-    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
-    emit_table(
-        rows,
-        title="E8 — blocking-read wake latency, push vs. poll "
-        "(4 bursty producers, 24 one-shot blocking consumers, f=1)",
-    )
-    poll, push = rows
-    # The workload is mode-invariant: both arms complete the same jobs.
-    assert push["ops"] == poll["ops"]
-    # The tentpole bar: pushes must beat the backed-off poll tick at the
-    # mean and the tail of the blocking-read latency distribution.
-    assert push["in_mean"] < poll["in_mean"]
-    assert push["in_p95"] <= poll["in_p95"]
-    write_bench_json(
-        "notify",
-        {
-            "benchmark": "notify-wake-latency",
-            "scenario": "queue-consumers 4p/24c, 6 items/producer, quota 1, "
-            "60 ms bursts, poll_interval 10 ms (virtual time, f=1, seed 17)",
-            "modes": {row["mode"]: row for row in rows},
-            "wake_speedup": round(poll["in_mean"] / push["in_mean"], 3)
-            if push["in_mean"] > 0
-            else 0.0,
-        },
-    )
 
 
 def test_e8_client_scaling_table(benchmark):

@@ -9,8 +9,7 @@ unified ``connect()`` API — and swaps the substrate:
 1. the **asyncio loopback** transport: real event-loop reactors on real
    threads, wall-clock timers, in-memory delivery;
 2. the **TCP** transport: every node a listening socket on localhost,
-   length-prefixed authenticated frames (msgpack when available, JSON
-   otherwise);
+   length-prefixed authenticated JSON frames;
 3. a **sharded cluster over TCP** with one reactor per replica group —
    the parallelism the sharding layer promises, made real;
 4. the **asyncio bridge**: awaiting a tuple-space operation from a

@@ -1,17 +1,11 @@
 """Setuptools packaging for the PEATS reproduction library.
 
-The library is pure Python with no *required* third-party runtime
-dependencies, so the metadata lives right here (no ``pyproject.toml`` is
-required); the file also keeps legacy flows working (``python setup.py
-develop`` or ``pip install -e . --no-use-pep517``) on fully offline
-machines without the ``wheel`` package.  Packages are discovered from
-``src/`` so newly added subpackages (e.g. ``repro.net``) are picked up
-automatically.
-
-The ``[net]`` extra pulls in the optional ``msgpack`` accelerator for
-the TCP transport's wire frames; without it :mod:`repro.net` falls back
-to the always-available JSON framing (the two interoperate — frames are
-tagged with their format).
+The library is pure Python with no third-party runtime dependencies,
+so the metadata lives right here (no ``pyproject.toml`` is required);
+the file also keeps legacy flows working (``python setup.py develop`` or
+``pip install -e . --no-use-pep517``) on fully offline machines without
+the ``wheel`` package.  Packages are discovered from ``src/`` so newly
+added subpackages (e.g. ``repro.net``) are picked up automatically.
 """
 
 from setuptools import find_packages, setup
@@ -19,7 +13,7 @@ from setuptools import find_packages, setup
 if __name__ == "__main__":
     setup(
         name="repro-peats",
-        version="0.5.0",
+        version="0.6.0",
         description=(
             "Reproduction of policy-enforced augmented tuple spaces (PEATS) "
             "with simulated and real-network (asyncio/TCP) BFT replicated "
@@ -28,9 +22,4 @@ if __name__ == "__main__":
         package_dir={"": "src"},
         packages=find_packages("src"),
         python_requires=">=3.10",
-        extras_require={
-            # Optional msgpack framing for repro.net's TCP transport; the
-            # JSON fallback needs nothing.
-            "net": ["msgpack>=1.0"],
-        },
     )

@@ -56,7 +56,7 @@ from repro.errors import OperationTimeoutError
 from repro.net import AsyncioLoopbackTransport, TcpTransport, Transport
 from repro.policy.library import BOTTOM
 from repro.replication import ReplicatedPEATS
-from repro.tspace import AugmentedTupleSpace, LinearizableTupleSpace
+from repro.tspace import AugmentedTupleSpace
 from repro.tuples import ANY, Entry, Formal, Template, entry, matches, template
 from repro.universal import (
     LockFreeUniversalConstruction,
@@ -78,7 +78,6 @@ __all__ = [
     "template",
     "matches",
     "AugmentedTupleSpace",
-    "LinearizableTupleSpace",
     # policies / PEOs
     "AccessPolicy",
     "Rule",

@@ -106,9 +106,8 @@ class PendingOperationError(TupleSpaceError):
     """Raised when a process violates well-formedness (correct interaction).
 
     The paper assumes every process invokes a new operation only after the
-    previous one returned; the linearizable wrapper can enforce this.  The
-    unified API raises it likewise when a future's result is read while the
-    operation is still in flight.
+    previous one returned.  The unified API raises it when a future's
+    result is read while the operation is still in flight.
     """
 
 

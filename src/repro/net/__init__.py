@@ -6,9 +6,9 @@ The deployment ladder of the reproduction, bottom to top:
    one thread, seeded; every deterministic test and scenario runs here.
 2. :class:`AsyncioLoopbackTransport` — the same contract on real asyncio
    event loops (daemon-thread reactors) with wall-clock timers and
-   in-memory delivery; the calibration target for the sim's
-   ``processing_time`` model.
-3. :class:`TcpTransport` — length-prefixed msgpack/JSON frames over
+   in-memory delivery; the deployment the sim's ``processing_time``
+   model was fitted to.
+3. :class:`TcpTransport` — length-prefixed JSON frames over
    ``asyncio.start_server`` for multi-process deployment.
 
 All three implement the :class:`Transport` protocol, so the PBFT
@@ -29,7 +29,6 @@ from repro.net.transport import NetTimer, Reactor, RealTransport, Transport
 from repro.net.loopback import AsyncioLoopbackTransport
 from repro.net.tcp import TcpTransport
 from repro.net.codec import CodecError
-from repro.net.calibration import calibrate_processing_time, latency_summary
 
 __all__ = [
     "Transport",
@@ -39,6 +38,4 @@ __all__ = [
     "AsyncioLoopbackTransport",
     "TcpTransport",
     "CodecError",
-    "calibrate_processing_time",
-    "latency_summary",
 ]

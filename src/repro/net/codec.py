@@ -1,4 +1,4 @@
-"""Wire codec for the TCP transport: tagged trees in msgpack/JSON frames.
+"""Wire codec for the TCP transport: tagged trees in JSON frames.
 
 The protocol messages are immutable dataclasses over plain Python data
 (tuples, dicts, strings, numbers) plus the tuple-space value types
@@ -20,10 +20,10 @@ properties the protocol depends on:
 
 Frames are length-prefixed: a 4-byte big-endian body length, then the
 body — an envelope carrying sender, receiver, the **serialised payload
-bytes** and the MAC.  Payloads are serialised once by the sender (format
-byte ``M`` for msgpack when the optional dependency is installed, ``J``
-for the always-available JSON fallback) and the envelope MAC is computed
-over those exact bytes, so transport authentication never depends on the
+bytes** and the MAC.  Payloads are serialised once by the sender (a
+format byte — ``J``, JSON, is the only one defined; any other is a
+rejected frame — then the tree) and the envelope MAC is computed over
+those exact bytes, so transport authentication never depends on the
 receiver re-serialising an object graph.
 """
 
@@ -39,11 +39,6 @@ from repro.errors import ReplicationError
 from repro.replication import messages as _messages
 from repro.tuples.fields import ANY, Formal, Wildcard
 from repro.tuples.tuple import Entry, Template
-
-try:  # Optional accelerator; the wheel's [net] extra pulls it in.
-    import msgpack  # type: ignore[import-not-found]
-except ImportError:  # pragma: no cover - exercised on the JSON fallback path
-    msgpack = None  # type: ignore[assignment]
 
 __all__ = [
     "CodecError",
@@ -122,7 +117,7 @@ MAX_DEPTH = 64
 
 
 def encode(value: Any) -> Any:
-    """Encode ``value`` as a JSON/msgpack-safe tagged tree."""
+    """Encode ``value`` as a JSON-safe tagged tree."""
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, float):
@@ -212,38 +207,27 @@ def decode(tree: Any, *, _depth: int = 0) -> Any:
 
 
 def _pack(tree: Any) -> bytes:
-    if msgpack is not None:
-        packed: bytes = msgpack.packb(tree, use_bin_type=True)
-        return b"M" + packed
     return b"J" + json.dumps(tree, separators=(",", ":")).encode("utf-8")
 
 
 def _unpack(data: bytes) -> Any:
-    """Either format byte is accepted regardless of what this side would
-    emit, so a msgpack-less process can talk to one with the accelerator.
+    """Parse one format-tagged blob back into a tagged tree.
 
-    Every parser failure — malformed syntax, bad UTF-8, nesting deep
-    enough to hit the interpreter's recursion limit — surfaces as
-    :class:`CodecError`: these bytes are pre-authentication input, so
-    the transport must be able to count one rejected frame and move on.
+    Every parser failure — unknown format byte, malformed syntax, bad
+    UTF-8, nesting deep enough to hit the interpreter's recursion limit —
+    surfaces as :class:`CodecError`: these bytes are pre-authentication
+    input, so the transport must be able to count one rejected frame and
+    move on.
     """
     if not data:
         raise CodecError("empty wire blob")
     fmt, raw = data[:1], data[1:]
+    if fmt != b"J":
+        raise CodecError(f"unknown frame format byte {fmt!r}")
     try:
-        if fmt == b"M":
-            if msgpack is None:
-                raise CodecError("received a msgpack frame but msgpack is not installed")
-            return msgpack.unpackb(raw, raw=False)
-        if fmt == b"J":
-            return json.loads(raw.decode("utf-8"))
-    except CodecError:
-        raise
+        return json.loads(raw.decode("utf-8"))
     except (ValueError, UnicodeDecodeError, RecursionError) as error:
         raise CodecError(f"undecodable wire frame: {type(error).__name__}") from None
-    except Exception as error:  # msgpack's own exception hierarchy
-        raise CodecError(f"undecodable wire frame: {type(error).__name__}") from None
-    raise CodecError(f"unknown frame format byte {fmt!r}")
 
 
 def encode_payload(payload: Any) -> bytes:

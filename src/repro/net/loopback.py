@@ -5,10 +5,10 @@ ladder after the simulation: the same nodes, handlers, MAC-authenticated
 envelopes and timer semantics as
 :class:`~repro.replication.network.SimulatedNetwork`, but driven by real
 asyncio event loops on real threads with wall-clock time.  Payloads stay
-in memory (no serialisation), which makes this transport the calibration
-instrument for the simulation's per-message ``processing_time`` model:
-the loopback measures what one reactor can actually sustain, and
-``benchmarks/bench_net_calibration.py`` fits the sim's knob to it.
+in memory (no serialisation), so what one reactor sustains here is the
+protocol's own cost: the simulation's per-message ``processing_time``
+model was fitted to it (0.2 virtual ms per delivery), and the ladder's
+``write_loopback`` workload is where its throughput is tracked.
 
 Deliveries hop onto the *receiver's* reactor, so a node's handler runs
 serially on its pinned loop exactly like in the simulation; with

@@ -211,7 +211,7 @@ class PEATS(PolicyEnforcedObject):
         return BoundView(self, process)
 
     def __len__(self) -> int:
-        return len(self.snapshot())
+        return len(self._space)
 
     def __repr__(self) -> str:
         return f"PEATS(policy={self.policy.name!r}, size={len(self)})"

@@ -173,7 +173,8 @@ class PEATSClient:
         ).labels(client=client)
         self._obs_mismatched_replies = registry.counter(
             "client_mismatched_replies_total",
-            "Reply sets that were complete yet held no f+1 matching vote",
+            "Reply sets complete without an f+1 matching vote, and replies "
+            "whose result did not hash to the digest they claimed",
         ).labels(client=client)
         self._obs_quorum_failures = registry.counter(
             "client_quorum_failures_total", "Requests abandoned without an f+1 reply vote"
@@ -363,26 +364,41 @@ class PEATSClient:
         return None
 
     def _voted_result(self, request_key: tuple, pending: PendingRequest) -> Optional[Any]:
-        """Return the result vouched for by ``f + 1`` matching replies."""
+        """Return the result vouched for by ``f + 1`` matching replies.
+
+        The tally is over the digest each replica *claims*; the result
+        handed back is one whose locally recomputed digest equals the voted
+        one.  Among ``f + 1`` claimants at least one is correct, so such a
+        reply exists; a reply whose result does not hash to its claim is a
+        lie — discarded, never returned, however early it arrived.
+        """
         replies = self._replies.get(request_key, {})
         tally: dict[str, list[ClientReply]] = collections.defaultdict(list)
         for reply in replies.values():
             tally[reply.result_digest].append(reply)
-        for matching in tally.values():
-            if len(matching) >= self.f + 1:
-                return matching[0].result
+        for voted, matching in tally.items():
+            if len(matching) < self.f + 1:
+                continue
+            for reply in matching:
+                if digest(reply.result) == voted:
+                    return reply.result
+                del replies[reply.replica]
+                self._record_mismatch(request_key, len(replies), [voted])
         if len(replies) >= len(pending.targets):
-            self._obs_mismatched_replies.inc()
-            if self._flight.enabled:
-                self._flight.record(
-                    "reply-mismatch",
-                    self.client_id,
-                    self.network.now,
-                    key=request_key,
-                    replies=len(replies),
-                    digests=sorted(tally),
-                )
+            self._record_mismatch(request_key, len(replies), sorted(tally))
         return None
+
+    def _record_mismatch(self, request_key: tuple, replies: int, digests: list[str]) -> None:
+        self._obs_mismatched_replies.inc()
+        if self._flight.enabled:
+            self._flight.record(
+                "reply-mismatch",
+                self.client_id,
+                self.network.now,
+                key=request_key,
+                replies=replies,
+                digests=digests,
+            )
 
     def _resolve(self, pending: PendingRequest, result: Any) -> None:
         self._pending.pop(pending.key, None)

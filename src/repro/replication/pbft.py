@@ -674,9 +674,11 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
         if self._flight.enabled:
             self._flight_event("reply", key=request.key, client=str(request.client))
         if self.fault_mode is ReplicaFaultMode.LYING:
-            # Each liar corrupts independently (the replica id is baked into
-            # the lie), so colluding on an identical wrong answer — which
-            # would defeat the client's f+1 vote — is not modelled here.
+            # The lie is self-consistent (its digest is its result's) and
+            # names its replica, so f liars never agree on one wrong answer.
+            # A single liar claiming the *correct* digest over a forged
+            # result needs no collusion; the client defeats that one by
+            # rehashing the result it returns (PEATSClient._voted_result).
             result = ("CORRUPTED", self.replica_id, repr(result))
         reply = ClientReply(
             replica=self.replica_id,

@@ -325,9 +325,8 @@ def queue_consumers(
     channel targets: with notifications enabled a blocked consumer wakes
     one round trip after the insert, while the pure polling fallback
     (``Scenario.notify = False``) waits out the rest of its current
-    backed-off poll interval.  The wake-latency sweep in
-    ``benchmarks/bench_sim_scenarios.py`` runs this workload in both modes
-    and diffs the blocking-``in`` latency distributions.
+    backed-off poll interval.  The benchmark of record runs this workload
+    in push mode inside ``escrow_sharded_sim`` (``wake_p50_vms``).
 
     Quotas partition the total job count exactly, so a fault-free run
     conserves jobs: consumed total == produced total.

@@ -27,8 +27,8 @@ class AugmentedTupleSpace(TupleSpace):
     """A tuple space with the conditional atomic swap operation ``cas``.
 
     The class itself performs no locking; atomicity across threads is the
-    job of :class:`repro.tspace.linearizable.LinearizableTupleSpace`, which
-    serialises every operation.  Used single-threaded (e.g. inside a PBFT
+    job of :class:`repro.peo.PEATS`, which serialises every operation
+    under one lock.  Used single-threaded (e.g. inside a PBFT
     replica, where the ordering protocol already serialises requests) this
     class is linearizable by construction.
     """

@@ -12,8 +12,8 @@ response sequence numbers.  From a history one can compute:
 * the number of bits resident in the space (experiment E1); and
 * whether the recorded sequential witness is consistent with tuple-space
   semantics (a lightweight linearizability check usable because the
-  linearizable wrapper serialises operations — the witness order *is* the
-  linearization order).
+  recording object, :class:`~repro.peo.PEATS`, serialises operations under
+  one lock — the witness order *is* the linearization order).
 """
 
 from __future__ import annotations
@@ -210,7 +210,7 @@ def check_sequential_consistency(records: Iterable[OperationRecord]) -> list[str
 
     An empty list means the history, executed in its recorded linearization
     order, is consistent with the sequential specification of the augmented
-    tuple space.  Because :class:`LinearizableTupleSpace` holds a lock for
+    tuple space.  Because :class:`~repro.peo.PEATS` holds a lock for
     the whole duration of each operation, the recorded order respects
     real-time order, so an empty result certifies linearizability of the
     execution.

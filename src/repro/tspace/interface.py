@@ -1,7 +1,7 @@
 """Abstract interface of an augmented tuple space, and the one bound view.
 
-Every tuple-space flavour in the library — the plain in-memory space, the
-linearizable wrapper, the policy-enforced PEATS and the unified
+Every tuple-space flavour in the library — the plain in-memory space,
+the policy-enforced PEATS and the unified
 :class:`~repro.api.Space` over every deployment — implements
 :class:`TupleSpaceInterface`, so the consensus algorithms and universal
 constructions of Sections 5 and 6 run unchanged on any of them.

@@ -8,8 +8,9 @@ makes matching proportional to the number of candidates of that name rather
 than the full space size.
 
 The class is **not** thread safe and does not provide ``cas``; see
-:class:`repro.tspace.augmented.AugmentedTupleSpace` and
-:class:`repro.tspace.linearizable.LinearizableTupleSpace`.
+:class:`repro.tspace.augmented.AugmentedTupleSpace`, and
+:class:`repro.peo.PEATS` for the lock that makes a shared space
+linearizable.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ class TupleSpace(TupleSpaceInterface):
         self._name_index: dict[Any, set[int]] = collections.defaultdict(set)
         # Blocking rd/in are implemented with a condition variable that is
         # notified on every insertion.  The plain space may be used from a
-        # single thread, but keeping the condition here lets the
-        # linearizable wrapper reuse the blocking logic.
+        # single thread, but keeping the condition here lets PEATS wait
+        # on it outside its own operation lock.
         self._condition = threading.Condition()
         # Insert listeners (repro.notify's local delivery path): called
         # with each freshly inserted entry, *outside* the condition lock so

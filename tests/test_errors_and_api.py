@@ -38,8 +38,14 @@ class TestErrorHierarchy:
 
 class TestPublicAPI:
     def test_all_exports_resolve(self):
-        for name in repro.__all__:
-            assert hasattr(repro, name), f"repro.__all__ exports missing name {name}"
+        import repro.net
+        import repro.tspace
+
+        for package in (repro, repro.net, repro.tspace):
+            for name in package.__all__:
+                assert hasattr(package, name), (
+                    f"{package.__name__}.__all__ exports missing name {name}"
+                )
 
     def test_version_is_a_string(self):
         assert isinstance(repro.__version__, str)

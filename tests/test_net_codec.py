@@ -242,6 +242,13 @@ def test_malformed_frame_rejected():
         codec.decode_frame(b"")
     with pytest.raises(codec.CodecError):
         codec.decode_frame(b"Xjunk")
+    # "J" is the only format byte defined: a well-formed body under any
+    # other tag is rejected like any other malformed frame.
+    well_formed = codec.encode_payload(("OK", 1))[1:]
+    with pytest.raises(codec.CodecError):
+        codec.decode_frame(b"M" + well_formed)
+    with pytest.raises(codec.CodecError):
+        codec.decode_payload(b"M" + well_formed)
     with pytest.raises(codec.CodecError):
         codec.decode_frame(b'J{"not":"an envelope"}')
     with pytest.raises(codec.CodecError):

@@ -27,10 +27,10 @@ from repro.net import AsyncioLoopbackTransport, TcpTransport, Transport, codec
 from repro.net.transport import Reactor, RealTransport
 from repro.policy import AccessPolicy, Rule
 from repro.replication import ReplicatedPEATS, crypto
-from repro.replication.crypto import KeyStore, MessageAuthenticator
-from repro.replication.messages import ClientRequest, Prepare
+from repro.replication.crypto import KeyStore, MessageAuthenticator, digest
+from repro.replication.messages import ClientReply, ClientRequest, Prepare
 from repro.replication.network import SimulatedNetwork
-from repro.tuples import ANY, entry, template
+from repro.tuples import ANY, Formal, entry, template
 
 #: Wall-clock guard for every wait in this file (milliseconds).
 WAIT_MS = 20_000.0
@@ -501,17 +501,22 @@ def test_non_ascii_tcp_frame_mac_is_rejected_and_the_connection_keeps_serving():
         net.register("victim", lambda s, p: received.append(p))
         net.register("peer", lambda s, p: None)
         payload_bytes = codec.encode_payload(("evil", 666))
-        hostile = codec.encode_frame("peer", "victim", payload_bytes, mac="é" * 64)
+        bad_mac = codec.encode_frame("peer", "victim", payload_bytes, mac="é" * 64)
+        # The same envelope under a format byte the codec does not define:
+        # one more rejected frame, nothing else.
+        body = b"M" + bad_mac[struct.calcsize(codec.FRAME_HEADER) + 1 :]
+        bad_format = struct.pack(codec.FRAME_HEADER, len(body)) + body
         legit_bytes = codec.encode_payload(("legit", 1))
         legit = codec.encode_frame(
             "peer", "victim", legit_bytes, net.authenticator.mac("peer", "victim", legit_bytes)
         )
         before = net.statistics["rejected"]
         with socket.create_connection(net.address_of("victim")) as sock:
-            sock.sendall(hostile)
-            assert net.run_until(
-                lambda: net.statistics["rejected"] == before + 1, timeout=WAIT_MS
-            )
+            for count, hostile in enumerate((bad_mac, bad_format), start=1):
+                sock.sendall(hostile)
+                assert net.run_until(
+                    lambda: net.statistics["rejected"] == before + count, timeout=WAIT_MS
+                )
             # Same connection, next frame: the serving task survived.
             sock.sendall(legit)
             assert net.run_until(lambda: received, timeout=WAIT_MS)
@@ -541,6 +546,42 @@ def test_hostile_client_mac_vector_is_dropped_and_the_group_keeps_committing(kin
         assert service.snapshot() == (entry("OK", 1),)
         assert net.statistics["handler_errors"] == 0
         assert net.statistics["rejected"] == 0  # the envelopes were mallory's own, and valid
+    finally:
+        net.close()
+
+
+@pytest.mark.parametrize("operation", ["out", "rdp"])
+@pytest.mark.parametrize("kind", ["sim", "loopback"])
+def test_a_forged_result_under_the_honest_digest_is_never_returned(kind, operation):
+    """One Byzantine replica, no collusion: it answers *first*, claiming the
+    digest the correct replicas will produce over a result of its own.  It
+    is the primary, so no correct replica can answer before it has."""
+    net = TRANSPORTS[kind]()
+    try:
+        service = ReplicatedPEATS(open_policy(), f=1, network=net)
+        client = service.client("alice")
+        if operation == "out":
+            arguments, honest = (entry("K", 1),), ("OK", True)
+        else:
+            assert client.invoke("out", (entry("K", 1),)) == ("OK", True)
+            arguments, honest = (template("K", Formal("v")),), ("OK", entry("K", 1))
+        forged = ("OK", entry("K", 666))
+        liar = service.nodes[0]
+        ordered = liar._handlers[ClientRequest]
+
+        def forge_then_order(sender, request):
+            liar._send(
+                sender,
+                ClientReply(liar.replica_id, liar.view, request.key, digest(honest), forged),
+            )
+            ordered(sender, request)
+
+        liar._handlers[ClientRequest] = forge_then_order
+        liar._reply = lambda request, result: None  # its one vote is the forgery
+        assert client.invoke(operation, arguments) == honest
+        # The forgery was in the f + 1 set, ahead of every honest reply.
+        assert client.statistics["mismatched_replies"] == 1
+        assert net.statistics["handler_errors"] == 0
     finally:
         net.close()
 

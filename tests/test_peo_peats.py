@@ -36,6 +36,12 @@ class TestPlumbing:
         space = PEATS(open_policy(), initial=[entry("A", 1)])
         assert len(space) == 1
 
+    def test_len_and_repr_do_not_copy_the_space(self, count_calls):
+        space = PEATS(open_policy(), initial=[entry("A", i) for i in range(5)])
+        snapshots = count_calls(space._space, "snapshot")
+        assert len(space) == 5 and "size=5" in repr(space)
+        assert snapshots == []
+
     def test_size_bits(self):
         space = PEATS(open_policy(), initial=[entry("A", 3)])
         assert space.size_bits() == 8 + 2

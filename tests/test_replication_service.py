@@ -8,6 +8,8 @@ from repro.api.replicated import ReplicatedSpace
 from repro.errors import AccessDeniedError, QuorumError, ReplicationError
 from repro.policy import AccessPolicy, Rule, strong_consensus_policy, weak_consensus_policy
 from repro.replication import ReplicatedPEATS
+from repro.replication.crypto import digest
+from repro.replication.messages import ClientReply
 from repro.replication.pbft import ReplicaFaultMode
 from repro.tuples import ANY, Formal, entry, template
 
@@ -148,6 +150,32 @@ class TestByzantineReplicas:
         client._max_retransmissions = 2
         with pytest.raises(QuorumError):
             client.invoke("out", (entry("A", 1),))
+
+
+    def test_a_claimed_digest_resolves_nothing_until_a_result_hashes_to_it(self):
+        service = ReplicatedPEATS(open_policy(), f=1)
+        client = service.client("c1")
+        # Submitted, never pumped: the only replies are the ones fed below.
+        pending = client.submit("out", (entry("K", 1),))
+        _, r1, r2, r3 = service.replica_ids
+        honest, forged = ("OK", True), ("OK", entry("K", 666))
+
+        def feed(replica, claimed, result):
+            reply = ClientReply(replica, 0, pending.key, digest(claimed), result)
+            client._on_message(replica, reply)
+
+        # f + 1 claimants of the honest digest, no result that hashes to it.
+        feed(r1, honest, forged)
+        feed(r2, honest, forged)
+        assert not pending.done
+        assert client.statistics["mismatched_replies"] == 2
+        # A digest no correct replica produces is one vote, however
+        # consistent with its own result.
+        feed(r1, forged, forged)
+        assert not pending.done
+        feed(r2, honest, honest)
+        feed(r3, honest, honest)
+        assert pending.result() == honest
 
 
 class TestViewChangeSequenceHoles:
