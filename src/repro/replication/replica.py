@@ -715,4 +715,4 @@ class PEATSReplica:
         return self._monitor
 
     def __repr__(self) -> str:
-        return f"PEATSReplica(id={self.replica_id!r}, tuples={len(self._space.snapshot())})"
+        return f"PEATSReplica(id={self.replica_id!r}, tuples={len(self._space)})"

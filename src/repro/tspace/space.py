@@ -1,11 +1,31 @@
 """In-memory tuple space with the three classic LINDA operations.
 
 :class:`TupleSpace` stores entries in insertion order (a multiset — the
-same entry may appear several times) and maintains a small index on the
-first field of each entry, which is the customary "tuple name" position
-(``DECISION``, ``PROPOSE``, ``SEQ``, ``ANN`` in the paper's algorithms) and
-makes matching proportional to the number of candidates of that name rather
-than the full space size.
+same entry may appear several times) under monotonically increasing ids
+that are never reused, and indexes them on their defined prefix at two
+levels:
+
+* by **name**, ``fields[0]`` — the customary tuple-name position
+  (``DECISION``, ``PROPOSE``, ``SEQ``, ``ANN`` in the paper's algorithms);
+* by **(name, field 1)** for entries of arity ≥ 2 — the ``pos``/``id``
+  position of every template the paper's algorithms and the Fig. 3–8
+  policy predicates use (``⟨SEQ, pos, ?inv⟩``, ``⟨ANN, i, *⟩``,
+  ``⟨PROPOSE, p, *⟩``).
+
+Each bucket is an insertion-ordered ``dict`` of ids, so it iterates
+oldest-first without a sort, and the oldest-first answer every read gives
+is the one a linear scan of the whole space would give.  The index is a
+*superset* filter: every candidate still goes through
+:func:`~repro.tuples.matches`, which is what keeps ``1``, ``True`` and
+``1.0`` (one dict bucket, since they hash and compare equal) distinct.
+Reads therefore cost one ``matches`` call per candidate of the most
+specific bucket: ``⟨SEQ, k, ?inv⟩`` costs one call, a miss none.  What is
+left linear is a template whose field 1 is undefined but a later field is
+not — Fig. 8's "already threaded?" probe ``⟨SEQ, *, inv⟩`` scans the whole
+``SEQ`` bucket.  A per-field index would remove that scan, but the ladder's
+smoke test requires traced ``universal_local`` to make more than ten
+``matches`` calls per operation, which such an index drops below; it waits
+for a change that revises that assertion.
 
 The class is **not** thread safe and does not provide ``cas``; see
 :class:`repro.tspace.augmented.AugmentedTupleSpace`, and
@@ -15,7 +35,6 @@ linearizable.
 
 from __future__ import annotations
 
-import collections
 import threading
 from typing import Any, Callable, Iterable, Iterator, Optional
 
@@ -24,6 +43,20 @@ from repro.tuples import Entry, Template, is_defined, matches
 from repro.tspace.interface import TupleSpaceInterface
 
 __all__ = ["TupleSpace"]
+
+
+def _index_add(index: dict[Any, dict[int, None]], key: Any, entry_id: int) -> None:
+    bucket = index.get(key)
+    if bucket is None:
+        index[key] = bucket = {}
+    bucket[entry_id] = None
+
+
+def _index_discard(index: dict[Any, dict[int, None]], key: Any, entry_id: int) -> None:
+    bucket = index[key]
+    del bucket[entry_id]
+    if not bucket:
+        del index[key]
 
 
 class TupleSpace(TupleSpaceInterface):
@@ -38,10 +71,13 @@ class TupleSpace(TupleSpaceInterface):
     def __init__(self, initial: Iterable[Entry] = ()):  # noqa: D401
         # Entries in insertion order, keyed by a monotonically increasing id
         # so removal does not disturb ordering of the remaining entries.
-        self._entries: "collections.OrderedDict[int, Entry]" = collections.OrderedDict()
+        self._entries: dict[int, Entry] = {}
         self._next_id = 0
-        # Index: first field value (if hashable/defined) -> set of entry ids.
-        self._name_index: dict[Any, set[int]] = collections.defaultdict(set)
+        # The two index levels: fields[0] -> ids, and fields[:2] -> ids for
+        # entries of arity >= 2.  Buckets are insertion-ordered id sets
+        # (dict values unused); empty buckets are dropped.
+        self._by_name: dict[Any, dict[int, None]] = {}
+        self._by_pair: dict[tuple[Any, Any], dict[int, None]] = {}
         # Blocking rd/in are implemented with a condition variable that is
         # notified on every insertion.  The plain space may be used from a
         # single thread, but keeping the condition here lets PEATS wait
@@ -65,7 +101,10 @@ class TupleSpace(TupleSpaceInterface):
             entry_id = self._next_id
             self._next_id += 1
             self._entries[entry_id] = entry
-            self._name_index[entry.fields[0]].add(entry_id)
+            fields = entry.fields
+            _index_add(self._by_name, fields[0], entry_id)
+            if len(fields) > 1:
+                _index_add(self._by_pair, fields[:2], entry_id)
             self._condition.notify_all()
         for listener in tuple(self._insert_listeners):
             listener(entry)
@@ -103,17 +142,30 @@ class TupleSpace(TupleSpaceInterface):
             f"read operations require a Template, got {type(pattern).__name__}"
         )
 
-    def _candidate_ids(self, template: Template) -> Iterable[int]:
-        """Entry ids to consider for ``template``, cheapest index first."""
-        first = template.fields[0]
-        if is_defined(first):
-            ids = self._name_index.get(first)
-            if not ids:
-                return ()
-            # Preserve insertion order: LINDA does not mandate any order but a
-            # deterministic oldest-first choice makes executions reproducible.
-            return sorted(ids)
-        return list(self._entries.keys())
+    def _candidate_ids(self, template: Template) -> tuple[int, ...]:
+        """Entry ids that may match ``template``, oldest first.
+
+        The most specific bucket the template's defined prefix names: the
+        ``(name, field 1)`` bucket when fields 0 and 1 are both defined,
+        the name bucket when only field 0 is, every entry otherwise.  A
+        superset of the matches (the caller filters with ``matches``), in
+        insertion order because ids are monotonic — LINDA mandates no
+        order, but oldest-first makes executions reproducible.  A template
+        defined only past field 1 (``⟨SEQ, *, inv⟩``) still scans its whole
+        name bucket; see the module docstring for why no per-field index.
+
+        The bucket is copied: ``PEATS.in_`` waits and removes under the
+        space's condition, not under the lock ``PEATS.rdp`` holds, so a
+        bucket may shrink while a caller walks the ids.
+        """
+        fields = template.fields
+        if not is_defined(fields[0]):
+            return tuple(self._entries)
+        if len(fields) > 1 and is_defined(fields[1]):
+            bucket = self._by_pair.get(fields[:2])
+        else:
+            bucket = self._by_name.get(fields[0])
+        return () if bucket is None else tuple(bucket)
 
     def _find(self, template: Template) -> Optional[tuple[int, Entry]]:
         pattern = self._as_template(template)
@@ -153,27 +205,27 @@ class TupleSpace(TupleSpaceInterface):
 
     def _remove(self, entry_id: int, stored: Entry) -> None:
         del self._entries[entry_id]
-        bucket = self._name_index.get(stored.fields[0])
-        if bucket is not None:
-            bucket.discard(entry_id)
-            if not bucket:
-                del self._name_index[stored.fields[0]]
+        fields = stored.fields
+        _index_discard(self._by_name, fields[0], entry_id)
+        if len(fields) > 1:
+            _index_discard(self._by_pair, fields[:2], entry_id)
 
     def _blocking(
         self, template: Template, *, destructive: bool, timeout: float | None
     ) -> Entry:
         with self._condition:
-            while True:
-                found = self._find(template)
-                if found is not None:
-                    entry_id, stored = found
-                    if destructive:
-                        self._remove(entry_id, stored)
-                    return stored
-                if not self._condition.wait(timeout=timeout):
-                    raise OperationTimeoutError(
-                        f"no tuple matching {template!r} appeared within {timeout} seconds"
-                    )
+            # wait_for keeps one deadline across wake-ups: every insert
+            # notifies, and restarting the timeout on each would let steady
+            # unrelated traffic hold a timed read forever.
+            found = self._condition.wait_for(lambda: self._find(template), timeout)
+            if found is None:
+                raise OperationTimeoutError(
+                    f"no tuple matching {template!r} appeared within {timeout} seconds"
+                )
+            entry_id, stored = found
+            if destructive:
+                self._remove(entry_id, stored)
+            return stored
 
     # ------------------------------------------------------------------
     # Introspection
@@ -186,7 +238,8 @@ class TupleSpace(TupleSpaceInterface):
         """Remove every entry (used by tests; not part of the paper's API)."""
         with self._condition:
             self._entries.clear()
-            self._name_index.clear()
+            self._by_name.clear()
+            self._by_pair.clear()
 
     def __iter__(self) -> Iterator[Entry]:
         return iter(self.snapshot())
@@ -200,7 +253,7 @@ class TupleSpace(TupleSpaceInterface):
 
         An :class:`Entry` tests for that exact tuple; a :class:`Template`
         tests whether *any* stored entry matches it.  Both go through the
-        name index rather than a full snapshot scan; anything else is
+        index rather than a full snapshot scan; anything else is
         simply not contained.
         """
         if not isinstance(item, (Entry, Template)):

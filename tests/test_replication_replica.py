@@ -3,6 +3,7 @@
 from repro.policy import strong_consensus_policy, weak_consensus_policy
 from repro.replication.messages import ClientRequest
 from repro.replication.replica import DENIED, PEATSReplica
+from repro.tspace import AugmentedTupleSpace
 from repro.tuples import ANY, Formal, entry, template
 
 
@@ -84,3 +85,11 @@ class TestExecution:
         b = PEATSReplica("b", strong_consensus_policy(range(4), 1))
         a.execute(request(0, 0, "out", entry("PROPOSE", 0, 1)))
         assert a.state_digest() != b.state_digest()
+
+    def test_repr_does_not_copy_the_space(self, count_calls):
+        replica = PEATSReplica("r0", strong_consensus_policy(range(4), 1))
+        for process in range(4):
+            replica.execute(request(process, 0, "out", entry("PROPOSE", process, 1)))
+        snapshots = count_calls(AugmentedTupleSpace, "snapshot")
+        assert repr(replica) == "PEATSReplica(id='r0', tuples=4)"
+        assert snapshots == []

@@ -1,10 +1,11 @@
 """Unit tests for the plain tuple space (out / rdp / inp / rd / in)."""
 
 import threading
+import time
 
 import pytest
 
-from repro.errors import TupleSpaceError
+from repro.errors import OperationTimeoutError, TupleSpaceError
 from repro.tspace import TupleSpace
 from repro.tuples import ANY, Formal, entry, template
 
@@ -114,6 +115,31 @@ class TestBlockingReads:
         reader_thread.join(timeout=5)
         writer_thread.join(timeout=5)
         assert result["value"] == entry("A", 99)
+
+    @pytest.mark.parametrize("operation", ["rd", "in_"])
+    def test_timeout_is_one_deadline_under_unrelated_inserts(self, space, operation):
+        # Every insert wakes the waiter; the timeout must not restart on
+        # each wake, or steady unrelated traffic holds the read forever.
+        stop = threading.Event()
+
+        def churn():
+            for index in range(400):  # an insert every 5 ms for up to 2 s
+                if stop.wait(0.005):
+                    return
+                space.out(entry("NOISE", index))
+
+        writer = threading.Thread(target=churn)
+        writer.start()
+        started = time.monotonic()
+        try:
+            with pytest.raises(OperationTimeoutError):
+                getattr(space, operation)(template("WANTED", ANY), timeout=0.1)
+            elapsed = time.monotonic() - started
+        finally:
+            stop.set()
+            writer.join(timeout=5)
+        assert elapsed < 1.0
+        assert len(space) > 0  # the churn really ran while the read waited
 
 
 class TestIntrospection:
