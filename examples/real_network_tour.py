@@ -9,7 +9,8 @@ unified ``connect()`` API — and swaps the substrate:
 1. the **asyncio loopback** transport: real event-loop reactors on real
    threads, wall-clock timers, in-memory delivery;
 2. the **TCP** transport: every node a listening socket on localhost,
-   length-prefixed authenticated JSON frames;
+   length-prefixed binary envelopes whose payloads are positional JSON
+   trees, authenticated by a MAC over the payload bytes;
 3. a **sharded cluster over TCP** with one reactor per replica group —
    the parallelism the sharding layer promises, made real;
 4. the **asyncio bridge**: awaiting a tuple-space operation from a

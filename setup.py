@@ -13,7 +13,7 @@ from setuptools import find_packages, setup
 if __name__ == "__main__":
     setup(
         name="repro-peats",
-        version="0.6.0",
+        version="0.7.0",
         description=(
             "Reproduction of policy-enforced augmented tuple spaces (PEATS) "
             "with simulated and real-network (asyncio/TCP) BFT replicated "

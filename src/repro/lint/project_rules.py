@@ -80,7 +80,7 @@ def _registered_names(module: ModuleInfo) -> Optional[tuple[dict[str, int], int]
 
 @register
 class CodecCompleteness(ProjectRule):
-    """RL003 — every wire message round-trips through the tagged codec.
+    """RL003 — every wire message round-trips through the wire codec.
 
     The PR 5 invariant: the TCP transport can only carry message classes
     registered in ``repro/net/codec.py``'s ``MESSAGE_CLASSES``.  A new

@@ -8,8 +8,11 @@ The deployment ladder of the reproduction, bottom to top:
    event loops (daemon-thread reactors) with wall-clock timers and
    in-memory delivery; the deployment the sim's ``processing_time``
    model was fitted to.
-3. :class:`TcpTransport` — length-prefixed JSON frames over
-   ``asyncio.start_server`` for multi-process deployment.
+3. :class:`TcpTransport` — length-prefixed binary envelopes over
+   ``asyncio.start_server`` for multi-process deployment; each carries
+   a payload serialised once as a positional JSON tree and MAC'd over
+   those bytes (:mod:`repro.net.codec`).  Every process of a deployment
+   runs the same release: another release's frames are rejected.
 
 All three implement the :class:`Transport` protocol, so the PBFT
 ordering layer, the replica application, the voting client, the sharded

@@ -13,6 +13,8 @@ thread future bridge, and lifecycle/teardown behaviour.
 
 from __future__ import annotations
 
+import base64
+import json
 import socket
 import struct
 import sys
@@ -495,6 +497,11 @@ def test_two_reactors_multicasting_concurrently_reject_nothing():
 # ----------------------------------------------------------------------
 
 
+def framed(body: bytes) -> bytes:
+    """``body`` behind the wire's length prefix, whatever it contains."""
+    return struct.pack(codec.FRAME_HEADER, len(body)) + body
+
+
 def test_non_ascii_tcp_frame_mac_is_rejected_and_the_connection_keeps_serving():
     with TcpTransport() as net:
         received = []
@@ -504,15 +511,32 @@ def test_non_ascii_tcp_frame_mac_is_rejected_and_the_connection_keeps_serving():
         bad_mac = codec.encode_frame("peer", "victim", payload_bytes, mac="é" * 64)
         # The same envelope under a format byte the codec does not define:
         # one more rejected frame, nothing else.
-        body = b"M" + bad_mac[struct.calcsize(codec.FRAME_HEADER) + 1 :]
-        bad_format = struct.pack(codec.FRAME_HEADER, len(body)) + body
+        bad_format = framed(b"M" + bad_mac[struct.calcsize(codec.FRAME_HEADER) + 1 :])
+        # Structurally hostile trees: an empty Entry as the sender, before
+        # any MAC is checked; a dict with a list key as the payload of an
+        # authenticated (Byzantine) peer; and release 0.6's tagged-JSON
+        # envelope whose sender tree {"__t": 5} once killed this task.
+        sender, receiver = b"j[4]", b"svictim"
+        empty_entry_sender = framed(
+            struct.pack(">cHHI", b"E", len(sender), len(receiver), len(payload_bytes))
+            + sender
+            + receiver
+            + payload_bytes
+            + b"00"
+        )
+        hostile_bytes = b"P[2,[1,1],1]"
+        unhashable_key = codec.encode_frame(
+            "peer", "victim", hostile_bytes, net.authenticator.mac("peer", "victim", hostile_bytes)
+        )
+        old_tree = framed(b'J{"s":{"__t":5},"r":"victim","p":{"__b":""},"m":""}')
         legit_bytes = codec.encode_payload(("legit", 1))
         legit = codec.encode_frame(
             "peer", "victim", legit_bytes, net.authenticator.mac("peer", "victim", legit_bytes)
         )
         before = net.statistics["rejected"]
         with socket.create_connection(net.address_of("victim")) as sock:
-            for count, hostile in enumerate((bad_mac, bad_format), start=1):
+            hostiles = (bad_mac, bad_format, empty_entry_sender, unhashable_key, old_tree)
+            for count, hostile in enumerate(hostiles, start=1):
                 sock.sendall(hostile)
                 assert net.run_until(
                     lambda: net.statistics["rejected"] == before + count, timeout=WAIT_MS
@@ -521,6 +545,42 @@ def test_non_ascii_tcp_frame_mac_is_rejected_and_the_connection_keeps_serving():
             sock.sendall(legit)
             assert net.run_until(lambda: received, timeout=WAIT_MS)
         assert received == [("legit", 1)]
+        assert net.statistics["handler_errors"] == 0
+
+
+def test_an_old_release_peer_frame_is_one_rejected_frame_never_delivered():
+    """An honest release-0.6 peer — tagged JSON under format byte J, the
+    payload base64'd inside, a valid MAC over its own payload bytes —
+    cannot talk to this release: its frame is counted rejected, and
+    never reaches the handler misparsed."""
+    with TcpTransport() as net:
+        received = []
+        net.register("victim", lambda s, p: received.append(p))
+        net.register("peer", lambda s, p: None)
+        old_payload = b'J{"__t":["legit",1]}'
+        old_frame = framed(
+            b"J"
+            + json.dumps(
+                {
+                    "s": "peer",
+                    "r": "victim",
+                    "p": {"__b": base64.b64encode(old_payload).decode("ascii")},
+                    "m": net.authenticator.mac("peer", "victim", old_payload),
+                },
+                separators=(",", ":"),
+            ).encode("ascii")
+        )
+        legit_bytes = codec.encode_payload(("legit", 2))
+        legit = codec.encode_frame(
+            "peer", "victim", legit_bytes, net.authenticator.mac("peer", "victim", legit_bytes)
+        )
+        before = net.statistics["rejected"]
+        with socket.create_connection(net.address_of("victim")) as sock:
+            sock.sendall(old_frame)
+            assert net.run_until(lambda: net.statistics["rejected"] == before + 1, timeout=WAIT_MS)
+            sock.sendall(legit)
+            assert net.run_until(lambda: received, timeout=WAIT_MS)
+        assert received == [("legit", 2)]
         assert net.statistics["handler_errors"] == 0
 
 
