@@ -193,6 +193,10 @@ class LocalSpace(Space):
     def snapshot(self) -> tuple[Entry, ...]:
         return self._peats.snapshot()
 
+    def __contains__(self, item: object) -> bool:
+        """Answered by the store's index, without copying the space."""
+        return item in self._peats
+
     def _stats_extra(self) -> dict:
         return {"tuples": len(self._peats), "policy": self._peats.policy.name}
 

@@ -213,5 +213,8 @@ class PEATS(PolicyEnforcedObject):
     def __len__(self) -> int:
         return len(self._space)
 
+    def __contains__(self, item: Any) -> bool:
+        return item in self._space
+
     def __repr__(self) -> str:
         return f"PEATS(policy={self.policy.name!r}, size={len(self)})"

@@ -84,13 +84,15 @@ class TupleSpaceInterface(abc.ABC):
         return len(self.snapshot())
 
     def __contains__(self, item: Any) -> bool:
-        from repro.tuples import Entry as _Entry, matches
+        """``entry in space`` / ``template in space``, as the store answers
+        it: an Entry reads as its own template through ``matches`` (so
+        ``True`` and ``1`` stay distinct), a Template as itself; anything
+        else is not contained.  This default scans a snapshot."""
+        from repro.tuples import matches
 
-        if isinstance(item, _Entry):
-            return any(stored == item for stored in self.snapshot())
-        if isinstance(item, Template):
-            return any(matches(stored, item) for stored in self.snapshot())
-        return False
+        if not isinstance(item, (Entry, Template)):
+            return False
+        return any(matches(stored, item) for stored in self.snapshot())
 
 
 class BoundView(TupleSpaceInterface):
@@ -151,6 +153,9 @@ class BoundView(TupleSpaceInterface):
     def snapshot(self) -> tuple[Entry, ...]:
         result: tuple[Entry, ...] = self._space.snapshot()
         return result
+
+    def __contains__(self, item: Any) -> bool:
+        return item in self._space
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(process={self._process!r})"

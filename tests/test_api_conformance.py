@@ -18,9 +18,11 @@ from repro.errors import (
     OperationTimeoutError,
     TupleSpaceError,
 )
+from repro.peo import PEATS
 from repro.peo.base import DeniedResult
 from repro.policy.policy import AccessPolicy
 from repro.policy.rules import Rule
+from repro.tspace import AugmentedTupleSpace, TupleSpace
 from repro.tuples import ANY, entry, template
 
 BACKENDS = ("local", "replicated", "sharded")
@@ -284,3 +286,42 @@ def test_connect_validates_inputs():
     assert connect(service=sharded.service).backend == "sharded"
     with pytest.raises(TupleSpaceError):
         connect("local", service=sharded.service)
+
+
+# ----------------------------------------------------------------------
+# Membership: ``x in space`` answers as the store's ``matches`` does
+# ----------------------------------------------------------------------
+
+
+def _handles_holding_k1(kind: str) -> list:
+    """Every membership-testing handle on a space holding only ⟨K, 1⟩."""
+    if kind == "tuplespace":
+        return [TupleSpace([entry("K", 1)])]
+    if kind == "peats":
+        return [PEATS(open_policy(), initial=[entry("K", 1)]).bind("p1")]
+    space = make_space(kind)
+    space.bind("p1").out(entry("K", 1))
+    return [space, space.bind("p1")]
+
+
+@pytest.mark.parametrize("kind", BACKENDS + ("peats", "tuplespace"))
+def test_membership_keeps_true_and_one_apart(kind):
+    for handle in _handles_holding_k1(kind):
+        assert entry("K", 1) in handle
+        assert entry("K", 1.0) in handle
+        assert template("K", ANY) in handle
+        assert entry("K", True) not in handle
+        assert template("K", True) not in handle
+        assert entry("K", 2) not in handle
+        assert ("K", 1) not in handle
+
+
+def test_local_membership_reads_the_index_without_a_snapshot(count_calls):
+    space = make_space("local")
+    space.bind("p1").out(entry("K", 1))
+    view = PEATS(open_policy(), initial=[entry("K", 1)]).bind("p1")
+    snapshots = count_calls(AugmentedTupleSpace, "snapshot")
+    assert entry("K", 1) in space and entry("K", 1) in space.bind("p1")
+    assert template("K", True) not in space.bind("p1")
+    assert entry("K", 1) in view and template("K", True) not in view
+    assert snapshots == []
