@@ -43,10 +43,9 @@ from typing import Any, Callable, Hashable
 
 from repro.errors import ReplicationError
 from repro.futures import OperationFuture
-from repro.api.space import Space
+from repro.api.space import NetworkedSpace
 from repro.cluster.client import ShardedClient
 from repro.cluster.service import ShardedPEATS
-from repro.notify import Subscription, WaiterHandle
 from repro.peo.base import DENIED
 from repro.replication.replica import TXN_LOCKED
 from repro.tuples import Entry, Template
@@ -55,25 +54,17 @@ from repro.tuples.fields import is_defined
 __all__ = ["ShardedSpace"]
 
 
-class ShardedSpace(Space):
+class ShardedSpace(NetworkedSpace):
     """Unified handle over a sharded cluster of PBFT replica groups."""
 
     backend = "sharded"
-    time_unit = "simulated ms"
-    default_blocking_timeout = 1_000.0
-    default_poll_interval = 10.0
+    _service: ShardedPEATS
     #: Read-then-take rounds a wildcard ``inp`` attempts before conceding
     #: the race and answering ``None``.
     max_inp_rounds = 8
 
     def __init__(self, service: ShardedPEATS) -> None:
-        super().__init__(service.obs)
-        self._service = service
-        # On a real transport (repro.net) the deployment's clock is the
-        # wall clock; label timeouts accordingly (same numeric defaults —
-        # a millisecond is a millisecond on either clock).
-        if not service.network.virtual_time:
-            self.time_unit = service.network.time_unit
+        super().__init__(service)
         registry = service.obs.registry
         self._obs_scatter_rounds = registry.counter(
             "cluster_scatter_rounds_total",
@@ -83,14 +74,6 @@ class ShardedSpace(Space):
             "cluster_scatter_probes_total",
             "Individual per-group probes issued by scatter-gather rounds",
         ).labels()
-
-    @property
-    def service(self) -> ShardedPEATS:
-        return self._service
-
-    @property
-    def network(self):
-        return self._service.network
 
     @property
     def n_shards(self) -> int:
@@ -165,20 +148,6 @@ class ShardedSpace(Space):
 
         inner.add_done_callback(on_done)
         return future
-
-    def _drive(self, future: OperationFuture) -> None:
-        self._service.network.run_until(lambda: future.done)
-        if not future.done:  # pragma: no cover - retransmit timers prevent this
-            raise ReplicationError(f"network drained before {future!r} resolved")
-
-    def _now(self) -> float:
-        return self._service.network.now
-
-    def _schedule(self, delay: float, callback: Callable[[], None]) -> None:
-        self._service.network.schedule_after(delay, callback)
-
-    def snapshot(self) -> tuple[Entry, ...]:
-        return self._service.snapshot()
 
     # ------------------------------------------------------------------
     # Transaction-lock resolution (the non-blocking guarantee)
@@ -272,71 +241,21 @@ class ShardedSpace(Space):
     # Notification channel (repro.notify)
     # ------------------------------------------------------------------
 
-    def _waiter_groups(self, template) -> tuple[tuple[int, object], ...]:
+    def _waiter_groups(self, template) -> tuple[tuple[int, tuple], ...]:
         """The replica groups that must hold a waiter for ``template``:
         the owning shard for a concrete-name template, every shard for a
         wildcard-name one (any shard may receive the matching insert)."""
         if isinstance(template, (Entry, Template)):
             if is_defined(template.fields[0]):
                 shard = self._service.shard_map.shard_of_tuple(template)
-                return ((shard, self._service.group(shard)),)
-            return tuple(enumerate(self._service.groups))
+                return ((shard, self._service.group(shard).replica_ids),)
+            return tuple(
+                (shard, group.replica_ids)
+                for shard, group in enumerate(self._service.groups)
+            )
         # Malformed template: nothing to arm; the probe path will surface
         # the error through the normal read machinery.
         return ()
-
-    def _arm_waiter(self, operation, template, process, wake):
-        """Arm one waiter per owning replica group (f+1 vote per group)."""
-        client = self._service.client(process)
-        waiters = [
-            client.arm_waiter(template, operation, wake, replica_ids=group.replica_ids)
-            for _, group in self._waiter_groups(template)
-        ]
-        if not waiters:
-            return None
-
-        def cancel() -> None:
-            for waiter in waiters:
-                client.disarm_waiter(waiter.waiter_id)
-
-        def rearm() -> None:
-            # Refresh every per-group registration: a wake from shard A
-            # followed by a miss may mean the tuple was consumed by a
-            # transaction leg on shard B, whose registrations are the
-            # stale ones.
-            for waiter in waiters:
-                client.rearm_waiter(waiter.waiter_id)
-
-        return WaiterHandle(waiters[0].waiter_id, cancel, rearm=rearm)
-
-    def _register_watch(self, subscription: Subscription, process: Hashable):
-        """Register the watch on every owning group; events are tagged with
-        the pushing group's shard id and merged in network-delivery order
-        (deterministic under the seeded transports)."""
-        client = self._service.client(process)
-        groups = self._waiter_groups(subscription.template)
-        if not groups:
-            raise ReplicationError(
-                f"watch() requires an Entry or Template, "
-                f"got {type(subscription.template).__name__}"
-            )
-        waiters = []
-        for shard, group in groups:
-            def deliver(entry, event, _shard=shard):
-                subscription.deliver(entry, event, shard=_shard)
-
-            waiters.append(
-                client.arm_waiter(
-                    subscription.template, "watch", deliver,
-                    replica_ids=group.replica_ids,
-                )
-            )
-
-        def cancel() -> None:
-            for waiter in waiters:
-                client.disarm_waiter(waiter.waiter_id)
-
-        return cancel
 
     def _stats_extra(self) -> dict:
         return {

@@ -35,9 +35,14 @@ from __future__ import annotations
 import abc
 from typing import Any, Callable, Hashable, Optional
 
-from repro.errors import AccessDeniedError, OperationTimeoutError, TupleSpaceError
+from repro.errors import (
+    AccessDeniedError,
+    OperationTimeoutError,
+    ReplicationError,
+    TupleSpaceError,
+)
 from repro.futures import OperationFuture
-from repro.notify import Subscription
+from repro.notify import Subscription, WaiterHandle
 from repro.peo.base import DENIED, DeniedResult
 from repro.policy.invocation import Invocation
 from repro.policy.monitor import Decision
@@ -45,7 +50,7 @@ from repro.replication.replica import TXN_LOCKED
 from repro.tspace.interface import BoundView, TupleSpaceInterface
 from repro.tuples import Entry, Template
 
-__all__ = ["Space", "BoundSpace", "PROBE_OPERATIONS", "BLOCKING_OPERATIONS"]
+__all__ = ["Space", "NetworkedSpace", "BoundSpace", "PROBE_OPERATIONS", "BLOCKING_OPERATIONS"]
 
 #: The non-blocking operations every backend executes natively.
 PROBE_OPERATIONS = ("out", "rdp", "inp", "cas")
@@ -496,27 +501,42 @@ class Space(_SubmitForms, TupleSpaceInterface):
             # Arm *before* the first probe: an insert landing between the
             # probe's empty answer and a later registration would
             # otherwise be invisible until the fallback poll.
-            handle = self._arm_waiter(operation, template, process, wake)
+            handle = self._arm(template, operation, process, lambda _shard: wake)
         attempt()
         return future
 
-    def _arm_waiter(
-        self,
-        operation: str,
-        template: Template,
-        process: Hashable,
-        wake: Callable[[Any, Any], None],
-    ) -> Optional[Any]:
-        """Arm a server-push waiter for one blocking read, if the backend
-        has a notification channel.
+    def _waiter_groups(self, template: Any) -> tuple[tuple[Optional[int], tuple], ...]:
+        """Backend hook: the ``(shard | None, replica_ids)`` groups that
+        must hold a waiter for ``template`` — none where the backend has
+        no notification channel (or the template cannot be armed)."""
+        return ()
 
-        Returns a cancellable handle (``.cancel()``, idempotent) or
-        ``None`` when the backend cannot push — the blocking emulation
-        then falls back to pure polling.  ``wake(entry, event)`` fires
-        inside the backend's event loop when ``f + 1`` replicas push
-        matching notifications.
+    def _arm(
+        self,
+        template: Any,
+        operation: str,
+        process: Hashable,
+        on_event: Callable[[Optional[int]], Callable[[Any, Any], None]],
+    ) -> Optional[WaiterHandle]:
+        """Arm one waiter on every group :meth:`_waiter_groups` names.
+
+        Each group's pushes vote in their own ``f + 1`` tally, and
+        ``on_event(shard)`` builds the ``(entry, event)`` callback that
+        group's voted wake-ups fire inside the event loop.  Returns one
+        handle over every registration, or ``None`` when there is no
+        group to arm (a blocking read then falls back to pure polling).
         """
-        return None
+        groups = self._waiter_groups(template)
+        if not groups:
+            return None
+        client = self.service.client(process)
+        return WaiterHandle(
+            client,
+            tuple(
+                client.arm_waiter(template, operation, on_event(shard), replica_ids=ids).waiter_id
+                for shard, ids in groups
+            ),
+        )
 
     # ------------------------------------------------------------------
     # Blocking API (TupleSpaceInterface, plus the invoking process)
@@ -714,24 +734,28 @@ class Space(_SubmitForms, TupleSpaceInterface):
     def _register_watch(
         self, subscription: Subscription, process: Hashable
     ) -> Callable[[], None]:
-        """Backend hook: wire ``subscription`` to the notification channel
-        and return the canceller that disarms it everywhere."""
-        raise TupleSpaceError(
-            f"the {self.backend} backend does not support watch()"
+        """Wire ``subscription`` to the notification channel and return
+        the canceller that disarms it everywhere.  Events carry the
+        pushing group's shard (``None`` off the sharded backend) and merge
+        in network-delivery order (deterministic under the seeded
+        transports)."""
+        handle = self._arm(
+            subscription.template,
+            "watch",
+            process,
+            lambda shard: lambda entry, event: subscription.deliver(entry, event, shard=shard),
         )
+        if handle is None:
+            raise TupleSpaceError(
+                f"the {self.backend} backend cannot watch {subscription.template!r}"
+            )
+        return handle.cancel
 
+    @abc.abstractmethod
     def _watch_pump(self, condition: Callable[[], bool], timeout: float | None) -> None:
         """Backend hook: advance the backend until ``condition()`` or for at
         most ``timeout`` (default: the blocking-read budget) — what
         ``Subscription.next`` blocks on."""
-        budget = self.default_blocking_timeout if timeout is None else timeout
-        network = getattr(self, "network", None)
-        if network is None:
-            raise TupleSpaceError(
-                f"the {self.backend} backend cannot pump subscriptions"
-            )
-        deadline = self._now() + budget
-        network.run_until(lambda: condition() or self._now() >= deadline)
 
     # ------------------------------------------------------------------
     # Per-process views
@@ -816,6 +840,50 @@ class Space(_SubmitForms, TupleSpaceInterface):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(backend={self.backend!r})"
+
+
+class NetworkedSpace(Space):
+    """What the replicated and sharded backends share: a deployment
+    ``service`` whose one network carries every request, clock reading
+    and timer.  Each subclass narrows ``_service`` by annotation."""
+
+    time_unit = "simulated ms"
+
+    def __init__(self, service: Any) -> None:
+        super().__init__(service.obs)
+        self._service = service
+        # On a real transport (repro.net) the deployment's clock is the
+        # wall clock; label timeouts accordingly (same numeric defaults —
+        # a millisecond is a millisecond on either clock).
+        if not service.network.virtual_time:
+            self.time_unit = service.network.time_unit
+
+    @property
+    def service(self) -> Any:
+        return self._service
+
+    @property
+    def network(self) -> Any:
+        return self._service.network
+
+    def _drive(self, future: OperationFuture) -> None:
+        self._service.network.run_until(lambda: future.done)
+        if not future.done:  # pragma: no cover - retransmit timers prevent this
+            raise ReplicationError(f"network drained before {future!r} resolved")
+
+    def _now(self) -> float:
+        return self._service.network.now
+
+    def _schedule(self, delay: float, callback: Callable[[], None]) -> None:
+        self._service.network.schedule_after(delay, callback)
+
+    def _watch_pump(self, condition: Callable[[], bool], timeout: float | None) -> None:
+        budget = self.default_blocking_timeout if timeout is None else timeout
+        deadline = self._now() + budget
+        self._service.network.run_until(lambda: condition() or self._now() >= deadline)
+
+    def snapshot(self) -> tuple[Entry, ...]:
+        return self._service.snapshot()
 
 
 class BoundSpace(_SubmitForms, BoundView):

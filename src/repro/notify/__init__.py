@@ -7,10 +7,13 @@ replicated application); when the ordered request stream inserts a
 matching tuple the replica itself builds the :class:`~repro.replication.
 messages.Notify` wire message (it knows its own id) and queues it on its
 one push outbox, which the ordering node drains after every batch;
-the client side (:mod:`repro.notify.subscription`) tallies pushes from
-distinct replicas and acts on a wake-up only after ``f + 1`` of them agree
-— a Byzantine replica can neither forge a match nor (because the polling
-path survives as a bounded fallback) starve a waiter.
+on the client side each armed :class:`ClientWaiter`
+(:mod:`repro.notify.subscription`) votes its pushes in the client's one
+``f + 1`` :class:`~repro.replication.tally.Tally` — the rule replies and
+transaction pushes accept by too — and acts on a wake-up only after
+``f + 1`` distinct replicas agree: a Byzantine replica can neither forge
+a match nor (because the polling path survives as a bounded fallback)
+starve a waiter.
 
 On top of the wake-up channel, :class:`Subscription` is the streaming
 handle behind ``Space.watch(template)``: a bounded event buffer with

@@ -1,12 +1,15 @@
-"""Client-side notify machinery: the f+1 vote and the watch subscription.
+"""Client-side notify machinery: the armed waiter and the watch subscription.
 
-:class:`ClientWaiter` is the vote state behind one armed waiter id: it
-tallies :class:`~repro.replication.messages.Notify` pushes per
-``(event, entry_digest)`` and releases the entry exactly once, when
-``f + 1`` **distinct** target replicas have vouched for the same pair —
-at least one of them is correct, so a Byzantine replica can neither forge
-a match nor replay an old one (delivered events are remembered in a
-bounded window and duplicates are dropped).
+:class:`ClientWaiter` is one armed waiter id: what it was armed for, the
+replicas it was armed on, and the client's one ``f + 1``
+:class:`~repro.replication.tally.Tally` its
+:class:`~repro.replication.messages.Notify` pushes vote in — one round per
+inserted entry (one request may insert several matches), the pushed entry
+hashed on receipt and checked against
+the digest the push claims.  The entry is released exactly once, when
+``f + 1`` **distinct** target replicas vouch for it: at least one of them
+is correct, so a Byzantine replica can neither forge a match nor replay
+an old one.
 
 :class:`Subscription` is the streaming handle ``Space.watch`` returns:
 a bounded event buffer (oldest events are dropped and counted when the
@@ -24,7 +27,10 @@ from __future__ import annotations
 import collections
 import dataclasses
 import threading
-from typing import Any, Callable, Hashable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterator, Optional
+
+if TYPE_CHECKING:  # pragma: no cover - repro.replication imports this package
+    from repro.replication.tally import Tally
 
 __all__ = ["ClientWaiter", "WaiterHandle", "WatchEvent", "Subscription"]
 
@@ -44,69 +50,57 @@ class WatchEvent:
 
 
 class WaiterHandle:
-    """Cancellable handle over one armed waiter (idempotent cancel).
+    """Cancellable handle over the waiters one blocking read or watch
+    armed on a client, one per replica group (idempotent cancel).
 
-    ``rearm`` — when the backend provides one — re-broadcasts the waiter
-    registrations.  Registrations are soft state (they survive neither a
-    replica's state transfer nor a restart), so a blocking read whose
-    wake-triggered re-probe *missed* re-arms before going back to sleep:
-    the miss is evidence the tuple moved — possibly consumed by a
-    transaction on a different shard than this waiter's wake came from —
-    and the cheap re-registration restores the push path for the next
-    insert instead of silently degrading to the capped polling fallback.
+    ``rearm`` re-broadcasts every registration.  Registrations are soft
+    state (they survive neither a replica's state transfer nor a
+    restart), so a blocking read whose wake-triggered re-probe *missed*
+    re-arms before going back to sleep: the miss is evidence the tuple
+    moved — possibly consumed by a transaction on a different shard than
+    the wake came from, whose registrations are the stale ones — and the
+    cheap re-registration restores the push path for the next insert
+    instead of silently degrading to the capped polling fallback.
     """
 
-    __slots__ = ("waiter_id", "_cancel", "_rearm", "_cancelled")
+    __slots__ = ("client", "waiter_ids", "cancelled")
 
-    def __init__(
-        self,
-        waiter_id: int,
-        cancel: Callable[[], None],
-        rearm: Callable[[], None] | None = None,
-    ) -> None:
-        self.waiter_id = waiter_id
-        self._cancel = cancel
-        self._rearm = rearm
-        self._cancelled = False
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
+    def __init__(self, client: Any, waiter_ids: tuple[int, ...]) -> None:
+        self.client = client
+        self.waiter_ids = waiter_ids
+        self.cancelled = False
 
     def cancel(self) -> None:
-        if self._cancelled:
+        if self.cancelled:
             return
-        self._cancelled = True
-        self._cancel()
+        self.cancelled = True
+        for waiter_id in self.waiter_ids:
+            self.client.disarm_waiter(waiter_id)
 
     def rearm(self) -> None:
         """Refresh the registrations on every target replica (idempotent
-        server-side; a no-op when the backend gave no rearm callback)."""
-        if self._cancelled or self._rearm is None:
-            return
-        self._rearm()
+        server-side)."""
+        if not self.cancelled:
+            for waiter_id in self.waiter_ids:
+                self.client.rearm_waiter(waiter_id)
 
     def __repr__(self) -> str:
-        state = "cancelled" if self._cancelled else "armed"
-        return f"WaiterHandle(id={self.waiter_id}, {state})"
+        state = "cancelled" if self.cancelled else "armed"
+        return f"WaiterHandle(ids={self.waiter_ids}, {state})"
 
 
 class ClientWaiter:
-    """Vote state for one armed waiter id on one client."""
+    """One armed waiter id on one client, and the tally its pushes vote in."""
 
     __slots__ = (
         "waiter_id",
         "template",
         "operation",
         "targets",
-        "f",
+        "tally",
         "on_event",
         "armed_at",
         "woken",
-        "_votes",
-        "_delivered",
-        "_delivered_set",
-        "_max_pending",
     )
 
     def __init__(
@@ -115,12 +109,10 @@ class ClientWaiter:
         template: Any,
         operation: str,
         targets: tuple[Hashable, ...],
-        f: int,
+        tally: "Tally",
         *,
         on_event: Callable[[Any, tuple], None],
         armed_at: float,
-        max_pending_votes: int = 64,
-        delivered_window: int = 256,
     ) -> None:
         self.waiter_id = waiter_id
         self.template = template
@@ -128,61 +120,22 @@ class ClientWaiter:
         # Kept ordered (not a set): cancellation re-broadcasts to these and
         # iteration order must be deterministic for same-seed replay.
         self.targets = tuple(targets)
-        self.f = f
+        #: ``Notify`` pushes vote here, one round per ``(event, entry
+        #: digest)``: one request may insert several matching entries.
+        self.tally = tally
         self.on_event = on_event
         self.armed_at = armed_at
         #: Set once the first vote completes (wake-latency is observed once).
         self.woken = False
-        # (event, entry_digest) -> replicas vouching for it.  Bounded:
-        # beyond max_pending the oldest pending vote is evicted, so f
-        # Byzantine replicas spraying fabricated events cannot grow this
-        # map — and cannot evict a *real* vote faster than the correct
-        # replicas complete it (their pushes for one insert arrive within
-        # one delivery round).
-        self._votes: "collections.OrderedDict[tuple, set]" = collections.OrderedDict()
-        self._delivered: "collections.deque[tuple]" = collections.deque(
-            maxlen=delivered_window
-        )
-        self._delivered_set: set = set()
-        self._max_pending = max_pending_votes
-
-    def record(
-        self, replica: Hashable, event: tuple, entry: Any, entry_digest: str
-    ) -> Optional[Any]:
-        """Tally one push; returns the entry when the f+1 vote completes.
-
-        Duplicate pushes from the same replica and pushes for an
-        already-delivered event are dropped (idempotence), so a stale
-        retransmitted ``Notify`` can never wake the client twice.
-        """
-        if replica not in self.targets:
-            return None
-        key = (event, entry_digest)
-        if key in self._delivered_set:
-            return None
-        votes = self._votes.get(key)
-        if votes is None:
-            while len(self._votes) >= self._max_pending:
-                self._votes.popitem(last=False)
-            votes = self._votes[key] = set()
-        votes.add(replica)
-        if len(votes) < self.f + 1:
-            return None
-        del self._votes[key]
-        if len(self._delivered) == self._delivered.maxlen:
-            self._delivered_set.discard(self._delivered[0])
-        self._delivered.append(key)
-        self._delivered_set.add(key)
-        return entry
 
     @property
     def pending_votes(self) -> int:
-        return len(self._votes)
+        return self.tally.pending
 
     def __repr__(self) -> str:
         return (
             f"ClientWaiter(id={self.waiter_id}, op={self.operation!r}, "
-            f"pending={len(self._votes)})"
+            f"pending={self.tally.pending})"
         )
 
 

@@ -1,11 +1,17 @@
 """The client-side proxy of the replicated PEATS.
 
 A client broadcasts its request to every replica, then accepts the result
-as soon as ``f + 1`` replicas return byte-identical replies for it — with
-at most ``f`` faulty replicas, at least one of those replies comes from a
+as soon as ``f + 1`` replicas return matching replies for it — with at
+most ``f`` faulty replicas, at least one of those replies comes from a
 correct replica, and since correct replicas are deterministic and execute
 requests in the same order, the matched value is the correct result.  This
 is the "basic voting protocol" of Section 4.
+
+Every acceptance on this side is one :class:`~repro.replication.tally.
+Tally` vote: a :class:`PendingRequest` holds one for its replies, an armed
+:class:`~repro.notify.ClientWaiter` one for its ``Notify`` pushes, and a
+cross-shard transaction (:mod:`repro.txn`) one per group it needs a push
+certificate from — the client only forwards its pushes, by ``txn_id``.
 
 The request path is *continuation-style*: :meth:`PEATSClient.submit`
 broadcasts the request and returns a :class:`PendingRequest` immediately;
@@ -30,8 +36,6 @@ many client identities, not from pipelining one.
 
 from __future__ import annotations
 
-import collections
-import dataclasses
 import threading
 from typing import Any, Callable, Hashable, Iterable, Optional, TYPE_CHECKING
 
@@ -39,7 +43,6 @@ from repro.errors import QuorumError
 from repro.futures import OperationFuture
 from repro.notify import ClientWaiter
 from repro.obs import resolve_obs
-from repro.replication.crypto import digest
 from repro.replication.messages import (
     CancelWaiter,
     ClientReply,
@@ -52,6 +55,7 @@ from repro.replication.messages import (
     TxnVote,
     authenticate_request,
 )
+from repro.replication.tally import ForgedVote, Tally
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.net.transport import Transport
@@ -60,17 +64,12 @@ __all__ = [
     "PendingRequest",
     "PEATSClient",
     "summed_statistics",
-    "TXN_PUSH_TYPES",
-    "TXN_PUSH_RETENTION",
+    "PUSH_TYPES",
 ]
 
-#: The replica→owner push messages of the transaction commit protocol.
-TXN_PUSH_TYPES = (TxnPrepare, TxnVote, TxnDecision, TxnAck)
-
-#: Transactions whose push piles a client retains (oldest pruned first);
-#: pushes are an outcome *cross-check* channel, so pruning costs nothing
-#: but a late observer's corroboration.
-TXN_PUSH_RETENTION = 256
+#: The replica→client pushes: notify wake-ups and the transaction commit
+#: protocol's owner-addressed leg.
+PUSH_TYPES = (Notify, TxnPrepare, TxnVote, TxnDecision, TxnAck)
 
 
 class PendingRequest(OperationFuture):
@@ -80,20 +79,21 @@ class PendingRequest(OperationFuture):
     exception, latency, completion callbacks) come from the backend-agnostic
     :class:`~repro.futures.OperationFuture`; this subclass adds what only
     the networked request path needs — the authenticated request itself,
-    its target replica group, and the retransmission timer.  Completion
-    callbacks fire (synchronously, inside the network event loop) when the
-    vote succeeds or the request is abandoned after too many
-    retransmissions.
+    its target replica group, the tally its replies vote in, and the
+    retransmission timer.  Completion callbacks fire (synchronously, inside
+    the network event loop) when the vote succeeds or the request is
+    abandoned after too many retransmissions.
     """
 
-    __slots__ = ("request", "attempts", "targets", "_timer")
+    __slots__ = ("request", "attempts", "targets", "tally", "_timer")
 
     def __init__(
         self,
         request: ClientRequest,
         submitted_at: float,
         *,
-        targets: tuple[Hashable, ...] = (),
+        targets: tuple[Hashable, ...],
+        threshold: int,
     ) -> None:
         super().__init__(
             operation=request.operation,
@@ -104,6 +104,10 @@ class PendingRequest(OperationFuture):
         self.attempts = 0
         #: The replica group this request was addressed (and retransmitted) to.
         self.targets = targets
+        #: Only ``targets`` vote on the result: f Byzantine replicas *per
+        #: group* of a sharded cluster must not pool replies across groups
+        #: into a quorum for a request their own group never executed.
+        self.tally = Tally(targets, threshold)
         #: The armed retransmission timer — a cancellable handle from
         #: whichever transport carries the request (the simulation's
         #: ``Timer`` or a real transport's ``NetTimer``).
@@ -156,7 +160,6 @@ class PEATSClient:
         # sharing one id would collide on the pending key (one future
         # never resolves) and defeat the replicas' per-client dedup.
         self._mint_lock = threading.Lock()
-        self._replies: dict[tuple, dict[Hashable, ClientReply]] = collections.defaultdict(dict)
         self._pending: dict[tuple, PendingRequest] = {}
         self._nudge_timeouts = nudge_timeouts
         self._max_retransmissions = max_retransmissions
@@ -188,10 +191,8 @@ class PEATSClient:
         # waiter tables (repro.notify).
         self._waiters: dict[int, ClientWaiter] = {}
         self._next_waiter_id = 0
-        # Transaction pushes by txn_id: each entry dedupes one push per
-        # (message type, sender, shard) so a replica gets exactly one vote
-        # per protocol step.  Bounded to TXN_PUSH_RETENTION transactions.
-        self._txn_pushes: dict[tuple, list] = collections.OrderedDict()
+        # Cross-shard transactions in flight, by txn_id; each votes its
+        # own pushes.
         self._txn_watchers: dict[tuple, Callable[[Hashable, Any], None]] = {}
         self._next_txn_seq = 0
         network.register(self._address, self._on_message)
@@ -222,89 +223,62 @@ class PEATSClient:
     # ------------------------------------------------------------------
 
     def _on_message(self, sender: Hashable, payload: Any) -> None:
-        if isinstance(payload, Notify):
-            self._on_notify(sender, payload)
+        # A replica may only speak for itself on its authenticated link.
+        if isinstance(payload, PUSH_TYPES):
+            if payload.replica == sender and payload.client == self.client_id:
+                self._on_push(sender, payload)
             return
-        if isinstance(payload, TXN_PUSH_TYPES):
-            self._on_txn_push(sender, payload)
-            return
-        if not isinstance(payload, ClientReply):
-            return
-        if payload.replica != sender:
-            # A replica may only speak for itself on its authenticated link.
+        if not isinstance(payload, ClientReply) or payload.replica != sender:
             return
         pending = self._pending.get(payload.request_key)
         if pending is None:
             # Stale reply for a request already resolved (or never issued).
             return
-        if sender not in pending.targets:
-            # Only the replicas the request was addressed to may vote on
-            # its result.  Without this check a sharded cluster's fault
-            # model breaks: f Byzantine replicas *per group* could pool
-            # replies across groups and forge an f + 1 quorum for a
-            # request their own group never executed.
+        try:
+            voted = pending.tally.vote(sender, payload.result, claimed=payload.result_digest)
+        except ForgedVote:
+            # A result that does not hash to its claim is a lie: never
+            # counted, never returned, however early it arrived.
+            self._record_mismatch(pending)
             return
-        self._replies[payload.request_key][sender] = payload
-        result = self._voted_result(payload.request_key, pending)
-        if result is not None:
-            self._resolve(pending, result)
+        if voted is not None:
+            self._resolve(pending, voted[0])
+        elif pending.tally.ballots() >= len(pending.targets):
+            self._record_mismatch(pending)
 
-    def _on_notify(self, sender: Hashable, payload: Notify) -> None:
-        """Tally one waiter push; fire the waiter's callback on f+1 votes.
-
-        Every claim in the message is checked against local state before it
-        can count: the push must come from the replica it names (the link
-        authenticates the sender), address a waiter this client armed and
-        carry an entry whose locally recomputed digest matches the digest
-        being voted on — a Byzantine replica gets exactly one honest-shaped
-        vote, never a forged quorum.
-        """
-        if payload.replica != sender or payload.client != self.client_id:
+    def _on_push(self, sender: Hashable, push: Any) -> None:
+        """Vote a ``Notify`` in its waiter's tally (one round per inserted
+        entry: one request may insert several that match) and fire the
+        waiter's callback on f+1 votes.  Forward a
+        transaction push to the transaction watching its ``txn_id``,
+        which votes it in the tally of the group that must have sent it —
+        this is how an owner learns of a decision a stranger resolved
+        while its own commit was idle."""
+        if not isinstance(push, Notify):
+            if isinstance(push.txn_id, tuple):
+                watcher = self._txn_watchers.get(push.txn_id)
+                if watcher is not None:
+                    watcher(sender, push)
             return
-        waiter = self._waiters.get(payload.waiter_id)
+        waiter = self._waiters.get(push.waiter_id)
         if waiter is None:
             # Stale push for a waiter already cancelled (or never armed).
             return
-        if digest(payload.entry) != payload.entry_digest:
+        try:
+            voted = waiter.tally.vote(
+                sender,
+                push.entry,
+                claimed=push.entry_digest,
+                round_key=(push.event, push.entry_digest),
+            )
+        except ForgedVote:
             return
-        entry = waiter.record(sender, payload.event, payload.entry, payload.entry_digest)
-        if entry is None:
+        if voted is None:
             return
         if not waiter.woken:
             waiter.woken = True
             self._obs_wake_latency.observe(self.network.now - waiter.armed_at)
-        waiter.on_event(entry, payload.event)
-
-    def _on_txn_push(self, sender: Hashable, payload: Any) -> None:
-        """Record one transaction push (TxnPrepare/Vote/Decision/Ack).
-
-        Pushes are the owner-addressed broadcast leg of the commit
-        protocol: every replica that orders a transaction step pushes the
-        outcome to the transaction's *owner*, so the owner learns of a
-        decision (including a force-abort a stranger resolved) even while
-        its own driver is idle.  Like replies and notifications, a push
-        counts only from the replica it names on its authenticated link,
-        addressed to this client, once per (step, replica, shard) — so a
-        certificate needs ``f + 1`` distinct replicas and ``f`` liars can
-        never assemble one (see :meth:`txn_push_vote`).
-        """
-        if payload.replica != sender or payload.client != self.client_id:
-            return
-        txn_id = payload.txn_id
-        if not isinstance(txn_id, tuple):
-            return
-        pile = self._txn_pushes.get(txn_id)
-        if pile is None:
-            pile = self._txn_pushes[txn_id] = []
-            while len(self._txn_pushes) > TXN_PUSH_RETENTION:
-                self._txn_pushes.pop(next(iter(self._txn_pushes)))
-        slot = (type(payload).__name__, sender, getattr(payload, "shard", None))
-        if any(recorded_slot == slot for recorded_slot, _ in pile):
-            return
-        pile.append((slot, payload))
-        watcher = self._txn_watchers.get(txn_id)
-        if watcher is not None:
-            watcher(sender, payload)
+        waiter.on_event(voted[0], push.event)
 
     def mint_txn_id(self) -> tuple:
         """A fresh ``(client_id, seq)`` transaction identity.
@@ -321,88 +295,25 @@ class PEATSClient:
     def watch_txn(
         self, txn_id: tuple, on_push: Callable[[Hashable, Any], None]
     ) -> None:
-        """Fire ``on_push(sender, payload)`` for each fresh push of ``txn_id``."""
+        """Fire ``on_push(sender, payload)`` for each push of ``txn_id``."""
         self._txn_watchers[txn_id] = on_push
 
     def unwatch_txn(self, txn_id: tuple) -> None:
         self._txn_watchers.pop(txn_id, None)
 
-    def txn_pushes(self, txn_id: tuple) -> tuple:
-        """Every recorded push for ``txn_id`` (deduped per step/replica/shard)."""
-        return tuple(payload for _, payload in self._txn_pushes.get(txn_id, ()))
-
-    def txn_push_vote(
-        self, txn_id: tuple, message_type: type, *, shard: Any = None
-    ) -> Optional[tuple]:
-        """The first push content vouched by ``f + 1`` distinct replicas.
-
-        Content is compared with the ``replica`` field masked out (each
-        replica names itself), so the vote demands byte-identical protocol
-        substance from ``f + 1`` different senders.  ``shard`` narrows the
-        tally to one participant group's pushes (votes and acks carry it).
-        Returns ``(payload, replica_ids)`` — the certified content plus
-        the distinct replicas that vouched for it (a commit's evidence) —
-        or ``None`` while no certificate exists.
-        """
-        tally: dict[str, list] = collections.defaultdict(list)
-        for slot, payload in self._txn_pushes.get(txn_id, ()):
-            if not isinstance(payload, message_type):
-                continue
-            if shard is not None and getattr(payload, "shard", None) != shard:
-                continue
-            content = digest(
-                tuple(
-                    (field.name, getattr(payload, field.name))
-                    for field in dataclasses.fields(payload)
-                    if field.name != "replica"
-                )
-            )
-            tally[content].append(payload)
-        for matching in tally.values():
-            if len(matching) >= self.f + 1:
-                return matching[0], tuple(push.replica for push in matching)
-        return None
-
-    def _voted_result(self, request_key: tuple, pending: PendingRequest) -> Optional[Any]:
-        """Return the result vouched for by ``f + 1`` matching replies.
-
-        The tally is over the digest each replica *claims*; the result
-        handed back is one whose locally recomputed digest equals the voted
-        one.  Among ``f + 1`` claimants at least one is correct, so such a
-        reply exists; a reply whose result does not hash to its claim is a
-        lie — discarded, never returned, however early it arrived.
-        """
-        replies = self._replies.get(request_key, {})
-        tally: dict[str, list[ClientReply]] = collections.defaultdict(list)
-        for reply in replies.values():
-            tally[reply.result_digest].append(reply)
-        for voted, matching in tally.items():
-            if len(matching) < self.f + 1:
-                continue
-            for reply in matching:
-                if digest(reply.result) == voted:
-                    return reply.result
-                del replies[reply.replica]
-                self._record_mismatch(request_key, len(replies), [voted])
-        if len(replies) >= len(pending.targets):
-            self._record_mismatch(request_key, len(replies), sorted(tally))
-        return None
-
-    def _record_mismatch(self, request_key: tuple, replies: int, digests: list[str]) -> None:
+    def _record_mismatch(self, pending: PendingRequest) -> None:
         self._obs_mismatched_replies.inc()
         if self._flight.enabled:
             self._flight.record(
                 "reply-mismatch",
                 self.client_id,
                 self.network.now,
-                key=request_key,
-                replies=replies,
-                digests=digests,
+                key=pending.key,
+                replies=pending.tally.ballots(),
             )
 
     def _resolve(self, pending: PendingRequest, result: Any) -> None:
         self._pending.pop(pending.key, None)
-        self._replies.pop(pending.key, None)
         if self._tracer.enabled:
             self._tracer.record("complete", pending.key, self.client_id, self.network.now)
         if self._flight.enabled:
@@ -413,7 +324,6 @@ class PEATSClient:
 
     def _fail(self, pending: PendingRequest, exception: BaseException) -> None:
         self._pending.pop(pending.key, None)
-        self._replies.pop(pending.key, None)
         pending._complete(self.network.now, exception=exception)
 
     def _retransmit(self, request_key: tuple) -> None:
@@ -494,22 +404,16 @@ class PEATSClient:
             template,
             operation,
             targets,
-            self.f,
+            Tally(targets, self.f + 1),
             on_event=on_event,
             armed_at=self.network.now,
         )
         self._waiters[waiter_id] = waiter
-        message = RegisterWaiter(
-            client=self.client_id,
-            waiter_id=waiter_id,
-            template=template,
-            operation=operation,
-        )
-        self.network.broadcast(self._address, targets, message)
+        self.rearm_waiter(waiter_id)
         return waiter
 
     def rearm_waiter(self, waiter_id: int) -> None:
-        """Re-broadcast one waiter's registration to its target replicas.
+        """(Re-)broadcast one waiter's registration to its target replicas.
 
         Registrations are soft state: a replica rebuilt from a state
         transfer has lost them, and a push suppressed (or consumed by a
@@ -580,7 +484,9 @@ class PEATSClient:
             arguments=arguments,
         )
         request = authenticate_request(request, self.network.authenticator, targets)
-        pending = PendingRequest(request, self.network.now, targets=targets)
+        pending = PendingRequest(
+            request, self.network.now, targets=targets, threshold=self.f + 1
+        )
         self._pending[request.key] = pending
         if self._tracer.enabled:
             self._tracer.record("submit", request.key, self.client_id, self.network.now)

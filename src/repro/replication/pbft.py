@@ -678,7 +678,7 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
             # names its replica, so f liars never agree on one wrong answer.
             # A single liar claiming the *correct* digest over a forged
             # result needs no collusion; the client defeats that one by
-            # rehashing the result it returns (PEATSClient._voted_result).
+            # hashing every reply's result on receipt (replication/tally.py).
             result = ("CORRUPTED", self.replica_id, repr(result))
         reply = ClientReply(
             replica=self.replica_id,

@@ -49,6 +49,7 @@ from repro.errors import (
 from repro.futures import OperationFuture
 from repro.peo.base import DENIED
 from repro.replication.messages import TxnDecision, TxnVote
+from repro.replication.tally import Tally
 from repro.txn.legs import normalize_leg, normalize_legs
 from repro.tuples import Entry, Template
 from repro.tuples.fields import is_defined
@@ -274,6 +275,12 @@ class CrossShardTxn:
     force-aborted us while we were still voting) is honoured only as an
     ``f + 1`` push certificate and applied against the driver's **own**
     participant set — never the set a push claims.
+
+    Every certificate comes from one :class:`~repro.replication.tally.
+    Tally` addressed to the group that must have sent it: a ``TxnVote``
+    for shard ``s`` counts only from ``s``'s replicas, a ``TxnDecision``
+    only from the coordinator group's, so ``f`` faulty replicas in each of
+    several groups can never pool their pushes into one certificate.
     """
 
     #: Whole-transaction retries after a ``("locked", ...)`` refusal.
@@ -311,6 +318,14 @@ class CrossShardTxn:
         self.forced: Optional[tuple] = None
         self.revote_rounds = 0
         self.revote_pending = False
+        group = self.space.service.group
+        threshold = self.client.f + 1
+        self.vote_tallies = {
+            shard: Tally(group(shard).replica_ids, threshold) for shard in self.participants
+        }
+        self.decision_tally = Tally(group(self.coordinator).replica_ids, threshold)
+        #: shard -> its f+1 yes-certificate: (TxnVote content, voters).
+        self.certificates: dict[int, tuple] = {}
         self.client.watch_txn(self.txn_id, self._on_push)
         self._submit(
             self.coordinator,
@@ -403,7 +418,7 @@ class CrossShardTxn:
             # A resolver decided this transaction while we were voting;
             # with every vote reply in, the per-group request channels are
             # free and the certified outcome can be applied.
-            self._apply_forced()
+            self._apply(*self.forced)
             return
         refusing = [s for s in self.participants if self.votes[s][0] != "yes"]
         if refusing:
@@ -420,19 +435,17 @@ class CrossShardTxn:
         """Assemble f+1 yes-certificates per group and submit the commit."""
         if self.future.done or self.stage != "evidence":
             return
-        evidence = []
-        for shard in self.participants:
-            certificate = self.client.txn_push_vote(self.txn_id, TxnVote, shard=shard)
-            if certificate is None or certificate[0].vote != "yes":
-                self._request_missing_votes()
-                return
-            _push, replicas = certificate
-            evidence.append((shard, "yes", tuple(replicas)))
+        if any(shard not in self.certificates for shard in self.participants):
+            self._request_missing_votes()
+            return
+        evidence = tuple(
+            (shard, "yes", self.certificates[shard][1]) for shard in self.participants
+        )
         self.stage = "decide"
         self._submit(
             self.coordinator,
             "txn_decision",
-            (self.txn_id, "commit", None, tuple(evidence)),
+            (self.txn_id, "commit", None, evidence),
             self._on_decided,
         )
 
@@ -457,10 +470,7 @@ class CrossShardTxn:
             if self.future.done or self.stage != "evidence":
                 return
             for shard in self.participants:
-                certificate = self.client.txn_push_vote(
-                    self.txn_id, TxnVote, shard=shard
-                )
-                if certificate is not None and certificate[0].vote == "yes":
+                if shard in self.certificates:
                     continue
                 shard_legs = tuple(leg for _index, leg in self.plan[shard])
                 self._submit(
@@ -506,35 +516,42 @@ class CrossShardTxn:
                 outcome=outcome,
                 participants=list(self.participants),
             )
-        self.decided_outcome = outcome
-        if outcome == "abort":
-            self.outcome_reason = reason
-        self.stage = "apply"
-        self._fan_apply()
+        self._apply(outcome, reason)
 
     # ------------------------------------------------------------------
     # Decision pushes (a stranger resolved us)
     # ------------------------------------------------------------------
 
-    def _on_push(self, _sender: Hashable, payload: Any) -> None:
-        if self.future.done:
+    def _on_push(self, sender: Hashable, payload: Any) -> None:
+        """Vote one push (``replica`` masked: each names itself) in the
+        tally of the group that must have sent it, while the votes are out.
+        ``TxnPrepare``/``TxnAck`` pushes are not voted on."""
+        if self.future.done or self.stage not in ("vote", "evidence"):
             return
-        if isinstance(payload, TxnVote) and self.stage == "evidence":
-            self._try_decide()
+        tally = None
+        if isinstance(payload, TxnDecision):
+            tally = self.decision_tally
+        elif isinstance(payload, TxnVote) and isinstance(payload.shard, int):
+            tally = self.vote_tallies.get(payload.shard)
+        if tally is None:
             return
-        if isinstance(payload, TxnDecision) and self.stage in ("vote", "evidence"):
-            certificate = self.client.txn_push_vote(self.txn_id, TxnDecision)
-            if certificate is None:
-                return
-            push, _replicas = certificate
+        certificate = tally.vote(sender, dataclasses.replace(payload, replica=None))
+        if certificate is None:
+            return
+        push = certificate[0]
+        if isinstance(push, TxnVote):
+            if push.vote == "yes":
+                self.certificates[push.shard] = certificate
+            if self.stage == "evidence":
+                self._try_decide()
+        else:
             self.forced = (push.outcome, push.reason)
             if len(self.votes) == len(self.participants):
-                self._apply_forced()
+                self._apply(*self.forced)
 
-    def _apply_forced(self) -> None:
-        """Apply an f+1-certified pushed decision against OUR participant
-        set (never the one a push claims)."""
-        outcome, reason = self.forced
+    def _apply(self, outcome: str, reason: Any) -> None:
+        """Apply the ordered (or f+1-certified pushed) decision against
+        OUR participant set — never the one a push claims."""
         self.decided_outcome = outcome
         if outcome == "abort":
             self.outcome_reason = reason

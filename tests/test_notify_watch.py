@@ -3,9 +3,9 @@ reactive ``Space.watch`` and the one-round-trip wake-up of blocking reads.
 
 Three layers:
 
-* unit tests for the bounded replica-side :class:`WaiterTable` and the
-  client-side f+1 vote collector :class:`ClientWaiter` (duplicate/stale
-  notification idempotence, forged-vote rejection);
+* unit tests for the bounded replica-side :class:`WaiterTable` (the
+  client-side f+1 vote is the one tally every message kind shares, tested
+  in ``test_client_tally.py``);
 * simulated-network tests on the replicated and sharded backends — push
   wake-up in one round trip, policy suppression at notification time,
   waiter-table drain on cancel/timeout/close, Byzantine pushes that must
@@ -26,7 +26,7 @@ import pytest
 
 from repro.api import connect
 from repro.errors import OperationTimeoutError, TupleSpaceError
-from repro.notify import ClientWaiter, Subscription, WaiterTable
+from repro.notify import Subscription, WaiterTable
 from repro.policy import AccessPolicy, Rule
 from repro.replication.crypto import digest
 from repro.replication.messages import Notify
@@ -109,80 +109,6 @@ class TestWaiterTable:
         table.register("alice", 2, template("T", ANY), "in")
         order = [(w.client, w.waiter_id) for w in table.matching(entry("T", 0))]
         assert order == [("bob", 9), ("alice", 2)]
-
-
-# ----------------------------------------------------------------------
-# ClientWaiter (f+1 vote collector; forged/stale pushes must not wake)
-# ----------------------------------------------------------------------
-
-
-def make_waiter(f: int = 1, targets=("r0", "r1", "r2", "r3")):
-    events = []
-    waiter = ClientWaiter(
-        waiter_id=1,
-        template=template("T", ANY),
-        operation="rd",
-        targets=tuple(targets),
-        f=f,
-        on_event=lambda entry_, event: events.append((entry_, event)),
-        armed_at=0.0,
-    )
-    return waiter, events
-
-
-class TestClientWaiter:
-    def test_fplus1_votes_required(self):
-        waiter, _ = make_waiter(f=1)
-        item = entry("T", 1)
-        d = digest(item)
-        assert waiter.record("r0", ("c", 0), item, d) is None, "1 vote < f+1"
-        assert waiter.record("r1", ("c", 0), item, d) == item, "2nd vote crosses"
-
-    def test_duplicate_votes_from_one_replica_do_not_count(self):
-        waiter, _ = make_waiter(f=1)
-        item = entry("T", 1)
-        d = digest(item)
-        for _ in range(5):
-            assert waiter.record("r0", ("c", 0), item, d) is None
-        assert waiter.pending_votes == 1
-
-    def test_votes_from_outside_the_target_set_are_ignored(self):
-        waiter, _ = make_waiter(f=1)
-        item = entry("T", 1)
-        d = digest(item)
-        assert waiter.record("intruder", ("c", 0), item, d) is None
-        assert waiter.record("evil-twin", ("c", 0), item, d) is None
-        assert waiter.pending_votes == 0
-
-    def test_disagreeing_digests_never_merge(self):
-        # A lying replica pushes a corrupted entry for the same event: its
-        # (event, digest) bucket stays disjoint from the correct one, so f
-        # liars can never complete a quorum by themselves.
-        waiter, _ = make_waiter(f=1)
-        good, bad = entry("T", 1), entry("T", "corrupted")
-        assert waiter.record("r0", ("c", 0), bad, digest(bad)) is None
-        assert waiter.record("r1", ("c", 0), good, digest(good)) is None
-        assert waiter.record("r2", ("c", 0), bad, digest(bad)) == bad or True
-        # The corrupted value needed two *distinct* replicas to vouch for
-        # it — a single liar (f=1) cannot reach that.
-
-    def test_delivered_events_are_idempotent(self):
-        waiter, _ = make_waiter(f=1)
-        item = entry("T", 1)
-        d = digest(item)
-        waiter.record("r0", ("c", 0), item, d)
-        assert waiter.record("r1", ("c", 0), item, d) == item
-        # Stale duplicates of an already-delivered notification (late or
-        # retransmitted pushes) must not re-deliver.
-        assert waiter.record("r2", ("c", 0), item, d) is None
-        assert waiter.record("r3", ("c", 0), item, d) is None
-
-    def test_pending_vote_buckets_are_bounded(self):
-        waiter, _ = make_waiter(f=3, targets=tuple(f"r{i}" for i in range(10)))
-        for event_id in range(200):
-            item = entry("T", event_id)
-            waiter.record("r0", ("c", event_id), item, digest(item))
-        assert waiter.pending_votes <= 64, "vote buckets must stay bounded"
 
 
 # ----------------------------------------------------------------------
@@ -503,6 +429,25 @@ def test_cancelled_subscriptions_are_forgotten(backend):
     assert space._watches == [kept]
     space.close()
     assert space._watches == [] and not kept.active
+
+
+@pytest.mark.parametrize("backend", ["replicated", "sharded"])
+def test_one_request_inserting_two_matches_delivers_both(backend):
+    """Regression: pushes voted per inserting request, so the second
+    match one transaction inserted lost its vote to the first and was
+    never delivered.  Each inserted entry is its own vote."""
+    space = replicated_space() if backend == "replicated" else sharded_space()
+    with space.watch(template("W", ANY), process="observer") as sub:
+        pump(space)
+        txn = space.transact(process="producer").out(entry("W", 1)).out(entry("W", 2))
+        txn.commit().raise_for_abort()
+        pump(space, 60.0)
+        events = sub.poll()
+    # Votes complete in network-delivery order, not insertion order.
+    assert len(events) == 2
+    assert {e.entry for e in events} == {entry("W", 1), entry("W", 2)}
+    assert events[0].event == events[1].event, "one request inserted both"
+    space.close()
 
 
 class TestNotifyDeterminism:

@@ -288,20 +288,16 @@ class TestCoordinatorFaults:
         space = sharded_space()
         view = space.bind("p1")
         view.out(entry("N1", "tok"))
-        client = space.service.client("p1")
         future = space.submit_transfer(
             template("N1", ANY), entry("N2", "tok"), process="p1"
         )
-        # The coordinator is the lowest participant shard (1).  Wait for
-        # the first coordinator push (TxnPrepare executed and recorded),
+        # The coordinator is the lowest participant shard (1).  Wait until
+        # a coordinator replica has executed and recorded the prepare,
         # then crash a coordinator-group backup: the decision has not
         # been ordered yet, and the group must finish without it.
+        coordinators = space.service.group(1).nodes
         space.network.run_until(
-            lambda: any(
-                isinstance(push, TxnPrepare)
-                for pile in client._txn_pushes.values()
-                for _, push in pile
-            )
+            lambda: any(len(node.application._txn_coord) for node in coordinators)
         )
         assert not future.done
         space.service.group(1).nodes[3].fault_mode = ReplicaFaultMode.CRASHED
@@ -348,6 +344,79 @@ class TestLyingParticipant:
         with pytest.raises(TxnAbortedError):
             view.transfer(template("N1", ANY), entry("N2", "never"))
         assert space.snapshot() == ()
+
+
+class TestCrossGroupCertificates:
+    """A push certificate counts only the group that must have sent it.
+
+    One Byzantine replica in shard 0 and one in shard 2 (``f = 1`` per
+    group) are two distinct replicas, but neither belongs to the group a
+    decision or a shard-3 vote comes from; pooled, they used to make a
+    certificate.
+    """
+
+    FORGERS = ("shard-0:replica-0", "shard-2:replica-3")
+
+    def voting_txn(self, space):
+        from repro.txn.legs import normalize_legs
+        from repro.txn.manager import CrossShardTxn
+
+        legs = normalize_legs(
+            (
+                ("in", template("N1", ANY)),
+                ("out", entry("N2", "tok")),
+                ("rd", template("N3", ANY)),
+            )
+        )
+        txn = CrossShardTxn(space, "p1", legs)
+        space.network.run_until(lambda: txn.stage == "vote")
+        return txn
+
+    def test_a_pooled_decision_certificate_cannot_commit_a_refused_txn(self):
+        space = sharded_space()
+        space.bind("p1").out(entry("N1", "tok"))
+        txn = self.voting_txn(space)  # shard 3 has no N3: it votes no
+        for forger in self.FORGERS:
+            space.network.send(
+                forger,
+                "p1",
+                TxnDecision(
+                    replica=forger,
+                    client="p1",
+                    txn_id=txn.txn_id,
+                    outcome="commit",
+                    reason=None,
+                ),
+            )
+        payload = drive(space, txn.future)
+        assert txn.votes[3] == ("no", ("no-match", 0))
+        assert payload == ("OK", ("aborted", ("no-match", 0)))
+        assert set(space.snapshot()) == {entry("N1", "tok")}
+
+    def test_pooled_votes_claiming_another_shard_do_not_count(self):
+        space = sharded_space()
+        view = space.bind("p1")
+        view.out(entry("N1", "tok"))
+        view.out(entry("N3", "rate"))
+        txn = self.voting_txn(space)  # every group votes yes
+        for forger in self.FORGERS:
+            space.network.send(
+                forger,
+                "p1",
+                TxnVote(
+                    replica=forger,
+                    client="p1",
+                    txn_id=txn.txn_id,
+                    shard=3,
+                    vote="no",
+                    reason=("forged",),
+                    pins_digest="0" * 64,
+                ),
+            )
+        payload = drive(space, txn.future)
+        assert outcome_from_payload(payload).committed
+        assert set(txn.certificates[3][1]) <= set(space.service.group(3).replica_ids)
+        assert set(space.snapshot()) == {entry("N2", "tok"), entry("N3", "rate")}
 
 
 class TestLockExpiry:
@@ -550,25 +619,6 @@ class TestTxnWire:
         assert type(decoded) is type(message)
         assert digest(decoded) == digest(message)
         assert isinstance(decoded.txn_id, tuple)
-
-    def test_push_certificates_demand_f_plus_1_distinct_replicas(self):
-        space = sharded_space()
-        client = space.service.client("alice")
-        txn_id = ("alice", 0)
-        decision = lambda replica: TxnDecision(
-            replica=replica,
-            client="alice",
-            txn_id=txn_id,
-            outcome="commit",
-            reason=None,
-        )
-        client._on_txn_push("s1-r0", decision("s1-r0"))
-        client._on_txn_push("s1-r0", decision("s1-r0"))  # duplicate sender
-        assert client.txn_push_vote(txn_id, TxnDecision) is None
-        client._on_txn_push("s1-r1", decision("s1-r1"))
-        payload, replicas = client.txn_push_vote(txn_id, TxnDecision)
-        assert payload.outcome == "commit"
-        assert set(replicas) == {"s1-r0", "s1-r1"}
 
     def test_no_match_sentinel_is_wire_safe(self):
         assert codec.decode(codec.encode(NO_MATCH)) == NO_MATCH
