@@ -4,16 +4,21 @@
 ladder after the simulation: the same nodes, handlers, MAC-authenticated
 envelopes and timer semantics as
 :class:`~repro.replication.network.SimulatedNetwork`, but driven by real
-asyncio event loops on real threads with wall-clock time.  Payloads stay
-in memory (no serialisation), so what one reactor sustains here is the
-protocol's own cost: the simulation's per-message ``processing_time``
-model was fitted to it (0.2 virtual ms per delivery), and the ladder's
-``write_loopback`` workload is where its throughput is tracked.
+asyncio event loops on real threads with wall-clock time.  Payloads
+cross threads by reference and nothing is encoded for a wire: each
+multicast payload is serialised once, by the sender's ``mac``, and every
+delivery carries those sealed bytes so its receiver pays one HMAC and
+no serialisation (see :mod:`repro.replication.crypto` for why that
+holds only for immutable payloads).  What one reactor sustains here is
+therefore the protocol's own cost: the simulation's per-message
+``processing_time`` model was fitted to it (0.2 virtual ms per
+delivery), and the ladder's ``write_loopback`` workload is where its
+throughput is tracked.
 
-Deliveries hop onto the *receiver's* reactor, so a node's handler runs
-serially on its pinned loop exactly like in the simulation; with
-``reactors > 1`` a sharded cluster pins each replica group to its own
-loop and the groups genuinely run in parallel.
+Deliveries hop onto the *receiver's* reactor through its mailbox, so a
+node's handler runs serially on its pinned loop exactly like in the
+simulation; with ``reactors > 1`` a sharded cluster pins each replica
+group to its own loop and the groups genuinely run in parallel.
 """
 
 from __future__ import annotations
@@ -26,14 +31,16 @@ __all__ = ["AsyncioLoopbackTransport"]
 
 
 class AsyncioLoopbackTransport(RealTransport):
-    """Asyncio tasks + queues transport delivering payloads in memory."""
+    """Asyncio reactors delivering payloads in memory."""
 
     name = "loopback"
 
-    def _dispatch(self, sender: Hashable, receiver: Hashable, payload: Any, mac: str) -> None:
-        # The payload crosses threads by reference; the MAC is verified on
-        # the receiving reactor so the authentication cost lands on the
-        # receiver, mirroring the simulation's processing model.
+    def _dispatch(
+        self, sender: Hashable, receiver: Hashable, payload: Any, mac: str, sealed: bytes | None
+    ) -> None:
+        # The MAC is verified on the receiving reactor so the
+        # authentication cost lands on the receiver, mirroring the
+        # simulation's processing model.
         self.reactor_of(receiver).call_soon(
-            lambda: self._handle_delivery(sender, receiver, payload, mac)
+            self._handle_delivery, sender, receiver, payload, mac, sealed
         )

@@ -180,7 +180,10 @@ class TcpTransport(RealTransport):
             self._count(self._obs_frames_dropped)
             return
         self._count(self._obs_frames_delivered)
-        self._guarded(lambda: handler(sender, payload))()
+        try:
+            handler(sender, payload)
+        except Exception as error:  # noqa: BLE001 - reactor must survive
+            self._handler_failed(error)
 
     def _count(self, counter: Any, amount: float = 1.0) -> None:
         with self._lock:
@@ -207,9 +210,11 @@ class TcpTransport(RealTransport):
             self._obs_frames_sent.inc()
             self._obs_bytes_sent.inc(float(len(frame)))
         reactor = self.reactor_of(sender if sender in self._handlers else receiver)
-        reactor.call_soon(lambda: self._enqueue(reactor, receiver, frame))
+        reactor.call_soon(self._enqueue, reactor, receiver, frame)
 
-    def _dispatch(self, sender: Hashable, receiver: Hashable, payload: Any, mac: str) -> None:
+    def _dispatch(
+        self, sender: Hashable, receiver: Hashable, payload: Any, mac: str, sealed: bytes | None
+    ) -> None:
         raise AssertionError("TcpTransport.send never delegates to _dispatch")  # pragma: no cover
 
     def _enqueue(self, reactor: Reactor, receiver: Hashable, frame: bytes) -> None:
@@ -289,6 +294,6 @@ class TcpTransport(RealTransport):
     def close(self) -> None:
         # The base close detaches every node's server; the pump and
         # server-connection tasks are then cancelled (and their writers
-        # closed) by each reactor's drain before its loop stops.
+        # closed) by each reactor's stop() before its loop stops.
         self._outbound.clear()
         super().close()

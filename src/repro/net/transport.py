@@ -39,11 +39,23 @@ serial context); timers created from a plain thread fire on reactor 0,
 which is also where client identities live by default.  Handler
 exceptions are caught and counted (``statistics["handler_errors"]``)
 so one bad message cannot kill a reactor.
+
+Work for a reactor — deliveries, sends queued for a socket, ``post``
+pokes — goes through its **mailbox**: one FIFO of ``(callback, args)``
+that any thread appends to, drained on the loop by a single callback.
+A message therefore costs a deque append, not an asyncio ``Handle``, a
+closure and a ``Context.run``.  A drain runs only the callbacks queued
+when it started and then re-arms itself behind whatever else is ready,
+so timers, sockets and foreign-thread posts interleave with deliveries
+as often as asyncio's own ready queue would let them.  Only the call
+that arms an idle mailbox from a foreign thread writes the loop's
+self-pipe.  ``statistics["pending"]`` is the mailboxes' total length.
 """
 
 from __future__ import annotations
 
 import asyncio
+import collections
 import threading
 import time
 from typing import Any, Callable, Hashable, Iterable, Optional, Protocol, runtime_checkable
@@ -181,6 +193,15 @@ class Reactor:
     def __init__(self, name: str) -> None:
         self.name = name
         self.loop = asyncio.new_event_loop()
+        #: ``(callback, args)`` waiting for the loop, oldest first.
+        self._mailbox: collections.deque[tuple[Callable[..., None], tuple]] = (
+            collections.deque()
+        )
+        #: Whether a drain is queued or running.  Cleared by the drain
+        #: *before* it looks at the mailbox one last time, so an append
+        #: racing the end of a drain is either seen there or arms anew.
+        self._armed = False
+        self._stopped = False
         self._started = threading.Event()
         self._thread = threading.Thread(target=self._run, name=name, daemon=True)
         self._thread.start()
@@ -191,23 +212,48 @@ class Reactor:
         self.loop.call_soon(self._started.set)
         self.loop.run_forever()
 
-    def call_soon(self, callback: Callable[[], None]) -> None:
-        """Schedule ``callback()`` on this reactor from any thread.
+    @property
+    def pending(self) -> int:
+        """Callbacks queued in the mailbox and not yet started."""
+        return len(self._mailbox)
 
-        Both branches append to the loop's one ready queue, so callbacks
-        run in submission order whichever thread queued them; only a
-        foreign thread needs the thread-safe variant's self-pipe write
-        to wake the loop (a syscall per message otherwise, since handlers
-        send from the reactor they run on).  A no-op once the loop is
-        closed (shutdown races lose quietly).
+    def call_soon(self, callback: Callable[..., None], *args: Any) -> None:
+        """Run ``callback(*args)`` on this reactor; callable from any thread.
+
+        Every caller appends to the one mailbox, so callbacks run in
+        submission order whichever thread queued them.  A no-op once the
+        reactor is stopped (shutdown races lose quietly, and the mailbox
+        of a closed loop never grows).
         """
+        if self._stopped:
+            return
+        self._mailbox.append((callback, args))
+        if self._armed:
+            return
+        self._armed = True
         try:
             if threading.get_ident() == self._thread.ident:
-                self.loop.call_soon(callback)
+                self.loop.call_soon(self._drain_mailbox)
             else:
-                self.loop.call_soon_threadsafe(callback)
-        except RuntimeError:
+                self.loop.call_soon_threadsafe(self._drain_mailbox)
+        except RuntimeError:  # the loop closed under a racing stop()
             pass
+
+    def _drain_mailbox(self) -> None:
+        """Run what was queued when this drain started, then re-arm."""
+        mailbox = self._mailbox
+        for _ in range(len(mailbox)):
+            callback, args = mailbox.popleft()
+            try:
+                callback(*args)
+            except Exception as error:  # noqa: BLE001 - the rest must still run
+                self.loop.call_exception_handler(
+                    {"message": f"exception in {self.name} callback", "exception": error}
+                )
+        self._armed = False
+        if mailbox:
+            self._armed = True
+            self.loop.call_soon(self._drain_mailbox)
 
     def run_coroutine(self, coroutine: Any, *, timeout: float = 10.0) -> Any:
         """Run ``coroutine`` on this reactor and wait for its result."""
@@ -217,16 +263,18 @@ class Reactor:
         if self.loop.is_closed():
             return
         try:
-            self.run_coroutine(self._drain(), timeout=2.0)
+            self.run_coroutine(self._cancel_tasks(), timeout=2.0)
         except Exception:  # pragma: no cover - teardown best effort
             pass
         self.loop.call_soon_threadsafe(self.loop.stop)
         self._thread.join(timeout=5.0)
+        self._stopped = True
         if not self._thread.is_alive():
             self.loop.close()
+            self._mailbox.clear()
 
     @staticmethod
-    async def _drain() -> None:
+    async def _cancel_tasks() -> None:
         """Cancel and await every task so the loop closes without orphans."""
         current = asyncio.current_task()
         tasks = [task for task in asyncio.all_tasks() if task is not current]
@@ -345,19 +393,24 @@ class RealTransport:
             try:
                 callback()
             except Exception as error:  # noqa: BLE001 - reactor must survive
-                with self._lock:
-                    self._last_handler_error = error
-                    self._obs_handler_errors.inc()
-                if self._flight.enabled:
-                    self._flight.record(
-                        "net-error",
-                        self.name,
-                        self.now,
-                        error=type(error).__name__,
-                        detail=str(error),
-                    )
+                self._handler_failed(error)
 
         return run
+
+    def _handler_failed(self, error: Exception) -> None:
+        """Count an exception a handler, timer or posted callback raised
+        on a reactor; the reactor carries on with its next callback."""
+        with self._lock:
+            self._last_handler_error = error
+            self._obs_handler_errors.inc()
+        if self._flight.enabled:
+            self._flight.record(
+                "net-error",
+                self.name,
+                self.now,
+                error=type(error).__name__,
+                detail=str(error),
+            )
 
     # ------------------------------------------------------------------
     # Registration
@@ -415,7 +468,10 @@ class RealTransport:
         def fire(fn: Callable[[], None]) -> None:
             with self._lock:
                 self._obs_timers_fired.inc()
-            self._guarded(fn)()
+            try:
+                fn()
+            except Exception as error:  # noqa: BLE001 - reactor must survive
+                self._handler_failed(error)
 
         return NetTimer(self._timer_loop(), self.now + delay, delay, callback, fire)
 
@@ -438,27 +494,39 @@ class RealTransport:
             return
         if not self.has_node(receiver):
             raise SimulationError(f"unknown receiver {receiver!r}")
-        mac = self._authenticator.mac(sender, receiver, payload)
+        authenticator = self._authenticator
+        mac = authenticator.mac(sender, receiver, payload)
         with self._lock:
             self._obs_frames_sent.inc()
-        self._dispatch(sender, receiver, payload, mac)
+        self._dispatch(sender, receiver, payload, mac, authenticator.sealed_bytes(payload))
 
     def broadcast(self, sender: Hashable, receivers: Iterable[Hashable], payload: Any) -> None:
         for receiver in receivers:
             if receiver != sender:
                 self.send(sender, receiver, payload)
 
-    def _dispatch(self, sender: Hashable, receiver: Hashable, payload: Any, mac: str) -> None:
+    def _dispatch(
+        self, sender: Hashable, receiver: Hashable, payload: Any, mac: str, sealed: bytes | None
+    ) -> None:
+        """Move ``payload`` towards ``receiver``; ``sealed`` is the
+        canonical bytes ``mac`` covers (``None`` if another seal raced)."""
         raise NotImplementedError
 
-    def _handle_delivery(self, sender: Hashable, receiver: Hashable, payload: Any, mac: str) -> None:
+    def _handle_delivery(
+        self,
+        sender: Hashable,
+        receiver: Hashable,
+        payload: Any,
+        mac: str,
+        sealed: bytes | None,
+    ) -> None:
         """Verify and deliver on the receiver's reactor (call it there)."""
         handler = self._handlers.get(receiver)
         if handler is None:
             with self._lock:
                 self._obs_frames_dropped.inc()
             return
-        if not self._authenticator.verify(sender, receiver, payload, mac):
+        if not self._authenticator.verify(sender, receiver, payload, mac, sealed):
             with self._lock:
                 self._obs_mac_rejects.inc()
             if self._flight.enabled:
@@ -473,7 +541,10 @@ class RealTransport:
             return
         with self._lock:
             self._obs_frames_delivered.inc()
-        self._guarded(lambda: handler(sender, payload))()
+        try:
+            handler(sender, payload)
+        except Exception as error:  # noqa: BLE001 - reactor must survive
+            self._handler_failed(error)
 
     # ------------------------------------------------------------------
     # Driving (wall-clock waiting, not event pumping)
@@ -554,7 +625,7 @@ class RealTransport:
                 "frames_sent": int(self._obs_frames_sent.value),
                 "bytes_sent": int(self._obs_bytes_sent.value),
                 "bytes_received": int(self._obs_bytes_received.value),
-                "pending": 0,
+                "pending": sum(reactor.pending for reactor in self._reactors),
             }
 
     def __repr__(self) -> str:

@@ -35,16 +35,34 @@ keeps two things between calls — neither changes a byte of any tag:
   strong reference so the ``id`` cannot be recycled — and reuses those
   bytes when the very same object is sealed again.  The n−1 back-to-back
   ``send`` calls of one ``broadcast`` and the n entries of a client MAC
-  vector therefore serialise once and differ only in the key.  Payloads
-  are immutable protocol values; one mutated between two sends would be
-  sealed with its earlier bytes and rejected by the receiver.
+  vector therefore serialise once and differ only in the key.
 
-The memo is **sender-side only**: :meth:`MessageAuthenticator.verify`
-never reads it.  A receiver recomputes the canonical bytes from the
-object it was actually delivered, so a payload rewritten in flight
-(``SimulatedNetwork.set_tampering``) is rejected at every receiver even
-though sender and receivers share one process, one authenticator and —
-on the in-memory transports — one payload object.
+What a receiver MACs depends on what the transport hands it:
+
+* **In-process transports** (``SimulatedNetwork``, the asyncio
+  loopback) deliver the sender's object by reference, so each delivery
+  also carries the canonical bytes ``mac`` computed from that very
+  object (:meth:`MessageAuthenticator.sealed_bytes`).  The receiver
+  MACs those bytes and serialises nothing: one HMAC per delivery.
+* **A payload rewritten in flight** (``SimulatedNetwork.set_tampering``)
+  travels *without* sealed bytes — they describe the object the sender
+  sealed, not the one delivered — so its receivers serialise what they
+  were handed and reject the rewrite at every receiver, exactly as a
+  real network's receivers would.
+* **TCP** receivers hold only the frame's payload bytes and MAC the
+  canonical bytes of those, as computed by the sender over the same
+  bytes.
+
+The memo itself is read by ``mac`` and ``sealed_bytes`` alone;
+:meth:`MessageAuthenticator.verify` MACs the sealed bytes its caller
+passes, and otherwise the canonical bytes of the delivered object —
+never the memo.
+
+Both shortcuts rest on one model: **every message class is a frozen
+dataclass and handlers treat payloads as immutable.**  Bytes sealed for
+an object stay its canonical bytes for as long as anyone holds it; a
+payload mutated between sealing and delivery would be accepted under
+its earlier bytes, which is why nothing in the protocol mutates one.
 """
 
 from __future__ import annotations
@@ -142,22 +160,38 @@ class MessageAuthenticator:
         """MAC of ``payload`` under the sender/receiver shared key."""
         sealed, body = self._sealed
         if sealed is not payload:
-            # Canonical bytes, not a plain pickle: the receiver recomputes
-            # the MAC over its own decoded copy of the payload, whose object
-            # graph need not share sub-objects the way the sender's did.
+            # Canonical bytes, not a plain pickle: a receiver without the
+            # sealed bytes recomputes the MAC over the copy it holds, whose
+            # object graph need not share sub-objects the way the sender's did.
             body = canonical_bytes(payload)
             self._sealed = (payload, body)
         return hmac.digest(self._key(sender, receiver), body, "sha256").hex()
 
-    def verify(self, sender: Hashable, receiver: Hashable, payload: Any, tag: Any) -> bool:
+    def sealed_bytes(self, payload: Any) -> bytes | None:
+        """The canonical bytes :meth:`mac` last computed, if it computed
+        them from this very object; ``None`` once another payload (from
+        any thread) has been sealed since."""
+        sealed, body = self._sealed
+        return body if sealed is payload else None
+
+    def verify(
+        self,
+        sender: Hashable,
+        receiver: Hashable,
+        payload: Any,
+        tag: Any,
+        sealed: bytes | None = None,
+    ) -> bool:
         """Constant-time verification of a received MAC.
 
+        ``sealed`` is the canonical bytes of ``payload`` as the sender
+        sealed them, when an in-process transport delivered the sealed
+        object itself; otherwise ``payload`` is serialised here.
         ``tag`` arrives from outside: anything that is not an ASCII ``str``
         (``compare_digest`` raises on the rest) is rejected, never raised.
         """
         if not isinstance(tag, str) or not tag.isascii():
             return False
-        expected = hmac.digest(
-            self._key(sender, receiver), canonical_bytes(payload), "sha256"
-        ).hex()
+        body = canonical_bytes(payload) if sealed is None else sealed
+        expected = hmac.digest(self._key(sender, receiver), body, "sha256").hex()
         return hmac.compare_digest(expected, tag)

@@ -73,12 +73,20 @@ class NetworkConfig:
 
 @dataclasses.dataclass(frozen=True)
 class Envelope:
-    """An authenticated message in flight."""
+    """An authenticated message in flight.
+
+    ``sealed`` is the canonical bytes the sender's MAC was computed over,
+    carried beside the very object they were computed from so the
+    receiver MACs them instead of re-serialising it; ``None`` when the
+    payload was rewritten in flight (see
+    :mod:`repro.replication.crypto`).
+    """
 
     sender: Hashable
     receiver: Hashable
     payload: Any
     mac: str
+    sealed: Optional[bytes] = None
 
 
 class Timer:
@@ -242,8 +250,12 @@ class SimulatedNetwork:
                 )
             return
         mac = self._authenticator.mac(sender, receiver, payload)
+        sealed = self._authenticator.sealed_bytes(payload)
         if sender in self._in_flight_tamper:
+            # The sealed bytes describe the sender's object, not the
+            # rewrite: receivers must serialise what they are handed.
             payload = self._in_flight_tamper[sender](payload)
+            sealed = None
         latency = self._config.mean_latency + self._rng.uniform(0, self._config.jitter)
         deliver_at = self._now + max(latency, 0.001)
         if self._config.processing_time > 0:
@@ -257,7 +269,7 @@ class SimulatedNetwork:
             # repro-lint: disable=RL006 — keyed by receiver node id, so at
             # most one float per registered network identity.
             self._busy_until[receiver] = deliver_at
-        envelope = Envelope(sender=sender, receiver=receiver, payload=payload, mac=mac)
+        envelope = Envelope(sender, receiver, payload, mac, sealed)
         heapq.heappush(self._queue, (deliver_at, next(self._sequence), envelope))
 
     def broadcast(self, sender: Hashable, receivers: Iterable[Hashable], payload: Any) -> None:
@@ -313,7 +325,7 @@ class SimulatedNetwork:
             self._dropped += 1
             return True
         if not self._authenticator.verify(
-            envelope.sender, envelope.receiver, envelope.payload, envelope.mac
+            envelope.sender, envelope.receiver, envelope.payload, envelope.mac, envelope.sealed
         ):
             self._rejected += 1
             if self._flight.enabled:

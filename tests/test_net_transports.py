@@ -26,7 +26,7 @@ import pytest
 from repro.api import connect
 from repro.errors import OperationTimeoutError, SimulationError
 from repro.net import AsyncioLoopbackTransport, TcpTransport, Transport, codec
-from repro.net.transport import Reactor, RealTransport
+from repro.net.transport import Reactor
 from repro.policy import AccessPolicy, Rule
 from repro.replication import ReplicatedPEATS, crypto
 from repro.replication.crypto import KeyStore, MessageAuthenticator, digest
@@ -354,7 +354,7 @@ def test_time_unit_reflects_the_transport():
         real_space.close()
 
 
-class _CheckTimeoutsSpy(RealTransport):
+class _CheckTimeoutsSpy(AsyncioLoopbackTransport):
     """Loopback variant recording post() targets (nudge marshalling)."""
 
     name = "spy"
@@ -362,11 +362,6 @@ class _CheckTimeoutsSpy(RealTransport):
     def __init__(self) -> None:
         super().__init__(reactors=1)
         self.posted = []
-
-    def _dispatch(self, sender, receiver, payload, mac):
-        self.reactor_of(receiver).call_soon(
-            lambda: self._handle_delivery(sender, receiver, payload, mac)
-        )
 
     def post(self, node, callback) -> None:
         self.posted.append(node)
@@ -435,6 +430,11 @@ def test_a_broadcast_serialises_once_and_a_second_round_derives_no_key(
         assert len(tags) == len(set(tags)) == len(peers) - 1
         assert net.run_until(everyone_heard(1))
         assert len(derived) == len(peers) - 1
+        # Receiver side: the in-process transports hand each receiver the
+        # bytes the sender sealed, so verifying serialises nothing; a TCP
+        # receiver serialises the payload bytes it read off the socket.
+        receiver_side = len(serialised) - 1
+        assert receiver_side == (len(peers) - 1 if kind == "tcp" else 0)
 
         del derived[:]
         second = Prepare(view=0, sequence=2, batch_digest="d", replica="r0")
@@ -679,3 +679,74 @@ def test_reactor_call_soon_keeps_submission_order_from_both_sides():
     # After stop() the loop is closed: a quiet no-op, from any thread.
     reactor.call_soon(lambda: ran.append(("late", 0)))
     assert ("late", 0) not in ran
+
+
+def test_a_raising_callback_does_not_stop_the_ones_queued_after_it():
+    reactor = Reactor("test-reactor-raise")
+    try:
+        errors, ran = [], []
+        reactor.loop.set_exception_handler(lambda loop, context: errors.append(context))
+        done = threading.Event()
+
+        def explode() -> None:
+            raise RuntimeError("boom")
+
+        reactor.call_soon(explode)
+        reactor.call_soon(ran.append, "after")
+        reactor.call_soon(done.set)
+        assert done.wait(WAIT_MS / 1000.0)
+        assert ran == ["after"]
+        assert [type(context["exception"]) for context in errors] == [RuntimeError]
+    finally:
+        reactor.stop()
+
+
+def test_a_callback_reposting_itself_forever_does_not_starve_a_timer():
+    with AsyncioLoopbackTransport() as net:
+        net.register("n", lambda s, p: None)
+        spins, fired = [], threading.Event()
+        quit_spinning = threading.Event()
+
+        def spin() -> None:
+            spins.append(None)
+            if not quit_spinning.is_set():
+                net.post("n", spin)
+
+        net.post("n", spin)
+        assert net.run_until(lambda: len(spins) > 100, timeout=WAIT_MS)
+        net.schedule_after(5.0, fired.set)
+        try:
+            assert fired.wait(5.0)
+        finally:
+            quit_spinning.set()
+        assert net.statistics["timers_fired"] == 1
+
+
+def test_call_soon_after_stop_leaves_the_mailbox_empty():
+    reactor = Reactor("test-reactor-stopped")
+    reactor.stop()
+    for _ in range(10_000):
+        reactor.call_soon(lambda: None)
+    assert reactor.pending == 0
+
+
+def test_real_transport_reports_the_deliveries_waiting_in_its_mailboxes():
+    with AsyncioLoopbackTransport() as net:
+        received = []
+        net.register("a", lambda s, p: None)
+        net.register("b", lambda s, p: received.append(p))
+        entered, release = threading.Event(), threading.Event()
+
+        def block() -> None:
+            entered.set()
+            release.wait(WAIT_MS / 1000.0)
+
+        net.post("b", block)
+        assert entered.wait(WAIT_MS / 1000.0)
+        for index in range(5):
+            net.send("a", "b", index)
+        assert net.statistics["pending"] == 5
+        release.set()
+        assert net.run_until(lambda: len(received) == 5, timeout=WAIT_MS)
+        assert net.statistics["pending"] == 0
+        assert received == list(range(5))

@@ -7,6 +7,7 @@ import hmac
 import pytest
 
 from repro.errors import SimulationError
+from repro.net.codec import MESSAGE_CLASSES
 from repro.replication import crypto
 from repro.replication.crypto import KEY_CACHE_CAP, KeyStore, MessageAuthenticator, digest
 from repro.replication.messages import ClientRequest, Prepare, authenticate_request
@@ -113,6 +114,27 @@ class TestCrypto:
         tag = authenticator.mac("r0", "r1", sealed)
         assert not authenticator.verify("r0", "r1", ("forged", sealed), tag)
         assert authenticator.verify("r0", "r1", sealed, tag)
+
+    def test_sealed_bytes_belong_to_the_object_last_sealed_only(self, count_calls):
+        authenticator = MessageAuthenticator(KeyStore())
+        first = Prepare(view=0, sequence=1, batch_digest="d", replica="r0")
+        twin = dataclasses.replace(first)
+        tag = authenticator.mac("r0", "r1", first)
+        sealed = authenticator.sealed_bytes(first)
+        assert sealed == crypto.canonical_bytes(first)
+        assert authenticator.sealed_bytes(twin) is None  # equal is not enough
+        serialised = count_calls(crypto, "canonical_bytes")
+        assert authenticator.verify("r0", "r1", first, tag, sealed)
+        assert serialised == []  # the sealed bytes are MAC'd as they are
+        assert not authenticator.verify("r0", "r1", first, tag, sealed + b".")
+        authenticator.mac("r0", "r1", twin)
+        assert authenticator.sealed_bytes(first) is None
+
+    @pytest.mark.parametrize("cls", list(MESSAGE_CLASSES.values()), ids=list(MESSAGE_CLASSES))
+    def test_every_message_class_is_a_frozen_dataclass(self, cls):
+        # In-process receivers MAC the bytes sealed from the very object
+        # they are handed; that is sound only while nobody can rewrite it.
+        assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
 
     def test_names_that_compare_equal_do_not_share_a_cached_key(self):
         # 1 == True == 1.0 as dict keys, but they are three principals to
@@ -239,6 +261,35 @@ class TestNetwork:
         assert inboxes["b"] == inboxes["c"] == []
         assert network.statistics["rejected"] == 2
         assert network.statistics["delivered"] == 0
+
+    def make_group(self):
+        network = SimulatedNetwork(NetworkConfig(seed=7))
+        group = ("a", "b", "c", "d")
+        inboxes = {node: [] for node in group}
+        for node in group:
+            network.register(node, lambda s, p, node=node: inboxes[node].append(p))
+        return network, group, inboxes
+
+    def test_a_field_rewritten_in_flight_is_rejected_at_all_three_receivers(self, count_calls):
+        network, group, inboxes = self.make_group()
+        network.set_tampering("a", lambda payload: dataclasses.replace(payload, batch_digest="x"))
+        network.broadcast("a", group, Prepare(0, 1, "d", "a"))
+        serialised = count_calls(crypto, "canonical_bytes")
+        network.run()
+        assert all(inboxes[node] == [] for node in group)
+        assert network.statistics["rejected"] == 3
+        # Each receiver serialised what it was handed, not the sealed bytes.
+        assert len(serialised) == 3
+
+    def test_an_equal_but_distinct_copy_made_in_flight_is_delivered(self):
+        network, group, inboxes = self.make_group()
+        sent = Prepare(0, 1, "d", "a")
+        network.set_tampering("a", lambda payload: dataclasses.replace(payload))
+        network.broadcast("a", group, sent)
+        network.run()
+        for node in group[1:]:
+            assert inboxes[node] == [sent] and inboxes[node][0] is not sent
+        assert network.statistics["rejected"] == 0
 
     def test_run_until_condition(self):
         network, inboxes = self.make_network()
