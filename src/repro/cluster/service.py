@@ -81,9 +81,12 @@ class ShardedPEATS:
         self.f = f
         self._policy = policy
         self._shard_map = ShardMap(shards, routing)
-        self._network = network or SimulatedNetwork(network_config or NetworkConfig())
-        #: Observability bundle shared by every shard's replica group.
+        #: Observability bundle shared by the network and every shard's
+        #: replica group.
         self.obs = resolve_obs(obs)
+        self._network = network or SimulatedNetwork(
+            network_config or NetworkConfig(), obs=self.obs
+        )
         group_size = 3 * f + 1
         reactor_count = self._network.reactor_count
         for shard in range(shards):

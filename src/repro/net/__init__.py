@@ -14,9 +14,11 @@ The deployment ladder of the reproduction, bottom to top:
    those bytes (:mod:`repro.net.codec`).  Every process of a deployment
    runs the same release: another release's frames are rejected.
 
-All three implement the :class:`Transport` protocol, so the PBFT
-ordering layer, the replica application, the voting client, the sharded
-cluster and the unified API run unmodified on any of them::
+All three implement the :class:`Transport` protocol on one
+:class:`~repro.replication.network.DeliveryCore` (registration, fault
+hooks, MACs, counts), so the PBFT ordering layer, the replica
+application, the voting client, the sharded cluster, the unified API and
+the fault schedules of :mod:`repro.sim` run unmodified on any of them::
 
     from repro.api import connect
 

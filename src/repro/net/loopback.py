@@ -1,8 +1,8 @@
 """In-process asyncio transport: real concurrency, in-memory delivery.
 
 :class:`AsyncioLoopbackTransport` is the first rung of the deployment
-ladder after the simulation: the same nodes, handlers, MAC-authenticated
-envelopes and timer semantics as
+ladder after the simulation: the same delivery core (nodes, handlers,
+MAC-authenticated deliveries, fault hooks, counts) and timer semantics as
 :class:`~repro.replication.network.SimulatedNetwork`, but driven by real
 asyncio event loops on real threads with wall-clock time.  Payloads
 cross threads by reference and nothing is encoded for a wire: each
@@ -23,24 +23,12 @@ group to its own loop and the groups genuinely run in parallel.
 
 from __future__ import annotations
 
-from typing import Any, Hashable
-
 from repro.net.transport import RealTransport
 
 __all__ = ["AsyncioLoopbackTransport"]
 
 
 class AsyncioLoopbackTransport(RealTransport):
-    """Asyncio reactors delivering payloads in memory."""
+    """Asyncio reactors delivering payloads in memory (``RealTransport.send``)."""
 
     name = "loopback"
-
-    def _dispatch(
-        self, sender: Hashable, receiver: Hashable, payload: Any, mac: str, sealed: bytes | None
-    ) -> None:
-        # The MAC is verified on the receiving reactor so the
-        # authentication cost lands on the receiver, mirroring the
-        # simulation's processing model.
-        self.reactor_of(receiver).call_soon(
-            self._handle_delivery, sender, receiver, payload, mac, sealed
-        )

@@ -39,7 +39,7 @@ class _Outbound:
     __slots__ = ("frames", "event", "task")
 
     def __init__(self) -> None:
-        self.frames: collections.deque[bytes] = collections.deque()
+        self.frames: collections.deque[tuple[Hashable, bytes]] = collections.deque()
         self.event = asyncio.Event()
         self.task: Optional[asyncio.Task] = None
 
@@ -68,12 +68,8 @@ class TcpTransport(RealTransport):
         self._port_of = port_of
         self._servers: dict[Hashable, asyncio.base_events.Server] = {}
         self._outbound: dict[tuple[int, Hashable], _Outbound] = {}
-        #: ``(payload, wire bytes)`` of the payload last encoded by
-        #: :meth:`send`, compared by identity: the n−1 sends of one
-        #: broadcast share one encoding — and, handing the authenticator
-        #: the same ``bytes`` object each time, one canonical
-        #: serialisation (see :mod:`repro.replication.crypto`).  Initially
-        #: a fresh object no payload can be.
+        #: ``(payload, wire bytes)`` last encoded by :meth:`_covered`,
+        #: compared by identity (initially a fresh object no payload can be).
         self._encoded: tuple[Any, bytes] = (object(), b"")
 
     # ------------------------------------------------------------------
@@ -141,7 +137,7 @@ class TcpTransport(RealTransport):
                 header = await reader.readexactly(_HEADER_SIZE)
                 (length,) = struct.unpack(codec.FRAME_HEADER, header)
                 if length > codec.MAX_FRAME_BYTES:
-                    self._count(self._obs_mac_rejects)
+                    self._reject(node, "oversized-frame")
                     break
                 body = await reader.readexactly(length)
                 self._deliver_frame(node, body)
@@ -156,68 +152,58 @@ class TcpTransport(RealTransport):
             writer.close()
 
     def _deliver_frame(self, node: Hashable, body: bytes) -> None:
-        self._count(self._obs_bytes_received, len(body) + _HEADER_SIZE)
+        """Verify the MAC over the payload bytes, then decode and deliver."""
+        self._count("bytes_received", len(body) + _HEADER_SIZE)
         try:
             sender, receiver, payload_bytes, mac = codec.decode_frame(body)
         except codec.CodecError:
-            self._count(self._obs_mac_rejects)
+            self._reject(node, "undecodable-frame")
             return
         if receiver != node:
             # A frame addressed elsewhere landed on this node's socket —
             # misrouted or forged; never hand it to the handler.
-            self._count(self._obs_frames_dropped)
+            self._reject(node, "misrouted", sender)
             return
-        if not self._authenticator.verify(sender, receiver, payload_bytes, mac):
-            self._count(self._obs_mac_rejects)
+        if not self._authentic(sender, node, payload_bytes, mac):
             return
         try:
             payload = codec.decode_payload(payload_bytes)
         except codec.CodecError:
-            self._count(self._obs_mac_rejects)
+            self._reject(node, "undecodable-payload", sender, payload_bytes)
             return
-        handler = self._handlers.get(node)
-        if handler is None:  # pragma: no cover - register precedes serving
-            self._count(self._obs_frames_dropped)
-            return
-        self._count(self._obs_frames_delivered)
-        try:
-            handler(sender, payload)
-        except Exception as error:  # noqa: BLE001 - reactor must survive
-            self._handler_failed(error)
-
-    def _count(self, counter: Any, amount: float = 1.0) -> None:
-        with self._lock:
-            counter.inc(amount)
+        self._contained(self._hand_over, sender, node, payload)
 
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
 
-    def send(self, sender: Hashable, receiver: Hashable, payload: Any) -> None:
-        """Serialise once per payload, MAC the bytes per receiver, enqueue
-        on the sender's reactor."""
-        if self._closed:
-            return
-        if not self.has_node(receiver):
-            raise SimulationError(f"unknown receiver {receiver!r}")
+    def _covered(self, payload: Any) -> bytes:
+        """The MAC covers the payload's wire bytes, encoded once per payload:
+        the n−1 sends of one broadcast share one encoding — and, handing the
+        authenticator the same ``bytes`` object, one canonical serialisation."""
         encoded, payload_bytes = self._encoded
         if encoded is not payload:
             payload_bytes = codec.encode_payload(payload)
             self._encoded = (payload, payload_bytes)
-        mac = self._authenticator.mac(sender, receiver, payload_bytes)
-        frame = codec.encode_frame(sender, receiver, payload_bytes, mac)
-        with self._lock:
-            self._obs_frames_sent.inc()
-            self._obs_bytes_sent.inc(float(len(frame)))
+        return payload_bytes
+
+    def send(self, sender: Hashable, receiver: Hashable, payload: Any) -> None:
+        """Seal the payload's wire bytes per receiver and enqueue the frame
+        on the sender's reactor."""
+        if self._closed:
+            return
+        sealed = self._seal(sender, receiver, payload)
+        if sealed is None:
+            return
+        payload, mac, _ = sealed
+        frame = codec.encode_frame(sender, receiver, self._covered(payload), mac)
+        self._count("bytes_sent", len(frame))
         reactor = self.reactor_of(sender if sender in self._handlers else receiver)
-        reactor.call_soon(self._enqueue, reactor, receiver, frame)
+        reactor.call_soon(self._enqueue, reactor, sender, receiver, frame)
 
-    def _dispatch(
-        self, sender: Hashable, receiver: Hashable, payload: Any, mac: str, sealed: bytes | None
+    def _enqueue(
+        self, reactor: Reactor, sender: Hashable, receiver: Hashable, frame: bytes
     ) -> None:
-        raise AssertionError("TcpTransport.send never delegates to _dispatch")  # pragma: no cover
-
-    def _enqueue(self, reactor: Reactor, receiver: Hashable, frame: bytes) -> None:
         """Append to the (reactor, receiver) backlog; runs on the reactor."""
         key = (id(reactor), receiver)
         out = self._outbound.get(key)
@@ -225,8 +211,14 @@ class TcpTransport(RealTransport):
             out = _Outbound()
             self._outbound[key] = out
             out.task = reactor.loop.create_task(self._pump(out, receiver))
-        out.frames.append(frame)
+        out.frames.append((sender, frame))
         out.event.set()
+
+    def _concede(self, out: _Outbound, receiver: Hashable) -> None:
+        """Drop a backlog the peer never took (unreachable or resetting)."""
+        while out.frames:
+            sender, frame = out.frames.popleft()
+            self._drop(sender, receiver, "unreachable", frame)
 
     #: Write attempts (each over a fresh connection) per head-of-line
     #: frame before the whole backlog is conceded as dropped.
@@ -244,16 +236,14 @@ class TcpTransport(RealTransport):
                 await out.event.wait()
                 out.event.clear()
                 while out.frames:
-                    frame = out.frames[0]
                     if writer is None:
                         writer = await self._connect(receiver)
                         if writer is None:
-                            self._count(self._obs_frames_dropped, len(out.frames))
-                            out.frames.clear()
+                            self._concede(out, receiver)
                             attempts = 0
                             break
                     try:
-                        writer.write(frame)
+                        writer.write(out.frames[0][1])
                         await writer.drain()
                     except (ConnectionResetError, BrokenPipeError, OSError):
                         # The peer dropped the stream: reconnect and retry
@@ -264,8 +254,7 @@ class TcpTransport(RealTransport):
                         writer = None
                         attempts += 1
                         if attempts >= self.WRITE_ATTEMPTS:
-                            self._count(self._obs_frames_dropped, len(out.frames))
-                            out.frames.clear()
+                            self._concede(out, receiver)
                             attempts = 0
                             break
                         continue

@@ -2,13 +2,14 @@
 
 Every layer of the replicated PEATS — the PBFT ordering nodes, the
 replica application, the voting client, the sharded cluster and the
-unified ``repro.api`` — talks to the network through the small surface
-that :class:`~repro.replication.network.SimulatedNetwork` happens to
-implement: register a handler, send/broadcast authenticated payloads,
-schedule cancellable timers, read a clock, and drive the system until a
-condition holds.  :class:`Transport` names that surface explicitly, so
-the protocol stack is written against the *interface* and the simulated
-network becomes one implementation among several:
+unified ``repro.api`` — talks to the network through one small surface:
+register a handler, send/broadcast authenticated payloads, cut and heal
+links or tamper with a sender's payloads, schedule cancellable timers,
+read a clock, and drive the system until a condition holds.
+:class:`Transport` names that surface, and three implementations share
+one :class:`~repro.replication.network.DeliveryCore` for everything
+they do to a message besides moving it (registration, fault filters,
+sealing, verification, accounting, flight events, ``statistics``):
 
 ================  ===============  ==========================  =========
 implementation    time             concurrency                 wire
@@ -18,15 +19,12 @@ AsyncioLoopback   wall-clock ms    asyncio reactors (threads)  in-memory
 TcpTransport      wall-clock ms    asyncio reactors (threads)  TCP frames
 ================  ===============  ==========================  =========
 
-:class:`RealTransport` is the shared machinery of the two real
-implementations: a pool of **reactors** (one daemon thread running one
-asyncio event loop each), node→reactor pinning so a sharded cluster can
-give every replica group its own loop, HMAC authentication identical to
-the simulated network's, wall-clock timers (:class:`NetTimer`), and
-blocking ``run_until``/``run_for`` that *wait* for the background
-reactors instead of pumping a queue.  Subclasses only provide
-:meth:`RealTransport._dispatch` (how an authenticated payload reaches
-the receiving node) plus optional attach/detach hooks.
+:class:`RealTransport` adds what the two real implementations share: a
+pool of **reactors** (one daemon thread running one asyncio event loop
+each), node→reactor pinning so a sharded cluster can give every replica
+group its own loop, wall-clock timers (:class:`NetTimer`), and blocking
+``run_until``/``run_for`` that *wait* for the background reactors
+instead of pumping a queue.
 
 Threading model
 ---------------
@@ -61,8 +59,8 @@ import time
 from typing import Any, Callable, Hashable, Iterable, Optional, Protocol, runtime_checkable
 
 from repro.errors import SimulationError
-from repro.obs import resolve_obs
 from repro.replication.crypto import KeyStore, MessageAuthenticator
+from repro.replication.network import DeliveryCore
 
 __all__ = ["Transport", "NetTimer", "Reactor", "RealTransport"]
 
@@ -71,9 +69,9 @@ __all__ = ["Transport", "NetTimer", "Reactor", "RealTransport"]
 class Transport(Protocol):
     """The network contract the replication stack is written against.
 
-    Extracted from :class:`~repro.replication.network.SimulatedNetwork`
-    (which implements it structurally); the real transports in
-    this package implement the same surface over asyncio.  ``timeout``/
+    Every implementation inherits its delivery half from
+    :class:`~repro.replication.network.DeliveryCore` and adds a clock
+    and a way to move sealed deliveries.  ``timeout``/
     ``delay`` values are **milliseconds of the transport's own clock** —
     virtual for the simulation, wall-clock for the real transports; the
     :attr:`virtual_time` flag and :attr:`time_unit` label tell callers
@@ -102,6 +100,16 @@ class Transport(Protocol):
     def broadcast(
         self, sender: Hashable, receivers: Iterable[Hashable], payload: Any
     ) -> None: ...
+
+    #: Fault injection, identical on every transport: cut/restore links
+    #: and rewrite a sender's payloads in flight (receivers reject them).
+    def partition(self, a: Hashable, b: Hashable) -> None: ...
+
+    def heal(self, a: Hashable, b: Hashable) -> None: ...
+
+    def heal_all(self) -> None: ...
+
+    def set_tampering(self, sender: Hashable, tamper: Callable[[Any], Any] | None) -> None: ...
 
     def schedule_after(self, delay: float, callback: Callable[[], None]) -> Any: ...
 
@@ -287,72 +295,36 @@ class Reactor:
         return f"Reactor({self.name!r}, running={self._thread.is_alive()})"
 
 
-class RealTransport:
+class RealTransport(DeliveryCore):
     """Shared base of the asyncio-backed transports.
 
-    Implements the whole :class:`Transport` contract except the actual
-    payload movement: subclasses provide :meth:`_dispatch` (deliver one
-    authenticated payload towards ``receiver``) and may override the
-    :meth:`_attach`/:meth:`_detach` node lifecycle hooks (the TCP
-    transport starts one frame server per node there).
+    Adds to the :class:`~repro.replication.network.DeliveryCore` the
+    reactors, pinning, wall-clock timers and waiting.  Its :meth:`send`
+    hands each sealed delivery to the receiver's reactor mailbox — the
+    in-memory transport; :class:`~repro.net.tcp.TcpTransport` overrides
+    ``send`` with frames and may use the :meth:`_attach`/:meth:`_detach`
+    node lifecycle hooks (it starts one frame server per node there).
     """
 
     virtual_time = False
     time_unit = "wall-clock ms"
     #: Wall-clock ms :meth:`run_until` waits when the caller names no budget.
     DEFAULT_WAIT_TIMEOUT = 30_000.0
-    #: Names the reactor threads and the ``transport=`` metric label.
     name = "net"
 
     def __init__(
-        self,
-        *,
-        reactors: int = 1,
-        keystore: KeyStore | None = None,
-        obs: Any = None,
+        self, *, reactors: int = 1, keystore: KeyStore | None = None, obs: Any = None
     ) -> None:
         if reactors < 1:
             raise SimulationError("a real transport needs at least one reactor")
-        self._authenticator = MessageAuthenticator(keystore or KeyStore())
+        super().__init__(keystore=keystore, obs=obs)
         self._reactors = tuple(
             Reactor(f"repro-{self.name}-reactor-{index}") for index in range(reactors)
         )
-        self._handlers: dict[Hashable, Callable[[Hashable, Any], None]] = {}
         self._pins: dict[Hashable, int] = {}
         self._epoch = time.monotonic()
-        #: Guards every counter child below: reactors and caller threads
-        #: count concurrently, and ``inc`` is a read-modify-write.
-        self._lock = threading.Lock()
         self._closed = False
         self._last_handler_error: Optional[BaseException] = None
-        self.obs = resolve_obs(obs)
-        registry = self.obs.registry
-        self._flight = self.obs.flight
-        labels = {"transport": self.name}
-        self._obs_frames_sent = registry.counter(
-            "net_frames_sent_total", "Frames authenticated and dispatched"
-        ).labels(**labels)
-        self._obs_frames_delivered = registry.counter(
-            "net_frames_delivered_total", "Frames verified and handed to a handler"
-        ).labels(**labels)
-        self._obs_frames_dropped = registry.counter(
-            "net_frames_dropped_total", "Frames discarded (no handler / misrouted)"
-        ).labels(**labels)
-        self._obs_mac_rejects = registry.counter(
-            "net_mac_rejects_total", "Frames rejected by MAC/codec verification"
-        ).labels(**labels)
-        self._obs_handler_errors = registry.counter(
-            "net_handler_errors_total", "Exceptions raised by node handlers"
-        ).labels(**labels)
-        self._obs_bytes_sent = registry.counter(
-            "net_bytes_sent_total", "Wire bytes written (0 for in-memory transports)"
-        ).labels(**labels)
-        self._obs_bytes_received = registry.counter(
-            "net_bytes_received_total", "Wire bytes read (0 for in-memory transports)"
-        ).labels(**labels)
-        self._obs_timers_fired = registry.counter(
-            "net_timers_fired_total", "Timer callbacks run on a reactor"
-        ).labels(**labels)
 
     # ------------------------------------------------------------------
     # Reactors and pinning
@@ -386,53 +358,35 @@ class RealTransport:
         reach a node without racing its message handler: everything that
         touches the node's state funnels through its own loop.
         """
-        self.reactor_of(node).call_soon(self._guarded(callback))
+        self.reactor_of(node).call_soon(self._contained, callback)
 
-    def _guarded(self, callback: Callable[[], None]) -> Callable[[], None]:
-        def run() -> None:
-            try:
-                callback()
-            except Exception as error:  # noqa: BLE001 - reactor must survive
-                self._handler_failed(error)
-
-        return run
-
-    def _handler_failed(self, error: Exception) -> None:
-        """Count an exception a handler, timer or posted callback raised
-        on a reactor; the reactor carries on with its next callback."""
-        with self._lock:
+    def _contained(self, callback: Callable[..., None], *args: Any) -> None:
+        """Run ``callback(*args)`` on a reactor: an exception a handler,
+        timer or posted callback raises is counted and recorded, and the
+        reactor carries on with its next callback."""
+        try:
+            callback(*args)
+        except Exception as error:  # noqa: BLE001 - reactor must survive
             self._last_handler_error = error
-            self._obs_handler_errors.inc()
-        if self._flight.enabled:
-            self._flight.record(
-                "net-error",
-                self.name,
-                self.now,
-                error=type(error).__name__,
-                detail=str(error),
-            )
+            self._count("handler_errors")
+            if self._flight.enabled:
+                self._flight.record(
+                    "net-error",
+                    self.name,
+                    self.now,
+                    error=type(error).__name__,
+                    detail=str(error),
+                )
 
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
 
-    @property
-    def authenticator(self) -> MessageAuthenticator:
-        return self._authenticator
-
     def register(self, node: Hashable, handler: Callable[[Hashable, Any], None]) -> None:
         if self._closed:
             raise SimulationError("transport is closed")
-        if node in self._handlers:
-            raise SimulationError(f"node {node!r} is already registered")
-        self._handlers[node] = handler
+        super().register(node, handler)
         self._attach(node)
-
-    def nodes(self) -> tuple[Hashable, ...]:
-        return tuple(self._handlers)
-
-    def has_node(self, node: Hashable) -> bool:
-        return node in self._handlers
 
     def _attach(self, node: Hashable) -> None:
         """Subclass hook: the node was registered (start servers, ...)."""
@@ -466,12 +420,8 @@ class RealTransport:
             raise SimulationError("timer delay cannot be negative")
 
         def fire(fn: Callable[[], None]) -> None:
-            with self._lock:
-                self._obs_timers_fired.inc()
-            try:
-                fn()
-            except Exception as error:  # noqa: BLE001 - reactor must survive
-                self._handler_failed(error)
+            self._count("timers_fired")
+            self._contained(fn)
 
         return NetTimer(self._timer_loop(), self.now + delay, delay, callback, fire)
 
@@ -479,72 +429,28 @@ class RealTransport:
         return self.schedule_after(max(when - self.now, 0.0), callback)
 
     # ------------------------------------------------------------------
-    # Sending
+    # In-memory delivery
     # ------------------------------------------------------------------
 
     def send(self, sender: Hashable, receiver: Hashable, payload: Any) -> None:
-        """Authenticate and dispatch ``payload`` towards ``receiver``.
+        """Seal ``payload`` and hand it to ``receiver``'s reactor mailbox.
 
-        Mirrors the simulated network's surface: unknown receivers raise,
-        the payload travels with an HMAC under the sender↔receiver shared
-        key, and verification happens on the receiving side before the
-        handler sees the message.
+        The payload crosses threads by reference with the bytes its MAC
+        covers; verification runs on the receiving reactor, so the
+        authentication cost lands on the receiver as in the simulation.
         """
         if self._closed:
             return
-        if not self.has_node(receiver):
-            raise SimulationError(f"unknown receiver {receiver!r}")
-        authenticator = self._authenticator
-        mac = authenticator.mac(sender, receiver, payload)
-        with self._lock:
-            self._obs_frames_sent.inc()
-        self._dispatch(sender, receiver, payload, mac, authenticator.sealed_bytes(payload))
+        sealed = self._seal(sender, receiver, payload)
+        if sealed is not None:
+            self.reactor_of(receiver).call_soon(self._land, sender, receiver, *sealed)
 
-    def broadcast(self, sender: Hashable, receivers: Iterable[Hashable], payload: Any) -> None:
-        for receiver in receivers:
-            if receiver != sender:
-                self.send(sender, receiver, payload)
-
-    def _dispatch(
+    def _land(
         self, sender: Hashable, receiver: Hashable, payload: Any, mac: str, sealed: bytes | None
     ) -> None:
-        """Move ``payload`` towards ``receiver``; ``sealed`` is the
-        canonical bytes ``mac`` covers (``None`` if another seal raced)."""
-        raise NotImplementedError
-
-    def _handle_delivery(
-        self,
-        sender: Hashable,
-        receiver: Hashable,
-        payload: Any,
-        mac: str,
-        sealed: bytes | None,
-    ) -> None:
         """Verify and deliver on the receiver's reactor (call it there)."""
-        handler = self._handlers.get(receiver)
-        if handler is None:
-            with self._lock:
-                self._obs_frames_dropped.inc()
-            return
-        if not self._authenticator.verify(sender, receiver, payload, mac, sealed):
-            with self._lock:
-                self._obs_mac_rejects.inc()
-            if self._flight.enabled:
-                self._flight.record(
-                    "net-reject",
-                    receiver,
-                    self.now,
-                    sender=str(sender),
-                    reason="bad-mac",
-                    type=type(payload).__name__,
-                )
-            return
-        with self._lock:
-            self._obs_frames_delivered.inc()
-        try:
-            handler(sender, payload)
-        except Exception as error:  # noqa: BLE001 - reactor must survive
-            self._handler_failed(error)
+        if self._authentic(sender, receiver, payload, mac, sealed):
+            self._contained(self._hand_over, sender, receiver, payload)
 
     # ------------------------------------------------------------------
     # Driving (wall-clock waiting, not event pumping)
@@ -557,15 +463,11 @@ class RealTransport:
         max_events: int = 1_000_000,
         timeout: float | None = None,
     ) -> bool:
-        """Wait (wall clock) until ``condition()`` holds.
+        """Block the calling thread (polling) until ``condition()`` holds.
 
-        The reactors make progress on their own threads; this just blocks
-        the calling thread, polling the condition.  Returns the final
-        truth value — ``False`` when the wait timed out (default budget:
-        ``DEFAULT_WAIT_TIMEOUT``), which callers treat
-        exactly like the simulation's "queue drained without the
-        condition holding".  ``max_events`` is accepted for signature
-        parity and ignored.
+        Returns ``False`` when the wait timed out (default budget:
+        ``DEFAULT_WAIT_TIMEOUT``), which callers treat like the simulation's
+        "queue drained first".  ``max_events`` is ignored (signature parity).
         """
         budget_ms = self.DEFAULT_WAIT_TIMEOUT if timeout is None else timeout
         deadline = time.monotonic() + budget_ms / 1000.0
@@ -585,7 +487,7 @@ class RealTransport:
         return 0
 
     # ------------------------------------------------------------------
-    # Lifecycle and statistics
+    # Lifecycle
     # ------------------------------------------------------------------
 
     def close(self) -> None:
@@ -605,31 +507,10 @@ class RealTransport:
         self.close()
 
     @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
     def last_handler_error(self) -> Optional[BaseException]:
         return self._last_handler_error
 
     @property
-    def statistics(self) -> dict[str, float]:
-        with self._lock:
-            return {
-                "now": self.now,
-                "delivered": int(self._obs_frames_delivered.value),
-                "dropped": int(self._obs_frames_dropped.value),
-                "rejected": int(self._obs_mac_rejects.value),
-                "timers_fired": int(self._obs_timers_fired.value),
-                "handler_errors": int(self._obs_handler_errors.value),
-                "frames_sent": int(self._obs_frames_sent.value),
-                "bytes_sent": int(self._obs_bytes_sent.value),
-                "bytes_received": int(self._obs_bytes_received.value),
-                "pending": sum(reactor.pending for reactor in self._reactors),
-            }
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(reactors={len(self._reactors)}, "
-            f"nodes={len(self._handlers)}, delivered={self.statistics['delivered']})"
-        )
+    def pending_count(self) -> int:
+        """Callbacks waiting in the reactors' mailboxes."""
+        return sum(reactor.pending for reactor in self._reactors)

@@ -44,11 +44,12 @@ What a receiver MACs depends on what the transport hands it:
   also carries the canonical bytes ``mac`` computed from that very
   object (:meth:`MessageAuthenticator.sealed_bytes`).  The receiver
   MACs those bytes and serialises nothing: one HMAC per delivery.
-* **A payload rewritten in flight** (``SimulatedNetwork.set_tampering``)
-  travels *without* sealed bytes — they describe the object the sender
-  sealed, not the one delivered — so its receivers serialise what they
-  were handed and reject the rewrite at every receiver, exactly as a
-  real network's receivers would.
+* **A payload rewritten in flight** (``set_tampering``, which every
+  transport offers through its delivery core) travels *without* sealed
+  bytes — they describe the object the sender sealed, not the one
+  delivered — so its receivers serialise what they were handed and
+  reject the rewrite at every receiver, exactly as a real network's
+  receivers would.
 * **TCP** receivers hold only the frame's payload bytes and MAC the
   canonical bytes of those, as computed by the sender over the same
   bytes.

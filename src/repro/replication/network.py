@@ -1,36 +1,28 @@
-"""A deterministic discrete-event message-passing network.
+"""The delivery core, and the deterministic discrete-event network on it.
 
-The network is the asynchronous substrate of the Fig. 2 deployment.  Nodes
-(replicas and clients) register a handler; ``send``/``broadcast`` schedule
-deliveries at a future simulated time drawn from a seeded latency
-distribution, and :meth:`SimulatedNetwork.run` pumps the event queue.
+Section 2.1 assumes a faulty process cannot impersonate a correct one;
+here that is a per-pair HMAC on every delivery, and :class:`DeliveryCore`
+keeps that contract once for every transport: node registration, the
+fault filters (``partition``/``heal``/``heal_all``, ``set_tampering``),
+sealing with a per-receiver MAC, verification where a delivery lands,
+the delivered/dropped/rejected counts on ``net_*_total{transport=…}``
+registry children, the ``msg-drop``/``net-reject`` flight events and the
+``statistics`` view.  A transport adds only how a sealed delivery travels
+and how its clock moves: :class:`SimulatedNetwork` (here) draws seeded
+loss and latency and keeps a ``(time, sequence)`` heap;
+:class:`~repro.net.transport.RealTransport` hands deliveries to a reactor
+mailbox, or to TCP frames.  A payload rewritten in flight is rejected by
+every receiver: the core never forges a MAC.
 
-Fault injection hooks:
-
-* per-link drop probability (lossy channels);
-* partitions (pairs of nodes that temporarily cannot talk);
-* Byzantine senders may ask the network to tamper with a payload *en
-  route*, but the authenticated envelope means the receiver will reject it
-  — the network itself never forges MACs, mirroring the assumption that a
-  faulty process cannot impersonate a correct one.
-
-Besides messages, the queue carries *timer events*
-(:meth:`SimulatedNetwork.schedule_after` / :meth:`~SimulatedNetwork.
-schedule_at`): callbacks that fire at a chosen virtual time, interleaved
-with deliveries in strict ``(time, sequence)`` order.  Timers are what the
-scenario engine (:mod:`repro.sim`) and the non-blocking client
-retransmission path are built on.
-
-Everything is driven by one thread; determinism comes from the seeded RNG
-and the strict ``(time, sequence)`` ordering of the event queue.
-
-This class is the reference implementation of the
-:class:`~repro.net.transport.Transport` protocol — the contract the
-whole replication stack (ordering nodes, clients, cluster, unified API)
-is written against.  The real-concurrency implementations live in
-:mod:`repro.net` (asyncio loopback and TCP); they share this surface but
-run on wall-clock time, so only the simulation offers ``step``/
-``run_until_time``/``advance_time`` and the fault-injection hooks.
+The simulation's heap also carries *timer events*
+(:meth:`SimulatedNetwork.schedule_at` / ``schedule_after``), interleaved
+with deliveries in strict ``(time, sequence)`` order; the scenario engine
+(:mod:`repro.sim`) and client retransmission are built on them.  One
+thread drives everything, so the seed fixes the whole run.
+:class:`SimulatedNetwork` is the reference implementation of
+:class:`~repro.net.transport.Transport`; only it offers ``step``/
+``run_until_time``/``advance_time`` and per-link loss
+(``NetworkConfig.drop_probability``).
 """
 
 from __future__ import annotations
@@ -39,13 +31,14 @@ import dataclasses
 import heapq
 import itertools
 import random
+import threading
 from typing import Any, Callable, Hashable, Iterable, Optional
 
 from repro.errors import SimulationError
-from repro.obs.flight import NULL_FLIGHT
+from repro.obs import resolve_obs
 from repro.replication.crypto import KeyStore, MessageAuthenticator
 
-__all__ = ["NetworkConfig", "Envelope", "Timer", "SimulatedNetwork"]
+__all__ = ["NetworkConfig", "Timer", "DeliveryCore", "SimulatedNetwork"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,24 +64,6 @@ class NetworkConfig:
     processing_time: float = 0.0
 
 
-@dataclasses.dataclass(frozen=True)
-class Envelope:
-    """An authenticated message in flight.
-
-    ``sealed`` is the canonical bytes the sender's MAC was computed over,
-    carried beside the very object they were computed from so the
-    receiver MACs them instead of re-serialising it; ``None`` when the
-    payload was rewritten in flight (see
-    :mod:`repro.replication.crypto`).
-    """
-
-    sender: Hashable
-    receiver: Hashable
-    payload: Any
-    mac: str
-    sealed: Optional[bytes] = None
-
-
 class Timer:
     """A cancellable virtual-time callback scheduled on the network.
 
@@ -112,61 +87,62 @@ class Timer:
         return f"Timer(when={self.when:.3f}, {state})"
 
 
-class SimulatedNetwork:
-    """Discrete-event network with authenticated point-to-point channels."""
+class DeliveryCore:
+    """What every transport does to a message besides moving it.
 
-    #: Protocol markers (see :class:`repro.net.transport.Transport`): this
-    #: transport's clock is virtual and single-threaded.
-    virtual_time = True
-    time_unit = "virtual ms"
-    #: One event loop — the caller's thread (see ``pin``/``post``/``close``).
-    reactor_count = 1
+    A transport's ``send`` passes each delivery through :meth:`_seal`
+    (address check, fault filters, per-receiver MAC) and moves what comes
+    out; where it lands, :meth:`_authentic` verifies it and
+    :meth:`_hand_over` counts it and calls the receiver's handler, whose
+    exceptions propagate — a reactor catches them, the simulation lets
+    them reach the caller of ``step``.  Subclasses provide ``send``,
+    ``now`` and ``pending_count``.
+    """
 
-    def __init__(self, config: NetworkConfig | None = None, *, keystore: KeyStore | None = None) -> None:
-        self._config = config or NetworkConfig()
-        self._rng = random.Random(self._config.seed)
+    #: Names this transport's ``transport=`` label (and reactor threads).
+    name: str
+
+    def __init__(self, *, keystore: KeyStore | None, obs: Any) -> None:
         self._authenticator = MessageAuthenticator(keystore or KeyStore())
         self._handlers: dict[Hashable, Callable[[Hashable, Any], None]] = {}
-        self._queue: list[tuple[float, int, Envelope | Timer]] = []
-        self._sequence = itertools.count()
-        self._now = 0.0
         self._partitioned: set[frozenset[Hashable]] = set()
-        self._delivered = 0
-        self._dropped = 0
-        self._rejected = 0
-        self._timers_fired = 0
         self._in_flight_tamper: dict[Hashable, Callable[[Any], Any]] = {}
-        # Per-receiver serialisation horizon (only used when the config's
-        # processing_time is positive).
-        self._busy_until: dict[Hashable, float] = {}
-        # Flight recorder for drop/reject accounting (attach_flight); the
-        # network is the only component that can attribute a message that
-        # never reached a handler.  Strictly passive: recording consumes
-        # no randomness and schedules nothing.
-        self._flight = NULL_FLIGHT
-
-    def attach_flight(self, flight: Any) -> None:
-        """Record message drops/rejects into ``flight`` (see repro.obs)."""
-        self._flight = flight
-
-    # ------------------------------------------------------------------
-    # Topology management
-    # ------------------------------------------------------------------
+        #: Guards every counter child: reactors and caller threads count
+        #: concurrently, and ``inc`` is a read-modify-write.
+        self._lock = threading.Lock()
+        self.obs = resolve_obs(obs)
+        # The core is the only component that can attribute a message
+        # that never reached a handler.  Recording is strictly passive: it
+        # consumes no randomness and schedules nothing.
+        self._flight = self.obs.flight
+        registry = self.obs.registry
+        families = {  # ``statistics`` key → family
+            "delivered": registry.counter("net_frames_delivered_total", "Verified and handled"),
+            "dropped": registry.counter("net_frames_dropped_total", "Cut, lost or unreachable"),
+            "rejected": registry.counter("net_mac_rejects_total", "Failed MAC/codec verification"),
+            "timers_fired": registry.counter("net_timers_fired_total", "Timer callbacks run"),
+            "handler_errors": registry.counter("net_handler_errors_total", "Caught on a reactor"),
+            "frames_sent": registry.counter("net_frames_sent_total", "Sealed and dispatched"),
+            "bytes_sent": registry.counter("net_bytes_sent_total", "Wire bytes written"),
+            "bytes_received": registry.counter("net_bytes_received_total", "Wire bytes read"),
+        }
+        self._counters = {
+            key: family.labels(transport=self.name) for key, family in families.items()
+        }
 
     @property
     def authenticator(self) -> MessageAuthenticator:
-        """The shared-key MAC scheme of this deployment.
-
-        Exposed so principals can compute MACs a *third party* will verify
-        later — e.g. the client MAC vector carried inside a request, which
-        backup replicas check when the primary relays the request in a
-        ``PRE-PREPARE`` batch (the per-envelope MAC only authenticates the
-        immediate link, not the original author).
-        """
+        """The shared-key MAC scheme of this deployment, exposed for MACs a
+        *third party* verifies later: the client MAC vector inside a request,
+        which backups check when the primary relays it in a ``PRE-PREPARE``."""
         return self._authenticator
 
+    # ------------------------------------------------------------------
+    # Topology and fault filters
+    # ------------------------------------------------------------------
+
     def register(self, node: Hashable, handler: Callable[[Hashable, Any], None]) -> None:
-        """Attach ``node`` to the network with its message handler."""
+        """Attach ``node`` with its message handler."""
         if node in self._handlers:
             raise SimulationError(f"node {node!r} is already registered")
         # repro-lint: disable=RL006 — the node registry: one entry per
@@ -177,18 +153,8 @@ class SimulatedNetwork:
         return tuple(self._handlers)
 
     def has_node(self, node: Hashable) -> bool:
-        """Whether ``node`` is registered (senders can probe before sending)."""
+        """Whether ``node`` is reachable (senders can probe before sending)."""
         return node in self._handlers
-
-    def pin(self, node: Hashable, reactor: int) -> None:
-        """No-op: every node shares the simulation's single loop."""
-
-    def post(self, node: Hashable, callback: Callable[[], None]) -> None:
-        """Run ``callback()`` now: the caller already is the event loop."""
-        callback()
-
-    def close(self) -> None:
-        """No-op: the simulation holds no threads or sockets."""
 
     def partition(self, a: Hashable, b: Hashable) -> None:
         """Cut the link between ``a`` and ``b`` (both directions)."""
@@ -213,6 +179,155 @@ class SimulatedNetwork:
             self._in_flight_tamper[sender] = tamper
 
     # ------------------------------------------------------------------
+    # The delivery path
+    # ------------------------------------------------------------------
+
+    def broadcast(self, sender: Hashable, receivers: Iterable[Hashable], payload: Any) -> None:
+        """Send ``payload`` to every receiver (independent deliveries)."""
+        for receiver in receivers:
+            if receiver != sender:
+                self.send(sender, receiver, payload)
+
+    def _lost(self) -> bool:
+        """Whether a lossy link swallows the next delivery (the sim's draw)."""
+        return False
+
+    def _covered(self, payload: Any) -> Any:
+        """What the MAC covers: the object itself, or its wire bytes."""
+        return payload
+
+    def _seal(
+        self, sender: Hashable, receiver: Hashable, payload: Any
+    ) -> Optional[tuple[Any, str, Optional[bytes]]]:
+        """Admit one delivery and seal it, or ``None`` once it is dropped.
+
+        Returns the payload as it travels (rewritten when the sender's link
+        tampers), its MAC, and the canonical bytes the MAC covers (``None``
+        for a rewrite: its receivers serialise what they are handed).
+        """
+        if not self.has_node(receiver):
+            raise SimulationError(f"unknown receiver {receiver!r}")
+        if self._partitioned and frozenset((sender, receiver)) in self._partitioned:
+            self._drop(sender, receiver, "partitioned", payload)
+            return None
+        if self._lost():
+            self._drop(sender, receiver, "lossy-link", payload)
+            return None
+        covered = self._covered(payload)
+        mac = self._authenticator.mac(sender, receiver, covered)
+        sealed = self._authenticator.sealed_bytes(covered)
+        tamper = self._in_flight_tamper.get(sender)
+        if tamper is not None:
+            payload, sealed = tamper(payload), None
+        self._count("frames_sent")
+        return payload, mac, sealed
+
+    def _authentic(
+        self,
+        sender: Hashable,
+        receiver: Hashable,
+        covered: Any,
+        mac: Any,
+        sealed: Optional[bytes] = None,
+    ) -> bool:
+        """Verify a delivery where it lands; a forgery is counted and recorded."""
+        if self._authenticator.verify(sender, receiver, covered, mac, sealed):
+            return True
+        self._reject(receiver, "bad-mac", sender, covered)
+        return False
+
+    def _hand_over(self, sender: Hashable, receiver: Hashable, payload: Any) -> None:
+        """Count a verified delivery and run the receiver's handler."""
+        self._count("delivered")
+        self._handlers[receiver](sender, payload)
+
+    # ------------------------------------------------------------------
+    # Accounting
+    # ------------------------------------------------------------------
+
+    def _count(self, key: str, amount: float = 1.0) -> None:
+        with self._lock:
+            self._counters[key].inc(amount)
+
+    def _drop(self, sender: Hashable, receiver: Hashable, reason: str, payload: Any) -> None:
+        self._refuse("dropped", "msg-drop", sender, reason, payload, receiver=str(receiver))
+
+    def _reject(
+        self, receiver: Hashable, reason: str, sender: Hashable = None, payload: Any = None
+    ) -> None:
+        """Refuse a delivery at ``receiver`` (``sender`` and ``payload``
+        are ``None`` when the frame never decoded)."""
+        self._refuse("rejected", "net-reject", receiver, reason, payload, sender=str(sender))
+
+    def _refuse(
+        self, key: str, kind: str, node: Hashable, reason: str, payload: Any, **peer: str
+    ) -> None:
+        """Count a delivery no handler will see, and record why."""
+        self._count(key)
+        if self._flight.enabled:
+            self._flight.record(
+                kind, node, self.now, **peer, reason=reason, type=type(payload).__name__
+            )
+
+    @property
+    def statistics(self) -> dict[str, float]:
+        """A view over the registry children (and the clock and queue)."""
+        with self._lock:
+            counts = {key: int(child.value) for key, child in self._counters.items()}
+        return {"now": self.now, **counts, "pending": self.pending_count}
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(now={self.now:.3f}, nodes={len(self._handlers)}, "
+            f"pending={self.pending_count}, delivered={self.statistics['delivered']})"
+        )
+
+
+class SimulatedNetwork(DeliveryCore):
+    """Discrete-event network with authenticated point-to-point channels."""
+
+    #: Protocol markers (see :class:`repro.net.transport.Transport`): this
+    #: transport's clock is virtual and single-threaded.
+    virtual_time = True
+    time_unit = "virtual ms"
+    #: One event loop — the caller's thread (see ``pin``/``post``/``close``).
+    reactor_count = 1
+    name = "sim"
+
+    def __init__(
+        self,
+        config: NetworkConfig | None = None,
+        *,
+        keystore: KeyStore | None = None,
+        obs: Any = None,
+    ) -> None:
+        super().__init__(keystore=keystore, obs=obs)
+        self._config = config or NetworkConfig()
+        self._rng = random.Random(self._config.seed)
+        #: ``(time, sequence, event)``: a :class:`Timer`, or a delivery
+        #: ``(sender, receiver, payload, mac, sealed)`` as :meth:`_seal` made it.
+        self._queue: list[tuple[float, int, Any]] = []
+        self._sequence = itertools.count()
+        self._now = 0.0
+        # Per-receiver serialisation horizon (only used when the config's
+        # processing_time is positive).
+        self._busy_until: dict[Hashable, float] = {}
+
+    #: Defined on this class too: the benchmark ladder wraps ``register``
+    #: by name on each transport class.
+    register = DeliveryCore.register
+
+    def pin(self, node: Hashable, reactor: int) -> None:
+        """No-op: every node shares the simulation's single loop."""
+
+    def post(self, node: Hashable, callback: Callable[[], None]) -> None:
+        """Run ``callback()`` now: the caller already is the event loop."""
+        callback()
+
+    def close(self) -> None:
+        """No-op: the simulation holds no threads or sockets."""
+
+    # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
 
@@ -221,41 +336,15 @@ class SimulatedNetwork:
         """Current simulated time (milliseconds)."""
         return self._now
 
+    def _lost(self) -> bool:
+        probability = self._config.drop_probability
+        return bool(probability) and self._rng.random() < probability
+
     def send(self, sender: Hashable, receiver: Hashable, payload: Any) -> None:
         """Schedule the authenticated delivery of ``payload``."""
-        if receiver not in self._handlers:
-            raise SimulationError(f"unknown receiver {receiver!r}")
-        if frozenset((sender, receiver)) in self._partitioned:
-            self._dropped += 1
-            if self._flight.enabled:
-                self._flight.record(
-                    "msg-drop",
-                    sender,
-                    self._now,
-                    receiver=str(receiver),
-                    reason="partitioned",
-                    type=type(payload).__name__,
-                )
+        sealed = self._seal(sender, receiver, payload)
+        if sealed is None:
             return
-        if self._config.drop_probability and self._rng.random() < self._config.drop_probability:
-            self._dropped += 1
-            if self._flight.enabled:
-                self._flight.record(
-                    "msg-drop",
-                    sender,
-                    self._now,
-                    receiver=str(receiver),
-                    reason="lossy-link",
-                    type=type(payload).__name__,
-                )
-            return
-        mac = self._authenticator.mac(sender, receiver, payload)
-        sealed = self._authenticator.sealed_bytes(payload)
-        if sender in self._in_flight_tamper:
-            # The sealed bytes describe the sender's object, not the
-            # rewrite: receivers must serialise what they are handed.
-            payload = self._in_flight_tamper[sender](payload)
-            sealed = None
         latency = self._config.mean_latency + self._rng.uniform(0, self._config.jitter)
         deliver_at = self._now + max(latency, 0.001)
         if self._config.processing_time > 0:
@@ -269,14 +358,9 @@ class SimulatedNetwork:
             # repro-lint: disable=RL006 — keyed by receiver node id, so at
             # most one float per registered network identity.
             self._busy_until[receiver] = deliver_at
-        envelope = Envelope(sender, receiver, payload, mac, sealed)
-        heapq.heappush(self._queue, (deliver_at, next(self._sequence), envelope))
-
-    def broadcast(self, sender: Hashable, receivers: Iterable[Hashable], payload: Any) -> None:
-        """Send ``payload`` to every receiver (independent deliveries)."""
-        for receiver in receivers:
-            if receiver != sender:
-                self.send(sender, receiver, payload)
+        heapq.heappush(
+            self._queue, (deliver_at, next(self._sequence), (sender, receiver, *sealed))
+        )
 
     # ------------------------------------------------------------------
     # Timers
@@ -306,40 +390,22 @@ class SimulatedNetwork:
         """Process the next scheduled event; returns False when idle.
 
         An event is either a message delivery or a timer firing; cancelled
-        timers are consumed without advancing the clock.
+        timers are consumed without advancing the clock.  Exceptions from
+        a handler or timer propagate to the caller: there is no reactor
+        to protect, so none is ever swallowed (``handler_errors`` stays 0).
         """
         if not self._queue:
             return False
         deliver_at, _, item = heapq.heappop(self._queue)
-        if isinstance(item, Timer):
-            if item.cancelled:
-                return True
-            self._now = max(self._now, deliver_at)
-            self._timers_fired += 1
-            item.callback()
+        timer = isinstance(item, Timer)
+        if timer and item.cancelled:
             return True
-        envelope = item
         self._now = max(self._now, deliver_at)
-        handler = self._handlers.get(envelope.receiver)
-        if handler is None:
-            self._dropped += 1
-            return True
-        if not self._authenticator.verify(
-            envelope.sender, envelope.receiver, envelope.payload, envelope.mac, envelope.sealed
-        ):
-            self._rejected += 1
-            if self._flight.enabled:
-                self._flight.record(
-                    "net-reject",
-                    envelope.receiver,
-                    self._now,
-                    sender=str(envelope.sender),
-                    reason="bad-mac",
-                    type=type(envelope.payload).__name__,
-                )
-            return True
-        self._delivered += 1
-        handler(envelope.sender, envelope.payload)
+        if timer:
+            self._count("timers_fired")
+            item.callback()
+        elif self._authentic(*item):
+            self._hand_over(*item[:3])
         return True
 
     def run(self, *, max_events: int = 1_000_000) -> int:
@@ -353,9 +419,7 @@ class SimulatedNetwork:
                 )
         return events
 
-    def run_until(
-        self, condition: Callable[[], bool], *, max_events: int = 1_000_000
-    ) -> bool:
+    def run_until(self, condition: Callable[[], bool], *, max_events: int = 1_000_000) -> bool:
         """Pump events until ``condition()`` holds or the queue drains."""
         events = 0
         while not condition():
@@ -363,9 +427,7 @@ class SimulatedNetwork:
                 return condition()
             events += 1
             if events > max_events:
-                raise SimulationError(
-                    f"condition not reached after {max_events} events"
-                )
+                raise SimulationError(f"condition not reached after {max_events} events")
         return True
 
     def run_until_time(self, deadline: float, *, max_events: int = 1_000_000) -> int:
@@ -402,24 +464,6 @@ class SimulatedNetwork:
             raise SimulationError("time cannot move backwards")
         self._now += delta
 
-    # ------------------------------------------------------------------
-    # Statistics
-    # ------------------------------------------------------------------
-
-    @property
-    def statistics(self) -> dict[str, float]:
-        return {
-            "now": self._now,
-            "delivered": self._delivered,
-            "dropped": self._dropped,
-            "rejected": self._rejected,
-            "timers_fired": self._timers_fired,
-            # Handler exceptions propagate to the caller here (there is no
-            # reactor to protect), so none is ever swallowed and counted.
-            "handler_errors": 0,
-            "pending": len(self._queue),
-        }
-
     @property
     def pending_count(self) -> int:
         return len(self._queue)
@@ -428,9 +472,3 @@ class SimulatedNetwork:
     def next_event_time(self) -> Optional[float]:
         """Virtual time of the next queued event, or ``None`` when idle."""
         return self._queue[0][0] if self._queue else None
-
-    def __repr__(self) -> str:
-        return (
-            f"SimulatedNetwork(now={self._now:.3f}, pending={len(self._queue)}, "
-            f"delivered={self._delivered})"
-        )

@@ -91,17 +91,17 @@ class ReplicatedPEATS:
         self.n_replicas = 3 * f + 1
         self.group = group
         self._policy = policy
-        self._network = network or SimulatedNetwork(network_config or NetworkConfig())
-        #: Observability bundle threaded into every replica, node and client.
+        #: Observability bundle threaded into the network, every replica,
+        #: node and client.
         self.obs = resolve_obs(obs)
+        self._network = network or SimulatedNetwork(
+            network_config or NetworkConfig(), obs=self.obs
+        )
         prefix = f"{group}:" if group is not None else ""
         self._replica_ids = tuple(
             f"{prefix}replica-{index}" for index in range(self.n_replicas)
         )
         replica_faults = replica_faults or {}
-        attach = getattr(self._network, "attach_flight", None)
-        if attach is not None and self.obs.flight.enabled:
-            attach(self.obs.flight)
         self._nodes: list[OrderingNode] = []
         for index, replica_id in enumerate(self._replica_ids):
             application = PEATSReplica(

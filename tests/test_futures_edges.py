@@ -87,7 +87,7 @@ def test_raising_callback_propagates_but_future_stays_resolved():
     assert future.done
     assert future.result() == ("OK", 1)
     # ... and the real transports' reactors contain such callbacks via
-    # RealTransport._guarded, so one bad callback cannot stall delivery
+    # RealTransport._contained, so one bad callback cannot stall delivery
     # (covered in test_net_transports.py).
 
 

@@ -27,11 +27,13 @@ from repro.api import connect
 from repro.errors import OperationTimeoutError, SimulationError
 from repro.net import AsyncioLoopbackTransport, TcpTransport, Transport, codec
 from repro.net.transport import Reactor
+from repro.obs import Observability
 from repro.policy import AccessPolicy, Rule
 from repro.replication import ReplicatedPEATS, crypto
 from repro.replication.crypto import KeyStore, MessageAuthenticator, digest
 from repro.replication.messages import ClientReply, ClientRequest, Prepare
 from repro.replication.network import SimulatedNetwork
+from repro.sim import CrashWindow, PartitionWindow, ScenarioEngine
 from repro.tuples import ANY, Formal, entry, template
 
 #: Wall-clock guard for every wait in this file (milliseconds).
@@ -191,6 +193,8 @@ def test_real_transports_satisfy_the_protocol():
         try:
             assert isinstance(transport, Transport)
             assert transport.virtual_time is False
+            for fault_hook in ("partition", "heal", "heal_all", "set_tampering"):
+                assert callable(getattr(transport, fault_hook))
         finally:
             transport.close()
 
@@ -269,7 +273,8 @@ def test_handler_exceptions_do_not_kill_the_reactor():
 
 def test_forged_tcp_frame_is_rejected_before_the_handler():
     """An attacker with a raw socket but no keys cannot inject messages."""
-    with TcpTransport() as net:
+    obs = Observability()
+    with TcpTransport(obs=obs) as net:
         received = []
         net.register("victim", lambda s, p: received.append(p))
         net.register("peer", lambda s, p: None)
@@ -280,15 +285,34 @@ def test_forged_tcp_frame_is_rejected_before_the_handler():
             sock.sendall(frame)
             time.sleep(0.2)
         assert received == []
-        assert net.statistics["rejected"] >= 1
+        assert net.statistics["rejected"] == 1
+        (event,) = obs.flight.events("victim")
+        assert event["kind"] == "net-reject" and event["reason"] == "bad-mac"
+        assert event["sender"] == "peer"
         # A genuine send still goes through afterwards.
         net.send("peer", "victim", ("legit", 1))
         assert net.run_until(lambda: received, timeout=WAIT_MS)
         assert received == [("legit", 1)]
 
 
+def test_a_backlog_for_an_unreachable_peer_is_dropped_and_recorded():
+    with socket.socket() as probe:  # a port nothing listens on once closed
+        probe.bind(("127.0.0.1", 0))
+        address = probe.getsockname()
+    obs = Observability()
+    with TcpTransport(addresses={"ghost": address}, obs=obs) as net:
+        net.register("a", lambda s, p: None)
+        net.send("a", "ghost", ("hello", 1))
+        assert net.run_until(lambda: net.statistics["dropped"] >= 1, timeout=WAIT_MS)
+        assert net.statistics["rejected"] == 0
+        (event,) = obs.flight.events("a")
+        assert event["kind"] == "msg-drop" and event["reason"] == "unreachable"
+        assert event["receiver"] == "ghost"
+
+
 def test_oversized_tcp_frame_is_cut_off():
-    with TcpTransport() as net:
+    obs = Observability()
+    with TcpTransport(obs=obs) as net:
         received = []
         net.register("victim", lambda s, p: received.append(p))
         host, port = net.address_of("victim")
@@ -297,7 +321,58 @@ def test_oversized_tcp_frame_is_cut_off():
             sock.sendall(b"x" * 64)
             time.sleep(0.2)
         assert received == []
-        assert net.statistics["rejected"] >= 1
+        assert net.statistics["rejected"] == 1
+        (event,) = obs.flight.events("victim")
+        assert event["kind"] == "net-reject" and event["reason"] == "oversized-frame"
+
+
+def _on_reactor(network, node, read):
+    """``read()`` evaluated in ``node``'s serial context, waited for here."""
+    box = []
+    network.post(node, lambda: box.append(read()))
+    assert network.run_until(lambda: box, timeout=WAIT_MS)
+    return box[0]
+
+
+def test_a_fault_schedule_runs_over_real_reactors():
+    """The sim's fault schedule on a loopback group's wall clock: replica 3
+    is cut off, then crashed, while a kv program runs to completion."""
+    service = ReplicatedPEATS(open_policy(), f=1, network=AsyncioLoopbackTransport())
+    network = service.network
+    try:
+        engine = ScenarioEngine(service)
+        start = network.now
+        PartitionWindow(start=start + 20, end=start + 120, left=[3], right=[0, 1, 2]).schedule(
+            engine
+        )
+        CrashWindow(replica=3, start=start + 150, end=start + 250).schedule(engine)
+        space = connect(service=service).bind("kv-client")
+        acknowledged = []
+        while network.now < start + 300 or len(acknowledged) < 20:
+            stored = entry("KV", len(acknowledged), "value")
+            space.out(stored)
+            acknowledged.append(stored)
+            assert space.rdp(template("KV", stored.fields[1], ANY)) == stored
+        trace = engine.metrics.trace_text()
+        for fault in ("partition", "heal", "crash replica-3", "recover replica-3"):
+            assert fault in trace
+        head = service.replica_ids[0]
+        snapshot = _on_reactor(network, head, service.snapshot)
+        assert set(acknowledged) <= set(snapshot)
+        heights = _on_reactor(
+            network,
+            head,
+            lambda: [
+                (node.last_executed, node.application.state_digest())
+                for node in service.correct_nodes()
+            ],
+        )
+        for height, digest_at in heights:
+            assert {d for h, d in heights if h == height} == {digest_at}
+        assert network.statistics["dropped"] > 0
+        assert network.statistics["rejected"] == 0
+    finally:
+        network.close()
 
 
 def test_close_is_idempotent_and_quiesces_sends():
@@ -503,7 +578,8 @@ def framed(body: bytes) -> bytes:
 
 
 def test_non_ascii_tcp_frame_mac_is_rejected_and_the_connection_keeps_serving():
-    with TcpTransport() as net:
+    obs = Observability()
+    with TcpTransport(obs=obs) as net:
         received = []
         net.register("victim", lambda s, p: received.append(p))
         net.register("peer", lambda s, p: None)
@@ -529,13 +605,19 @@ def test_non_ascii_tcp_frame_mac_is_rejected_and_the_connection_keeps_serving():
             "peer", "victim", hostile_bytes, net.authenticator.mac("peer", "victim", hostile_bytes)
         )
         old_tree = framed(b'J{"s":{"__t":5},"r":"victim","p":{"__b":""},"m":""}')
+        # An authentic frame for another node, written to this node's socket.
+        misrouted = codec.encode_frame(
+            "peer", "other", payload_bytes, net.authenticator.mac("peer", "other", payload_bytes)
+        )
         legit_bytes = codec.encode_payload(("legit", 1))
         legit = codec.encode_frame(
             "peer", "victim", legit_bytes, net.authenticator.mac("peer", "victim", legit_bytes)
         )
         before = net.statistics["rejected"]
         with socket.create_connection(net.address_of("victim")) as sock:
-            hostiles = (bad_mac, bad_format, empty_entry_sender, unhashable_key, old_tree)
+            hostiles = (
+                bad_mac, bad_format, empty_entry_sender, unhashable_key, old_tree, misrouted
+            )
             for count, hostile in enumerate(hostiles, start=1):
                 sock.sendall(hostile)
                 assert net.run_until(
@@ -546,6 +628,16 @@ def test_non_ascii_tcp_frame_mac_is_rejected_and_the_connection_keeps_serving():
             assert net.run_until(lambda: received, timeout=WAIT_MS)
         assert received == [("legit", 1)]
         assert net.statistics["handler_errors"] == 0
+        assert net.statistics["dropped"] == 0
+    # Every reject is one flight event at the node that refused it, with why.
+    assert [event["reason"] for event in obs.flight.events("victim")] == [
+        "bad-mac",
+        "undecodable-frame",
+        "undecodable-frame",
+        "undecodable-payload",
+        "undecodable-frame",
+        "misrouted",
+    ]
 
 
 def test_an_old_release_peer_frame_is_one_rejected_frame_never_delivered():

@@ -7,6 +7,7 @@ import hmac
 import pytest
 
 from repro.errors import SimulationError
+from repro.net import AsyncioLoopbackTransport, TcpTransport
 from repro.net.codec import MESSAGE_CLASSES
 from repro.replication import crypto
 from repro.replication.crypto import KEY_CACHE_CAP, KeyStore, MessageAuthenticator, digest
@@ -162,7 +163,92 @@ class TestCrypto:
         assert derived == []
 
 
-class TestNetwork:
+#: Wall-clock guard for every wait on a real transport (milliseconds).
+WAIT_MS = 20_000.0
+
+
+class FaultVocabulary:
+    """The fault hooks every transport offers, checked once per transport:
+    each subclass says which transport to build."""
+
+    def build(self):
+        return SimulatedNetwork(NetworkConfig(seed=7))
+
+    @pytest.fixture
+    def wired(self):
+        network = self.build()
+        inboxes = {node: [] for node in ("a", "b", "c", "d")}
+        for node in inboxes:
+            network.register(node, lambda s, p, node=node: inboxes[node].append((s, p)))
+        try:
+            yield network, inboxes
+        finally:
+            network.close()
+
+    @staticmethod
+    def settle(network, condition):
+        """Deliver what is in flight, until ``condition()`` holds."""
+        if network.virtual_time:
+            network.run()
+            assert condition()
+        else:
+            assert network.run_until(condition, timeout=WAIT_MS)
+
+    def test_partition_and_heal(self, wired):
+        network, inboxes = wired
+        network.partition("a", "b")
+        network.send("a", "b", "lost")
+        assert network.statistics["dropped"] == 1
+        network.heal("a", "b")
+        network.send("a", "b", "found")
+        self.settle(network, lambda: inboxes["b"])
+        # Deliveries on a link keep their order: "lost" would have come first.
+        assert inboxes["b"] == [("a", "found")]
+
+    def test_tampered_payloads_are_rejected_by_authentication(self, wired):
+        network, inboxes = wired
+        network.set_tampering("a", lambda payload: ("forged", payload))
+        network.send("a", "b", "original")
+        self.settle(network, lambda: network.statistics["rejected"] == 1)
+        assert inboxes["b"] == []
+        network.set_tampering("a", None)
+        network.send("a", "b", "clean")
+        self.settle(network, lambda: inboxes["b"])
+        assert inboxes["b"] == [("a", "clean")]
+        assert network.statistics["rejected"] == 1
+
+    def test_tampered_multicast_is_rejected_at_every_receiver(self, wired):
+        # One payload object, sealed once for both receivers, rewritten in
+        # flight: each receiver recomputes from what it was delivered.
+        network, inboxes = wired
+        network.set_tampering("a", lambda payload: dataclasses.replace(payload, sequence=99))
+        network.broadcast("a", ["a", "b", "c"], Prepare(0, 1, "d", "a"))
+        self.settle(network, lambda: network.statistics["rejected"] == 2)
+        assert inboxes["b"] == inboxes["c"] == []
+        assert network.statistics["delivered"] == 0
+
+    def test_an_equal_but_distinct_copy_made_in_flight_is_delivered(self, wired):
+        network, inboxes = wired
+        sent = Prepare(0, 1, "d", "a")
+        network.set_tampering("a", lambda payload: dataclasses.replace(payload))
+        network.broadcast("a", tuple(inboxes), sent)
+        self.settle(network, lambda: all(inboxes[node] for node in "bcd"))
+        for node in "bcd":
+            assert inboxes[node] == [("a", sent)] and inboxes[node][0][1] is not sent
+        assert network.statistics["rejected"] == 0
+
+
+class TestLoopbackFaults(FaultVocabulary):
+    def build(self):
+        return AsyncioLoopbackTransport()
+
+
+class TestTcpFaults(FaultVocabulary):
+    def build(self):
+        return TcpTransport()
+
+
+class TestNetwork(FaultVocabulary):
     def make_network(self, **kwargs):
         network = SimulatedNetwork(NetworkConfig(seed=7, **kwargs))
         inboxes = {"a": [], "b": [], "c": []}
@@ -218,17 +304,6 @@ class TestNetwork:
 
         assert run_once() == run_once()
 
-    def test_partition_and_heal(self):
-        network, inboxes = self.make_network()
-        network.partition("a", "b")
-        network.send("a", "b", "lost")
-        network.run()
-        assert inboxes["b"] == []
-        network.heal("a", "b")
-        network.send("a", "b", "found")
-        network.run()
-        assert inboxes["b"] == [("a", "found")]
-
     def test_drop_probability(self):
         network = SimulatedNetwork(NetworkConfig(seed=5, drop_probability=1.0))
         received = []
@@ -238,29 +313,6 @@ class TestNetwork:
         network.run()
         assert received == []
         assert network.statistics["dropped"] == 1
-
-    def test_tampered_payloads_are_rejected_by_authentication(self):
-        network, inboxes = self.make_network()
-        network.set_tampering("a", lambda payload: ("forged", payload))
-        network.send("a", "b", "original")
-        network.run()
-        assert inboxes["b"] == []
-        assert network.statistics["rejected"] == 1
-        network.set_tampering("a", None)
-        network.send("a", "b", "clean")
-        network.run()
-        assert inboxes["b"] == [("a", "clean")]
-
-    def test_tampered_multicast_is_rejected_at_every_receiver(self):
-        # One payload object, sealed once for both receivers, rewritten in
-        # flight: each receiver recomputes from what it was delivered.
-        network, inboxes = self.make_network()
-        network.set_tampering("a", lambda payload: dataclasses.replace(payload, sequence=99))
-        network.broadcast("a", ["a", "b", "c"], Prepare(0, 1, "d", "a"))
-        network.run()
-        assert inboxes["b"] == inboxes["c"] == []
-        assert network.statistics["rejected"] == 2
-        assert network.statistics["delivered"] == 0
 
     def make_group(self):
         network = SimulatedNetwork(NetworkConfig(seed=7))
@@ -280,16 +332,6 @@ class TestNetwork:
         assert network.statistics["rejected"] == 3
         # Each receiver serialised what it was handed, not the sealed bytes.
         assert len(serialised) == 3
-
-    def test_an_equal_but_distinct_copy_made_in_flight_is_delivered(self):
-        network, group, inboxes = self.make_group()
-        sent = Prepare(0, 1, "d", "a")
-        network.set_tampering("a", lambda payload: dataclasses.replace(payload))
-        network.broadcast("a", group, sent)
-        network.run()
-        for node in group[1:]:
-            assert inboxes[node] == [sent] and inboxes[node][0] is not sent
-        assert network.statistics["rejected"] == 0
 
     def test_run_until_condition(self):
         network, inboxes = self.make_network()

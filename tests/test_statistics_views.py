@@ -163,6 +163,28 @@ def test_stats_shape_is_the_same_with_and_without_a_bundle():
     assert "handler_errors" in keys(None)[0]
 
 
+@pytest.mark.parametrize("transport", ["sim", "asyncio", "tcp"])
+def test_every_transport_counts_one_key_set_on_the_registry(transport):
+    obs = Observability()
+    space = connect("replicated", policy=open_policy(), f=1, transport=transport, obs=obs)
+    try:
+        space.out(entry("k", 1), process="p0")
+        assert space.rdp(template("k", 1), process="p1") == entry("k", 1)
+        network = space.network
+        # Wait out the replies still in flight after the f+1 vote.
+        previous = None
+        while previous != network.statistics["delivered"]:
+            previous = network.statistics["delivered"]
+            network.run_for(0.0 if network.virtual_time else 50.0)
+        stats = space.stats()
+        assert set(stats["network"]) == {"now", "pending", *TRANSPORT_FAMILIES}
+        assert "net_frames_delivered_total" in stats["metrics"]
+        delivered = sample(obs.registry, "net_frames_delivered_total", transport=network.name)
+        assert stats["network"]["delivered"] == delivered["value"] > 0
+    finally:
+        space.close()
+
+
 # ----------------------------------------------------------------------
 # Facts that used to have only one of the two stores
 # ----------------------------------------------------------------------
