@@ -282,10 +282,11 @@ class _ScatterGather:
 
     Drives a composite :class:`~repro.futures.OperationFuture` through up
     to :attr:`ShardedSpace.max_inp_rounds` rounds.  Each round issues one
-    probe per replica group **from the same client identity**; that is
-    safe under PBFT's one-outstanding-request-per-client rule because the
-    groups are disjoint — each group's replicas see exactly one of the
-    round's requests, and the next round starts only after every group
+    probe per replica group **from the same client identity**.
+    :class:`~repro.replication.client.PEATSClient` keeps at most one
+    request in flight per replica group and queues the rest; the groups
+    are disjoint, so a round's probes never queue behind each other and
+    travel in parallel.  The next round starts only after every group
     answered.
     """
 

@@ -134,11 +134,6 @@ class Space(_SubmitForms, TupleSpaceInterface):
     #: Ceiling of the backed-off poll delay, as a multiple of the base
     #: poll interval.
     poll_backoff_cap: float = 8.0
-    #: Whether blocking reads arm a server-push waiter (repro.notify)
-    #: before falling back to polling.  Backends without a notification
-    #: channel ignore this; benchmarks flip it off to measure the
-    #: polling-only baseline.
-    notify_enabled: bool = True
     #: How many times one operation bounced by a transaction lock
     #: (``TXN-LOCKED`` probe answers) is transparently resubmitted after
     #: lock resolution before giving up.  Locks carry ordered expirations
@@ -497,11 +492,10 @@ class Space(_SubmitForms, TupleSpaceInterface):
             wake_probe = True
             attempt()
 
-        if self.notify_enabled:
-            # Arm *before* the first probe: an insert landing between the
-            # probe's empty answer and a later registration would
-            # otherwise be invisible until the fallback poll.
-            handle = self._arm(template, operation, process, lambda _shard: wake)
+        # Arm *before* the first probe: an insert landing between the
+        # probe's empty answer and a later registration would otherwise
+        # be invisible until the fallback poll.
+        handle = self._arm(template, operation, process, lambda _shard: wake)
         attempt()
         return future
 

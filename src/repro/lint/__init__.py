@@ -4,9 +4,10 @@ Two complementary enforcement layers for the guarantees the rest of the
 codebase silently relies on:
 
 * the **AST linter** (``python -m repro.lint [paths]``) with the
-  codebase-specific rules RL001–RL006 — see
-  :mod:`repro.lint.rules`/:mod:`repro.lint.project_rules` and the
-  "Correctness tooling" section of the README;
+  codebase-specific rules RL001–RL006 and the architecture guard table
+  RL007 — see :mod:`repro.lint.rules`/:mod:`repro.lint.project_rules`/
+  :mod:`repro.lint.guards` and the "Correctness tooling" section of the
+  README;
 * the **determinism sanitizer** (:mod:`repro.lint.sanitizer`) — a
   runtime tripwire harness that proves RL001 dynamically by
   monkeypatching the ambient clock/RNG entry points and running a sim

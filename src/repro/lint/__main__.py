@@ -1,4 +1,8 @@
-"""``python -m repro.lint [paths]`` — lint the tree against RL001–RL006.
+"""``python -m repro.lint [paths]`` — lint the tree against RL001–RL007.
+
+The whole project, as CI and tier-1 run it::
+
+    python -m repro.lint src tests benchmarks examples --exclude tests/lint_fixtures
 
 Exit status 0 when clean, 1 when any violation is found, 2 on usage
 errors.  ``--format json`` emits a machine-readable report (used by the
@@ -27,6 +31,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: src)",
     )
     parser.add_argument(
+        "--exclude",
+        metavar="PATH",
+        action="append",
+        default=[],
+        help="skip files under PATH (repeatable)",
+    )
+    parser.add_argument(
         "--format",
         choices=("text", "json"),
         default="text",
@@ -53,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.list_rules:
-        for rule in all_rules():
+        for rule in sorted(all_rules(), key=lambda rule: rule.id):
             scope = ", ".join(rule.scope) if rule.scope else "(everywhere)"
             print(f"{rule.id}  {rule.name}: {rule.summary}")
             print(f"       scope: {scope}")
@@ -61,7 +72,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     select = args.select.split(",") if args.select else None
     ignore = args.ignore.split(",") if args.ignore else None
     engine = LintEngine(select=select, ignore=ignore)
-    violations = engine.lint_paths(args.paths)
+    violations = engine.lint_paths(args.paths, args.exclude)
     if args.format == "json":
         print(json_report(violations))
     else:

@@ -16,7 +16,8 @@ Architecture
   and the pragma index parsed from comments.
 * :class:`Rule` — a per-file analysis scoped to dotted-module prefixes;
   :class:`ProjectRule` — a cross-module analysis that sees every file of
-  the run at once (codec completeness, metric-name consistency).
+  the run at once, plus the project root (codec completeness,
+  metric-name consistency, the architecture guards' table).
 * :class:`LintEngine` — collects files, runs every applicable rule and
   filters the raw findings through the pragma index.
 
@@ -217,12 +218,16 @@ class Rule:
 
 
 class ProjectRule(Rule):
-    """A cross-module analysis: sees every in-scope file of the run."""
+    """A cross-module analysis: sees every in-scope file of the run and
+    the project root the run's relative paths (and non-Python files such
+    as ``README.md``) are resolved against."""
 
     def check_module(self, module: ModuleInfo) -> Iterable[Violation]:
         return ()
 
-    def check_project(self, modules: Sequence[ModuleInfo]) -> Iterable[Violation]:
+    def check_project(
+        self, modules: Sequence[ModuleInfo], root: pathlib.Path
+    ) -> Iterable[Violation]:
         raise NotImplementedError
 
 
@@ -231,8 +236,7 @@ def _prefix_match(name: str, prefix: str) -> bool:
 
 
 #: Global registry, populated by the ``@register`` decorator in the rule
-#: modules; iteration order is registration order (= rule id order, the
-#: rule modules register RL001..RL006 in sequence).
+#: modules; iteration order is registration order.
 _REGISTRY: dict[str, Rule] = {}
 
 
@@ -253,11 +257,15 @@ def all_rules() -> tuple[Rule, ...]:
 
 def _ensure_rules_loaded() -> None:
     # Imported lazily to avoid a registration cycle at package import.
-    from repro.lint import project_rules, rules  # noqa: F401
+    from repro.lint import guards, project_rules, rules  # noqa: F401
 
 
 class LintEngine:
-    """Collects files, runs the rules, applies pragma suppression."""
+    """Collects files, runs the rules, applies pragma suppression.
+
+    ``root`` is the project root (default: the working directory) that
+    project rules resolve paths against.
+    """
 
     def __init__(
         self,
@@ -265,7 +273,9 @@ class LintEngine:
         *,
         select: Optional[Iterable[str]] = None,
         ignore: Optional[Iterable[str]] = None,
+        root: str | pathlib.Path = ".",
     ):
+        self.root = pathlib.Path(root)
         chosen = tuple(rules) if rules is not None else all_rules()
         if select is not None:
             wanted = set(select)
@@ -278,9 +288,14 @@ class LintEngine:
     # -- file collection -----------------------------------------------
 
     @staticmethod
-    def collect_files(paths: Iterable[str | pathlib.Path]) -> list[pathlib.Path]:
+    def collect_files(
+        paths: Iterable[str | pathlib.Path],
+        exclude: Iterable[str | pathlib.Path] = (),
+    ) -> list[pathlib.Path]:
+        """Every ``*.py`` file under ``paths``, minus those under ``exclude``."""
         files: list[pathlib.Path] = []
         seen: set[pathlib.Path] = set()
+        excluded = [pathlib.Path(raw).resolve() for raw in exclude]
         for raw in paths:
             path = pathlib.Path(raw)
             candidates: Iterable[pathlib.Path]
@@ -290,9 +305,12 @@ class LintEngine:
                 candidates = [path]
             for candidate in candidates:
                 resolved = candidate.resolve()
-                if resolved not in seen:
-                    seen.add(resolved)
-                    files.append(candidate)
+                if resolved in seen or any(
+                    skip == resolved or skip in resolved.parents for skip in excluded
+                ):
+                    continue
+                seen.add(resolved)
+                files.append(candidate)
         return files
 
     def load(self, path: pathlib.Path) -> ModuleInfo | Violation:
@@ -312,10 +330,14 @@ class LintEngine:
 
     # -- running -------------------------------------------------------
 
-    def lint_paths(self, paths: Iterable[str | pathlib.Path]) -> list[Violation]:
+    def lint_paths(
+        self,
+        paths: Iterable[str | pathlib.Path],
+        exclude: Iterable[str | pathlib.Path] = (),
+    ) -> list[Violation]:
         modules: list[ModuleInfo] = []
         findings: list[Violation] = []
-        for path in self.collect_files(paths):
+        for path in self.collect_files(paths, exclude):
             loaded = self.load(path)
             if isinstance(loaded, Violation):
                 findings.append(loaded)
@@ -331,7 +353,7 @@ class LintEngine:
         for rule in self.rules:
             in_scope = [module for module in modules if rule.applies(module)]
             if isinstance(rule, ProjectRule):
-                raw.extend(rule.check_project(in_scope))
+                raw.extend(rule.check_project(in_scope, self.root))
             else:
                 for module in in_scope:
                     raw.extend(rule.check_module(module))

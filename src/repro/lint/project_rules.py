@@ -10,6 +10,7 @@ run for kind conflicts and near-miss (typo) names.
 from __future__ import annotations
 
 import ast
+import pathlib
 import re
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -95,7 +96,9 @@ class CodecCompleteness(ProjectRule):
     name = "codec-completeness"
     summary = "replication/messages.py dataclasses and net/codec.py MESSAGE_CLASSES must match"
 
-    def check_project(self, modules: Sequence[ModuleInfo]) -> Iterable[Violation]:
+    def check_project(
+        self, modules: Sequence[ModuleInfo], root: pathlib.Path
+    ) -> Iterable[Violation]:
         messages = _find_role(modules, "messages", "replication/messages.py")
         codec = _find_role(modules, "codec", "net/codec.py")
         if messages is None or codec is None:
@@ -206,7 +209,9 @@ class MetricNameConsistency(ProjectRule):
     scope = ("repro",)
     exclude = ("repro.obs.registry",)
 
-    def check_project(self, modules: Sequence[ModuleInfo]) -> Iterable[Violation]:
+    def check_project(
+        self, modules: Sequence[ModuleInfo], root: pathlib.Path
+    ) -> Iterable[Violation]:
         # name → (kind, first site module, first site node)
         first_seen: dict[str, tuple[str, ModuleInfo, ast.Call]] = {}
         for module in modules:

@@ -26,17 +26,21 @@ is what the :mod:`repro.sim` scenario engine builds on.
 The synchronous :meth:`PEATSClient.invoke` is a thin wrapper: submit, then
 pump the network until the request completes.
 
-Like PBFT, the replicas' retransmission cache keeps only the *last* reply
-per client, so each client identity must have at most one request
-outstanding at a time (issue the next request only after the previous one
-completed).  Every in-repo caller — the synchronous views, the scenario
-engine's generator clients — respects this; concurrency comes from using
-many client identities, not from pipelining one.
+Like PBFT, the replicas keep only the *last* request id and reply per
+client, so a replica group must see at most one request of a client
+identity at a time: a later request that overtook an earlier one on the
+network would make the earlier one stale for good.  The client enforces
+this itself.  It keeps at most one request in flight per replica group
+(keyed by the request's ``targets``); later submissions to the same group
+wait in FIFO order and are broadcast as the one ahead of them resolves.
+Requests to disjoint groups — a sharded client's scatter-gather probes —
+still travel in parallel.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import deque
 from typing import Any, Callable, Hashable, Iterable, Optional, TYPE_CHECKING
 
 from repro.errors import QuorumError
@@ -161,6 +165,10 @@ class PEATSClient:
         # never resolves) and defeat the replicas' per-client dedup.
         self._mint_lock = threading.Lock()
         self._pending: dict[tuple, PendingRequest] = {}
+        # Per replica group, the request in flight (head) and the ones
+        # waiting behind it, in submission order.  Guarded by _mint_lock:
+        # a reactor thread frees a slot while the caller's thread submits.
+        self._queues: dict[tuple[Hashable, ...], deque[PendingRequest]] = {}
         self._nudge_timeouts = nudge_timeouts
         self._max_retransmissions = max_retransmissions
         self.obs = resolve_obs(obs)
@@ -313,7 +321,7 @@ class PEATSClient:
             )
 
     def _resolve(self, pending: PendingRequest, result: Any) -> None:
-        self._pending.pop(pending.key, None)
+        self._release(pending)
         if self._tracer.enabled:
             self._tracer.record("complete", pending.key, self.client_id, self.network.now)
         if self._flight.enabled:
@@ -323,8 +331,24 @@ class PEATSClient:
         pending._complete(self.network.now, result=result)
 
     def _fail(self, pending: PendingRequest, exception: BaseException) -> None:
-        self._pending.pop(pending.key, None)
+        self._release(pending)
         pending._complete(self.network.now, exception=exception)
+
+    def _release(self, pending: PendingRequest) -> None:
+        """Free ``pending``'s group slot and send the next request waiting
+        for it.  Runs before ``pending``'s completion callbacks, so a
+        closed-loop caller that submits from a callback finds the slot
+        free — or queues behind a request submitted earlier."""
+        self._pending.pop(pending.key, None)
+        with self._mint_lock:
+            queue = self._queues[pending.targets]
+            held_slot = queue[0] is pending
+            queue.remove(pending)
+            following = queue[0] if held_slot and queue else None
+            if not queue:
+                del self._queues[pending.targets]
+        if following is not None:
+            self._send(following)
 
     def _retransmit(self, request_key: tuple) -> None:
         pending = self._pending.get(request_key)
@@ -459,6 +483,10 @@ class PEATSClient:
     ) -> PendingRequest:
         """Broadcast a request and return its :class:`PendingRequest`.
 
+        While an earlier request of this client to the same replica group
+        is in flight, the new one waits behind it and is broadcast when it
+        resolves (see the module docstring).
+
         Does **not** pump the network: the caller (or the scenario engine)
         drives delivery, and ``on_complete`` — if given — fires inside the
         event loop once ``f + 1`` matching replies arrive.  A retransmission
@@ -477,17 +505,24 @@ class PEATSClient:
             request_id = self._next_request_id
             self._next_request_id += 1
             self._obs_requests.inc()
-        request = ClientRequest(
-            client=self.client_id,
-            request_id=request_id,
-            operation=operation,
-            arguments=arguments,
-        )
-        request = authenticate_request(request, self.network.authenticator, targets)
-        pending = PendingRequest(
-            request, self.network.now, targets=targets, threshold=self.f + 1
-        )
-        self._pending[request.key] = pending
+            request = ClientRequest(
+                client=self.client_id,
+                request_id=request_id,
+                operation=operation,
+                arguments=arguments,
+            )
+            request = authenticate_request(request, self.network.authenticator, targets)
+            pending = PendingRequest(
+                request, self.network.now, targets=targets, threshold=self.f + 1
+            )
+            self._pending[request.key] = pending
+            # Enqueued under the lock that minted the id, so a group's
+            # queue is in request-id order whichever thread submits.
+            queue = self._queues.get(targets)
+            first = queue is None
+            if first:
+                queue = self._queues[targets] = deque()
+            queue.append(pending)
         if self._tracer.enabled:
             self._tracer.record("submit", request.key, self.client_id, self.network.now)
         if self._flight.enabled:
@@ -500,11 +535,18 @@ class PEATSClient:
             )
         if on_complete is not None:
             pending.add_done_callback(on_complete)
-        self.network.broadcast(self._address, targets, request)
-        pending._timer = self.network.schedule_after(
-            self._retransmit_delay(0), lambda: self._retransmit(request.key)
-        )
+        if first:
+            self._send(pending)
         return pending
+
+    def _send(self, pending: PendingRequest) -> None:
+        """Broadcast ``pending`` (it now holds its group's slot) and arm
+        its retransmission timer."""
+        key = pending.key
+        self.network.broadcast(self._address, pending.targets, pending.request)
+        pending._timer = self.network.schedule_after(
+            self._retransmit_delay(0), lambda: self._retransmit(key)
+        )
 
     # ------------------------------------------------------------------
     # Synchronous request execution

@@ -385,7 +385,8 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
         latest = self.application.last_request_id(request.client)
         if latest is not None and latest >= request.request_id:
             # Stale retransmission of a request the client has already
-            # moved past (clients issue one request at a time).
+            # moved past (PEATSClient keeps at most one request in flight
+            # per replica group, so a lower id was answered already).
             return
         if request.key in self._executed_keys or request.key in self._ordered_keys:
             return

@@ -18,9 +18,10 @@ deterministic, all correct replicas produce identical results; the client
 only needs ``f + 1`` matching replies to trust one.
 
 Retransmission idempotency follows PBFT's bounded scheme: the replica
-remembers the *last* reply per client (clients have one outstanding
-request at a time, so an older request id from the same client is a stale
-retransmission, answered from the cache and never re-executed).  The cache
+remembers the *last* reply per client (``PEATSClient`` keeps at most one
+request in flight per replica group, so an older request id from the same
+client is a stale retransmission, answered from the cache and never
+re-executed).  The cache
 is therefore bounded by the number of clients, not by the number of
 requests ever executed — which is what lets the ordering layer truncate
 its own per-request bookkeeping at checkpoints.
@@ -164,7 +165,8 @@ class PEATSReplica:
         # transaction pushes), drained by the ordering layer once per batch.
         self._outbox: list[Any] = []
         # Last executed (request_id, reply payload) per client: PBFT's
-        # bounded reply cache (clients issue one request at a time).
+        # bounded reply cache.  One entry suffices because PEATSClient
+        # keeps at most one request in flight per replica group.
         self._last_reply: dict[Any, tuple[int, Any]] = {}
         # Soft-state waiter registrations (repro.notify): deliberately
         # OUTSIDE capture_state — registrations arrive outside the ordered

@@ -80,16 +80,12 @@ class ScenarioEngine:
         service: Union[ReplicatedPEATS, ShardedPEATS],
         *,
         metrics: SimMetrics | None = None,
-        notify: bool = True,
     ) -> None:
         self.service = service
         #: The unified API handle every client program submits through —
         #: which is what lets programs yield blocking-read and wildcard
         #: scatter-gather steps regardless of the deployment shape.
         self.space = connect(service=service)
-        # ``notify=False`` pins blocking reads to the pure polling recipe
-        # (no waiters armed) — the baseline arm of the push-vs-poll sweep.
-        self.space.notify_enabled = notify
         self.metrics = metrics or SimMetrics()
         self._runners: list[ClientRunner] = []
         self._fault_events: list[FaultEvent] = []
@@ -233,10 +229,6 @@ class Scenario:
     shards: int = 1
     #: Routing policy for the sharded cluster (None = hash routing).
     routing: Optional[RoutingPolicy] = None
-    #: Arm ``repro.notify`` waiters for blocking reads (the server-push
-    #: wake-up path).  ``False`` runs the pure Section 4 polling recipe —
-    #: the baseline the wake-latency sweep compares against.
-    notify: bool = True
     deadline: Optional[float] = None
     #: An :class:`~repro.obs.Observability` bundle to instrument the run
     #: with (``None`` = the zero-cost null bundle).  Purely passive —
@@ -317,7 +309,7 @@ def run_scenario(scenario: Scenario, *, metrics: SimMetrics | None = None) -> Sc
             checkpoint_interval=scenario.checkpoint_interval,
             obs=scenario.obs,
         )
-    engine = ScenarioEngine(service, metrics=metrics, notify=scenario.notify)
+    engine = ScenarioEngine(service, metrics=metrics)
     for process, factory in scenario.clients:
         engine.add_client(process, factory())
     engine.add_faults(*scenario.faults)

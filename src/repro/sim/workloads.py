@@ -322,11 +322,10 @@ def queue_consumers(
     separate their ``out``s by ``burst_pause`` virtual ms, so the space is
     empty most of the time and every job's consumption starts with a
     *wake-up*.  This is exactly the regime the ``repro.notify`` push
-    channel targets: with notifications enabled a blocked consumer wakes
-    one round trip after the insert, while the pure polling fallback
-    (``Scenario.notify = False``) waits out the rest of its current
-    backed-off poll interval.  The benchmark of record runs this workload
-    in push mode inside ``escrow_sharded_sim`` (``wake_p50_vms``).
+    channel targets: a blocked consumer wakes one round trip after the
+    insert instead of waiting out the rest of its backed-off poll
+    interval.  The benchmark of record runs this workload inside
+    ``escrow_sharded_sim`` (``wake_p50_vms``).
 
     Quotas partition the total job count exactly, so a fault-free run
     conserves jobs: consumed total == produced total.

@@ -12,6 +12,8 @@ from repro.consensus import DefaultConsensus, StrongConsensus, WeakConsensus, ru
 from repro.consensus.base import check_agreement, check_strong_validity
 from repro.model.faults import bottom_forcing_byzantine, unjustified_deciding_byzantine
 from repro.policy import (
+    AccessPolicy,
+    Rule,
     default_consensus_policy,
     lock_free_universal_policy,
     strong_consensus_policy,
@@ -20,7 +22,9 @@ from repro.policy import (
 )
 from repro.policy.library import BOTTOM
 from repro.replication import ReplicatedPEATS
+from repro.replication.network import NetworkConfig
 from repro.replication.pbft import ReplicaFaultMode
+from repro.tuples import ANY, entry, template
 from repro.universal import LockFreeUniversalConstruction, WaitFreeUniversalConstruction
 from repro.universal.emulated import counter_type, kv_store_type
 
@@ -127,3 +131,41 @@ class TestViewChangeUnderLoad:
         run = run_consensus(consensus, {p: 1 for p in range(4)})
         assert run.terminated and run.decision() == 1
         assert all(node.view >= 1 for node in service.correct_nodes())
+
+
+class TestConcurrentRequestsFromOneProcess:
+    """Regression: the replicas keep one request id per client, so a later
+    request that overtook an earlier one on the network made the earlier
+    one stale for good, and it failed with QuorumError.  The client now
+    keeps one request in flight per replica group and queues the rest."""
+
+    OPERATIONS = (
+        ("out", (entry("K", 0),)),
+        ("out", (entry("K", 1),)),
+        ("rdp", (template("K", ANY),)),
+        ("inp", (template("K", ANY),)),
+        ("out", (entry("K", 2),)),
+        ("inp", (template("K", 1),)),
+        ("out", (entry("K", 3),)),
+    )
+
+    @staticmethod
+    def run(space):
+        futures = [
+            space.submit(operation, arguments, process="p")
+            for operation, arguments in TestConcurrentRequestsFromOneProcess.OPERATIONS
+        ]
+        results = []
+        for future in futures:
+            space._drive(future)
+            results.append(future.result())
+        return results, sorted(space.snapshot(), key=repr)
+
+    def test_every_op_resolves_in_submission_order(self):
+        policy = AccessPolicy([Rule(op, op) for op in ("out", "rdp", "inp")])
+        expected = self.run(connect("local", policy=policy))
+        for seed in range(40):
+            space = connect(
+                "replicated", policy=policy, network_config=NetworkConfig(seed=seed)
+            )
+            assert self.run(space) == expected, f"seed {seed}"

@@ -1,4 +1,5 @@
-"""The tree lints itself: ``python -m repro.lint src`` must exit 0.
+"""The tree lints itself: ``python -m repro.lint src tests benchmarks
+examples --exclude tests/lint_fixtures`` must exit 0.
 
 Also exercises the CLI surface (exit codes, JSON report, rule listing)
 and — when mypy happens to be installed — the strict-subset type gate
@@ -41,6 +42,19 @@ class TestSelfCheck:
         assert result.returncode == 0, result.stdout + result.stderr
         assert "0 violations" in result.stdout
 
+    def test_cli_exits_zero_on_the_whole_project(self):
+        # The command CI's lint job runs: every rule, the architecture
+        # guard table (RL007) included, over all code outside the fixtures.
+        result = run_cli(
+            "src", "tests", "benchmarks", "examples", "--exclude", "tests/lint_fixtures"
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert "0 violations" in result.stdout
+
+    def test_exclude_skips_the_fixtures(self):
+        result = run_cli("tests/lint_fixtures", "--exclude", "tests/lint_fixtures")
+        assert result.returncode == 0, result.stdout + result.stderr
+
     def test_cli_exits_one_on_violations(self):
         result = run_cli("--select", "RL001", str(FIXTURES / "rl001_bad.py"))
         assert result.returncode == 1
@@ -58,7 +72,7 @@ class TestSelfCheck:
     def test_cli_lists_all_rules(self):
         result = run_cli("--list-rules")
         assert result.returncode == 0
-        for rule_id in ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006"):
+        for rule_id in ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007"):
             assert rule_id in result.stdout
 
     def test_ignore_flag_drops_a_rule(self):

@@ -567,6 +567,37 @@ def test_two_reactors_multicasting_concurrently_reject_nothing():
         sys.setswitchinterval(previous)
 
 
+def test_one_process_submitting_from_many_threads_loses_nothing():
+    """Regression: the replicas keep one request id per client, so of two
+    requests one process had in flight, the one overtaken on the way was
+    dropped as stale.  The client queues all but one per replica group;
+    here threads race to submit and a reactor thread frees the slot."""
+    threads, per_thread = 6, 8
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with connect("replicated", policy=open_policy(), f=1, transport="asyncio") as space:
+            futures: list = []
+
+            def submitter(index: int):
+                for sequence in range(per_thread):
+                    futures.append(space.submit_out(entry("T", index, sequence), process="p"))
+
+            workers = [threading.Thread(target=submitter, args=(i,)) for i in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=WAIT_MS / 1000.0)
+                assert not worker.is_alive()
+            assert len(futures) == threads * per_thread
+            for future in futures:
+                assert future.wait(WAIT_MS / 1000.0)
+                assert future.exception is None
+            assert len(space.snapshot()) == threads * per_thread
+    finally:
+        sys.setswitchinterval(previous)
+
+
 # ----------------------------------------------------------------------
 # A malformed tag is rejected, never raised
 # ----------------------------------------------------------------------

@@ -406,11 +406,10 @@ class TestLocalNotify:
 # ----------------------------------------------------------------------
 
 
-def notify_scenario(push: bool = True, obs=None) -> Scenario:
+def notify_scenario(obs=None) -> Scenario:
     return Scenario(
         name="notify-determinism",
         clients=queue_consumers(2, 4, items_per_producer=2, burst_pause=40.0),
-        notify=push,
         seed=23,
         obs=obs,
     )
