@@ -21,9 +21,9 @@ import pytest
 
 from benchmarks._output import emit_table
 from repro.api import connect
+from repro.cluster import ShardedPEATS
 from repro.peo import PEATS
 from repro.policy import strong_consensus_policy
-from repro.replication import ReplicatedPEATS
 from repro.replication.pbft import ReplicaFaultMode
 from repro.tspace import AugmentedTupleSpace
 from repro.tuples import Formal, entry, template
@@ -60,21 +60,21 @@ def test_e7_local_peats(benchmark):
 
 
 def test_e7_replicated_peats_f1(benchmark):
-    service = ReplicatedPEATS(POLICY(), f=1)
+    service = ShardedPEATS(POLICY(), shards=1, f=1)
     shared = connect(service=service)
     counter = iter(range(10**9))
     benchmark(lambda: out_rdp_round_replicated(shared, next(counter)))
 
 
 def test_e7_replicated_peats_f2(benchmark):
-    service = ReplicatedPEATS(POLICY(), f=2)
+    service = ShardedPEATS(POLICY(), shards=1, f=2)
     shared = connect(service=service)
     counter = iter(range(10**9))
     benchmark(lambda: out_rdp_round_replicated(shared, next(counter)))
 
 
 def test_e7_replicated_peats_with_lying_replica(benchmark):
-    service = ReplicatedPEATS(POLICY(), f=1, replica_faults={2: ReplicaFaultMode.LYING})
+    service = ShardedPEATS(POLICY(), shards=1, f=1, replica_faults={2: ReplicaFaultMode.LYING})
     shared = connect(service=service)
     counter = iter(range(10**9))
     benchmark(lambda: out_rdp_round_replicated(shared, next(counter)))
@@ -86,7 +86,7 @@ def test_e7_message_complexity_table(benchmark):
     def measure():
         rows = []
         for f in (0, 1, 2):
-            service = ReplicatedPEATS(POLICY(), f=f)
+            service = ShardedPEATS(POLICY(), shards=1, f=f)
             shared = connect(service=service)
             operations = 20
             for i in range(operations):

@@ -2,8 +2,9 @@
 
 The paper's point is that a single augmented tuple-space abstraction
 serves every coordination construction; this package makes the library
-honour that across its three deployment shapes.  :func:`connect` builds
-(or wraps) a deployment and returns a uniform :class:`Space` handle:
+honour that across its three backends — local, replicated (a one-shard
+cluster) and sharded.  :func:`connect` builds (or wraps) a deployment
+and returns a uniform :class:`Space` handle:
 
 >>> from repro.api import connect                          # doctest: +SKIP
 >>> space = connect("sharded", policy=policy, shards=4)    # doctest: +SKIP
@@ -19,7 +20,6 @@ capability only this layer can express.
 from repro.futures import OperationFuture
 from repro.api.space import BLOCKING_OPERATIONS, PROBE_OPERATIONS, BoundSpace, Space
 from repro.api.local import LocalSpace
-from repro.api.replicated import ReplicatedSpace
 from repro.api.sharded import ShardedSpace
 from repro.api.connect import BACKENDS, connect
 
@@ -30,7 +30,6 @@ __all__ = [
     "BoundSpace",
     "OperationFuture",
     "LocalSpace",
-    "ReplicatedSpace",
     "ShardedSpace",
     "PROBE_OPERATIONS",
     "BLOCKING_OPERATIONS",

@@ -15,6 +15,12 @@
     # or wrap a deployment that already exists:
     space = connect(service=ShardedPEATS(my_policy, shards=4))
 
+``"replicated"`` is the paper's Fig. 2 deployment, one replica group of
+``3f + 1`` servers, and it is built as a one-shard
+:class:`~repro.cluster.service.ShardedPEATS`: there is one networked
+deployment type, and the shard count alone decides whether requests are
+routed and wildcard probes gathered.
+
 Every call returns a :class:`~repro.api.space.Space` with identical
 semantics — blocking and ``submit_*`` operation forms, one timeout and
 exception model, ``bind(process)`` views — so the same coordination
@@ -27,7 +33,6 @@ from typing import Any, Mapping, Optional, Union
 
 from repro.errors import TupleSpaceError
 from repro.api.local import LocalSpace
-from repro.api.replicated import ReplicatedSpace
 from repro.api.sharded import ShardedSpace
 from repro.api.space import Space
 from repro.cluster.routing import RoutingPolicy
@@ -57,9 +62,9 @@ def connect(
     backend: str | None = None,
     *,
     policy: AccessPolicy | None = None,
-    service: Union[PEATS, ReplicatedPEATS, ShardedPEATS, None] = None,
+    service: Union[PEATS, ShardedPEATS, None] = None,
     f: int = 1,
-    shards: int = 2,
+    shards: int | None = None,
     routing: RoutingPolicy | None = None,
     network_config: NetworkConfig | None = None,
     transport: Union[str, Transport, None] = None,
@@ -74,11 +79,13 @@ def connect(
     Either pass ``backend`` (``"local"``, ``"replicated"`` or
     ``"sharded"``) plus a ``policy`` to build a fresh deployment, or pass
     an existing deployment via ``service=`` (a
-    :class:`~repro.peo.peats.PEATS`,
-    :class:`~repro.replication.service.ReplicatedPEATS` or
+    :class:`~repro.peo.peats.PEATS` or a
     :class:`~repro.cluster.service.ShardedPEATS`) and the backend is
     inferred; a ``backend`` given alongside ``service`` must agree with
-    the inferred one.
+    the inferred one.  A one-shard cluster is the ``"replicated"``
+    backend (``"sharded"`` names it too); a bare
+    :class:`~repro.replication.service.ReplicatedPEATS` group is not a
+    deployment and is refused.
 
     ``transport`` picks the substrate of a *built* networked deployment
     (one of :data:`TRANSPORTS`, or a :class:`~repro.net.Transport`
@@ -91,7 +98,8 @@ def connect(
 
     The remaining keywords configure the built deployment and are ignored
     where they do not apply (``f``/``network_config`` for the simulated
-    backends, ``shards``/``routing`` for the sharded one).
+    backends), except that ``"replicated"`` refuses a ``routing`` and a
+    ``shards`` other than 1.  ``shards`` defaults to 2 on ``"sharded"``.
     """
     if service is not None:
         if transport is not None:
@@ -106,13 +114,13 @@ def connect(
                 "already owns its observability; pass obs= to the service "
                 "constructor (or to connect() when building one)"
             )
-        inferred = _infer_backend(service)
-        if backend is not None and backend != inferred:
+        names = _backends_of(service)
+        if backend is not None and backend not in names:
             raise TupleSpaceError(
                 f"connect(backend={backend!r}) disagrees with the provided "
-                f"service, which is a {inferred!r} deployment"
+                f"service, which is a {names[0]!r} deployment"
             )
-        return _wrap(inferred, service)
+        return LocalSpace(service) if isinstance(service, PEATS) else ShardedSpace(service)
     if backend is None:
         raise TupleSpaceError("connect() needs a backend name or a service=")
     if backend not in BACKENDS:
@@ -127,6 +135,16 @@ def connect(
                 "the local backend is in-process and takes no transport"
             )
         return LocalSpace(PEATS(policy, obs=obs))
+    if backend == "replicated":
+        if shards not in (None, 1) or routing is not None:
+            raise TupleSpaceError(
+                "the replicated backend is one replica group; it takes no "
+                "shards (other than 1) and no routing — use "
+                "connect('sharded', ...) to shard"
+            )
+        shards = 1
+    elif shards is None:
+        shards = 2
     if transport not in (None, "sim") and network_config is not None:
         raise TupleSpaceError(
             "network_config configures the simulated network; pass either "
@@ -135,24 +153,8 @@ def connect(
     # One bundle per deployment: the transport built here and the service
     # count on the same registry, attached or private.
     obs = resolve_obs(obs)
-    network = _build_transport(
-        transport, reactors=shards if backend == "sharded" else 1, obs=obs
-    )
+    network = _build_transport(transport, reactors=shards, obs=obs)
     try:
-        if backend == "replicated":
-            return ReplicatedSpace(
-                ReplicatedPEATS(
-                    policy,
-                    f=f,
-                    network_config=network_config,
-                    network=network,
-                    replica_faults=dict(replica_faults) if replica_faults else None,
-                    view_change_timeout=view_change_timeout,
-                    max_batch_size=max_batch_size,
-                    checkpoint_interval=checkpoint_interval,
-                    obs=obs,
-                )
-            )
         return ShardedSpace(
             ShardedPEATS(
                 policy,
@@ -199,22 +201,18 @@ def _build_transport(
     )
 
 
-def _infer_backend(service: Any) -> str:
+def _backends_of(service: Any) -> tuple[str, ...]:
+    """The backend names ``service`` answers to, the reported one first."""
     if isinstance(service, ShardedPEATS):
-        return "sharded"
-    if isinstance(service, ReplicatedPEATS):
-        return "replicated"
+        return ("replicated", "sharded") if service.n_shards == 1 else ("sharded",)
     if isinstance(service, PEATS):
-        return "local"
+        return ("local",)
+    if isinstance(service, ReplicatedPEATS):
+        raise TupleSpaceError(
+            "connect() cannot wrap a bare ReplicatedPEATS replica group; the "
+            "single-group deployment is ShardedPEATS(policy, shards=1)"
+        )
     raise TupleSpaceError(
         f"connect() cannot wrap a {type(service).__name__}; expected a "
-        "PEATS, ReplicatedPEATS or ShardedPEATS deployment"
+        "PEATS or ShardedPEATS deployment"
     )
-
-
-def _wrap(backend: str, service: Any) -> Space:
-    if backend == "sharded":
-        return ShardedSpace(service)
-    if backend == "replicated":
-        return ReplicatedSpace(service)
-    return LocalSpace(service)

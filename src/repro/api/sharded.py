@@ -1,7 +1,12 @@
-"""The sharded backend of the unified API, with cross-shard scatter-gather.
+"""The replicated and sharded backends of the unified API, with
+cross-shard scatter-gather.
 
 :class:`ShardedSpace` fronts a :class:`~repro.cluster.service.ShardedPEATS`.
-Concrete-name operations route to the owning replica group exactly like the
+A one-shard cluster is the ``"replicated"`` backend: every operation,
+wildcard-name or not, is one ordered request to the one group, and a
+transaction is one ordered ``txn_exec`` (its PBFT instance is the
+atomicity).  On several shards, concrete-name operations route to the
+owning replica group exactly like the
 :class:`~repro.cluster.client.ShardedClient`; what is new — and only
 expressible at this layer, which owns routing, futures and the shared
 error model at once — is the ROADMAP's **scatter-gather** for wildcard-name
@@ -39,11 +44,11 @@ _resolve_lock`).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable
+from typing import Any, Callable, Hashable, Optional
 
 from repro.errors import ReplicationError
 from repro.futures import OperationFuture
-from repro.api.space import NetworkedSpace
+from repro.api.space import Space
 from repro.cluster.client import ShardedClient
 from repro.cluster.service import ShardedPEATS
 from repro.peo.base import DENIED
@@ -54,30 +59,69 @@ from repro.tuples.fields import is_defined
 __all__ = ["ShardedSpace"]
 
 
-class ShardedSpace(NetworkedSpace):
-    """Unified handle over a sharded cluster of PBFT replica groups."""
+class ShardedSpace(Space):
+    """Unified handle over a cluster of PBFT replica groups: the
+    ``"replicated"`` backend at one shard, ``"sharded"`` above.  The
+    cluster's one network carries every request, clock reading and
+    timer."""
 
-    backend = "sharded"
-    _service: ShardedPEATS
+    time_unit = "simulated ms"
     #: Read-then-take rounds a wildcard ``inp`` attempts before conceding
     #: the race and answering ``None``.
     max_inp_rounds = 8
 
     def __init__(self, service: ShardedPEATS) -> None:
-        super().__init__(service)
-        registry = service.obs.registry
-        self._obs_scatter_rounds = registry.counter(
-            "cluster_scatter_rounds_total",
-            "Wildcard-probe rounds fanned out across every shard",
-        ).labels()
-        self._obs_scatter_probes = registry.counter(
-            "cluster_scatter_probes_total",
-            "Individual per-group probes issued by scatter-gather rounds",
-        ).labels()
+        super().__init__(service.obs)
+        self._service = service
+        # On a real transport (repro.net) the deployment's clock is the
+        # wall clock; label timeouts accordingly (same numeric defaults —
+        # a millisecond is a millisecond on either clock).
+        if not service.network.virtual_time:
+            self.time_unit = service.network.time_unit
+        #: One group never gathers: it answers every probe in one round.
+        self._gathers = service.n_shards > 1
+        self.backend = "sharded" if self._gathers else "replicated"
+        if self._gathers:
+            registry = service.obs.registry
+            self._obs_scatter_rounds = registry.counter(
+                "cluster_scatter_rounds_total",
+                "Wildcard-probe rounds fanned out across every shard",
+            ).labels()
+            self._obs_scatter_probes = registry.counter(
+                "cluster_scatter_probes_total",
+                "Individual per-group probes issued by scatter-gather rounds",
+            ).labels()
+
+    @property
+    def service(self) -> ShardedPEATS:
+        return self._service
+
+    @property
+    def network(self) -> Any:
+        return self._service.network
 
     @property
     def n_shards(self) -> int:
         return self._service.n_shards
+
+    def _drive(self, future: OperationFuture) -> None:
+        self._service.network.run_until(lambda: future.done)
+        if not future.done:  # pragma: no cover - retransmit timers prevent this
+            raise ReplicationError(f"network drained before {future!r} resolved")
+
+    def _now(self) -> float:
+        return self._service.network.now
+
+    def _schedule(self, delay: float, callback: Callable[[], None]) -> None:
+        self._service.network.schedule_after(delay, callback)
+
+    def _watch_pump(self, condition: Callable[[], bool], timeout: float | None) -> None:
+        budget = self.default_blocking_timeout if timeout is None else timeout
+        deadline = self._now() + budget
+        self._service.network.run_until(lambda: condition() or self._now() >= deadline)
+
+    def snapshot(self) -> tuple[Entry, ...]:
+        return self._service.snapshot()
 
     # ------------------------------------------------------------------
     # Backend hooks
@@ -87,6 +131,8 @@ class ShardedSpace(NetworkedSpace):
         self, operation: str, arguments: tuple, process: Hashable
     ) -> OperationFuture:
         client = self._service.client(process)
+        if not self._gathers:
+            return client.submit(operation, tuple(arguments))
         if operation in ("rdp", "inp"):
             template = arguments[0]
             if isinstance(template, (Entry, Template)) and not is_defined(
@@ -113,6 +159,10 @@ class ShardedSpace(NetworkedSpace):
     def _submit_txn(self, legs: tuple, process: Hashable) -> OperationFuture:
         from repro.txn.manager import CrossShardTxn, plan_legs
 
+        if not self._gathers:
+            # One group holds every leg, so one ordered txn_exec request
+            # is the whole commit: the PBFT instance is the atomicity.
+            return self._service.client(process).submit("txn_exec", (legs,))
         plan = plan_legs(self._service.shard_map, legs)
         if len(plan) == 1:
             # Every leg lives on one shard: its PBFT instance alone is the
@@ -241,10 +291,13 @@ class ShardedSpace(NetworkedSpace):
     # Notification channel (repro.notify)
     # ------------------------------------------------------------------
 
-    def _waiter_groups(self, template) -> tuple[tuple[int, tuple], ...]:
+    def _waiter_groups(self, template) -> tuple[tuple[Optional[int], tuple], ...]:
         """The replica groups that must hold a waiter for ``template``:
-        the owning shard for a concrete-name template, every shard for a
-        wildcard-name one (any shard may receive the matching insert)."""
+        the one group (its events carry no shard), else the owning shard
+        for a concrete-name template, every shard for a wildcard-name one
+        (any shard may receive the matching insert)."""
+        if not self._gathers:
+            return ((None, self._service.replica_ids),)
         if isinstance(template, (Entry, Template)):
             if is_defined(template.fields[0]):
                 shard = self._service.shard_map.shard_of_tuple(template)
@@ -258,6 +311,16 @@ class ShardedSpace(NetworkedSpace):
         return ()
 
     def _stats_extra(self) -> dict:
+        if not self._gathers:
+            nodes = self._service.nodes
+            return {
+                "nodes": {node.replica_id: node.statistics for node in nodes},
+                "notify": {
+                    "waiters": {
+                        node.replica_id: len(node.application.waiters) for node in nodes
+                    },
+                },
+            }
         return {
             "shards": self._service.shard_statistics(),
             "notify": {

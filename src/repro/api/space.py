@@ -38,7 +38,6 @@ from typing import Any, Callable, Hashable, Optional
 from repro.errors import (
     AccessDeniedError,
     OperationTimeoutError,
-    ReplicationError,
     TupleSpaceError,
 )
 from repro.futures import OperationFuture
@@ -50,7 +49,7 @@ from repro.replication.replica import TXN_LOCKED
 from repro.tspace.interface import BoundView, TupleSpaceInterface
 from repro.tuples import Entry, Template
 
-__all__ = ["Space", "NetworkedSpace", "BoundSpace", "PROBE_OPERATIONS", "BLOCKING_OPERATIONS"]
+__all__ = ["Space", "BoundSpace", "PROBE_OPERATIONS", "BLOCKING_OPERATIONS"]
 
 #: The non-blocking operations every backend executes natively.
 PROBE_OPERATIONS = ("out", "rdp", "inp", "cas")
@@ -834,50 +833,6 @@ class Space(_SubmitForms, TupleSpaceInterface):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(backend={self.backend!r})"
-
-
-class NetworkedSpace(Space):
-    """What the replicated and sharded backends share: a deployment
-    ``service`` whose one network carries every request, clock reading
-    and timer.  Each subclass narrows ``_service`` by annotation."""
-
-    time_unit = "simulated ms"
-
-    def __init__(self, service: Any) -> None:
-        super().__init__(service.obs)
-        self._service = service
-        # On a real transport (repro.net) the deployment's clock is the
-        # wall clock; label timeouts accordingly (same numeric defaults —
-        # a millisecond is a millisecond on either clock).
-        if not service.network.virtual_time:
-            self.time_unit = service.network.time_unit
-
-    @property
-    def service(self) -> Any:
-        return self._service
-
-    @property
-    def network(self) -> Any:
-        return self._service.network
-
-    def _drive(self, future: OperationFuture) -> None:
-        self._service.network.run_until(lambda: future.done)
-        if not future.done:  # pragma: no cover - retransmit timers prevent this
-            raise ReplicationError(f"network drained before {future!r} resolved")
-
-    def _now(self) -> float:
-        return self._service.network.now
-
-    def _schedule(self, delay: float, callback: Callable[[], None]) -> None:
-        self._service.network.schedule_after(delay, callback)
-
-    def _watch_pump(self, condition: Callable[[], bool], timeout: float | None) -> None:
-        budget = self.default_blocking_timeout if timeout is None else timeout
-        deadline = self._now() + budget
-        self._service.network.run_until(lambda: condition() or self._now() >= deadline)
-
-    def snapshot(self) -> tuple[Entry, ...]:
-        return self._service.snapshot()
 
 
 class BoundSpace(_SubmitForms, BoundView):

@@ -1,7 +1,7 @@
 """repro.cluster — the tuple space sharded across PBFT replica groups.
 
-The single-group deployment of :mod:`repro.replication` caps throughput at
-what one PBFT instance can order: batching amortises the per-instance
+One replica group of :mod:`repro.replication` caps throughput at what one
+PBFT instance can order: batching amortises the per-instance
 protocol cost, but every request still funnels through one primary.  This
 package scales *out* instead: tuple-space operations are keyed by the
 tuple's first field (its name), so the space partitions into independent
@@ -13,11 +13,13 @@ replica groups ordering disjoint request streams in parallel —
 * :mod:`repro.cluster.service` — :class:`ShardedPEATS`: N independent
   :class:`~repro.replication.service.ReplicatedPEATS` groups with
   namespaced replica ids on one shared
-  :class:`~repro.replication.network.SimulatedNetwork` clock;
+  :class:`~repro.replication.network.SimulatedNetwork` clock.  It is the
+  one networked deployment: at one shard it is the single-group
+  deployment (``connect("replicated")``), with plain ``replica-i`` ids;
 * :mod:`repro.cluster.client` — :class:`ShardedClient`: one client
   identity whose requests are routed to the owning group (templates with
   wildcard name fields raise :class:`~repro.errors.CrossShardError` at
-  this layer).
+  this layer); at one shard it does not route.
 
 A :class:`ShardedPEATS` is the deployment; programs reach it through the
 one client path, :func:`repro.api.connect`, whose ``bind(process)`` views

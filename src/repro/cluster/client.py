@@ -1,13 +1,14 @@
-"""The routed client of the sharded PEATS cluster.
+"""The client of the PEATS cluster.
 
 One :class:`ShardedClient` is one authenticated client identity registered
-*once* on the cluster's shared network.  Every submitted operation is
-routed by tuple name through the cluster's
+*once* on the cluster's shared network.  On a cluster of several shards
+every submitted operation is routed by tuple name through the cluster's
 :class:`~repro.cluster.routing.ShardMap` and broadcast only to the owning
 replica group — the ``f + 1`` reply vote then runs against that group's
-replicas exactly as in the single-group deployment.  Templates whose name
-field is a wildcard raise :class:`~repro.errors.CrossShardError` at
-submission time (see the routing module); the unified API's
+replicas.  A one-shard cluster does not route: every request goes
+straight to its one group.  Templates whose name field is a wildcard
+raise :class:`~repro.errors.CrossShardError` at submission time on a
+routing client (see the routing module); the unified API's
 :class:`~repro.api.ShardedSpace` sits above this client and resolves the
 multi-shard forms (using this client's per-request ``replica_ids``
 override): wildcard-name ``rdp``/``inp`` by scatter-gathering over every
@@ -30,7 +31,8 @@ __all__ = ["ShardedClient"]
 
 
 class ShardedClient(PEATSClient):
-    """A :class:`PEATSClient` that routes each request to its owning shard."""
+    """A :class:`PEATSClient` that routes each request to its owning shard
+    (on a cluster of more than one)."""
 
     def __init__(self, client_id: Hashable, service: "ShardedPEATS") -> None:
         super().__init__(
@@ -42,19 +44,18 @@ class ShardedClient(PEATSClient):
             obs=service.obs,
         )
         self._service = service
-        self._obs_routed = self.obs.registry.counter(
-            "cluster_routed_total", "Requests routed to their owning shard"
-        )
+        #: A one-shard cluster has nothing to route: its client is a plain
+        #: PEATSClient of the one group.
+        self._routes = service.n_shards > 1
+        if self._routes:
+            self._obs_routed = self.obs.registry.counter(
+                "cluster_routed_total", "Requests routed to their owning shard"
+            )
         self._obs_shard_children: dict[int, Any] = {}
 
     @property
     def service(self) -> "ShardedPEATS":
         return self._service
-
-    def shard_of_operation(self, operation: str, arguments: tuple) -> int:
-        """The shard that will execute the operation (may raise
-        :class:`~repro.errors.CrossShardError`)."""
-        return self._service.shard_map.route(operation, arguments)
 
     def submit(
         self,
@@ -68,13 +69,15 @@ class ShardedClient(PEATSClient):
 
         The request's client MAC vector covers exactly that group's
         replicas, and retransmissions go to the same group.  An explicit
-        ``replica_ids`` override bypasses routing (escape hatch for tests).
+        ``replica_ids`` override bypasses routing (escape hatch for tests),
+        and so does a one-shard cluster (its one group is the default).
         """
-        if replica_ids is not None:
+        if replica_ids is not None or not self._routes:
             return super().submit(
                 operation, arguments, on_complete=on_complete, replica_ids=replica_ids
             )
-        shard = self.shard_of_operation(operation, arguments)
+        # May raise CrossShardError (a wildcard name has no owning shard).
+        shard = self._service.shard_map.route(operation, arguments)
         pending = super().submit(
             operation,
             arguments,

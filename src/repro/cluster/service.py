@@ -1,6 +1,6 @@
-"""The sharded PEATS: N independent PBFT replica groups, one clock.
+"""The PEATS deployment: N independent PBFT replica groups, one clock.
 
-:class:`ShardedPEATS` is the first layer *above*
+:class:`ShardedPEATS` is the one deployment shape above
 :class:`~repro.replication.service.ReplicatedPEATS`: it owns one replica
 group per shard, all registered on one shared
 :class:`~repro.replication.network.SimulatedNetwork` (so a scenario's
@@ -8,16 +8,22 @@ virtual clock, seed and fault schedule span the whole cluster), and routes
 client operations to the group owning the tuple's name via a
 :class:`~repro.cluster.routing.ShardMap`.
 
+The paper's Fig. 2 deployment — one PEATS replicated over ``3f + 1``
+servers — is the **one-shard cluster** (``connect("replicated")``).  Its
+replicas keep the plain ``replica-i`` ids, its client never routes, and
+its space never scatter-gathers, so it costs exactly what one group costs.
+
 Scaling argument: every request still funnels through *a* primary, but
 with ``N`` shards there are ``N`` primaries ordering disjoint request
 streams in parallel — under a per-message processing cost the cluster's
 aggregate throughput approaches ``N`` times one group's (the shard-count
 sweep in ``benchmarks/bench_sim_scenarios.py`` measures exactly this).
 
-Group namespacing: shard ``k``'s replicas are ``shard-k:replica-i``.
-Groups never share an id, each group multicasts only within its own id
-set, and every replica rejects protocol traffic from identities outside
-its group, so the groups coexist on one network without cross-talk.
+Group namespacing: with more than one shard, shard ``k``'s replicas are
+``shard-k:replica-i``.  Groups never share an id, each group multicasts
+only within its own id set, and every replica rejects protocol traffic
+from identities outside its group, so the groups coexist on one network
+without cross-talk.
 """
 
 from __future__ import annotations
@@ -57,7 +63,6 @@ class ShardedPEATS:
         view_change_timeout: float = 50.0,
         max_batch_size: int = 8,
         checkpoint_interval: int = 8,
-        txn_ttl_ops: int | None = None,
         obs: Any = None,
     ) -> None:
         """``replica_faults`` keys may be ``(shard, index)`` pairs or flat
@@ -88,10 +93,14 @@ class ShardedPEATS:
             network_config or NetworkConfig(), obs=self.obs
         )
         group_size = 3 * f + 1
+        # One shard is the paper's single group: its replicas keep the
+        # plain ``replica-i`` ids.
+        names = [f"shard-{shard}" for shard in range(shards)] if shards > 1 else [None]
         reactor_count = self._network.reactor_count
-        for shard in range(shards):
+        for shard, name in enumerate(names):
+            prefix = f"{name}:" if name else ""
             for index in range(group_size):
-                self._network.pin(f"shard-{shard}:replica-{index}", shard % reactor_count)
+                self._network.pin(f"{prefix}replica-{index}", shard % reactor_count)
         per_group: list[dict[int, ReplicaFaultMode]] = [{} for _ in range(shards)]
         for key, mode in (replica_faults or {}).items():
             if isinstance(key, tuple):
@@ -109,15 +118,14 @@ class ShardedPEATS:
                 policy,
                 f=f,
                 network=self._network,
-                group=f"shard-{shard}",
+                group=name,
                 replica_faults=per_group[shard],
                 view_change_timeout=view_change_timeout,
                 max_batch_size=max_batch_size,
                 checkpoint_interval=checkpoint_interval,
-                txn_ttl_ops=txn_ttl_ops,
                 obs=self.obs,
             )
-            for shard in range(shards)
+            for shard, name in enumerate(names)
         )
         self._clients: dict[Hashable, ShardedClient] = {}
 
@@ -151,10 +159,6 @@ class ShardedPEATS:
             raise ReplicationError(f"no shard {shard!r} in this cluster")
         return self._groups[shard]
 
-    def group_of(self, name: Hashable) -> ReplicatedPEATS:
-        """The replica group owning tuple name ``name``."""
-        return self._groups[self._shard_map.shard_of(name)]
-
     @property
     def nodes(self) -> tuple[OrderingNode, ...]:
         """Every ordering node of the cluster, in shard order.
@@ -168,21 +172,33 @@ class ShardedPEATS:
     def replica_ids(self) -> tuple[str, ...]:
         return tuple(rid for group in self._groups for rid in group.replica_ids)
 
+    @property
+    def n_replicas(self) -> int:
+        return self.n_shards * (3 * self.f + 1)
+
     def correct_nodes(self) -> list[OrderingNode]:
-        return [node for group in self._groups for node in group.correct_nodes()]
+        return [node for node in self.nodes if node.fault_mode is ReplicaFaultMode.CORRECT]
 
     def check_timeouts(self) -> None:
-        """Fire every group's view-change timers (simulated time)."""
-        for group in self._groups:
-            group.check_timeouts()
+        """Fire the view-change timers of every replica.
+
+        The sweep goes through :meth:`Transport.post`: on the simulation
+        that is a synchronous call (the caller *is* the event loop); on a
+        real transport every node is pinned to a reactor and only ever
+        touched on it, and the nudge typically arrives from a client's
+        retransmission timer running on a different loop.
+        """
+        for node in self.nodes:
+            self._network.post(node.replica_id, node.check_timeouts)
 
     # ------------------------------------------------------------------
     # Clients
     # ------------------------------------------------------------------
 
     def client(self, process: Hashable) -> ShardedClient:
-        """The routing request/reply client for ``process`` (one network
-        registration, shared by every shard)."""
+        """The request/reply client for ``process`` (one network
+        registration, shared by every shard; routing by name when there
+        is more than one)."""
         if process not in self._clients:
             # repro-lint: disable=RL006 — one routing client per process
             # identity; processes are the deployment's principals, not
@@ -198,26 +214,25 @@ class ShardedPEATS:
         """The union of every shard's space, in shard order.
 
         Each shard's slice comes from that group's most advanced correct
-        replica (the single-group rule); tuples never move between shards,
-        so concatenation is exact.
+        replica; tuples never move between shards, so concatenation is
+        exact.
         """
         merged: list[Entry] = []
         for group in self._groups:
-            merged.extend(group.snapshot())
+            correct = [n for n in group.nodes if n.fault_mode is ReplicaFaultMode.CORRECT]
+            if not correct:
+                raise ReplicationError("no correct replica available for a snapshot")
+            most_advanced = max(correct, key=lambda node: node.last_executed)
+            merged.extend(most_advanced.application.space.snapshot())
         return tuple(merged)
 
     def replica_state_digests(self) -> dict[str, str]:
-        """State digest per replica across all groups (ids are namespaced)."""
-        digests: dict[str, str] = {}
-        for group in self._groups:
-            digests.update(group.replica_state_digests())
-        return digests
+        """State digest per replica (a group's correct replicas agree)."""
+        return {node.replica_id: node.application.state_digest() for node in self.nodes}
 
     def stable_checkpoints(self) -> dict[str, int]:
-        checkpoints: dict[str, int] = {}
-        for group in self._groups:
-            checkpoints.update(group.stable_checkpoints())
-        return checkpoints
+        """Stable-checkpoint sequence per replica (log-truncation horizon)."""
+        return {node.replica_id: node.stable_checkpoint for node in self.nodes}
 
     def client_statistics(self) -> dict[str, int]:
         """Counters summed over every routing client of the cluster."""
@@ -237,5 +252,5 @@ class ShardedPEATS:
     def __repr__(self) -> str:
         return (
             f"ShardedPEATS(policy={self._policy.name!r}, shards={self.n_shards}, "
-            f"f={self.f}, replicas={self.n_shards * (3 * self.f + 1)})"
+            f"f={self.f}, replicas={self.n_replicas})"
         )

@@ -231,6 +231,22 @@ GUARDS: tuple[Guard, ...] = (
         "classes only, never a name the bytes carry",
     ),
     Guard(
+        "one-deployment-shape", 36, "path", ("src/repro/api/replicated.py",), (),
+        "the single-group handle module is back; connect('replicated') builds "
+        "a one-shard ShardedPEATS behind ShardedSpace",
+    ),
+    Guard(
+        "one-deployment-shape", 36, "name", ("ReplicatedSpace",), _CODE,
+        "a second networked Space handle; a one-shard ShardedSpace is the "
+        "replicated backend",
+    ),
+    Guard(
+        "one-deployment-shape", 36, "one-site", ("PEATSClient", "ShardedClient"), ("src/",),
+        "a client built outside the cluster; ShardedPEATS.client(process) is "
+        "the one place a process gets its client",
+        allow=("src/repro/cluster/service.py",),
+    ),
+    Guard(
         "guards-in-lint", 35, "name", ("grep",), (".github/workflows/ci.yml",),
         "an architecture guard belongs in this table, where tier-1 runs it "
         "and names are matched as tokens; a CI grep step runs only in CI",

@@ -87,22 +87,6 @@ class HealthReport:
         }
 
 
-def _groups_of(service: Any) -> list[tuple[str, Any]]:
-    """Normalise a deployment to ``(label, replica-group)`` pairs.
-
-    A sharded service exposes ``.groups``; a single replicated group is
-    its own list.  Duck-typed so the monitor needs no imports from the
-    replication layer (and no layer grows an obs dependency cycle).
-    """
-    groups = getattr(service, "groups", None)
-    if groups is not None:
-        return [
-            (group.group or f"shard-{index}", group)
-            for index, group in enumerate(groups)
-        ]
-    return [(getattr(service, "group", None) or "group", service)]
-
-
 def _digest_prefix(digest: Any) -> str:
     text = str(digest)
     return text[:12] if len(text) > 12 else text
@@ -111,13 +95,13 @@ def _digest_prefix(digest: Any) -> str:
 class HealthMonitor:
     """Evaluate health probes against a deployment, with hysteresis.
 
-    ``check(service)`` inspects one :class:`~repro.replication.service.
-    ReplicatedPEATS` or :class:`~repro.cluster.service.ShardedPEATS`
-    (duck-typed) and returns the currently *active* reports.  The
-    monitor is stateful — it keeps per-finding streak counters for the
-    fire/clear hysteresis and previous counter values for the
-    delta-based probes — but strictly passive: it only ever reads
-    statistics the deployment already maintains.
+    ``check(service)`` inspects one
+    :class:`~repro.cluster.service.ShardedPEATS` (duck-typed: its
+    ``groups`` and ``client_statistics()``) and returns the currently
+    *active* reports.  The monitor is stateful — it keeps per-finding
+    streak counters for the fire/clear hysteresis and previous counter
+    values for the delta-based probes — but strictly passive: it only
+    ever reads statistics the deployment already maintains.
     """
 
     enabled = True
@@ -247,7 +231,9 @@ class HealthMonitor:
     # ------------------------------------------------------------------
 
     def _probe_all(self, service: Any, clients: Any):
-        groups = _groups_of(service)
+        # Duck-typed (the monitor imports nothing from the replication
+        # layer); a one-shard cluster's one group has no name.
+        groups = [(group.group or "group", group) for group in service.groups]
         for label, group in groups:
             yield from self._probe_checkpoint_starvation(label, group)
             yield from self._probe_view_churn(label, group)

@@ -4,9 +4,9 @@ The PEATS is the paper's central object: a linearizable, wait-free
 augmented tuple space whose every operation is mediated by a reference
 monitor evaluating a fine-grained access policy.  This module provides the
 *local* (single address space) PEATS; the replicated Byzantine
-fault-tolerant deployment of Fig. 2 is :class:`repro.replication.service.
-ReplicatedPEATS`, and :func:`repro.api.connect` fronts either with the same
-``bind(process)`` protocol.
+fault-tolerant deployment of Fig. 2 is a one-shard :class:`repro.cluster.
+service.ShardedPEATS`, and :func:`repro.api.connect` fronts either with the
+same ``bind(process)`` protocol.
 
 Semantics of denied operations
 ------------------------------

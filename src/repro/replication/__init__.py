@@ -26,14 +26,16 @@ fully-simulated substitute:
   deterministically, and the outbox of replica→client pushes;
 * :mod:`repro.replication.client` — the client proxy that multicasts
   requests and accepts a result vouched for by ``f + 1`` matching replies;
-* :mod:`repro.replication.service` — :class:`ReplicatedPEATS`, the
-  deployment that wires everything together and keeps one authenticated
-  client per process identity.
+* :mod:`repro.replication.service` — :class:`ReplicatedPEATS`, one
+  replica group that wires everything together; the deployment that
+  composes groups and keeps one authenticated client per process identity
+  is :class:`repro.cluster.ShardedPEATS`, and the paper's single group is
+  its one-shard case.
 
 Programs reach a deployment through the one client path:
-``repro.api.connect(service=ReplicatedPEATS(...))`` (or
-``connect("replicated", policy=...)`` to build one) returns a handle whose
-``bind(process)`` views speak the local PEATS interface, so every
+``repro.api.connect("replicated", policy=...)`` (or
+``connect(service=ShardedPEATS(policy, shards=1))``) returns a handle
+whose ``bind(process)`` views speak the local PEATS interface, so every
 algorithm in the library runs unchanged on top of it.
 """
 

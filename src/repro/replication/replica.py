@@ -143,13 +143,12 @@ class PEATSReplica:
         policy: AccessPolicy,
         *,
         f: int = 1,
-        txn_ttl_ops: int | None = None,
         obs: Any = None,
         now_fn: Any = None,
     ) -> None:
         self.replica_id = replica_id
         self.f = f
-        self.txn_ttl_ops = self.TXN_TTL_OPS if txn_ttl_ops is None else txn_ttl_ops
+        self.txn_ttl_ops = self.TXN_TTL_OPS
         self._policy = policy
         self._space = AugmentedTupleSpace()
         self._monitor = ReferenceMonitor(policy)

@@ -2,9 +2,9 @@
 
 :class:`ScenarioEngine` interleaves many generator-based clients
 (:mod:`repro.sim.clients`), a declarative fault schedule
-(:mod:`repro.sim.faults`) and the BFT replica group of a
-:class:`~repro.replication.service.ReplicatedPEATS` under **one virtual
-clock** — the discrete-event queue of the seeded
+(:mod:`repro.sim.faults`) and the BFT replica groups of a
+:class:`~repro.cluster.service.ShardedPEATS` (one group by default) under
+**one virtual clock** — the discrete-event queue of the seeded
 :class:`~repro.replication.network.SimulatedNetwork`.  One call to
 :meth:`ScenarioEngine.run` pumps that queue until every client program has
 finished (or a deadline passes), recording everything into a
@@ -33,17 +33,16 @@ The declarative entry point is :class:`Scenario` + :func:`run_scenario`::
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Hashable, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Hashable, Mapping, Optional, Sequence
 
 from repro.api import connect
 from repro.cluster.routing import RoutingPolicy
 from repro.cluster.service import ShardedPEATS
-from repro.errors import SimulationError
+from repro.errors import ReplicationError, SimulationError
 from repro.policy.policy import AccessPolicy
 from repro.policy.rules import Rule
 from repro.replication.network import NetworkConfig
 from repro.replication.pbft import ReplicaFaultMode
-from repro.replication.service import ReplicatedPEATS
 from repro.sim.clients import ClientProgram, ClientRunner
 from repro.sim.faults import FaultEvent
 from repro.sim.metrics import SimMetrics
@@ -67,17 +66,16 @@ def open_sim_policy(name: str = "sim-open") -> AccessPolicy:
 class ScenarioEngine:
     """Runs many concurrent simulated clients against one deployment.
 
-    ``service`` is either a single replica group
-    (:class:`~repro.replication.service.ReplicatedPEATS`) or a sharded
-    cluster (:class:`~repro.cluster.service.ShardedPEATS`); both expose
-    the same surface the engine needs — ``network``, ``client(process)``
-    and ``nodes`` — and the sharded client tags every sample with its
+    ``service`` is a :class:`~repro.cluster.service.ShardedPEATS` — one
+    shard for the paper's single replica group, more for a sharded
+    cluster.  The engine needs its ``network``, ``client(process)`` and
+    ``nodes``; on several shards the client tags every sample with its
     shard, so per-shard metrics fall out of the same flight recorder.
     """
 
     def __init__(
         self,
-        service: Union[ReplicatedPEATS, ShardedPEATS],
+        service: ShardedPEATS,
         *,
         metrics: SimMetrics | None = None,
     ) -> None:
@@ -223,9 +221,9 @@ class Scenario:
     replica_faults: Mapping[Any, ReplicaFaultMode] = dataclasses.field(default_factory=dict)
     #: Number of independent replica groups the tuple space is sharded
     #: over.  ``1`` (the default) runs the classic single-group deployment;
-    #: anything higher builds a :class:`~repro.cluster.ShardedPEATS` whose
-    #: groups share this scenario's seed, clock and fault schedule.  With
-    #: shards, ``replica_faults`` keys may be ``(shard, index)`` pairs.
+    #: anything higher shards it, and every group shares this scenario's
+    #: seed, clock and fault schedule.  ``replica_faults`` keys may be
+    #: ``(shard, index)`` pairs or flat node indexes.
     shards: int = 1
     #: Routing policy for the sharded cluster (None = hash routing).
     routing: Optional[RoutingPolicy] = None
@@ -250,7 +248,7 @@ class ScenarioResult:
     """What one :func:`run_scenario` call produced."""
 
     scenario: Scenario
-    service: Union[ReplicatedPEATS, ShardedPEATS]
+    service: ShardedPEATS
     engine: ScenarioEngine
     metrics: SimMetrics
 
@@ -266,12 +264,14 @@ class ScenarioResult:
 def run_scenario(scenario: Scenario, *, metrics: SimMetrics | None = None) -> ScenarioResult:
     """Build a fresh deployment for ``scenario`` and run it to completion.
 
-    ``scenario.shards > 1`` deploys a sharded cluster instead of a single
-    replica group; the same seed still yields a byte-identical trace, with
-    every sample tagged by its owning shard.
+    The deployment is a :class:`~repro.cluster.service.ShardedPEATS` of
+    ``scenario.shards`` groups (one by default); the same seed yields a
+    byte-identical trace, with every sample of a sharded run tagged by its
+    owning shard.  A misconfiguration (a fault key outside the cluster, a
+    routing policy that does not fit) is a :class:`SimulationError`.
     """
-    if scenario.shards > 1:
-        service: Union[ReplicatedPEATS, ShardedPEATS] = ShardedPEATS(
+    try:
+        service = ShardedPEATS(
             scenario.policy_factory(),
             shards=scenario.shards,
             routing=scenario.routing,
@@ -283,32 +283,8 @@ def run_scenario(scenario: Scenario, *, metrics: SimMetrics | None = None) -> Sc
             checkpoint_interval=scenario.checkpoint_interval,
             obs=scenario.obs,
         )
-    else:
-        # A shard-sweep reuses one fault spec across shard counts, so
-        # (shard, index) keys must keep working at shards == 1 — normalise
-        # (0, i) to the flat index the single-group service expects
-        # instead of silently dropping the fault.
-        replica_faults = {}
-        for key, mode in scenario.replica_faults.items():
-            if isinstance(key, tuple):
-                shard, index = key
-                if shard != 0:
-                    raise SimulationError(
-                        f"replica fault target {key!r} names shard {shard}, "
-                        "but the scenario deploys a single group"
-                    )
-                key = index
-            replica_faults[key] = mode
-        service = ReplicatedPEATS(
-            scenario.policy_factory(),
-            f=scenario.f,
-            network_config=scenario.network_config(),
-            replica_faults=replica_faults,
-            view_change_timeout=scenario.view_change_timeout,
-            max_batch_size=scenario.max_batch_size,
-            checkpoint_interval=scenario.checkpoint_interval,
-            obs=scenario.obs,
-        )
+    except ReplicationError as error:
+        raise SimulationError(f"scenario {scenario.name!r}: {error}") from error
     engine = ScenarioEngine(service, metrics=metrics)
     for process, factory in scenario.clients:
         engine.add_client(process, factory())

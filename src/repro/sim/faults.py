@@ -63,12 +63,7 @@ def _shard_nodes(engine: Any, shard: Union[int, None]) -> tuple[OrderingNode, ..
     """The node pool an event addresses: one shard's group, or everything."""
     if shard is None:
         return tuple(engine.service.nodes)
-    groups = getattr(engine.service, "groups", None)
-    if groups is None:
-        raise SimulationError(
-            f"shard={shard} targeting needs a sharded service, got "
-            f"{type(engine.service).__name__}"
-        )
+    groups = engine.service.groups
     if not 0 <= shard < len(groups):
         raise SimulationError(f"no shard {shard} in this cluster")
     return tuple(groups[shard].nodes)

@@ -8,6 +8,7 @@ Byzantine clients *and* Byzantine replicas at the same time.
 import pytest
 
 from repro.api import connect
+from repro.cluster import ShardedPEATS
 from repro.consensus import DefaultConsensus, StrongConsensus, WeakConsensus, run_consensus
 from repro.consensus.base import check_agreement, check_strong_validity
 from repro.model.faults import bottom_forcing_byzantine, unjustified_deciding_byzantine
@@ -21,7 +22,6 @@ from repro.policy import (
     weak_consensus_policy,
 )
 from repro.policy.library import BOTTOM
-from repro.replication import ReplicatedPEATS
 from repro.replication.network import NetworkConfig
 from repro.replication.pbft import ReplicaFaultMode
 from repro.tuples import ANY, entry, template
@@ -31,7 +31,7 @@ from repro.universal.emulated import counter_type, kv_store_type
 
 class TestConsensusOverReplication:
     def test_weak_consensus(self):
-        service = ReplicatedPEATS(weak_consensus_policy(), f=1)
+        service = ShardedPEATS(weak_consensus_policy(), shards=1, f=1)
         consensus = WeakConsensus(connect(service=service))
         assert consensus.propose("p1", "v1") == "v1"
         assert consensus.propose("p2", "v2") == "v1"
@@ -39,8 +39,9 @@ class TestConsensusOverReplication:
 
     def test_strong_consensus_with_byzantine_client_and_lying_replica(self):
         processes = list(range(4))
-        service = ReplicatedPEATS(
+        service = ShardedPEATS(
             strong_consensus_policy(processes, 1),
+            shards=1,
             f=1,
             replica_faults={3: ReplicaFaultMode.LYING},
         )
@@ -64,7 +65,7 @@ class TestConsensusOverReplication:
 
     def test_default_consensus_over_replication(self):
         processes = list(range(4))
-        service = ReplicatedPEATS(default_consensus_policy(processes, 1), f=1)
+        service = ShardedPEATS(default_consensus_policy(processes, 1), shards=1, f=1)
         consensus = DefaultConsensus(processes, 1, space=connect(service=service))
         run = run_consensus(
             consensus,
@@ -76,8 +77,9 @@ class TestConsensusOverReplication:
 
     def test_strong_consensus_survives_a_crashed_backup_replica(self):
         processes = list(range(4))
-        service = ReplicatedPEATS(
+        service = ShardedPEATS(
             strong_consensus_policy(processes, 1),
+            shards=1,
             f=1,
             replica_faults={2: ReplicaFaultMode.CRASHED},
         )
@@ -88,7 +90,7 @@ class TestConsensusOverReplication:
 
 class TestUniversalConstructionsOverReplication:
     def test_lock_free_counter(self):
-        service = ReplicatedPEATS(lock_free_universal_policy(), f=1)
+        service = ShardedPEATS(lock_free_universal_policy(), shards=1, f=1)
         shared = connect(service=service)
         construction = LockFreeUniversalConstruction(counter_type(), space=shared.bind("w1"))
         handle = construction.handle("w1")
@@ -97,7 +99,7 @@ class TestUniversalConstructionsOverReplication:
 
     def test_wait_free_kv_store_two_clients(self):
         processes = ["alice", "bob"]
-        service = ReplicatedPEATS(wait_free_universal_policy(processes), f=1)
+        service = ShardedPEATS(wait_free_universal_policy(processes), shards=1, f=1)
         shared = connect(service=service)
         construction = WaitFreeUniversalConstruction(kv_store_type(), processes, space=shared)
         alice = construction.handle("alice")
@@ -108,7 +110,7 @@ class TestUniversalConstructionsOverReplication:
         assert alice.invoke("get", "k") == "from-bob"
 
     def test_replicas_converge_after_universal_construction_traffic(self):
-        service = ReplicatedPEATS(lock_free_universal_policy(), f=1)
+        service = ShardedPEATS(lock_free_universal_policy(), shards=1, f=1)
         construction = LockFreeUniversalConstruction(
             counter_type(), space=connect(service=service).bind("w")
         )
@@ -121,8 +123,9 @@ class TestUniversalConstructionsOverReplication:
 class TestViewChangeUnderLoad:
     def test_consensus_completes_after_primary_crash(self):
         processes = list(range(4))
-        service = ReplicatedPEATS(
+        service = ShardedPEATS(
             strong_consensus_policy(processes, 1),
+            shards=1,
             f=1,
             replica_faults={0: ReplicaFaultMode.CRASHED},
             view_change_timeout=10.0,

@@ -24,12 +24,13 @@ import time
 import pytest
 
 from repro.api import connect
+from repro.cluster import ShardedPEATS
 from repro.errors import OperationTimeoutError, SimulationError
 from repro.net import AsyncioLoopbackTransport, TcpTransport, Transport, codec
 from repro.net.transport import Reactor
 from repro.obs import Observability
 from repro.policy import AccessPolicy, Rule
-from repro.replication import ReplicatedPEATS, crypto
+from repro.replication import crypto
 from repro.replication.crypto import KeyStore, MessageAuthenticator, digest
 from repro.replication.messages import ClientReply, ClientRequest, Prepare
 from repro.replication.network import SimulatedNetwork
@@ -337,7 +338,7 @@ def _on_reactor(network, node, read):
 def test_a_fault_schedule_runs_over_real_reactors():
     """The sim's fault schedule on a loopback group's wall clock: replica 3
     is cut off, then crashed, while a kv program runs to completion."""
-    service = ReplicatedPEATS(open_policy(), f=1, network=AsyncioLoopbackTransport())
+    service = ShardedPEATS(open_policy(), shards=1, f=1, network=AsyncioLoopbackTransport())
     network = service.network
     try:
         engine = ScenarioEngine(service)
@@ -444,11 +445,9 @@ class _CheckTimeoutsSpy(AsyncioLoopbackTransport):
 
 
 def test_view_change_nudges_are_marshalled_through_post():
-    from repro.replication.service import ReplicatedPEATS
-
     net = _CheckTimeoutsSpy()
     try:
-        service = ReplicatedPEATS(open_policy(), f=1, network=net)
+        service = ShardedPEATS(open_policy(), shards=1, f=1, network=net)
         service.check_timeouts()
         assert net.run_until(lambda: len(net.posted) == 4, timeout=WAIT_MS)
         assert set(net.posted) == set(service.replica_ids)
@@ -711,7 +710,7 @@ def test_an_old_release_peer_frame_is_one_rejected_frame_never_delivered():
 def test_hostile_client_mac_vector_is_dropped_and_the_group_keeps_committing(kind):
     net = TRANSPORTS[kind]()
     try:
-        service = ReplicatedPEATS(open_policy(), f=1, network=net)
+        service = ShardedPEATS(open_policy(), shards=1, f=1, network=net)
         net.register("mallory", lambda sender, payload: None)
         for tag in ("é" * 64, None, 7):
             hostile = ClientRequest(
@@ -741,7 +740,7 @@ def test_a_forged_result_under_the_honest_digest_is_never_returned(kind, operati
     is the primary, so no correct replica can answer before it has."""
     net = TRANSPORTS[kind]()
     try:
-        service = ReplicatedPEATS(open_policy(), f=1, network=net)
+        service = ShardedPEATS(open_policy(), shards=1, f=1, network=net)
         client = service.client("alice")
         if operation == "out":
             arguments, honest = (entry("K", 1),), ("OK", True)

@@ -69,6 +69,10 @@ class FakeService:
     def client_statistics(self):
         return dict(self._totals)
 
+    @property
+    def groups(self):
+        return (self,)
+
 
 class FakeCluster:
     def __init__(self, groups):

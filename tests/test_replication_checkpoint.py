@@ -9,9 +9,9 @@ that missed history, and the client's retransmission backoff.
 
 import pytest
 
+from repro.cluster import ShardedPEATS
 from repro.errors import ReplicationError
 from repro.policy import AccessPolicy, Rule
-from repro.replication import ReplicatedPEATS
 from repro.replication.crypto import KeyStore, MessageAuthenticator
 from repro.replication.network import NetworkConfig, SimulatedNetwork
 from repro.replication.messages import ClientRequest, authenticate_request
@@ -530,7 +530,7 @@ class TestProtocolMessageAuthorization:
 
 class TestRetransmissionBackoff:
     def test_backoff_is_exponential_and_capped(self):
-        service = ReplicatedPEATS(open_policy(), f=1)
+        service = ShardedPEATS(open_policy(), shards=1, f=1)
         client = service.client("c1")
         delays = [client._retransmit_delay(attempts) for attempts in range(6)]
         assert delays[0] == pytest.approx(100.0)
@@ -542,8 +542,9 @@ class TestRetransmissionBackoff:
     def test_unreachable_service_sees_few_retransmissions(self):
         # With the old fixed 100 ms interval a dead service would see ~31
         # retransmissions by t=3200; exponential backoff sends a handful.
-        service = ReplicatedPEATS(
+        service = ShardedPEATS(
             open_policy(),
+            shards=1,
             f=1,
             replica_faults={index: ReplicaFaultMode.CRASHED for index in range(4)},
         )

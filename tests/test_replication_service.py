@@ -4,10 +4,10 @@ reached through the one client path: ``connect(service=...).bind(p)``."""
 import pytest
 
 from repro.api import connect
-from repro.api.replicated import ReplicatedSpace
+from repro.api.sharded import ShardedSpace
+from repro.cluster import ShardedPEATS
 from repro.errors import AccessDeniedError, QuorumError, ReplicationError
 from repro.policy import AccessPolicy, Rule, strong_consensus_policy, weak_consensus_policy
-from repro.replication import ReplicatedPEATS
 from repro.replication.crypto import digest
 from repro.replication.messages import ClientReply
 from repro.replication.pbft import ReplicaFaultMode
@@ -22,7 +22,7 @@ def open_policy():
 
 class TestHappyPath:
     def test_basic_operations_round_trip(self):
-        service = ReplicatedPEATS(open_policy(), f=1)
+        service = ShardedPEATS(open_policy(), shards=1, f=1)
         view = connect(service=service).bind("c1")
         assert view.out(entry("A", 1)) is True
         assert view.rdp(template("A", ANY)) == entry("A", 1)
@@ -32,7 +32,7 @@ class TestHappyPath:
         assert view.rdp(template("A", ANY)) is None
 
     def test_all_correct_replicas_reach_the_same_state(self):
-        service = ReplicatedPEATS(open_policy(), f=1)
+        service = ShardedPEATS(open_policy(), shards=1, f=1)
         view = connect(service=service).bind("c1")
         for i in range(5):
             view.out(entry("A", i))
@@ -41,7 +41,7 @@ class TestHappyPath:
         assert len(service.snapshot()) == 5
 
     def test_multiple_clients_are_serialised(self):
-        service = ReplicatedPEATS(weak_consensus_policy(), f=1)
+        service = ShardedPEATS(weak_consensus_policy(), shards=1, f=1)
         first = connect(service=service).bind("p1")
         second = connect(service=service).bind("p2")
         inserted1, _ = first.cas(template("DECISION", Formal("d")), entry("DECISION", "a"))
@@ -51,7 +51,7 @@ class TestHappyPath:
 
     def test_policy_is_enforced_at_the_replicas(self):
         processes = list(range(4))
-        service = ReplicatedPEATS(strong_consensus_policy(processes, 1), f=1)
+        service = ShardedPEATS(strong_consensus_policy(processes, 1), shards=1, f=1)
         honest = connect(service=service).bind(0)
         byzantine = connect(service=service).bind(3)
         assert honest.out(entry("PROPOSE", 0, 1)) is True
@@ -60,14 +60,14 @@ class TestHappyPath:
         assert byzantine.inp(template("PROPOSE", 0, Formal("v"))) is None  # removal denied
 
     def test_blocking_reads_return_a_present_match(self):
-        service = ReplicatedPEATS(open_policy(), f=1)
+        service = ShardedPEATS(open_policy(), shards=1, f=1)
         view = connect(service=service).bind("c1")
         view.out(entry("A", 1))
         assert view.rd(template("A", ANY)) == entry("A", 1)
         assert view.in_(template("A", ANY)) == entry("A", 1)
 
     def test_blocking_reads_time_out_when_no_match_appears(self):
-        service = ReplicatedPEATS(open_policy(), f=1)
+        service = ShardedPEATS(open_policy(), shards=1, f=1)
         view = connect(service=service).bind("c1")
         before = service.network.now
         with pytest.raises(TimeoutError):
@@ -77,7 +77,7 @@ class TestHappyPath:
             view.in_(template("B", ANY), timeout=25.0)
 
     def test_blocking_read_sees_tuple_produced_while_polling(self):
-        service = ReplicatedPEATS(open_policy(), f=1)
+        service = ShardedPEATS(open_policy(), shards=1, f=1)
         producer = service.client("p")
         view = connect(service=service).bind("c1")
         # Schedule another client's out() to land mid-poll: the polling rd
@@ -88,7 +88,7 @@ class TestHappyPath:
         assert view.rd(template("LATE", ANY), timeout=500.0, poll_interval=5.0) == entry("LATE", 1)
 
     def test_f_zero_single_replica(self):
-        service = ReplicatedPEATS(open_policy(), f=0)
+        service = ShardedPEATS(open_policy(), shards=1, f=0)
         assert service.n_replicas == 1
         view = connect(service=service).bind("c1")
         assert view.out(entry("A", 1)) is True
@@ -96,29 +96,30 @@ class TestHappyPath:
 
     def test_invalid_f_rejected(self):
         with pytest.raises(ReplicationError):
-            ReplicatedPEATS(open_policy(), f=-1)
+            ShardedPEATS(open_policy(), shards=1, f=-1)
 
 
 class TestByzantineReplicas:
     def test_one_lying_replica_is_outvoted(self):
-        service = ReplicatedPEATS(
-            open_policy(), f=1, replica_faults={2: ReplicaFaultMode.LYING}
+        service = ShardedPEATS(
+            open_policy(), shards=1, f=1, replica_faults={2: ReplicaFaultMode.LYING}
         )
         view = connect(service=service).bind("c1")
         assert view.out(entry("A", 1)) is True
         assert view.rdp(template("A", ANY)) == entry("A", 1)
 
     def test_one_crashed_backup_does_not_affect_liveness(self):
-        service = ReplicatedPEATS(
-            open_policy(), f=1, replica_faults={2: ReplicaFaultMode.CRASHED}
+        service = ShardedPEATS(
+            open_policy(), shards=1, f=1, replica_faults={2: ReplicaFaultMode.CRASHED}
         )
         view = connect(service=service).bind("c1")
         for i in range(3):
             assert view.out(entry("A", i)) is True
 
     def test_crashed_primary_triggers_view_change(self):
-        service = ReplicatedPEATS(
+        service = ShardedPEATS(
             open_policy(),
+            shards=1,
             f=1,
             replica_faults={0: ReplicaFaultMode.CRASHED},
             view_change_timeout=10.0,
@@ -130,15 +131,16 @@ class TestByzantineReplicas:
         assert view.rdp(template("A", ANY)) == entry("A", 1)
 
     def test_mute_replica_executes_but_stays_silent(self):
-        service = ReplicatedPEATS(
-            open_policy(), f=1, replica_faults={1: ReplicaFaultMode.MUTE}
+        service = ShardedPEATS(
+            open_policy(), shards=1, f=1, replica_faults={1: ReplicaFaultMode.MUTE}
         )
         view = connect(service=service).bind("c1")
         assert view.out(entry("A", 1)) is True
 
     def test_too_many_lying_replicas_yield_no_quorum(self):
-        service = ReplicatedPEATS(
+        service = ShardedPEATS(
             open_policy(),
+            shards=1,
             f=1,
             replica_faults={
                 1: ReplicaFaultMode.LYING,
@@ -153,7 +155,7 @@ class TestByzantineReplicas:
 
 
     def test_a_claimed_digest_resolves_nothing_until_a_result_hashes_to_it(self):
-        service = ReplicatedPEATS(open_policy(), f=1)
+        service = ShardedPEATS(open_policy(), shards=1, f=1)
         client = service.client("c1")
         # Submitted, never pumped: the only replies are the ones fed below.
         pending = client.submit("out", (entry("K", 1),))
@@ -185,7 +187,7 @@ class TestViewChangeSequenceHoles:
         used to leave a permanent hole at its sequence number — execution
         is strictly contiguous, so no later request ever executed.  The new
         primary must plug such holes with null requests."""
-        service = ReplicatedPEATS(open_policy(), f=1, view_change_timeout=30.0)
+        service = ShardedPEATS(open_policy(), shards=1, f=1, view_change_timeout=30.0)
         network = service.network
         network.partition("replica-0", "replica-2")
         network.partition("replica-0", "replica-3")
@@ -205,7 +207,7 @@ class TestViewChangeSequenceHoles:
         tuple-space state — and `snapshot()` could return the diverged
         state.  View-change votes must carry certificates for *executed*
         sequences too, so the new primary re-proposes the real requests."""
-        service = ReplicatedPEATS(open_policy(), f=1, view_change_timeout=30.0)
+        service = ShardedPEATS(open_policy(), shards=1, f=1, view_change_timeout=30.0)
         network = service.network
         for peer in ("replica-0", "replica-2", "replica-3", "c1"):
             network.partition("replica-1", peer)
@@ -230,7 +232,7 @@ class TestViewChangeSequenceHoles:
         """A denial must surface as AccessDeniedError on the first probe —
         mirroring the local PEATS — not poll until a TimeoutError."""
         processes = list(range(4))
-        service = ReplicatedPEATS(strong_consensus_policy(processes, 1), f=1)
+        service = ShardedPEATS(strong_consensus_policy(processes, 1), shards=1, f=1)
         honest = connect(service=service).bind(0)
         assert honest.out(entry("PROPOSE", 0, 1)) is True
         intruder = connect(service=service).bind(3)
@@ -238,13 +240,13 @@ class TestViewChangeSequenceHoles:
         with pytest.raises(AccessDeniedError):
             intruder.in_(template("PROPOSE", 0, Formal("v")))  # removal denied
         # One round trip, not a full polling window.
-        assert service.network.now - before < ReplicatedSpace.default_blocking_timeout
+        assert service.network.now - before < ShardedSpace.default_blocking_timeout
 
 
 class TestSharedSpaceAdapter:
     def test_adapter_routes_by_process(self):
         processes = list(range(4))
-        service = ReplicatedPEATS(strong_consensus_policy(processes, 1), f=1)
+        service = ShardedPEATS(strong_consensus_policy(processes, 1), shards=1, f=1)
         shared = connect(service=service)
         assert shared.out(entry("PROPOSE", 0, 1), process=0) is True
         denied = shared.out(entry("PROPOSE", 1, 1), process=0)
@@ -261,7 +263,7 @@ class TestSharedSpaceAdapter:
         assert not bound.bind(3).out(entry("PROPOSE", 2, 1))  # judged as 3
 
     def test_statistics_and_views(self):
-        service = ReplicatedPEATS(open_policy(), f=1)
+        service = ShardedPEATS(open_policy(), shards=1, f=1)
         view = connect(service=service).bind("c1")
         view.out(entry("A", 1))
         stats = service.client("c1").statistics

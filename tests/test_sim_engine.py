@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.cluster import ShardedPEATS
 from repro.errors import OperationTimeoutError, QuorumError, SimulationError
-from repro.replication import NetworkConfig, ReplicatedPEATS, SimulatedNetwork
+from repro.replication import NetworkConfig, SimulatedNetwork
 from repro.replication.pbft import ReplicaFaultMode
 from repro.sim import (
     Op,
@@ -70,7 +71,7 @@ class TestNetworkTimers:
 
 class TestPendingRequests:
     def test_submit_completes_via_callback_without_blocking(self):
-        service = ReplicatedPEATS(open_sim_policy(), f=1)
+        service = ShardedPEATS(open_sim_policy(), shards=1, f=1)
         client = service.client("c1")
         seen = []
         pending = client.submit("out", (entry("A", 1),), on_complete=lambda p: seen.append(p))
@@ -81,7 +82,7 @@ class TestPendingRequests:
         assert pending.latency is not None and pending.latency > 0
 
     def test_many_requests_in_flight_concurrently(self):
-        service = ReplicatedPEATS(open_sim_policy(), f=1)
+        service = ShardedPEATS(open_sim_policy(), shards=1, f=1)
         clients = [service.client(f"c{i}") for i in range(8)]
         pendings = [c.submit("out", (entry("A", i),)) for i, c in enumerate(clients)]
         assert all(not p.done for p in pendings)
@@ -90,14 +91,15 @@ class TestPendingRequests:
         assert len(service.snapshot()) == 8
 
     def test_result_raises_while_in_flight(self):
-        service = ReplicatedPEATS(open_sim_policy(), f=1)
+        service = ShardedPEATS(open_sim_policy(), shards=1, f=1)
         pending = service.client("c1").submit("out", (entry("A", 1),))
         with pytest.raises(Exception):
             pending.result()
 
     def test_request_fails_with_quorum_error_after_max_retransmissions(self):
-        service = ReplicatedPEATS(
+        service = ShardedPEATS(
             open_sim_policy(),
+            shards=1,
             f=1,
             replica_faults={
                 1: ReplicaFaultMode.LYING,
@@ -114,7 +116,7 @@ class TestPendingRequests:
             pending.result()
 
     def test_synchronous_invoke_still_works_on_top_of_submit(self):
-        service = ReplicatedPEATS(open_sim_policy(), f=1)
+        service = ShardedPEATS(open_sim_policy(), shards=1, f=1)
         client = service.client("c1")
         assert client.invoke("out", (entry("A", 1),)) == ("OK", True)
         assert not client.pending_requests
@@ -122,7 +124,7 @@ class TestPendingRequests:
 
 class TestScenarioEngine:
     def test_programs_interleave_and_finish(self):
-        service = ReplicatedPEATS(open_sim_policy(), f=1)
+        service = ShardedPEATS(open_sim_policy(), shards=1, f=1)
         engine = ScenarioEngine(service)
 
         def writer(i):
@@ -143,7 +145,7 @@ class TestScenarioEngine:
         assert len(service.snapshot()) == 6
 
     def test_pause_suspends_on_the_virtual_clock(self):
-        service = ReplicatedPEATS(open_sim_policy(), f=1)
+        service = ShardedPEATS(open_sim_policy(), shards=1, f=1)
         engine = ScenarioEngine(service)
         times = []
 
@@ -163,7 +165,7 @@ class TestScenarioEngine:
         # emulates them as probe chains on the virtual clock, so a reader
         # blocks until another client's out lands — no polling loop in
         # the program itself.
-        service = ReplicatedPEATS(open_sim_policy(), f=1)
+        service = ShardedPEATS(open_sim_policy(), shards=1, f=1)
         engine = ScenarioEngine(service)
 
         def producer():
@@ -183,7 +185,7 @@ class TestScenarioEngine:
         assert len(service.snapshot()) == 0
 
     def test_blocking_read_step_timeout_fails_only_that_client(self):
-        service = ReplicatedPEATS(open_sim_policy(), f=1)
+        service = ShardedPEATS(open_sim_policy(), shards=1, f=1)
         engine = ScenarioEngine(service)
 
         def starved():
@@ -194,7 +196,7 @@ class TestScenarioEngine:
         assert isinstance(runner.failed, OperationTimeoutError)
 
     def test_bad_yield_value_fails_the_client_not_the_engine(self):
-        service = ReplicatedPEATS(open_sim_policy(), f=1)
+        service = ShardedPEATS(open_sim_policy(), shards=1, f=1)
         engine = ScenarioEngine(service)
 
         def bad():
@@ -211,7 +213,7 @@ class TestScenarioEngine:
         assert good_runner.failed is None and good_runner.result is True
 
     def test_deadline_stops_the_run_and_is_recorded(self):
-        service = ReplicatedPEATS(open_sim_policy(), f=1)
+        service = ShardedPEATS(open_sim_policy(), shards=1, f=1)
         engine = ScenarioEngine(service)
 
         def sleeper():
@@ -224,7 +226,7 @@ class TestScenarioEngine:
         assert "deadline" in metrics.trace_text()
 
     def test_engine_runs_exactly_once(self):
-        service = ReplicatedPEATS(open_sim_policy(), f=1)
+        service = ShardedPEATS(open_sim_policy(), shards=1, f=1)
         engine = ScenarioEngine(service)
         engine.run()
         with pytest.raises(SimulationError):
@@ -233,7 +235,7 @@ class TestScenarioEngine:
             engine.add_client("late", iter(()))
 
     def test_engine_hook_fires_at_scheduled_time(self):
-        service = ReplicatedPEATS(open_sim_policy(), f=1)
+        service = ShardedPEATS(open_sim_policy(), shards=1, f=1)
         engine = ScenarioEngine(service)
         seen = []
 

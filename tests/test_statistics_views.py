@@ -16,10 +16,10 @@ import threading
 import pytest
 
 from repro.api import connect
+from repro.cluster import ShardedPEATS
 from repro.net import TcpTransport
 from repro.obs import Observability
 from repro.policy import AccessPolicy, Rule
-from repro.replication import ReplicatedPEATS
 from repro.replication.client import PEATSClient
 from repro.replication.pbft import ReplicaFaultMode
 from repro.sim import CrashWindow, Scenario, run_scenario
@@ -239,8 +239,9 @@ def test_mismatched_replies_are_exported():
     # Three independent liars out of four (beyond f, on purpose): a full
     # reply set in which no two replies match.
     obs = Observability()
-    service = ReplicatedPEATS(
+    service = ShardedPEATS(
         open_policy(),
+        shards=1,
         f=1,
         replica_faults={index: ReplicaFaultMode.LYING for index in (1, 2, 3)},
         obs=obs,
