@@ -179,7 +179,7 @@ class LocalSpace(Space):
         while not condition() and self._now() < deadline:
             time.sleep(min(self.default_poll_interval, max(deadline - self._now(), 0.0)))
 
-    def _drive(self, future: OperationFuture) -> None:
+    def _drive(self, future: OperationFuture, timeout: float | None = None) -> None:
         """Local futures resolve eagerly; there is nothing to pump."""
 
     def _now(self) -> float:

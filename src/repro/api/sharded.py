@@ -104,8 +104,8 @@ class ShardedSpace(Space):
     def n_shards(self) -> int:
         return self._service.n_shards
 
-    def _drive(self, future: OperationFuture) -> None:
-        self._service.network.run_until(lambda: future.done)
+    def _drive(self, future: OperationFuture, timeout: float | None = None) -> None:
+        self._service.network.settle(future, timeout)
         if not future.done:  # pragma: no cover - retransmit timers prevent this
             raise ReplicationError(f"network drained before {future!r} resolved")
 
@@ -118,7 +118,11 @@ class ShardedSpace(Space):
     def _watch_pump(self, condition: Callable[[], bool], timeout: float | None) -> None:
         budget = self.default_blocking_timeout if timeout is None else timeout
         deadline = self._now() + budget
-        self._service.network.run_until(lambda: condition() or self._now() >= deadline)
+        network = self._service.network
+        # A real transport's run_until stops at its default budget: wait on.
+        while not network.run_until(lambda: condition() or self._now() >= deadline):
+            if network.virtual_time:
+                return
 
     def snapshot(self) -> tuple[Entry, ...]:
         return self._service.snapshot()

@@ -171,8 +171,9 @@ class Space(_SubmitForms, TupleSpaceInterface):
         """Submit one non-blocking operation; returns its payload future."""
 
     @abc.abstractmethod
-    def _drive(self, future: OperationFuture) -> None:
-        """Advance the backend until ``future`` resolves (no-op when eager)."""
+    def _drive(self, future: OperationFuture, timeout: float | None = None) -> None:
+        """Advance the backend until ``future`` resolves (no-op when eager),
+        outlasting ``timeout``, the operation's own."""
 
     @abc.abstractmethod
     def _now(self) -> float:
@@ -600,10 +601,11 @@ class Space(_SubmitForms, TupleSpaceInterface):
         poll_interval: float | None,
         process: Hashable,
     ) -> Entry:
+        budget = self.default_blocking_timeout if timeout is None else timeout
         future = self._submit_blocking(
-            operation, template, process=process, timeout=timeout, poll_interval=poll_interval
+            operation, template, process=process, timeout=budget, poll_interval=poll_interval
         )
-        self._drive(future)
+        self._drive(future, budget)
         status, value = future.result()
         return value
 

@@ -21,8 +21,9 @@ Time units are backend time: the simulated backends stamp
 On the real transports (:mod:`repro.net`) operations complete on
 background reactor threads, so the future doubles as a cross-thread
 waiter: :meth:`OperationFuture.wait` blocks a plain thread until
-completion, and :meth:`OperationFuture.as_asyncio` mirrors the future
-into an :class:`asyncio.Future` on a caller-chosen event loop.
+completion (how ``Transport.settle`` waits out a blocking call, with no
+polling), and :meth:`OperationFuture.as_asyncio` mirrors the future into
+an :class:`asyncio.Future` on a caller-chosen event loop.
 """
 
 from __future__ import annotations

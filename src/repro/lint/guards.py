@@ -247,6 +247,14 @@ GUARDS: tuple[Guard, ...] = (
         allow=("src/repro/cluster/service.py",),
     ),
     Guard(
+        "no-polling-waits", 38, "call", ("time.sleep",),
+        ("src/repro/net/", "src/repro/replication/", "src/repro/cluster/",
+         "src/repro/txn/", "src/repro/api/sharded.py"),
+        "a sleep-poll where a blocking call waits; Transport.settle waits on "
+        "the future and the reactor resolving it wakes it",
+        allow=("src/repro/net/transport.py",),
+    ),
+    Guard(
         "guards-in-lint", 35, "name", ("grep",), (".github/workflows/ci.yml",),
         "an architecture guard belongs in this table, where tier-1 runs it "
         "and names are matched as tokens; a CI grep step runs only in CI",
@@ -365,11 +373,12 @@ def _argument_matches(node: ast.AST, arg: Optional[str]) -> bool:
 class ArchitectureGuards(ProjectRule):
     """RL007 — the architecture guards of :data:`GUARDS`.
 
-    Ten PRs each protected a design decision (one client path, one
+    Each guard protects one design decision (one client path, one
     counter store, an ordering core that orders opaque requests, one
     client tally, one key derivation per pair, one verify site, one perf
     gate, an index that never sorts, a one-loop matching kernel, a wire
-    codec that never instantiates what the bytes name).  The table keeps
+    codec that never instantiates what the bytes name, blocking calls
+    that wait on their future instead of polling).  The table keeps
     every one of them in the linter that tier-1 and CI both run.
     """
 

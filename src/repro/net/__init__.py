@@ -9,7 +9,7 @@ The deployment ladder of the reproduction, bottom to top:
    in-memory delivery; the deployment the sim's ``processing_time``
    model was fitted to.
 3. :class:`TcpTransport` — length-prefixed binary envelopes over
-   ``asyncio.start_server`` for multi-process deployment; each carries
+   asyncio sockets for multi-process deployment; each carries
    a payload serialised once as a positional JSON tree and MAC'd over
    those bytes (:mod:`repro.net.codec`).  Every process of a deployment
    runs the same release: another release's frames are rejected.

@@ -1,4 +1,4 @@
-"""TCP transport: length-prefixed frames over ``asyncio.start_server``.
+"""TCP transport: length-prefixed frames over asyncio sockets.
 
 :class:`TcpTransport` is the multi-process rung of the deployment
 ladder.  Every registered node gets its own frame server (one listening
@@ -7,6 +7,10 @@ lazily-opened connection per (reactor, receiver) pair, and payloads
 travel as the :mod:`repro.net.codec` frames — serialised once at the
 sender, MAC'd over the exact bytes, verified and decoded on the
 receiving node's own reactor.
+
+Both ends take a batch of frames per loop wake: an accepted connection's
+:class:`asyncio.Protocol` splits every whole frame out of each chunk, and
+a send pump writes its whole backlog with one ``write`` and ``drain``.
 
 Within one process the transport discovers its own listening ports and
 is zero-configuration (the conformance suite runs whole replica groups
@@ -30,7 +34,8 @@ from repro.replication.crypto import KeyStore
 
 __all__ = ["TcpTransport"]
 
-_HEADER_SIZE = struct.calcsize(codec.FRAME_HEADER)
+_FRAME_HEADER = struct.Struct(codec.FRAME_HEADER)
+_HEADER_SIZE = _FRAME_HEADER.size
 
 
 class _Outbound:
@@ -42,6 +47,46 @@ class _Outbound:
         self.frames: collections.deque[tuple[Hashable, bytes]] = collections.deque()
         self.event = asyncio.Event()
         self.task: Optional[asyncio.Task] = None
+
+
+class _Inbound(asyncio.Protocol):
+    """One accepted connection to ``node``: every whole frame of each chunk."""
+
+    def __init__(self, owner: "TcpTransport", node: Hashable) -> None:
+        self._owner, self._node = owner, node
+        self._open = owner._inbound.setdefault(node, set())
+        #: The head of a frame whose tail has not arrived yet.
+        self._partial = bytearray()
+
+    def connection_made(self, transport: Any) -> None:
+        self._connection = transport
+        self._open.add(transport)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._open.discard(self._connection)
+
+    def data_received(self, data: bytes) -> None:
+        """Deliver each whole frame, keep the tail.  Runs on ``node``'s
+        reactor, so its handler sees its messages one at a time."""
+        partial = self._partial
+        if partial:
+            partial += data
+            data = partial
+        offset, size, length = 0, len(data), 0
+        while size - offset >= _HEADER_SIZE:
+            (length,) = _FRAME_HEADER.unpack_from(data, offset)
+            end = offset + _HEADER_SIZE + length
+            if length > codec.MAX_FRAME_BYTES or end > size:
+                break
+            self._owner._deliver_frame(self._node, bytes(data[offset + _HEADER_SIZE : end]))
+            offset = end
+        if length > codec.MAX_FRAME_BYTES:
+            self._owner._reject(self._node, "oversized-frame")
+            self._connection.close()
+        elif data is partial:
+            del partial[:offset]
+        else:
+            partial += data[offset:]
 
 
 class TcpTransport(RealTransport):
@@ -68,6 +113,8 @@ class TcpTransport(RealTransport):
         self._port_of = port_of
         self._servers: dict[Hashable, asyncio.base_events.Server] = {}
         self._outbound: dict[tuple[int, Hashable], _Outbound] = {}
+        #: Accepted connections still open, per node.
+        self._inbound: dict[Hashable, set[asyncio.BaseTransport]] = {}
         #: ``(payload, wire bytes)`` last encoded by :meth:`_covered`,
         #: compared by identity (initially a fresh object no payload can be).
         self._encoded: tuple[Any, bytes] = (object(), b"")
@@ -96,10 +143,8 @@ class TcpTransport(RealTransport):
         port = 0 if self._port_of is None else self._port_of(node)
 
         async def start() -> asyncio.base_events.Server:
-            def on_connection(reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-                return self._serve_connection(node, reader, writer)
-
-            return await asyncio.start_server(on_connection, host=self._host, port=port)
+            loop = asyncio.get_running_loop()
+            return await loop.create_server(lambda: _Inbound(self, node), self._host, port)
 
         server = reactor.run_coroutine(start())
         self._servers[node] = server
@@ -113,6 +158,8 @@ class TcpTransport(RealTransport):
 
         async def shutdown() -> None:
             server.close()
+            for connection in self._inbound.pop(node, ()):
+                connection.close()
             try:
                 await server.wait_closed()
             except Exception:  # pragma: no cover - teardown best effort
@@ -122,34 +169,6 @@ class TcpTransport(RealTransport):
             self.reactor_of(node).run_coroutine(shutdown(), timeout=2.0)
         except Exception:  # pragma: no cover - teardown best effort
             pass
-
-    async def _serve_connection(
-        self, node: Hashable, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Read frames for ``node`` until the peer hangs up.
-
-        Runs on ``node``'s reactor, so the handler call needs no further
-        marshalling — the node's messages are serialised on its own loop
-        exactly as with the loopback and simulated transports.
-        """
-        try:
-            while True:
-                header = await reader.readexactly(_HEADER_SIZE)
-                (length,) = struct.unpack(codec.FRAME_HEADER, header)
-                if length > codec.MAX_FRAME_BYTES:
-                    self._reject(node, "oversized-frame")
-                    break
-                body = await reader.readexactly(length)
-                self._deliver_frame(node, body)
-        except (asyncio.IncompleteReadError, ConnectionResetError, OSError):
-            pass
-        except asyncio.CancelledError:
-            # Shutdown drain: end the task *normally* — asyncio.streams'
-            # connection callback calls task.exception(), which would
-            # re-raise on a task left in the cancelled state.
-            pass
-        finally:
-            writer.close()
 
     def _deliver_frame(self, node: Hashable, body: bytes) -> None:
         """Verify the MAC over the payload bytes, then decode and deliver."""
@@ -189,7 +208,7 @@ class TcpTransport(RealTransport):
 
     def send(self, sender: Hashable, receiver: Hashable, payload: Any) -> None:
         """Seal the payload's wire bytes per receiver and enqueue the frame
-        on the sender's reactor."""
+        on the sender's reactor (at once when called there)."""
         if self._closed:
             return
         sealed = self._seal(sender, receiver, payload)
@@ -199,7 +218,10 @@ class TcpTransport(RealTransport):
         frame = codec.encode_frame(sender, receiver, self._covered(payload), mac)
         self._count("bytes_sent", len(frame))
         reactor = self.reactor_of(sender if sender in self._handlers else receiver)
-        reactor.call_soon(self._enqueue, reactor, sender, receiver, frame)
+        if reactor.current:
+            self._enqueue(reactor, sender, receiver, frame)
+        else:
+            reactor.call_soon(self._enqueue, reactor, sender, receiver, frame)
 
     def _enqueue(
         self, reactor: Reactor, sender: Hashable, receiver: Hashable, frame: bytes
@@ -220,8 +242,8 @@ class TcpTransport(RealTransport):
             sender, frame = out.frames.popleft()
             self._drop(sender, receiver, "unreachable", frame)
 
-    #: Write attempts (each over a fresh connection) per head-of-line
-    #: frame before the whole backlog is conceded as dropped.
+    #: Write attempts (each over a fresh connection) per batch before
+    #: the whole backlog is conceded as dropped.
     WRITE_ATTEMPTS = 3
     #: Connection attempts (with linear backoff) before a peer counts as
     #: unreachable.
@@ -242,12 +264,13 @@ class TcpTransport(RealTransport):
                             self._concede(out, receiver)
                             attempts = 0
                             break
+                    batch = [frame for _, frame in out.frames]
                     try:
-                        writer.write(out.frames[0][1])
+                        writer.writelines(batch)
                         await writer.drain()
                     except (ConnectionResetError, BrokenPipeError, OSError):
                         # The peer dropped the stream: reconnect and retry
-                        # this frame a bounded number of times (a peer that
+                        # the batch a bounded number of times (a peer that
                         # accepts connections but resets every write must
                         # not spin the reactor forever), then concede and
                         # drop the backlog like an unreachable peer.
@@ -258,7 +281,8 @@ class TcpTransport(RealTransport):
                             attempts = 0
                             break
                         continue
-                    out.frames.popleft()
+                    for _ in batch:
+                        out.frames.popleft()
                     attempts = 0
         finally:
             if writer is not None:
@@ -281,8 +305,8 @@ class TcpTransport(RealTransport):
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        # The base close detaches every node's server; the pump and
-        # server-connection tasks are then cancelled (and their writers
-        # closed) by each reactor's stop() before its loop stops.
+        # The base close detaches every node's server and connections;
+        # the pump tasks are then cancelled (and their writers closed) by
+        # each reactor's stop() before its loop stops.
         self._outbound.clear()
         super().close()

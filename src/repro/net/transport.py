@@ -23,8 +23,9 @@ TcpTransport      wall-clock ms    asyncio reactors (threads)  TCP frames
 pool of **reactors** (one daemon thread running one asyncio event loop
 each), node→reactor pinning so a sharded cluster can give every replica
 group its own loop, wall-clock timers (:class:`NetTimer`), and blocking
-``run_until``/``run_for`` that *wait* for the background reactors
-instead of pumping a queue.
+waits instead of a pumped queue: ``settle`` sleeps until the reactor
+that resolves the awaited future wakes it, while ``run_until`` (a
+predicate nothing signals) and ``run_for`` sleep on the wall clock.
 
 Threading model
 ---------------
@@ -38,16 +39,17 @@ which is also where client identities live by default.  Handler
 exceptions are caught and counted (``statistics["handler_errors"]``)
 so one bad message cannot kill a reactor.
 
-Work for a reactor — deliveries, sends queued for a socket, ``post``
-pokes — goes through its **mailbox**: one FIFO of ``(callback, args)``
-that any thread appends to, drained on the loop by a single callback.
-A message therefore costs a deque append, not an asyncio ``Handle``, a
-closure and a ``Context.run``.  A drain runs only the callbacks queued
-when it started and then re-arms itself behind whatever else is ready,
-so timers, sockets and foreign-thread posts interleave with deliveries
-as often as asyncio's own ready queue would let them.  Only the call
-that arms an idle mailbox from a foreign thread writes the loop's
-self-pipe.  ``statistics["pending"]`` is the mailboxes' total length.
+Work for a reactor — deliveries, sends queued for a socket from another
+thread, ``post`` pokes — goes through its **mailbox**: one FIFO of
+``(callback, args)`` that any thread appends to, drained on the loop by
+a single callback.  A message therefore costs a deque append, not an
+asyncio ``Handle``, a closure and a ``Context.run``.  A drain runs only
+the callbacks queued when it started and then re-arms itself behind
+whatever else is ready, so timers, sockets and foreign-thread posts
+interleave with deliveries as often as asyncio's own ready queue would
+let them.  Only the call that arms an idle mailbox from a foreign thread
+writes the loop's self-pipe.  ``statistics["pending"]`` is the
+mailboxes' total length.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ import time
 from typing import Any, Callable, Hashable, Iterable, Optional, Protocol, runtime_checkable
 
 from repro.errors import SimulationError
+from repro.futures import OperationFuture
 from repro.replication.crypto import KeyStore, MessageAuthenticator
 from repro.replication.network import DeliveryCore
 
@@ -120,6 +123,9 @@ class Transport(Protocol):
     ) -> bool: ...
 
     def run_for(self, duration: float, *, max_events: int = 1_000_000) -> int: ...
+
+    #: How a blocking call waits: drive until ``future`` resolves.
+    def settle(self, future: OperationFuture, timeout: float | None = None) -> bool: ...
 
     #: Event loops serving the nodes: ``pin`` chooses a node's loop, ``post``
     #: runs a callback in the node's serial context, ``close`` releases
@@ -225,6 +231,11 @@ class Reactor:
         """Callbacks queued in the mailbox and not yet started."""
         return len(self._mailbox)
 
+    @property
+    def current(self) -> bool:
+        """Whether the calling thread is this reactor's own."""
+        return threading.get_ident() == self._thread.ident
+
     def call_soon(self, callback: Callable[..., None], *args: Any) -> None:
         """Run ``callback(*args)`` on this reactor; callable from any thread.
 
@@ -240,7 +251,7 @@ class Reactor:
             return
         self._armed = True
         try:
-            if threading.get_ident() == self._thread.ident:
+            if self.current:
                 self.loop.call_soon(self._drain_mailbox)
             else:
                 self.loop.call_soon_threadsafe(self._drain_mailbox)
@@ -308,7 +319,8 @@ class RealTransport(DeliveryCore):
 
     virtual_time = False
     time_unit = "wall-clock ms"
-    #: Wall-clock ms :meth:`run_until` waits when the caller names no budget.
+    #: Wall-clock ms :meth:`run_until` waits when the caller names no budget
+    #: (and :meth:`settle` past the operation's own timeout).
     DEFAULT_WAIT_TIMEOUT = 30_000.0
     name = "net"
 
@@ -463,8 +475,9 @@ class RealTransport(DeliveryCore):
         max_events: int = 1_000_000,
         timeout: float | None = None,
     ) -> bool:
-        """Block the calling thread (polling) until ``condition()`` holds.
-
+        """Block the calling thread, polling, until ``condition()`` holds:
+        it is checked after sleeps of 0.2 ms doubling up to 5 ms (so it is
+        seen up to one sleep late; :meth:`settle` waits without polling).
         Returns ``False`` when the wait timed out (default budget:
         ``DEFAULT_WAIT_TIMEOUT``), which callers treat like the simulation's
         "queue drained first".  ``max_events`` is ignored (signature parity).
@@ -478,6 +491,13 @@ class RealTransport(DeliveryCore):
             time.sleep(wait)
             wait = min(wait * 2, 0.005)
         return True
+
+    def settle(self, future: OperationFuture, timeout: float | None = None) -> bool:
+        """Sleep until the reactor resolving ``future`` wakes this thread,
+        up to ``DEFAULT_WAIT_TIMEOUT`` ms past ``timeout`` (the operation's
+        own, if any).  Returns whether the future resolved."""
+        budget_ms = self.DEFAULT_WAIT_TIMEOUT + (timeout or 0.0)
+        return future.wait(budget_ms / 1000.0)
 
     def run_for(self, duration: float, *, max_events: int = 1_000_000) -> int:
         """Let the reactors run for ``duration`` wall-clock milliseconds."""

@@ -51,8 +51,9 @@ class CheckpointingMixin:
 
         self._obs_checkpoints.inc()
         state = self.application.capture_state()
-        self._checkpoint_states[sequence] = state
         state_digest = digest(state)
+        # Kept beside the (immutable) state, so nothing digests it again.
+        self._checkpoint_states[sequence] = (state, state_digest)
         if self.fault_mode is ReplicaFaultMode.DIVERGENT:
             # Deterministically corrupted digest: the vote is internally
             # consistent (the same wrong digest every time), so two such
@@ -126,11 +127,7 @@ class CheckpointingMixin:
         own_state = self._checkpoint_states.get(sequence)
         certified_digest = proof[0].state_digest if proof else None
         self._truncate(sequence)
-        if (
-            own_state is not None
-            and certified_digest is not None
-            and digest(own_state) != certified_digest
-        ):
+        if own_state is not None and certified_digest not in (None, own_state[1]):
             # Our execution history contradicts the certified majority —
             # possible only outside the protocol's trust envelope (see the
             # module docstring), but self-healing is cheap: discard our
@@ -166,7 +163,7 @@ class CheckpointingMixin:
             if vote.sequence > sequence
         }
         self._checkpoint_states = {
-            seq: state for seq, state in self._checkpoint_states.items() if seq >= sequence
+            seq: stored for seq, stored in self._checkpoint_states.items() if seq >= sequence
         }
         self._state_responses = {
             sender: response
@@ -192,12 +189,13 @@ class CheckpointingMixin:
             self._flight_event(
                 "state-response", sequence=self.stable_checkpoint, requester=str(sender)
             )
+        state, state_digest = self._stable_state
         self._send(
             sender,
             StateResponse(
                 sequence=self.stable_checkpoint,
-                state_digest=digest(self._stable_state),
-                state=self._stable_state,
+                state_digest=state_digest,
+                state=state,
                 proof=self._checkpoint_proof,
                 replica=self.replica_id,
                 prepared=self._in_window_progress(),
@@ -265,8 +263,8 @@ class CheckpointingMixin:
         if message.sequence >= self.stable_checkpoint:
             self.stable_checkpoint = message.sequence
             self._checkpoint_proof = message.proof
-            self._stable_state = message.state
-            self._checkpoint_states[message.sequence] = message.state
+            self._stable_state = (message.state, message.state_digest)
+            self._checkpoint_states[message.sequence] = self._stable_state
         self._obs_state_transfers.inc()
         self._truncate(message.sequence)
         self._adopt_transferred_progress(message.sequence, matching)

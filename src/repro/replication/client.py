@@ -555,13 +555,13 @@ class PEATSClient:
     def invoke(self, operation: str, arguments: tuple) -> Any:
         """Execute ``operation(*arguments)`` on the replicated PEATS.
 
-        Submits the request and pumps the network until the reply vote
+        Submits the request and settles it on the network until the reply vote
         succeeds.  Returns the deserialised result payload produced by
         :class:`~repro.replication.replica.PEATSReplica` (an ``("OK", value)``
         or ``(DENIED, reason)`` pair).
         """
         pending = self.submit(operation, arguments)
-        self.network.run_until(lambda: pending.done)
+        self.network.settle(pending)
         if not pending.done:  # pragma: no cover - retransmit timer prevents this
             self._fail(pending, QuorumError(f"network drained before {pending.key} resolved"))
         return pending.result()

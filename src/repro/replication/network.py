@@ -430,6 +430,10 @@ class SimulatedNetwork(DeliveryCore):
                 raise SimulationError(f"condition not reached after {max_events} events")
         return True
 
+    def settle(self, future: Any, timeout: float | None = None) -> bool:
+        """Pump events until ``future`` resolves (its own timers bound it)."""
+        return self.run_until(lambda: future.done)
+
     def run_until_time(self, deadline: float, *, max_events: int = 1_000_000) -> int:
         """Process every event scheduled up to ``deadline``, then advance to it.
 

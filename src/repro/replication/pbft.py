@@ -164,8 +164,8 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
         # overwrites its own slot instead of growing the map.
         self._checkpoint_votes: Dict[Hashable, Checkpoint] = {}
         self._checkpoint_proof: tuple[Checkpoint, ...] = ()
-        self._checkpoint_states: Dict[int, Any] = {}
-        self._stable_state: Any = None
+        self._checkpoint_states: Dict[int, tuple[Any, str]] = {}
+        self._stable_state: Optional[tuple[Any, str]] = None
         self._own_checkpoint: Optional[Checkpoint] = None
         # Pending state transfers: the latest response per peer;
         # installation requires f + 1 distinct senders shipping identical

@@ -872,3 +872,114 @@ def test_real_transport_reports_the_deliveries_waiting_in_its_mailboxes():
         assert net.run_until(lambda: len(received) == 5, timeout=WAIT_MS)
         assert net.statistics["pending"] == 0
         assert received == list(range(5))
+
+
+# ----------------------------------------------------------------------
+# TCP frame boundaries: whatever way the bytes are chunked
+# ----------------------------------------------------------------------
+
+
+def authentic_frame(net, sender, receiver, payload) -> bytes:
+    payload_bytes = codec.encode_payload(payload)
+    mac = net.authenticator.mac(sender, receiver, payload_bytes)
+    return codec.encode_frame(sender, receiver, payload_bytes, mac)
+
+
+def test_frames_sent_one_byte_at_a_time_arrive_once_each_in_order():
+    with TcpTransport() as net:
+        received = []
+        net.register("victim", lambda s, p: received.append(p))
+        net.register("peer", lambda s, p: None)
+        stream = authentic_frame(net, "peer", "victim", ("first", 1)) + authentic_frame(
+            net, "peer", "victim", ("second", 2)
+        )
+        with socket.create_connection(net.address_of("victim")) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for index in range(len(stream)):
+                sock.sendall(stream[index : index + 1])
+                time.sleep(0.0005)
+            assert net.run_until(lambda: len(received) == 2, timeout=WAIT_MS)
+        assert received == [("first", 1), ("second", 2)]
+        assert net.statistics["rejected"] == 0
+
+
+def test_three_frames_in_one_write_all_arrive():
+    with TcpTransport() as net:
+        received = []
+        net.register("victim", lambda s, p: received.append(p))
+        net.register("peer", lambda s, p: None)
+        with socket.create_connection(net.address_of("victim")) as sock:
+            sock.sendall(
+                b"".join(authentic_frame(net, "peer", "victim", ("n", n)) for n in range(3))
+            )
+            assert net.run_until(lambda: len(received) == 3, timeout=WAIT_MS)
+        assert received == [("n", 0), ("n", 1), ("n", 2)]
+
+
+def test_a_frame_then_an_oversized_header_in_one_chunk_delivers_then_cuts():
+    obs = Observability()
+    with TcpTransport(obs=obs) as net:
+        received = []
+        net.register("victim", lambda s, p: received.append(p))
+        net.register("peer", lambda s, p: None)
+        chunk = (
+            authentic_frame(net, "peer", "victim", ("legit", 1))
+            + struct.pack(codec.FRAME_HEADER, codec.MAX_FRAME_BYTES + 1)
+            + b"x" * 64
+        )
+        with socket.create_connection(net.address_of("victim")) as sock:
+            sock.sendall(chunk)
+            assert net.run_until(lambda: net.statistics["rejected"] == 1, timeout=WAIT_MS)
+            sock.settimeout(WAIT_MS / 1000.0)
+            try:
+                tail = sock.recv(1)
+            except ConnectionResetError:
+                tail = b""
+            assert tail == b""  # the node cut the connection
+        assert received == [("legit", 1)]
+        assert net.statistics["rejected"] == 1
+        assert [event["reason"] for event in obs.flight.events("victim")] == [
+            "oversized-frame"
+        ]
+
+
+# ----------------------------------------------------------------------
+# Blocking calls wait on their future
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["asyncio", "tcp"])
+def test_blocking_calls_wait_on_their_future_without_polling(kind, monkeypatch):
+    space = build_space("replicated", kind)
+    try:
+
+        def no_sleep(seconds: float) -> None:
+            raise AssertionError(f"a blocking call polled (sleep {seconds})")
+
+        monkeypatch.setattr("repro.net.transport.time.sleep", no_sleep)
+        space.out(entry("JOB", 1))
+        assert space.rdp(template("JOB", ANY)) == entry("JOB", 1)
+        assert space.inp(template("JOB", ANY)) == entry("JOB", 1)
+        assert space.rdp(template("JOB", ANY)) is None
+    finally:
+        space.close()
+
+
+@pytest.mark.parametrize("kind", ["asyncio", "tcp"])
+def test_a_blocking_wait_outlasts_the_default_budget_when_its_timeout_does(kind):
+    """A read or watch timeout beyond ``DEFAULT_WAIT_TIMEOUT`` is the one
+    that counts: ``rd`` times out as on the sim, ``next`` answers ``None``,
+    and neither before its own timeout."""
+    space = build_space("replicated", kind)
+    try:
+        space.network.DEFAULT_WAIT_TIMEOUT = 300.0
+        started = time.monotonic()
+        with pytest.raises(OperationTimeoutError):
+            space.rd(template("NEVER", ANY), timeout=1_000.0)
+        assert (time.monotonic() - started) * 1000.0 >= 1_000.0
+        subscription = space.watch(template("NEVER", ANY))
+        started = time.monotonic()
+        assert subscription.next(timeout=1_000.0) is None
+        assert (time.monotonic() - started) * 1000.0 >= 1_000.0
+    finally:
+        space.close()

@@ -131,6 +131,26 @@ class TestCheckpointsAndTruncation:
             assert len(node._executed_keys) == 1
             assert len(node._executed_at) == 1
 
+    def test_each_checkpoint_state_is_digested_once(self, count_calls):
+        from repro.replication import checkpointing
+        from repro.replication.messages import StateRequest
+
+        digests = count_calls(checkpointing, "digest")
+        network, nodes, _ = make_cluster(checkpoint_interval=2)
+        for i in range(5):
+            req = request_from("client", i)
+            network.broadcast("client", [n.replica_id for n in nodes], req)
+            network.run()
+        taken = sum(node.statistics["checkpoints_taken"] for node in nodes)
+        assert taken == 8 and all(node.stable_checkpoint == 4 for node in nodes)
+        # Stabilising compares the digest stored with the state.
+        assert len(digests) == taken
+        # Serving a state transfer ships the stored digest too.
+        responses = count_calls(nodes[0], "_send")
+        nodes[0].on_message("r1", StateRequest(sequence=4, replica="r1"))
+        assert len(responses) == 1
+        assert len(digests) == taken
+
     def test_water_mark_bounds_assigned_sequences(self):
         network, nodes, _ = make_cluster(
             max_batch_size=1, checkpoint_interval=2, log_window=4
