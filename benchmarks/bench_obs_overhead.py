@@ -1,21 +1,19 @@
-"""Observability overhead — what the flight recorder costs when on.
+"""Observability overhead — what the event log costs when on.
 
-Three arms run the *same seeded scenario* (so the consensus work is
+Two arms run the *same seeded scenario* (so the consensus work is
 identical — the trace digests are asserted byte-equal):
 
-* **bare** — ``obs=None``; tracer, recorder and monitor are the null
+* **bare** — ``obs=None``; the event log and the monitor are the null
   objects, the counters run on the deployment's private registry (the
   registry is the only counter store, so there is no arm without it).
-* **tracer** — ``Observability(flight=NULL_FLIGHT, health=NULL_HEALTH)``;
-  the PR 6 tracer/metrics arm, the pre-PR 10 cost.
-* **full** — ``Observability()``; tracer + flight recorder + one health
-  evaluation at the end (what ``Space.stats()`` would run).
+* **full** — ``Observability()``; the event log (phase index and rings)
+  + one health evaluation at the end (what ``Space.stats()`` would run).
 
 Reported factors are same-machine ratios, so they are gateable even
 though their inputs are wall-clock.  ``--check BASELINE.json`` (CI's
 ``obs-passivity`` job, against the committed ``BENCH_obs_overhead.json``)
 re-measures and holds ``full_vs_bare_factor`` to 10% over the baseline —
-the flight recorder must stay in the noise of a replicated deployment's
+the event log must stay in the noise of a replicated deployment's
 end-to-end cost — and the replay's ``trace_digest`` to equality.
 """
 
@@ -30,7 +28,7 @@ if __name__ == "__main__":  # standalone: make src/ importable
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
 from benchmarks._output import emit, emit_table
-from repro.obs import NULL_FLIGHT, NULL_HEALTH, Observability
+from repro.obs import Observability
 from repro.sim import Scenario, run_scenario
 from repro.sim.workloads import consensus_storm
 
@@ -46,7 +44,6 @@ BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_obs_overhea
 
 ARMS = (
     ("bare", lambda: None),
-    ("tracer", lambda: Observability(flight=NULL_FLIGHT, health=NULL_HEALTH)),
     ("full", lambda: Observability()),
 )
 
@@ -66,7 +63,7 @@ def _run_arm(make_obs):
         obs.health.check(result.service)  # the cost Space.stats() would add
     elapsed = time.perf_counter() - started
     assert result.completed
-    recorded = 0 if obs is None else obs.flight.statistics()["recorded"]
+    recorded = 0 if obs is None else obs.events.statistics()["flight"]["recorded"]
     return elapsed, result.metrics.trace_digest(), recorded
 
 
@@ -94,8 +91,6 @@ def measure_obs_overhead(repeats: int = REPEATS) -> dict:
             name: {"best_seconds": round(best[name], 4), "flight_events": events[name]}
             for name, _ in ARMS
         },
-        "tracer_vs_bare_factor": round(best["tracer"] / best["bare"], 3),
-        "full_vs_tracer_factor": round(best["full"] / best["tracer"], 3),
         "full_vs_bare_factor": round(best["full"] / best["bare"], 3),
         "trace_digest": digests["bare"],
     }
@@ -113,13 +108,9 @@ def run_obs_bench() -> dict:
             }
             for name, _ in ARMS
         ],
-        title="Observability overhead — same seeded storm, three arms",
+        title="Observability overhead — same seeded storm, two arms",
     )
-    emit(
-        f"full vs bare: x{overhead['full_vs_bare_factor']} "
-        f"(tracer x{overhead['tracer_vs_bare_factor']}, "
-        f"flight on top x{overhead['full_vs_tracer_factor']})"
-    )
+    emit(f"full vs bare: x{overhead['full_vs_bare_factor']}")
     BENCH_JSON.write_text(json.dumps(report, indent=2) + "\n")
     emit(f"wrote {BENCH_JSON.name}")
     return report

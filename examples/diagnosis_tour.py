@@ -10,13 +10,13 @@ shape with :data:`ReplicaFaultMode.DIVERGENT` on replicas 1 and 3
 (splitting the checkpoint vote 2-vs-2 at f=1) and then walks the three
 PR 10 instruments that make it diagnosable:
 
-1. the **flight recorder** — per-node ring buffers of typed events
-   (message flow, checkpoint votes, view changes), always on, bounded,
-   and strictly passive;
+1. the **event log**'s ring view — per-node ring buffers of typed
+   events (message flow, checkpoint votes, view changes), always on,
+   bounded, and strictly passive;
 2. the **health monitor** — online probes over already-observed state;
    ``checkpoint-starvation`` fires *critical* and names both digest
    camps, with zero extra messages;
-3. the **post-mortem doctor** — fed nothing but the flight dumps, it
+3. the **post-mortem doctor** — fed nothing but the ring dumps, it
    merges them into one causally ordered timeline and attributes the
    divergence to exactly replicas {1, 3} vs {0, 2}.
 
@@ -85,15 +85,15 @@ def main(argv: list[str] | None = None) -> None:
     for report in reports:
         print(f"  [{report.level.upper()}] {report.probe}: {report.detail}")
 
-    print("\n== 3. The flight recorder kept the evidence ==")
-    stats = obs.flight.statistics()
+    print("\n== 3. The event log's rings kept the evidence ==")
+    stats = obs.events.statistics()["flight"]
     print(
         f"  {stats['nodes']} node rings, {stats['recorded']} events recorded, "
         f"{stats['retained']} retained, {stats['dropped']} dropped"
     )
 
     print("\n== 4. The doctor works from the dumps alone ==")
-    merged = merge_dumps([obs.flight.dump()])
+    merged = merge_dumps([obs.events.dump()])
     diagnosis = diagnose(merged, health=[r.as_dict() for r in reports])
     print(render_text(diagnosis))
 

@@ -8,16 +8,16 @@ bundle threads itself through every layer (client, shard router, PBFT
 nodes, executing replicas, reference monitor, transport) via the
 correlation id already on the wire, so afterwards we can print:
 
-* the **phase report**: aggregate submit → pre-prepare → prepare →
-  commit → execute → reply → complete latency over every traced request
-  ("where did the 1.5 ms go");
+* the **phase report**, the event log's per-request view: aggregate
+  submit → pre-prepare → prepare → commit → execute → reply → complete
+  latency over every traced request ("where did the 1.5 ms go");
 * one request's **timeline**, phase by phase, with the node that
   reached each phase first;
 * the **metrics registry**: batches, pending-queue depth, policy
   denials, reply-cache hits, per-transport frame counts — identical
   machinery under both substrates.
 
-Tracing is passive: the same seeded scenario replayed *without* the
+The event log is passive: the same seeded scenario replayed *without* the
 bundle produces a byte-identical trace digest, which this script checks.
 
 Run it with::
@@ -49,7 +49,7 @@ def open_policy() -> AccessPolicy:
 
 
 def print_phase_report(obs: Observability, *, unit: str) -> None:
-    rows = obs.tracer.phase_report()
+    rows = obs.events.phase_report()
     width = max(len(row["phase"]) for row in rows)
     print(f"  phase breakdown ({unit}):")
     for row in rows:
@@ -61,10 +61,10 @@ def print_phase_report(obs: Observability, *, unit: str) -> None:
 
 
 def print_one_timeline(obs: Observability) -> None:
-    key = obs.tracer.requests()[0]
+    key = obs.events.requests()[0]
     print(f"  request {key} phase by phase:")
-    start = obs.tracer.timeline(key)[0][1]
-    for phase, when, node in obs.tracer.timeline(key):
+    start = obs.events.timeline(key)[0][1]
+    for phase, when, node in obs.events.timeline(key):
         print(f"    +{when - start:8.3f}  {phase:<12} first reached at {node}")
 
 

@@ -8,9 +8,10 @@ shapes and exception model as the networked backends (it shares the
 payload-level execution path with the replica state machine via
 :meth:`~repro.peo.peats.PEATS.execute_operation`).
 
-Blocking reads wait on the space's condition variable in wall-clock
-seconds; this is the only backend whose :attr:`~repro.api.space.Space.
-time_unit` is real time.
+Blocking reads and watches wait on condition variables — the tuple
+space's insert condition, the subscription's — in wall-clock seconds;
+this is the only backend whose :attr:`~repro.api.space.Space.time_unit`
+is real time.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ class LocalSpace(Space):
     #: produce the tuple; a short default keeps single-threaded callers
     #: from hanging forever (pass ``timeout=`` explicitly for longer waits).
     default_blocking_timeout = 5.0
-    default_poll_interval = 0.05
 
     def __init__(self, peats: PEATS) -> None:
         super().__init__(peats.obs)
@@ -81,20 +81,20 @@ class LocalSpace(Space):
         timeout: float | None,
         poll_interval: float | None,
     ) -> OperationFuture:
-        """Blocking reads run eagerly as the Section 4 polling recipe.
+        """Blocking reads run eagerly as the Section 4 recipe.
 
-        The unified semantics are the ones every backend can honour: poll
-        the non-blocking probe (``rdp`` for ``rd``, ``inp`` for ``in``),
-        so a policy that grants the probe grants the blocking form too,
-        exactly as on the replicated backends.  There is no event loop to
-        reschedule on, so the future is resolved (or failed) before it is
-        returned — denial raises :class:`~repro.errors.AccessDeniedError`,
-        budget exhaustion :class:`~repro.errors.OperationTimeoutError`,
-        sleeping between polls to give concurrent threads a chance.
+        The answer comes from the non-blocking probe (``rdp`` for ``rd``,
+        ``inp`` for ``in``), so a policy that grants the probe grants the
+        blocking form too, exactly as on the replicated backends.  Between
+        probes the thread waits on the tuple space's insert condition,
+        outside the PEATS lock, so an insert wakes it and nothing polls.
+        There is no event loop, so the future is resolved (or failed) —
+        :class:`~repro.errors.AccessDeniedError`,
+        :class:`~repro.errors.OperationTimeoutError` — before it returns.
         """
         probe_operation = "rdp" if operation == "rd" else "inp"
         budget = self.default_blocking_timeout if timeout is None else timeout
-        interval = self.default_poll_interval if poll_interval is None else poll_interval
+        space = self._peats._policy_state()
         future = OperationFuture(
             operation=operation,
             submitted_at=self._now(),
@@ -102,6 +102,9 @@ class LocalSpace(Space):
         )
         deadline = self._now() + budget
         while True:
+            # Read before the probe: an insert racing the probe's miss
+            # then ends the wait at once instead of being slept through.
+            seen = space.inserts
             status, value = self._peats.execute_operation(
                 probe_operation, (template,), process=process
             )
@@ -126,7 +129,7 @@ class LocalSpace(Space):
                     ),
                 )
                 return future
-            time.sleep(min(interval, remaining))
+            space.wait_for_insert(seen, remaining)
 
     def _submit_txn(self, legs: tuple, process: Hashable) -> OperationFuture:
         """Local transactions resolve eagerly under the PEATS object lock
@@ -154,10 +157,6 @@ class LocalSpace(Space):
         template = subscription.template
         if isinstance(template, Entry):
             template = template.to_template()
-        if not isinstance(template, Template):
-            raise TypeError(
-                f"watch() requires a Template, got {type(subscription.template).__name__}"
-            )
         peats = self._peats
         space = peats._policy_state()
 
@@ -172,12 +171,9 @@ class LocalSpace(Space):
         space.add_insert_listener(on_insert)
         return lambda: space.remove_insert_listener(on_insert)
 
-    def _watch_pump(self, condition: Callable[[], bool], timeout: float | None) -> None:
-        """Wait on the wall clock for a concurrent thread's insert."""
-        budget = self.default_blocking_timeout if timeout is None else timeout
-        deadline = self._now() + budget
-        while not condition() and self._now() < deadline:
-            time.sleep(min(self.default_poll_interval, max(deadline - self._now(), 0.0)))
+    def _watch_wait(self, subscription: Subscription, timeout: float | None) -> None:
+        """Wait for a concurrent thread's insert to be delivered."""
+        subscription.wait(self.default_blocking_timeout if timeout is None else timeout)
 
     def _drive(self, future: OperationFuture, timeout: float | None = None) -> None:
         """Local futures resolve eagerly; there is nothing to pump."""

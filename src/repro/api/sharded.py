@@ -51,6 +51,7 @@ from repro.futures import OperationFuture
 from repro.api.space import Space
 from repro.cluster.client import ShardedClient
 from repro.cluster.service import ShardedPEATS
+from repro.notify import Subscription
 from repro.peo.base import DENIED
 from repro.replication.replica import TXN_LOCKED
 from repro.tuples import Entry, Template
@@ -115,14 +116,15 @@ class ShardedSpace(Space):
     def _schedule(self, delay: float, callback: Callable[[], None]) -> None:
         self._service.network.schedule_after(delay, callback)
 
-    def _watch_pump(self, condition: Callable[[], bool], timeout: float | None) -> None:
+    def _watch_wait(self, subscription: Subscription, timeout: float | None) -> None:
         budget = self.default_blocking_timeout if timeout is None else timeout
-        deadline = self._now() + budget
         network = self._service.network
-        # A real transport's run_until stops at its default budget: wait on.
-        while not network.run_until(lambda: condition() or self._now() >= deadline):
-            if network.virtual_time:
-                return
+        if network.virtual_time:
+            # Only the simulation pumps: nothing else would deliver.
+            deadline = self._now() + budget
+            network.run_until(lambda: subscription.settled or self._now() >= deadline)
+        else:
+            subscription.wait(budget / 1000.0)  # wall-clock ms
 
     def snapshot(self) -> tuple[Entry, ...]:
         return self._service.snapshot()
@@ -137,27 +139,19 @@ class ShardedSpace(Space):
         client = self._service.client(process)
         if not self._gathers:
             return client.submit(operation, tuple(arguments))
-        if operation in ("rdp", "inp"):
-            template = arguments[0]
-            if isinstance(template, (Entry, Template)) and not is_defined(
-                template.fields[0]
-            ):
-                return _ScatterGather(self, client, operation, template).future
+        # The arguments were checked at submission (check_arguments).
+        if operation in ("rdp", "inp") and not is_defined(arguments[0].fields[0]):
+            return _ScatterGather(self, client, operation, arguments[0]).future
         if operation == "cas":
-            template, entry = arguments[0], arguments[1]
-            if isinstance(template, (Entry, Template)) and isinstance(entry, Entry):
-                shard_map = self._service.shard_map
-                if not is_defined(template.fields[0]):
-                    return _WildcardCas(self, client, process, template, entry).future
-                if shard_map.shard_of(template.fields[0]) != shard_map.shard_of(
-                    entry.fields[0]
-                ):
-                    # Concrete template and entry on different shards: the
-                    # absence pin and the insert cannot share a group, so
-                    # the pair becomes a two-leg transaction.
-                    return self._cas_via_txn(
-                        (("nix", template), ("out", entry)), process
-                    )
+            template, entry = arguments
+            shard_map = self._service.shard_map
+            if not is_defined(template.fields[0]):
+                return _WildcardCas(self, client, process, template, entry).future
+            if shard_map.shard_of(template.fields[0]) != shard_map.shard_of(entry.fields[0]):
+                # Concrete template and entry on different shards: the
+                # absence pin and the insert cannot share a group, so
+                # the pair becomes a two-leg transaction.
+                return self._cas_via_txn((("nix", template), ("out", entry)), process)
         return client.submit(operation, tuple(arguments))
 
     def _submit_txn(self, legs: tuple, process: Hashable) -> OperationFuture:
@@ -302,17 +296,12 @@ class ShardedSpace(Space):
         (any shard may receive the matching insert)."""
         if not self._gathers:
             return ((None, self._service.replica_ids),)
-        if isinstance(template, (Entry, Template)):
-            if is_defined(template.fields[0]):
-                shard = self._service.shard_map.shard_of_tuple(template)
-                return ((shard, self._service.group(shard).replica_ids),)
-            return tuple(
-                (shard, group.replica_ids)
-                for shard, group in enumerate(self._service.groups)
-            )
-        # Malformed template: nothing to arm; the probe path will surface
-        # the error through the normal read machinery.
-        return ()
+        if is_defined(template.fields[0]):
+            shard = self._service.shard_map.shard_of_tuple(template)
+            return ((shard, self._service.group(shard).replica_ids),)
+        return tuple(
+            (shard, group.replica_ids) for shard, group in enumerate(self._service.groups)
+        )
 
     def _stats_extra(self) -> dict:
         if not self._gathers:

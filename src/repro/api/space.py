@@ -48,6 +48,7 @@ from repro.policy.monitor import Decision
 from repro.replication.replica import TXN_LOCKED
 from repro.tspace.interface import BoundView, TupleSpaceInterface
 from repro.tuples import Entry, Template
+from repro.txn.legs import check_arguments
 
 __all__ = ["Space", "BoundSpace", "PROBE_OPERATIONS", "BLOCKING_OPERATIONS"]
 
@@ -111,27 +112,12 @@ class Space(_SubmitForms, TupleSpaceInterface):
     time_unit: str = "units"
     #: Default budget for blocking reads when no timeout is given.
     default_blocking_timeout: float = 1_000.0
-    #: Default spacing between polls of an emulated blocking read.
+    #: Default base interval of an emulated blocking read's fallback probes.
     default_poll_interval: float = 10.0
-    #: Backoff between successive unsuccessful re-probe rounds of one
-    #: blocking read: each round multiplies the wait by this factor, so a
-    #: tuple that stays absent costs ever fewer probes (on the sharded
-    #: backend each wildcard probe round is a whole scatter-gather across
-    #: every replica group — the cost the ROADMAP flagged).  The delay is
-    #: capped at :attr:`poll_backoff_cap` times the base interval, and a
-    #: fresh read always starts back at the base interval.
-    #:
-    #: Backoff state is **per blocking operation** and monotone for its
-    #: whole life: a notification wake-up (or any other extra probe the
-    #: notify channel triggers) does not reset the escalation, so an
-    #: absent tuple costs the same bounded probe budget whether or not a
-    #: waiter is armed.  While a waiter *is* armed the chain skips the
-    #: escalation entirely and idles at the capped interval — the probes
-    #: are then a liveness fallback (a Byzantine replica may suppress its
-    #: notification), not the discovery mechanism.
-    poll_backoff: float = 2.0
-    #: Ceiling of the backed-off poll delay, as a multiple of the base
-    #: poll interval.
+    #: A blocking read's waiter pushes do the waking; between them the
+    #: read re-probes every ``poll_backoff_cap`` base intervals, a
+    #: liveness fallback (a Byzantine replica may suppress its push), not
+    #: the discovery mechanism.
     poll_backoff_cap: float = 8.0
     #: How many times one operation bounced by a transaction lock
     #: (``TXN-LOCKED`` probe answers) is transparently resubmitted after
@@ -143,7 +129,7 @@ class Space(_SubmitForms, TupleSpaceInterface):
     def __init__(self, obs: Any) -> None:
         """Every backend constructor calls this with its deployment's
         observability bundle."""
-        #: The deployment's bundle — metrics registry, tracer, recorder,
+        #: The deployment's bundle — metrics registry, event log,
         #: monitor — whatever its shape (``enabled`` is False, and the
         #: registry private, when it was built without ``obs=``).
         self.observability = obs
@@ -303,21 +289,20 @@ class Space(_SubmitForms, TupleSpaceInterface):
         blocking-read futures instead fail with
         :class:`~repro.errors.OperationTimeoutError` on budget exhaustion
         and :class:`~repro.errors.AccessDeniedError` on denial, mirroring
-        their blocking counterparts.
+        their blocking counterparts.  Malformed arguments raise
+        :class:`~repro.errors.TupleSpaceError` before anything is sent.
         """
+        arguments = tuple(arguments)
+        check_arguments(operation, arguments)
+        if operation not in BLOCKING_OPERATIONS and (
+            timeout is not None or poll_interval is not None
+        ):
+            raise TupleSpaceError(
+                f"timeout/poll_interval only apply to blocking reads, not {operation!r}"
+            )
         if operation in PROBE_OPERATIONS:
-            if timeout is not None or poll_interval is not None:
-                raise TupleSpaceError(
-                    f"timeout/poll_interval only apply to blocking reads, "
-                    f"not {operation!r}"
-                )
-            future = self._submit_probe_resolving(operation, tuple(arguments), process)
+            future = self._submit_probe_resolving(operation, arguments, process)
         elif operation == "transfer":
-            if timeout is not None or poll_interval is not None:
-                raise TupleSpaceError(
-                    "timeout/poll_interval only apply to blocking reads, "
-                    "not 'transfer'"
-                )
             take_template, put_entry = arguments
             legs = (("in", take_template), ("out", put_entry))
             future = self._submit_txn_tracked(legs, process)
@@ -356,11 +341,9 @@ class Space(_SubmitForms, TupleSpaceInterface):
         Polling survives as a bounded fallback at the capped interval:
         registrations are soft state and a Byzantine replica may suppress
         its push, so the fallback — not the push — carries the liveness
-        guarantee.  Without a waiter the chain escalates with capped
-        exponential backoff exactly as before.  Everything happens through
-        completion callbacks, so many blocking reads can be in flight
-        concurrently — this is what lets scenario clients issue
-        ``rd``/``in`` steps.
+        guarantee.  Everything happens through completion callbacks, so
+        many blocking reads can be in flight concurrently — this is what
+        lets scenario clients issue ``rd``/``in`` steps.
         """
         probe_operation = "rdp" if operation == "rd" else "inp"
         budget = self.default_blocking_timeout if timeout is None else timeout
@@ -368,10 +351,6 @@ class Space(_SubmitForms, TupleSpaceInterface):
         max_interval = interval * self.poll_backoff_cap
         future = OperationFuture(operation=operation, submitted_at=self._now())
         deadline = self._now() + budget
-        # Monotone for the whole operation: a wake-triggered probe must not
-        # reset the fallback escalation (an armed waiter already idles the
-        # chain at the cap; see the poll_backoff docs).
-        rounds = 0
         # One probe in flight at a time; a wake-up that lands mid-probe is
         # remembered and serviced as soon as the in-flight probe resolves.
         probing = False
@@ -386,11 +365,6 @@ class Space(_SubmitForms, TupleSpaceInterface):
         # probe reschedules the fallback, and the superseded timer must
         # not spawn a second concurrent probe chain.
         epoch = 0
-        handle: Any = None
-
-        def disarm() -> None:
-            if handle is not None:
-                handle.cancel()
 
         def attempt() -> None:
             nonlocal probing
@@ -413,7 +387,7 @@ class Space(_SubmitForms, TupleSpaceInterface):
             self._schedule(delay, lambda: fallback(token))
 
         def resolve(probe: OperationFuture) -> None:
-            nonlocal rounds, probing, wake_pending, wake_probe
+            nonlocal probing, wake_pending, wake_probe
             was_wake = wake_probe
             wake_probe = False
             probing = False
@@ -421,12 +395,12 @@ class Space(_SubmitForms, TupleSpaceInterface):
                 return
             now = self._now()
             if probe.exception is not None:
-                disarm()
+                handle.cancel()
                 future._complete(now, exception=probe.exception)
                 return
             status, value = probe.result()
             if status == DENIED:
-                disarm()
+                handle.cancel()
                 future._complete(
                     now,
                     exception=AccessDeniedError(
@@ -436,11 +410,11 @@ class Space(_SubmitForms, TupleSpaceInterface):
                 return
             if value is not None:
                 future.shard = probe.shard
-                disarm()
+                handle.cancel()
                 future._complete(now, result=("OK", value))
                 return
             if now >= deadline:
-                disarm()
+                handle.cancel()
                 future._complete(
                     now,
                     exception=OperationTimeoutError(
@@ -449,8 +423,7 @@ class Space(_SubmitForms, TupleSpaceInterface):
                     ),
                 )
                 return
-            rounds += 1
-            if was_wake and handle is not None:
+            if was_wake:
                 # Woken, re-probed, missed: the match was consumed out from
                 # under us (a competing in_, or a transactional in_ leg
                 # committing on another shard).  The registrations behind
@@ -467,17 +440,9 @@ class Space(_SubmitForms, TupleSpaceInterface):
                 wake_probe = True
                 attempt()
                 return
-            if handle is not None:
-                # Waiter armed: pushes do the waking, the chain only
-                # provides the bounded liveness fallback.
-                delay = max_interval
-            else:
-                # Capped exponential backoff: each empty round doubles
-                # the wait (up to the cap and never past the deadline),
-                # so an absent tuple stops costing a full probe — or,
-                # sharded, a full cross-shard scatter — every interval.
-                delay = min(interval * (self.poll_backoff ** (rounds - 1)), max_interval)
-            schedule_next(min(delay, deadline - now))
+            # Pushes do the waking; the chain only provides the bounded
+            # liveness fallback, never past the deadline.
+            schedule_next(min(max_interval, deadline - now))
 
         def wake(entry: Any, event: Any) -> None:
             # f+1 replicas vouched a match landed; re-verify through the
@@ -499,30 +464,23 @@ class Space(_SubmitForms, TupleSpaceInterface):
         attempt()
         return future
 
-    def _waiter_groups(self, template: Any) -> tuple[tuple[Optional[int], tuple], ...]:
-        """Backend hook: the ``(shard | None, replica_ids)`` groups that
-        must hold a waiter for ``template`` — none where the backend has
-        no notification channel (or the template cannot be armed)."""
-        return ()
-
     def _arm(
         self,
         template: Any,
         operation: str,
         process: Hashable,
         on_event: Callable[[Optional[int]], Callable[[Any, Any], None]],
-    ) -> Optional[WaiterHandle]:
-        """Arm one waiter on every group :meth:`_waiter_groups` names.
+    ) -> WaiterHandle:
+        """Arm one waiter on every replica group that must hold one for a
+        checked ``template`` (the networked backend's ``_waiter_groups``;
+        the local backend overrides both callers).
 
         Each group's pushes vote in their own ``f + 1`` tally, and
         ``on_event(shard)`` builds the ``(entry, event)`` callback that
         group's voted wake-ups fire inside the event loop.  Returns one
-        handle over every registration, or ``None`` when there is no
-        group to arm (a blocking read then falls back to pure polling).
+        handle over every registration.
         """
-        groups = self._waiter_groups(template)
-        if not groups:
-            return None
+        groups = self._waiter_groups(template)  # type: ignore[attr-defined]
         client = self.service.client(process)
         return WaiterHandle(
             client,
@@ -537,7 +495,8 @@ class Space(_SubmitForms, TupleSpaceInterface):
     # ------------------------------------------------------------------
 
     def _execute(self, operation: str, arguments: tuple, process: Hashable) -> tuple[str, Any]:
-        future = self._submit_probe_resolving(operation, tuple(arguments), process)
+        check_arguments(operation, arguments)
+        future = self._submit_probe_resolving(operation, arguments, process)
         self._drive(future)
         return future.result()
 
@@ -601,6 +560,7 @@ class Space(_SubmitForms, TupleSpaceInterface):
         poll_interval: float | None,
         process: Hashable,
     ) -> Entry:
+        check_arguments(operation, (template,))
         budget = self.default_blocking_timeout if timeout is None else timeout
         future = self._submit_blocking(
             operation, template, process=process, timeout=budget, poll_interval=poll_interval
@@ -713,6 +673,7 @@ class Space(_SubmitForms, TupleSpaceInterface):
         ``subscription.cancel()`` — or closing the space — disarms it on
         every replica.
         """
+        check_arguments("rdp", (template,))
         subscription = Subscription(
             template, buffer=buffer, on_event=on_event, clock=self._now
         )
@@ -722,7 +683,7 @@ class Space(_SubmitForms, TupleSpaceInterface):
             disarm()
             self._watches.remove(subscription)
 
-        subscription._attach(cancel, self._watch_pump)
+        subscription._attach(cancel, self._watch_wait)
         self._watches.append(subscription)
         return subscription
 
@@ -734,23 +695,18 @@ class Space(_SubmitForms, TupleSpaceInterface):
         pushing group's shard (``None`` off the sharded backend) and merge
         in network-delivery order (deterministic under the seeded
         transports)."""
-        handle = self._arm(
+        return self._arm(
             subscription.template,
             "watch",
             process,
             lambda shard: lambda entry, event: subscription.deliver(entry, event, shard=shard),
-        )
-        if handle is None:
-            raise TupleSpaceError(
-                f"the {self.backend} backend cannot watch {subscription.template!r}"
-            )
-        return handle.cancel
+        ).cancel
 
     @abc.abstractmethod
-    def _watch_pump(self, condition: Callable[[], bool], timeout: float | None) -> None:
-        """Backend hook: advance the backend until ``condition()`` or for at
-        most ``timeout`` (default: the blocking-read budget) — what
-        ``Subscription.next`` blocks on."""
+    def _watch_wait(self, subscription: Subscription, timeout: float | None) -> None:
+        """Backend hook, what ``Subscription.next`` blocks on: return once
+        ``subscription`` holds an event or is cancelled, or after at most
+        ``timeout`` (default: the blocking-read budget)."""
 
     # ------------------------------------------------------------------
     # Per-process views

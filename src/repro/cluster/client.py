@@ -93,10 +93,8 @@ class ShardedClient(PEATSClient):
                 shard=str(shard)
             )
         counter.inc()
-        if self._tracer.enabled:
-            self._tracer.record("route", pending.key, f"shard-{shard}", self.network.now)
-        if self._flight.enabled:
-            self._flight.record(
+        if self._events.enabled:
+            self._events.record(
                 "route",
                 self.client_id,
                 self.network.now,

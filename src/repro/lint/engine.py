@@ -2,7 +2,7 @@
 
 The linter encodes this repository's *unwritten* invariants — the rules
 every PR has so far obeyed by convention — as checkable AST analyses:
-determinism purity of the replay core, the guarded-tracer convention,
+determinism purity of the replay core, the guarded event-log convention,
 wire-codec completeness, metric-family hygiene, handler containment on
 the real transports and bounded per-request bookkeeping.  It is
 zero-dependency (stdlib ``ast`` only) so it can run first in CI, before
@@ -371,7 +371,7 @@ class LintEngine:
 # ----------------------------------------------------------------------
 
 def resolve_dotted(node: ast.AST) -> Optional[str]:
-    """Render an attribute chain as a dotted string (``self._tracer.record``).
+    """Render an attribute chain as a dotted string (``self._events.record``).
 
     Returns ``None`` for chains rooted in calls/subscripts — those are
     dynamic and no rule tries to reason about them.

@@ -249,10 +249,21 @@ GUARDS: tuple[Guard, ...] = (
     Guard(
         "no-polling-waits", 38, "call", ("time.sleep",),
         ("src/repro/net/", "src/repro/replication/", "src/repro/cluster/",
-         "src/repro/txn/", "src/repro/api/sharded.py"),
+         "src/repro/txn/", "src/repro/api/", "src/repro/notify/"),
         "a sleep-poll where a blocking call waits; Transport.settle waits on "
-        "the future and the reactor resolving it wakes it",
+        "the future, a local read on the space's insert condition and a "
+        "watch on its subscription's, and whoever resolves them wakes them",
         allow=("src/repro/net/transport.py",),
+    ),
+    Guard(
+        "one-event-log", 39, "path", ("src/repro/obs/trace.py", "src/repro/obs/flight.py"),
+        (),
+        "a second recorder module is back; every moment is one record() on "
+        "repro.obs.events.EventLog, read through its phase and ring views",
+    ),
+    Guard(
+        "one-event-log", 39, "name", ("Tracer", "FlightRecorder"), ("src/",),
+        "a retired recorder class is back; record once on the EventLog",
     ),
     Guard(
         "guards-in-lint", 35, "name", ("grep",), (".github/workflows/ci.yml",),
@@ -378,7 +389,7 @@ class ArchitectureGuards(ProjectRule):
     client tally, one key derivation per pair, one verify site, one perf
     gate, an index that never sorts, a one-loop matching kernel, a wire
     codec that never instantiates what the bytes name, blocking calls
-    that wait on their future instead of polling).  The table keeps
+    that wait on their future instead of polling, one event log).  The table keeps
     every one of them in the linter that tier-1 and CI both run.
     """
 

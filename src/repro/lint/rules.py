@@ -1,4 +1,4 @@
-"""Per-file rules: RL001 determinism purity, RL002 guarded tracer,
+"""Per-file rules: RL001 determinism purity, RL002 guarded event log,
 RL005 handler containment, RL006 bounded collections.
 
 Each rule encodes one invariant this codebase's guarantees rest on; see
@@ -23,7 +23,7 @@ from repro.lint.engine import (
 
 __all__ = [
     "DeterminismPurity",
-    "GuardedTracer",
+    "GuardedEventLog",
     "HandlerContainment",
     "BoundedCollections",
 ]
@@ -156,27 +156,25 @@ class DeterminismPurity(Rule):
             )
 
 
-_TRACE_HELPER_RE = re.compile(r"_trace\w*\Z")
-_FLIGHT_HELPER_RE = re.compile(r"_flight\w*\Z")
+_HELPER_RE = re.compile(r"_event\w*\Z")
 
 
 @register
-class GuardedTracer(Rule):
-    """RL002 — every tracer/flight hot-path call sits behind ``.enabled``.
+class GuardedEventLog(Rule):
+    """RL002 — every event-log hot-path call sits behind ``.enabled``.
 
-    The PR 6 convention, extended to the flight recorder: both
-    ``tracer.record(...)`` and ``flight.record(...)`` (and the
-    ``self._trace_*`` / ``self._flight_*`` batch helpers) are only
-    reached under ``if <instrument>.enabled:`` so the
-    disabled-observability hot path costs one attribute read, and the
-    null instruments are never asked to assemble per-event state.  An
-    unguarded call site re-introduces per-message overhead for every
-    deployment that runs with observability off.
+    ``events.record(...)`` (on any receiver naming the log:
+    ``self._events``, ``events``, ``obs.events``) and the
+    ``self._event*`` helpers are only reached under
+    ``if <log>.enabled:`` so the disabled-observability hot path costs
+    one attribute read, and the null log is never asked to assemble
+    per-event state.  An unguarded call site re-introduces per-message
+    overhead for every deployment that runs with observability off.
     """
 
     id = "RL002"
-    name = "guarded-tracer"
-    summary = "tracer/flight record() and _trace_*/_flight_* helpers must be behind an .enabled guard"
+    name = "guarded-event-log"
+    summary = "events.record() and self._event* helpers must be behind an .enabled guard"
     scope = ("repro",)
 
     def check_module(self, module: ModuleInfo) -> Iterable[Violation]:
@@ -186,31 +184,22 @@ class GuardedTracer(Rule):
             func = node.func
             if not isinstance(func, ast.Attribute):
                 continue
-            is_trace_record = func.attr == "record" and _mentions_tracer(func.value)
-            is_flight_record = func.attr == "record" and _mentions_flight(func.value)
+            is_record = func.attr == "record" and _mentions_events(func.value)
             is_helper_call = (
-                (
-                    _TRACE_HELPER_RE.fullmatch(func.attr) is not None
-                    or _FLIGHT_HELPER_RE.fullmatch(func.attr) is not None
-                )
+                _HELPER_RE.fullmatch(func.attr) is not None
                 and isinstance(func.value, ast.Name)
                 and func.value.id == "self"
             )
-            if not (is_trace_record or is_flight_record or is_helper_call):
+            if not (is_record or is_helper_call):
                 continue
             if self._exempt_or_guarded(module, node):
                 continue
-            if is_trace_record:
-                what = "tracer.record()"
-            elif is_flight_record:
-                what = "flight.record()"
-            else:
-                what = f"self.{func.attr}()"
+            what = "events.record()" if is_record else f"self.{func.attr}()"
             yield module.violation(
                 self.id,
                 node,
                 f"{what} call site is not behind an `.enabled` guard "
-                "(wrap it in `if <instrument>.enabled:` so disabled "
+                "(wrap it in `if <log>.enabled:` so disabled "
                 "observability stays one attribute read)",
             )
 
@@ -219,11 +208,9 @@ class GuardedTracer(Rule):
         child: ast.AST = node
         for ancestor in module.ancestors(node):
             if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                # Inside a ``_trace*`` / ``_flight*`` helper the guard
-                # lives at the helper's call sites (checked instead).
-                if _TRACE_HELPER_RE.fullmatch(ancestor.name) or _FLIGHT_HELPER_RE.fullmatch(
-                    ancestor.name
-                ):
+                # Inside an ``_event*`` helper the guard lives at the
+                # helper's call sites (checked instead).
+                if _HELPER_RE.fullmatch(ancestor.name):
                     return True
             if isinstance(ancestor, ast.If) and child in ancestor.body:
                 for sub in ast.walk(ancestor.test):
@@ -233,24 +220,13 @@ class GuardedTracer(Rule):
         return False
 
 
-def _mentions_tracer(receiver: ast.AST) -> bool:
-    """True when the receiver expression names a tracer (``self._tracer``,
-    ``tracer``, ``obs.tracer`` ...)."""
+def _mentions_events(receiver: ast.AST) -> bool:
+    """True when the receiver expression names the event log
+    (``self._events``, ``events``, ``obs.events`` ...)."""
     for node in ast.walk(receiver):
-        if isinstance(node, ast.Name) and "tracer" in node.id.lower():
+        if isinstance(node, ast.Name) and "events" in node.id.lower():
             return True
-        if isinstance(node, ast.Attribute) and "tracer" in node.attr.lower():
-            return True
-    return False
-
-
-def _mentions_flight(receiver: ast.AST) -> bool:
-    """True when the receiver expression names a flight recorder
-    (``self._flight``, ``flight``, ``obs.flight`` ...)."""
-    for node in ast.walk(receiver):
-        if isinstance(node, ast.Name) and "flight" in node.id.lower():
-            return True
-        if isinstance(node, ast.Attribute) and "flight" in node.attr.lower():
+        if isinstance(node, ast.Attribute) and "events" in node.attr.lower():
             return True
     return False
 

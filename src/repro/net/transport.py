@@ -381,8 +381,8 @@ class RealTransport(DeliveryCore):
         except Exception as error:  # noqa: BLE001 - reactor must survive
             self._last_handler_error = error
             self._count("handler_errors")
-            if self._flight.enabled:
-                self._flight.record(
+            if self._events.enabled:
+                self._events.record(
                     "net-error",
                     self.name,
                     self.now,

@@ -15,11 +15,11 @@ an old one.
 a bounded event buffer (oldest events are dropped and counted when the
 consumer lags) with three consumption forms — non-blocking :meth:`poll`,
 blocking :meth:`next`, and iteration — plus an optional callback fired at
-delivery time.  The subscription itself never waits on any clock: blocking
-consumption delegates to the *pump* its backend attached (the simulated
-backends pump the virtual-time event loop; the local and real-transport
-backends wait on the wall clock at the API layer, outside the
-deterministic core).
+delivery time.  Blocking consumption goes through the hook its backend
+attached: the simulated backends pump the virtual-time event loop, the
+local and real-transport ones call :meth:`Subscription.wait`, which waits
+on a condition that every delivery and the cancel notify — the
+subscription itself never reads a clock.
 """
 
 from __future__ import annotations
@@ -154,6 +154,8 @@ class Subscription:
             raise ValueError("subscription buffer must hold at least one event")
         self.template = template
         self._lock = threading.Lock()
+        #: Notified on every delivery and on cancel.
+        self._changed = threading.Condition(self._lock)
         self._buffer: "collections.deque[WatchEvent]" = collections.deque(maxlen=buffer)
         self._dropped = 0
         self._delivered = 0
@@ -161,7 +163,7 @@ class Subscription:
         self._on_event = on_event
         self._clock = clock if clock is not None else (lambda: 0.0)
         self._canceller: Callable[[], None] | None = None
-        self._pump: Callable[[Callable[[], bool], Optional[float]], None] | None = None
+        self._block: Callable[["Subscription", Optional[float]], None] | None = None
 
     # ------------------------------------------------------------------
     # Backend attachment (called by the owning Space, not by users)
@@ -170,10 +172,10 @@ class Subscription:
     def _attach(
         self,
         canceller: Callable[[], None],
-        pump: Callable[[Callable[[], bool], Optional[float]], None],
+        block: Callable[["Subscription", Optional[float]], None],
     ) -> None:
         self._canceller = canceller
-        self._pump = pump
+        self._block = block
 
     def deliver(
         self, entry: Any, event: Optional[tuple], *, shard: Optional[int] = None
@@ -187,6 +189,7 @@ class Subscription:
                 self._dropped += 1
             self._buffer.append(item)
             self._delivered += 1
+            self._changed.notify_all()
         if self._on_event is not None:
             self._on_event(item)
 
@@ -229,13 +232,24 @@ class Subscription:
         with self._lock:
             if self._buffer:
                 return self._buffer.popleft()
-        if not self._active or self._pump is None:
+        if not self._active or self._block is None:
             return None
-        self._pump(lambda: bool(self._buffer) or not self._active, timeout)
+        self._block(self, timeout)
         with self._lock:
             if self._buffer:
                 return self._buffer.popleft()
         return None
+
+    @property
+    def settled(self) -> bool:
+        """An event is buffered, or none will come (cancelled)."""
+        return bool(self._buffer) or not self._active
+
+    def wait(self, seconds: float) -> bool:
+        """Block the calling thread until :attr:`settled`, up to ``seconds``
+        of wall-clock time; returns whether it settled."""
+        with self._changed:
+            return self._changed.wait_for(lambda: self.settled, seconds)
 
     def __iter__(self) -> Iterator[WatchEvent]:
         """Yield events as they arrive; stops when :meth:`next` yields
@@ -253,9 +267,11 @@ class Subscription:
     def cancel(self) -> None:
         """Disarm the subscription (idempotent); buffered events remain
         consumable via :meth:`poll`."""
-        if not self._active:
-            return
-        self._active = False
+        with self._lock:
+            if not self._active:
+                return
+            self._active = False
+            self._changed.notify_all()
         if self._canceller is not None:
             self._canceller()
 

@@ -1,24 +1,23 @@
 """repro.obs — observability for every deployment shape.
 
-The package bundles four passive instruments:
+The package bundles three passive instruments:
 
 * :class:`~repro.obs.registry.MetricsRegistry` — labelled counters,
   gauges and histograms with deterministic iteration order and three
   exporters (plain dicts, JSON lines, Prometheus text);
-* :class:`~repro.obs.trace.Tracer` — per-request lifecycle spans keyed
-  by the ``(client, request_id)`` correlation id already on the wire,
-  assembled into phase timelines and a "where did the time go" report;
-* :class:`~repro.obs.flight.FlightRecorder` — per-node bounded ring
-  buffers of typed structured events (message traffic, view changes,
-  checkpoint votes, lock grants, policy denials, ...) with drop
-  accounting, dumpable for the post-mortem ``python -m
-  repro.obs.doctor``;
+* :class:`~repro.obs.events.EventLog` — one typed, structured event per
+  instrumented moment (a submit, an execute, a message drop, a checkpoint
+  vote, a lock grant, a policy denial, ...), read through two views: the
+  per-request lifecycle phases keyed by the ``(client, request_id)``
+  correlation id already on the wire, assembled into timelines and a
+  "where did the time go" report; and per-node bounded rings with drop
+  accounting, dumpable for the post-mortem ``python -m repro.obs.doctor``;
 * :class:`~repro.obs.health.HealthMonitor` — online probes over
   already-observed state (checkpoint starvation, view-change churn,
   reply-quorum divergence, waiter occupancy, shard skew) with
   fire/clear hysteresis, surfaced via ``Space.stats()["health"]``.
 
-:class:`Observability` carries all four through ``connect(obs=...)`` /
+:class:`Observability` carries all three through ``connect(obs=...)`` /
 ``Scenario(obs=...)`` into every layer.  The registry is the one store
 for every counted fact: components bind children on the deployment's
 registry, and their ``statistics`` dicts (``node.statistics``,
@@ -39,7 +38,7 @@ Quick start::
     space = connect("replicated", policy=policy, obs=obs)
     ... run a workload ...
     print(space.stats()["metrics"]["peats_operations_total"])
-    for row in obs.tracer.phase_report():
+    for row in obs.events.phase_report():
         print(row)
 """
 
@@ -54,13 +53,7 @@ from repro.obs.registry import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.trace import PHASES, NullTracer, Tracer, NULL_TRACER
-from repro.obs.flight import (
-    EVENT_KINDS,
-    FlightRecorder,
-    NullFlightRecorder,
-    NULL_FLIGHT,
-)
+from repro.obs.events import EVENT_KINDS, PHASES, EventLog, NullEventLog, NULL_EVENTS
 from repro.obs.health import (
     HealthMonitor,
     HealthReport,
@@ -75,13 +68,10 @@ __all__ = [
     "MetricsRegistry",
     "DEFAULT_BUCKETS",
     "PHASES",
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
     "EVENT_KINDS",
-    "FlightRecorder",
-    "NullFlightRecorder",
-    "NULL_FLIGHT",
+    "EventLog",
+    "NullEventLog",
+    "NULL_EVENTS",
     "HealthMonitor",
     "HealthReport",
     "NullHealthMonitor",
@@ -92,13 +82,12 @@ __all__ = [
 
 
 class Observability:
-    """Registry + tracer + flight recorder + health monitor, one bundle.
+    """Registry + event log + health monitor, one bundle.
 
     Every instrument defaults to a live instance; pass the matching
-    null object (``NULL_FLIGHT``, ``NULL_HEALTH``, ...) to switch one
-    off individually — e.g. ``Observability(flight=NULL_FLIGHT)`` is
-    the tracer-only configuration the overhead bench measures.  The
-    registry has no null twin: it is the deployment's counter store.
+    null object (``NULL_EVENTS``, ``NULL_HEALTH``) to switch one off
+    individually.  The registry has no null twin: it is the deployment's
+    counter store.
 
     One bundle belongs to one deployment.  Components bind their metric
     children by node / client / transport label, and those ids are
@@ -112,13 +101,11 @@ class Observability:
         self,
         *,
         registry: Optional[MetricsRegistry] = None,
-        tracer: Union[Tracer, NullTracer, None] = None,
-        flight: Union[FlightRecorder, NullFlightRecorder, None] = None,
+        events: Optional[EventLog] = None,
         health: Union[HealthMonitor, NullHealthMonitor, None] = None,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer()
-        self.flight = flight if flight is not None else FlightRecorder()
+        self.events = events if events is not None else EventLog()
         self.health = (
             health if health is not None else HealthMonitor(registry=self.registry)
         )
@@ -126,15 +113,14 @@ class Observability:
     def snapshot(self) -> dict[str, Any]:
         return {
             "metrics": self.registry.snapshot(),
-            "tracing": self.tracer.statistics(),
-            "flight": self.flight.statistics(),
+            **self.events.statistics(),  # tracing, flight
             "health": self.health.statistics(),
         }
 
     def __repr__(self) -> str:
         return (
-            f"Observability(registry={self.registry!r}, tracer={self.tracer!r}, "
-            f"flight={self.flight!r}, health={self.health!r})"
+            f"Observability(registry={self.registry!r}, events={self.events!r}, "
+            f"health={self.health!r})"
         )
 
 
@@ -146,6 +132,6 @@ def resolve_obs(obs: Optional[Observability]) -> Observability:
     from it."""
     if obs is not None:
         return obs
-    bundle = Observability(tracer=NULL_TRACER, flight=NULL_FLIGHT, health=NULL_HEALTH)
+    bundle = Observability(events=NULL_EVENTS, health=NULL_HEALTH)
     bundle.enabled = False
     return bundle

@@ -1,7 +1,7 @@
-"""repro.obs.doctor — merge flight dumps into a post-mortem diagnosis.
+"""repro.obs.doctor — merge event-log dumps into a post-mortem diagnosis.
 
 ``python -m repro.obs.doctor dump1.json dump2.json ...`` takes the
-per-node flight-recorder dumps of a wedged (or merely suspicious)
+per-node ring dumps of the event log of a wedged (or merely suspicious)
 deployment, merges them into one causally ordered timeline keyed by the
 on-wire correlation ids, cross-references an optional health-report
 snapshot, and emits a text or JSON diagnosis naming what it can prove
@@ -22,7 +22,7 @@ from the recordings alone:
 * **message-loss** — drop/reject counts by reason, attributing lossy
   links, partitions, and MAC rejections.
 
-Every input may be a full :meth:`~repro.obs.flight.FlightRecorder.dump`
+Every input may be a full :meth:`~repro.obs.events.EventLog.dump`
 (many nodes) or a single ``dump_node`` payload; overlapping dumps of the
 same node are deduplicated by per-node sequence number, so partial and
 repeated captures merge cleanly.  The tool is read-only and dependency
@@ -447,9 +447,9 @@ def render_text(diagnosis: dict[str, Any], *, tail: int = 0, timeline: Any = Non
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.doctor",
-        description="Merge flight-recorder dumps into a post-mortem diagnosis.",
+        description="Merge event-log ring dumps into a post-mortem diagnosis.",
     )
-    parser.add_argument("dumps", nargs="+", help="flight dump JSON files")
+    parser.add_argument("dumps", nargs="+", help="ring dump JSON files (EventLog.dump)")
     parser.add_argument(
         "--health", help="optional Space.stats()['health'] JSON snapshot"
     )

@@ -73,8 +73,8 @@ class CheckpointingMixin:
         current = self._checkpoint_votes.get(replica)
         if current is None or message.sequence >= current.sequence:
             self._checkpoint_votes[replica] = message
-            if self._flight.enabled:
-                self._flight_event(
+            if self._events.enabled:
+                self._event(
                     "checkpoint-vote",
                     sequence=message.sequence,
                     digest=message.state_digest,
@@ -117,8 +117,8 @@ class CheckpointingMixin:
         """Adopt a stable checkpoint certificate: truncate and slide the window."""
         self.stable_checkpoint = sequence
         self._checkpoint_proof = proof
-        if self._flight.enabled:
-            self._flight_event(
+        if self._events.enabled:
+            self._event(
                 "checkpoint-cert",
                 sequence=sequence,
                 digest=proof[0].state_digest if proof else None,
@@ -176,8 +176,8 @@ class CheckpointingMixin:
     # ------------------------------------------------------------------
 
     def _request_state(self, sequence: int) -> None:
-        if self._flight.enabled:
-            self._flight_event("state-request", sequence=sequence)
+        if self._events.enabled:
+            self._event("state-request", sequence=sequence)
         self._multicast(StateRequest(sequence=sequence, replica=self.replica_id))
 
     def _on_state_request(self, sender: Hashable, message: StateRequest) -> None:
@@ -185,8 +185,8 @@ class CheckpointingMixin:
             return
         if self.stable_checkpoint < message.sequence:
             return
-        if self._flight.enabled:
-            self._flight_event(
+        if self._events.enabled:
+            self._event(
                 "state-response", sequence=self.stable_checkpoint, requester=str(sender)
             )
         state, state_digest = self._stable_state
@@ -249,8 +249,8 @@ class CheckpointingMixin:
         ]
         if len(matching) < self.f + 1:
             return
-        if self._flight.enabled:
-            self._flight_event(
+        if self._events.enabled:
+            self._event(
                 "state-install",
                 sequence=message.sequence,
                 digest=message.state_digest,

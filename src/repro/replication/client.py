@@ -173,8 +173,7 @@ class PEATSClient:
         self._max_retransmissions = max_retransmissions
         self.obs = resolve_obs(obs)
         registry = self.obs.registry
-        self._tracer = self.obs.tracer
-        self._flight = self.obs.flight
+        self._events = self.obs.events
         client = str(client_id)
         self._obs_requests = registry.counter(
             "client_requests_total", "Requests submitted by replicated-PEATS clients"
@@ -311,8 +310,8 @@ class PEATSClient:
 
     def _record_mismatch(self, pending: PendingRequest) -> None:
         self._obs_mismatched_replies.inc()
-        if self._flight.enabled:
-            self._flight.record(
+        if self._events.enabled:
+            self._events.record(
                 "reply-mismatch",
                 self.client_id,
                 self.network.now,
@@ -322,10 +321,8 @@ class PEATSClient:
 
     def _resolve(self, pending: PendingRequest, result: Any) -> None:
         self._release(pending)
-        if self._tracer.enabled:
-            self._tracer.record("complete", pending.key, self.client_id, self.network.now)
-        if self._flight.enabled:
-            self._flight.record(
+        if self._events.enabled:
+            self._events.record(
                 "complete", self.client_id, self.network.now, key=pending.key
             )
         pending._complete(self.network.now, result=result)
@@ -357,8 +354,8 @@ class PEATSClient:
         pending.attempts += 1
         if pending.attempts > self._max_retransmissions:
             self._obs_quorum_failures.inc()
-            if self._flight.enabled:
-                self._flight.record(
+            if self._events.enabled:
+                self._events.record(
                     "quorum-failure",
                     self.client_id,
                     self.network.now,
@@ -523,10 +520,8 @@ class PEATSClient:
             if first:
                 queue = self._queues[targets] = deque()
             queue.append(pending)
-        if self._tracer.enabled:
-            self._tracer.record("submit", request.key, self.client_id, self.network.now)
-        if self._flight.enabled:
-            self._flight.record(
+        if self._events.enabled:
+            self._events.record(
                 "submit",
                 self.client_id,
                 self.network.now,

@@ -114,7 +114,7 @@ class DeliveryCore:
         # The core is the only component that can attribute a message
         # that never reached a handler.  Recording is strictly passive: it
         # consumes no randomness and schedules nothing.
-        self._flight = self.obs.flight
+        self._events = self.obs.events
         registry = self.obs.registry
         families = {  # ``statistics`` key → family
             "delivered": registry.counter("net_frames_delivered_total", "Verified and handled"),
@@ -264,8 +264,8 @@ class DeliveryCore:
     ) -> None:
         """Count a delivery no handler will see, and record why."""
         self._count(key)
-        if self._flight.enabled:
-            self._flight.record(
+        if self._events.enabled:
+            self._events.record(
                 kind, node, self.now, **peer, reason=reason, type=type(payload).__name__
             )
 

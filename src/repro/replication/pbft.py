@@ -198,8 +198,7 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
         # registry, the only store of these counts (``statistics`` is a view).
         self.obs = resolve_obs(obs)
         registry = self.obs.registry
-        self._tracer = self.obs.tracer
-        self._flight = self.obs.flight
+        self._events = self.obs.events
         node = str(replica_id)
         self._obs_batches = registry.counter(
             "pbft_batches_total", "Consensus batches this node pre-prepared as primary"
@@ -247,16 +246,16 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
         }
         network.register(replica_id, self.on_message)
 
-    def _trace_batch(self, phase: str, batch: Batch) -> None:
-        """Record ``phase`` for every real request of a batch (tracing on)."""
+    def _event_batch(self, kind: str, batch: Batch) -> None:
+        """Record ``kind`` for every real request of a batch (log on)."""
         for request in batch.requests:
             if request.client != NULL_REQUEST_CLIENT:
-                self._tracer.record(phase, request.key, self.replica_id, self.network.now)
+                self._events.record(kind, self.replica_id, self.network.now, key=request.key)
 
-    def _flight_event(self, kind: str, **fields: Any) -> None:
-        """Record one flight event of this node, stamped with the transport
-        clock (flight recording on)."""
-        self._flight.record(kind, self.replica_id, self.network.now, **fields)
+    def _event(self, kind: str, **fields: Any) -> None:
+        """Record one event of this node, stamped with the transport clock
+        (log on)."""
+        self._events.record(kind, self.replica_id, self.network.now, **fields)
 
     # ------------------------------------------------------------------
     # Helpers
@@ -292,8 +291,8 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
     def _multicast(self, payload: Any) -> None:
         if self.is_silent:
             return
-        if self._flight.enabled:
-            self._flight_event("msg-send", type=type(payload).__name__)
+        if self._events.enabled:
+            self._event("msg-send", type=type(payload).__name__)
         self.network.broadcast(self.replica_id, self.replica_ids, payload)
 
     def _send(self, receiver: Hashable, payload: Any) -> None:
@@ -326,8 +325,8 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
         if handler is None:
             # Unknown payloads are ignored (a Byzantine node may send garbage).
             return
-        if self._flight.enabled:
-            self._flight_event(
+        if self._events.enabled:
+            self._event(
                 "msg-recv",
                 key=payload.key if isinstance(payload, ClientRequest) else None,
                 type=type(payload).__name__,
@@ -418,8 +417,8 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
         self.next_sequence += 1
         self._obs_batches.inc()
         self._obs_batch_size.observe(float(len(batch.requests)))
-        if self._tracer.enabled:
-            self._trace_batch("pre-prepare", batch)
+        if self._events.enabled:
+            self._event_batch("pre-prepare", batch)
         self._propose(sequence, batch)
 
     # ------------------------------------------------------------------
@@ -493,8 +492,8 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
             return
         self._pre_prepares[key] = message
         self._ordered_keys.update(message.batch.keys())
-        if self._tracer.enabled:
-            self._trace_batch("pre-prepare", message.batch)
+        if self._events.enabled:
+            self._event_batch("pre-prepare", message.batch)
         for request in message.batch.requests:
             self._unordered.pop(request.key, None)
             if request.client != NULL_REQUEST_CLIENT:
@@ -564,8 +563,8 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
         if not self._prepared(view, sequence, batch_digest):
             return
         self._sent_commit.add(key)
-        if self._tracer.enabled:
-            self._trace_batch("prepare", self._pre_prepares[key].batch)
+        if self._events.enabled:
+            self._event_batch("prepare", self._pre_prepares[key].batch)
         self._multicast(
             Commit(
                 view=view,
@@ -594,8 +593,8 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
         if sequence <= self.last_executed or sequence in self._committed:
             return
         self._committed[sequence] = self._pre_prepares[key].batch
-        if self._tracer.enabled:
-            self._trace_batch("commit", self._pre_prepares[key].batch)
+        if self._events.enabled:
+            self._event_batch("commit", self._pre_prepares[key].batch)
         self._execute_ready()
 
     def _execute_ready(self) -> None:
@@ -606,12 +605,8 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
             for request in batch.requests:
                 latest = self.application.last_request_id(request.client)
                 stale = latest is not None and latest > request.request_id
-                if self._tracer.enabled and request.client != NULL_REQUEST_CLIENT:
-                    self._tracer.record(
-                        "execute", request.key, self.replica_id, self.network.now
-                    )
-                if self._flight.enabled and request.client != NULL_REQUEST_CLIENT:
-                    self._flight_event(
+                if self._events.enabled and request.client != NULL_REQUEST_CLIENT:
+                    self._event(
                         "execute", key=request.key, sequence=sequence, operation=request.operation
                     )
                 result = self.application.execute(request)
@@ -670,10 +665,8 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
         if request.client == NULL_REQUEST_CLIENT:
             # Gap-filling no-ops have no real client to answer.
             return
-        if self._tracer.enabled:
-            self._tracer.record("reply", request.key, self.replica_id, self.network.now)
-        if self._flight.enabled:
-            self._flight_event("reply", key=request.key, client=str(request.client))
+        if self._events.enabled:
+            self._event("reply", key=request.key, client=str(request.client))
         if self.fault_mode is ReplicaFaultMode.LYING:
             # The lie is self-consistent (its digest is its result's) and
             # names its replica, so f liars never agree on one wrong answer.

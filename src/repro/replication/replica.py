@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from typing import Any, Hashable, Optional
 
+from repro.errors import TupleSpaceError
 from repro.notify import WaiterTable
 from repro.obs import resolve_obs
 from repro.peo.base import DENIED
@@ -49,8 +50,8 @@ from repro.replication.messages import (
     TxnVote,
 )
 from repro.tspace.augmented import AugmentedTupleSpace
-from repro.tuples import Entry, Template, is_defined
-from repro.txn.legs import apply_legs, leg_names, resolve_legs
+from repro.tuples import Entry
+from repro.txn.legs import apply_legs, check_arguments, leg_name, leg_names, resolve_legs
 from repro.txn.state import CoordinatorTable, LockTable, ParticipantTable
 
 __all__ = ["DENIED", "TXN_LOCKED", "PEATSReplica", "ExecutionResult"]
@@ -63,11 +64,11 @@ __all__ = ["DENIED", "TXN_LOCKED", "PEATSReplica", "ExecutionResult"]
 TXN_LOCKED = "TXN-LOCKED"
 
 
-#: Tracer phase of the commit-protocol steps that have one.
+#: Event kind of the commit-protocol steps that are lifecycle phases.
 _TRACED_STEPS = {
     "txn_prepare": "txn-prepare",
-    "txn_decision": "txn-decision",
-    "txn_force": "txn-decision",
+    "txn_decision": "txn-decide",
+    "txn_force": "txn-decide",
 }
 
 
@@ -174,11 +175,10 @@ class PEATSReplica:
         self._waiters = WaiterTable()
         self.obs = resolve_obs(obs)
         registry = self.obs.registry
-        self._tracer = self.obs.tracer
-        self._flight = self.obs.flight
-        # Flight-event timestamp source: the owning service passes its
+        self._events = self.obs.events
+        # Event timestamp source: the owning service passes its
         # transport clock; standalone replicas (unit tests, the local
-        # backend) stamp 0.0 — the recorder itself never reads a clock.
+        # backend) stamp 0.0 — the log itself never reads a clock.
         self._now = now_fn if now_fn is not None else (lambda: 0.0)
         self._obs_operations = registry.counter(
             "peats_operations_total", "Invocations the reference monitor authorized"
@@ -199,9 +199,9 @@ class PEATSReplica:
             "notify_pushed_total", "Waiter notifications this node pushed to clients"
         ).labels(node=self._obs_node)
 
-    def _flight_event(self, kind: str, **fields: Any) -> None:
-        """Record one flight event of this replica (flight recording on)."""
-        self._flight.record(kind, self.replica_id, self._now(), **fields)
+    def _event(self, kind: str, **fields: Any) -> None:
+        """Record one event of this replica (log on)."""
+        self._events.record(kind, self.replica_id, self._now(), **fields)
 
     # ------------------------------------------------------------------
     # Deterministic execution
@@ -245,6 +245,12 @@ class PEATSReplica:
         arguments = request.arguments
         if operation not in self.SUPPORTED_OPERATIONS:
             return ExecutionResult(None, denied=True, reason=f"unsupported operation {operation!r}")
+        try:
+            # Nothing a client sends reaches the monitor or the space
+            # unchecked: an exception here would wedge every replica.
+            check_arguments(operation, arguments)
+        except TupleSpaceError:
+            return ExecutionResult(None, denied=True, reason=f"malformed {operation} arguments")
         if operation.startswith("txn_"):
             return self._execute_txn(request)
         invocation = Invocation(
@@ -253,12 +259,12 @@ class PEATSReplica:
         decision = self._monitor.authorize(invocation, self._space)
         if not decision.allowed:
             # Labelled by the bounded reason *kind*; the full text (which can
-            # quote the client's own arguments) goes to the flight recorder.
+            # quote the client's own arguments) goes to the event log.
             self._obs_denials.labels(
                 node=self._obs_node, operation=operation, reason=decision.kind
             ).inc()
-            if self._flight.enabled:
-                self._flight_event(
+            if self._events.enabled:
+                self._event(
                     "policy-deny",
                     key=request.key,
                     operation=operation,
@@ -275,7 +281,7 @@ class PEATSReplica:
         counter.inc()
         if len(self._locks):
             conflict = self._locks.conflicting(
-                self._operation_names(operation, arguments), self._op_counter
+                self._operation_names(arguments), self._op_counter
             )
             if conflict is not None:
                 return ExecutionResult(None, locked=conflict)
@@ -299,14 +305,10 @@ class PEATSReplica:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _operation_names(operation: str, arguments: tuple) -> tuple:
-        """The name fields an ordinary operation touches (None = wildcard)."""
-        names: list[Any] = []
-        for argument in arguments:
-            if isinstance(argument, (Entry, Template)) and argument.fields:
-                field = argument.fields[0]
-                names.append(field if is_defined(field) else None)
-        return tuple(names)
+    def _operation_names(arguments: tuple) -> tuple:
+        """The name fields a checked ordinary operation touches (None =
+        wildcard)."""
+        return tuple(leg_name(argument.fields[0]) for argument in arguments)
 
     def _push_to_owner(self, push: type, txn_id: tuple, **fields: Any) -> None:
         """Queue one transaction push, addressed to the transaction's owner."""
@@ -317,12 +319,10 @@ class PEATSReplica:
     def _execute_txn(self, request: ClientRequest) -> ExecutionResult:
         operation = request.operation
         arguments = request.arguments
-        if self._tracer.enabled and operation in _TRACED_STEPS:
+        if self._events.enabled and operation in _TRACED_STEPS:
             # Commit-protocol steps get their own lifecycle phases, so a
             # trace timeline shows prepare→decision.
-            self._tracer.record(
-                _TRACED_STEPS[operation], request.key, self.replica_id, self._now()
-            )
+            self._event(_TRACED_STEPS[operation], key=request.key)
         try:
             if operation == "txn_exec":
                 return self._txn_exec(request, *arguments)
@@ -404,8 +404,8 @@ class PEATSReplica:
                         self._op_counter + self.txn_ttl_ops,
                         coordinator_shard,
                     )
-                    if self._flight.enabled:
-                        self._flight_event(
+                    if self._events.enabled:
+                        self._event(
                             "lock-grant",
                             txn=repr(tuple(txn_id)),
                             names=sorted(str(name) for name in names),
@@ -491,8 +491,8 @@ class PEATSReplica:
                 return ExecutionResult(("not-expired", expires_at))
             record = self._txn_coord.decide(tuple(txn_id), "abort", ("expired",))
             assert record is not None
-            if self._flight.enabled:
-                self._flight_event(
+            if self._events.enabled:
+                self._event(
                     "lock-expire",
                     txn=repr(tuple(txn_id)),
                     expired_at=expires_at,
@@ -536,8 +536,8 @@ class PEATSReplica:
             for entry in inserted:
                 self._collect_matches(entry, request)
         self._locks.release(tuple(txn_id))
-        if self._flight.enabled:
-            self._flight_event("lock-release", txn=repr(tuple(txn_id)), outcome=outcome)
+        if self._events.enabled:
+            self._event("lock-release", txn=repr(tuple(txn_id)), outcome=outcome)
         self._txn_part.mark_applied(tuple(txn_id), outcome)
         self._push_to_owner(TxnAck, txn_id, shard=shard, outcome=outcome)
         return ExecutionResult(("applied", outcome, results))
@@ -560,8 +560,8 @@ class PEATSReplica:
             accepted = self._waiters.register(
                 payload.client, payload.waiter_id, payload.template, payload.operation
             )
-            if self._flight.enabled:
-                self._flight_event(
+            if self._events.enabled:
+                self._event(
                     "waiter-register",
                     client=str(payload.client),
                     waiter_id=payload.waiter_id,
@@ -570,8 +570,8 @@ class PEATSReplica:
                 )
         else:
             self._waiters.cancel(payload.client, payload.waiter_id)
-            if self._flight.enabled:
-                self._flight_event(
+            if self._events.enabled:
+                self._event(
                     "waiter-cancel", client=str(payload.client), waiter_id=payload.waiter_id
                 )
         self._obs_waiters.set(len(self._waiters))
@@ -644,15 +644,16 @@ class PEATSReplica:
     def push_sent(self, push: Any) -> None:
         """Account for one drained push the node actually sent."""
         if isinstance(push, Notify):
-            if self._tracer.enabled:
-                self._tracer.record("notify", push.event, self.replica_id, self._now())
-            if self._flight.enabled:
-                self._flight_event(
-                    "waiter-notify", client=str(push.client), waiter_id=push.waiter_id
+            if self._events.enabled:
+                self._event(
+                    "waiter-notify",
+                    key=push.event,
+                    client=str(push.client),
+                    waiter_id=push.waiter_id,
                 )
             self._obs_pushed.inc()
-        elif self._flight.enabled:
-            self._flight_event(
+        elif self._events.enabled:
+            self._event(
                 "txn-vote" if isinstance(push, TxnVote) else "txn-decision",
                 txn=repr(push.txn_id),
                 client=str(push.client),

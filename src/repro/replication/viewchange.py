@@ -91,8 +91,8 @@ class ViewChangeMixin:
         self._obs_view_changes.inc()
         self._view_changing = True
         self._view_change_started_at = self.network.now
-        if self._flight.enabled:
-            self._flight_event(
+        if self._events.enabled:
+            self._event(
                 "view-change",
                 new_view=new_view,
                 last_executed=self.last_executed,
@@ -233,8 +233,8 @@ class ViewChangeMixin:
     ) -> None:
         self.view = new_view
         self._view_changing = False
-        if self._flight.enabled:
-            self._flight_event("view-installed", view=new_view, reproposals=len(reproposals))
+        if self._events.enabled:
+            self._event("view-installed", view=new_view, reproposals=len(reproposals))
         self._sent_prepare.clear()
         self._sent_commit.clear()
         if stable > self.stable_checkpoint:

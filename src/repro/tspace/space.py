@@ -115,6 +115,18 @@ class TupleSpace(TupleSpaceInterface):
         insert arm of ``cas``), outside the space lock."""
         self._insert_listeners.append(listener)
 
+    @property
+    def inserts(self) -> int:
+        """How many entries were ever inserted — the reading to pass to
+        :meth:`wait_for_insert`."""
+        return self._next_id
+
+    def wait_for_insert(self, seen: int, timeout: float) -> bool:
+        """Block until an insert lands after the ``seen`` reading of
+        :attr:`inserts`, up to ``timeout`` seconds; returns whether one did."""
+        with self._condition:
+            return self._condition.wait_for(lambda: self._next_id > seen, timeout)
+
     def remove_insert_listener(self, listener: Callable[[Entry], None]) -> None:
         """Detach a listener added by :meth:`add_insert_listener` (idempotent)."""
         try:

@@ -47,6 +47,7 @@ __all__ = [
     "Pin",
     "normalize_leg",
     "normalize_legs",
+    "check_arguments",
     "leg_invocation",
     "leg_name",
     "leg_names",
@@ -98,6 +99,43 @@ def normalize_legs(legs: Sequence[Any]) -> tuple:
     if not legs:
         raise TupleSpaceError("a transaction must stage at least one leg")
     return tuple(normalize_leg(leg) for leg in legs)
+
+
+#: The leg shape of each tuple-space operation's arguments.
+_LEG_OF = {"out": "out", "rdp": "rd", "rd": "rd", "inp": "in", "in": "in", "cas": "cas"}
+#: Where the staged legs sit among a leg-carrying request's arguments.
+_LEGS_AT = {"txn_exec": (1, 0), "txn_vote": (4, 3)}
+#: The commit-protocol steps, whose first argument is the transaction id.
+_TXN_STEPS = ("txn_prepare", "txn_vote", "txn_decision", "txn_force", "txn_apply")
+
+
+def check_arguments(operation: str, arguments: Any) -> None:
+    """Raise :class:`TupleSpaceError` unless ``arguments`` has the shape
+    ``operation`` takes: its leg's for a tuple-space operation (a read
+    also takes an :class:`Entry`, as the tuple space does), staged legs
+    for ``txn_exec``/``txn_vote``, a non-empty transaction id first for
+    a commit-protocol step.  Other operations are not checked."""
+    if operation not in _LEG_OF and operation not in _LEGS_AT and operation not in _TXN_STEPS:
+        return
+    try:
+        if not isinstance(arguments, tuple):
+            raise TypeError(operation)
+        if operation in _TXN_STEPS and not (
+            arguments and isinstance(arguments[0], tuple) and arguments[0]
+        ):
+            raise TypeError(operation)
+        if operation in _LEGS_AT:
+            arity, index = _LEGS_AT[operation]
+            if len(arguments) != arity or not isinstance(arguments[index], tuple):
+                raise TypeError(operation)
+            normalize_legs(arguments[index])
+        elif operation in _LEG_OF:
+            leg = (_LEG_OF[operation],) + arguments
+            if operation != "out" and arguments and isinstance(arguments[0], Entry):
+                leg = (leg[0], arguments[0].to_template()) + arguments[1:]
+            normalize_leg(leg)
+    except (TupleSpaceError, TypeError):
+        raise TupleSpaceError(f"malformed {operation} arguments {arguments!r}") from None
 
 
 def leg_invocation(process: Any, leg: tuple) -> Invocation:

@@ -506,9 +506,9 @@ class CrossShardTxn:
         # The *ordered* outcome is authoritative: first decision wins, so a
         # lock-expiry force-abort that raced us overrides our commit intent.
         _tag, outcome, reason, _participants = value
-        flight = self.client.obs.flight
-        if flight.enabled:
-            flight.record(
+        events = self.client.obs.events
+        if events.enabled:
+            events.record(
                 "txn-decision",
                 self.client.client_id,
                 self.space._now(),

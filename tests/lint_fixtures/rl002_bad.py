@@ -1,17 +1,17 @@
 # repro-lint: scope=RL002
-"""RL002 positive fixture: unguarded tracer call sites."""
+"""RL002 positive fixture: unguarded event-log call sites."""
 
 
 class Node:
-    def __init__(self, tracer):
-        self._tracer = tracer
+    def __init__(self, events):
+        self._events = events
 
     def handle(self, key):
-        self._tracer.record("op", key, "node", 0.0)
+        self._events.record("submit", "node", 0.0, key=key)
 
     def flush(self):
-        self._trace_flush()
+        self._event_flush()
 
-    def _trace_flush(self):
-        # Exempt: inside a _trace* helper the guard lives at call sites.
-        self._tracer.record("flush", None, "node", 0.0)
+    def _event_flush(self):
+        # Exempt: inside an _event* helper the guard lives at call sites.
+        self._events.record("complete", "node", 0.0)

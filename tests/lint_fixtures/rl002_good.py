@@ -3,16 +3,16 @@
 
 
 class Node:
-    def __init__(self, tracer):
-        self._tracer = tracer
+    def __init__(self, events):
+        self._events = events
 
     def handle(self, key):
-        if self._tracer.enabled:
-            self._tracer.record("op", key, "node", 0.0)
+        if self._events.enabled:
+            self._events.record("submit", "node", 0.0, key=key)
 
     def flush(self):
-        if self._tracer.enabled:
-            self._trace_flush()
+        if self._events.enabled:
+            self._event_flush()
 
-    def _trace_flush(self):
-        self._tracer.record("flush", None, "node", 0.0)
+    def _event_flush(self):
+        self._events.record("complete", "node", 0.0)

@@ -3,8 +3,8 @@
 
 
 class Node:
-    def __init__(self, tracer):
-        self._tracer = tracer
+    def __init__(self, events):
+        self._events = events
 
     def handle(self, key):
-        self._tracer.record("op", key, "node", 0.0)  # repro-lint: disable=RL002
+        self._events.record("submit", "node", 0.0, key=key)  # repro-lint: disable=RL002

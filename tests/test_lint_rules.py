@@ -45,8 +45,8 @@ class TestRL002GuardedTracer:
         violations = lint("RL002", "rl002_bad.py")
         assert len(violations) == 2
         messages = [v.message for v in violations]
-        assert any("tracer.record()" in m for m in messages)
-        assert any("_trace_flush" in m for m in messages)
+        assert any("events.record()" in m for m in messages)
+        assert any("_event_flush" in m for m in messages)
 
     def test_enabled_guard_and_helper_body_are_clean(self):
         assert lint("RL002", "rl002_good.py") == []
@@ -55,14 +55,14 @@ class TestRL002GuardedTracer:
         assert lint("RL002", "rl002_pragma.py") == []
 
     def test_flags_unguarded_flight_record_and_helper_calls(self):
-        violations = lint("RL002", "rl002_flight_bad.py")
+        violations = lint("RL002", "rl002_local_bad.py")
         assert len(violations) == 2
         messages = [v.message for v in violations]
-        assert any("flight.record()" in m for m in messages)
-        assert any("_flight_note" in m for m in messages)
+        assert any("events.record()" in m for m in messages)
+        assert any("_event_note" in m for m in messages)
 
     def test_guarded_flight_calls_and_helper_body_are_clean(self):
-        assert lint("RL002", "rl002_flight_good.py") == []
+        assert lint("RL002", "rl002_local_good.py") == []
 
 
 class TestRL003CodecCompleteness:
@@ -148,7 +148,7 @@ class TestRL006BoundedCollections:
 
 class TestEngineSurface:
     def test_select_other_rule_sees_nothing(self):
-        # The RL001 fixture has no tracer calls: selecting RL002 over it
+        # The RL001 fixture has no event-log calls: selecting RL002 over it
         # must produce nothing even though the file is full of findings.
         assert lint("RL002", "rl001_bad.py") == []
 

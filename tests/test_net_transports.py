@@ -287,7 +287,7 @@ def test_forged_tcp_frame_is_rejected_before_the_handler():
             time.sleep(0.2)
         assert received == []
         assert net.statistics["rejected"] == 1
-        (event,) = obs.flight.events("victim")
+        (event,) = obs.events.events("victim")
         assert event["kind"] == "net-reject" and event["reason"] == "bad-mac"
         assert event["sender"] == "peer"
         # A genuine send still goes through afterwards.
@@ -306,7 +306,7 @@ def test_a_backlog_for_an_unreachable_peer_is_dropped_and_recorded():
         net.send("a", "ghost", ("hello", 1))
         assert net.run_until(lambda: net.statistics["dropped"] >= 1, timeout=WAIT_MS)
         assert net.statistics["rejected"] == 0
-        (event,) = obs.flight.events("a")
+        (event,) = obs.events.events("a")
         assert event["kind"] == "msg-drop" and event["reason"] == "unreachable"
         assert event["receiver"] == "ghost"
 
@@ -323,7 +323,7 @@ def test_oversized_tcp_frame_is_cut_off():
             time.sleep(0.2)
         assert received == []
         assert net.statistics["rejected"] == 1
-        (event,) = obs.flight.events("victim")
+        (event,) = obs.events.events("victim")
         assert event["kind"] == "net-reject" and event["reason"] == "oversized-frame"
 
 
@@ -660,7 +660,7 @@ def test_non_ascii_tcp_frame_mac_is_rejected_and_the_connection_keeps_serving():
         assert net.statistics["handler_errors"] == 0
         assert net.statistics["dropped"] == 0
     # Every reject is one flight event at the node that refused it, with why.
-    assert [event["reason"] for event in obs.flight.events("victim")] == [
+    assert [event["reason"] for event in obs.events.events("victim")] == [
         "bad-mac",
         "undecodable-frame",
         "undecodable-frame",
@@ -938,7 +938,7 @@ def test_a_frame_then_an_oversized_header_in_one_chunk_delivers_then_cuts():
             assert tail == b""  # the node cut the connection
         assert received == [("legit", 1)]
         assert net.statistics["rejected"] == 1
-        assert [event["reason"] for event in obs.flight.events("victim")] == [
+        assert [event["reason"] for event in obs.events.events("victim")] == [
             "oversized-frame"
         ]
 

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.obs import FlightRecorder
+from repro.obs import EventLog
 from repro.obs.doctor import (
     build_timeline,
     diagnose,
@@ -57,7 +57,7 @@ class TestMerge:
         assert merged["r0"]["recorded"] == 3
 
     def test_full_and_single_node_shapes_both_merge(self):
-        recorder = FlightRecorder()
+        recorder = EventLog()
         recorder.record("execute", "a", 1.0, sequence=1)
         recorder.record("execute", "b", 2.0, sequence=2)
         merged = merge_dumps([recorder.dump(), recorder.dump_node("a")])
@@ -236,7 +236,7 @@ class TestCli:
         assert "health:view-churn" in capsys.readouterr().out
 
     def test_load_dump_round_trips_recorder_output(self, tmp_path):
-        recorder = FlightRecorder()
+        recorder = EventLog()
         recorder.record("execute", "r0", 1.0, sequence=1)
         path = tmp_path / "d.json"
         path.write_text(json.dumps(recorder.dump()))

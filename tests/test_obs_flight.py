@@ -13,9 +13,9 @@ import pytest
 from repro.api import connect
 from repro.obs import (
     EVENT_KINDS,
-    FlightRecorder,
-    NullFlightRecorder,
-    NULL_FLIGHT,
+    EventLog,
+    NullEventLog,
+    NULL_EVENTS,
     Observability,
     NULL_HEALTH,
 )
@@ -38,12 +38,12 @@ def open_policy() -> AccessPolicy:
 
 class TestRingBuffer:
     def test_unknown_kind_is_rejected(self):
-        recorder = FlightRecorder()
+        recorder = EventLog()
         with pytest.raises(ValueError):
             recorder.record("not-a-kind", "n", 0.0)
 
     def test_events_carry_kind_time_key_details_and_seq(self):
-        recorder = FlightRecorder()
+        recorder = EventLog()
         recorder.record("submit", "c1", 1.5, key=("c1", 0), operation="out")
         (event,) = recorder.events("c1")
         assert event["kind"] == "submit"
@@ -53,7 +53,7 @@ class TestRingBuffer:
         assert event["seq"] == 0
 
     def test_ring_wraps_and_accounts_drops(self):
-        recorder = FlightRecorder(capacity=4)
+        recorder = EventLog(capacity=4)
         for index in range(7):
             recorder.record("execute", "r0", float(index), sequence=index)
         events = recorder.events("r0")
@@ -67,19 +67,19 @@ class TestRingBuffer:
         assert dump["capacity"] == 4
 
     def test_per_node_rings_are_independent(self):
-        recorder = FlightRecorder(capacity=2)
+        recorder = EventLog(capacity=2)
         recorder.record("execute", "a", 0.0, sequence=1)
         for index in range(3):
             recorder.record("execute", "b", float(index), sequence=index)
         assert len(recorder.events("a")) == 1
         assert len(recorder.events("b")) == 2
         assert recorder.nodes() == ["a", "b"]
-        stats = recorder.statistics()
+        stats = recorder.statistics()["flight"]
         assert stats == {"nodes": 2, "retained": 3, "recorded": 4, "dropped": 1}
 
     def test_dump_is_deterministic_for_identical_histories(self):
         def build():
-            recorder = FlightRecorder(capacity=8)
+            recorder = EventLog(capacity=8)
             for index in range(12):
                 recorder.record(
                     "msg-send", f"r{index % 3}", float(index), type="Prepare"
@@ -89,21 +89,21 @@ class TestRingBuffer:
         assert build() == build()
 
     def test_clear_resets_everything(self):
-        recorder = FlightRecorder(capacity=2)
+        recorder = EventLog(capacity=2)
         for index in range(5):
             recorder.record("execute", "r0", float(index), sequence=index)
         recorder.clear()
         assert recorder.nodes() == []
-        assert recorder.statistics() == {
+        assert recorder.statistics()["flight"] == {
             "nodes": 0, "retained": 0, "recorded": 0, "dropped": 0,
         }
 
     def test_null_recorder_is_disabled_and_inert(self):
-        assert NULL_FLIGHT.enabled is False
-        assert isinstance(NULL_FLIGHT, NullFlightRecorder)
-        NULL_FLIGHT.record("execute", "r0", 0.0)
-        assert NULL_FLIGHT.nodes() == []
-        assert NULL_FLIGHT.dump() == {"capacity": 0, "nodes": {}}
+        assert NULL_EVENTS.enabled is False
+        assert isinstance(NULL_EVENTS, NullEventLog)
+        NULL_EVENTS.record("execute", "r0", 0.0)
+        assert NULL_EVENTS.nodes() == []
+        assert NULL_EVENTS.dump() == {"capacity": 0, "nodes": {}}
 
     def test_event_kinds_is_a_closed_frozen_set(self):
         assert isinstance(EVENT_KINDS, frozenset)
@@ -124,12 +124,12 @@ class TestEndToEnd:
         assert space.rdp(template("k", Formal("v")), process="p0") == entry("k", 1)
         kinds = {
             event["kind"]
-            for node in obs.flight.nodes()
-            for event in obs.flight.events(node)
+            for node in obs.events.nodes()
+            for event in obs.events.events(node)
         }
         assert {"submit", "msg-send", "msg-recv", "execute", "reply", "complete"} <= kinds
         # Every node that spoke has a ring: the client plus four replicas.
-        assert len(obs.flight.nodes()) == 5
+        assert len(obs.events.nodes()) == 5
 
     def test_sharded_submit_records_route_events(self):
         obs = Observability()
@@ -137,8 +137,8 @@ class TestEndToEnd:
         space.out(entry("a", 1), process="p0")
         routes = [
             event
-            for node in obs.flight.nodes()
-            for event in obs.flight.events(node)
+            for node in obs.events.nodes()
+            for event in obs.events.events(node)
             if event["kind"] == "route"
         ]
         assert routes and all(event["shard"] in (0, 1) for event in routes)
@@ -156,8 +156,8 @@ class TestEndToEnd:
         obs = Observability()
         space = connect("replicated", policy=open_policy(), f=1, obs=obs)
         space.out(entry("k", 1), process="p0")
-        for node in obs.flight.nodes():
-            times = [event["t"] for event in obs.flight.events(node)]
+        for node in obs.events.nodes():
+            times = [event["t"] for event in obs.events.events(node)]
             assert times == sorted(times)  # per-node rings are append-ordered
 
 
@@ -176,7 +176,7 @@ def test_trace_digest_identical_with_flight_and_health_enabled():
     bare = run_scenario(_storm(None))
     instrumented = run_scenario(_storm(Observability()))
     tracer_only = run_scenario(
-        _storm(Observability(flight=NULL_FLIGHT, health=NULL_HEALTH))
+        _storm(Observability(events=NULL_EVENTS, health=NULL_HEALTH))
     )
     assert bare.completed and instrumented.completed and tracer_only.completed
     assert bare.metrics.trace_digest() == instrumented.metrics.trace_digest()
@@ -187,4 +187,4 @@ def test_flight_dump_is_identical_across_same_seed_replays():
     first_obs, second_obs = Observability(), Observability()
     run_scenario(_storm(first_obs))
     run_scenario(_storm(second_obs))
-    assert first_obs.flight.dump() == second_obs.flight.dump()
+    assert first_obs.events.dump() == second_obs.events.dump()

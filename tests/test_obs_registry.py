@@ -168,7 +168,7 @@ def test_resolve_obs_hands_out_a_fresh_disabled_bundle_with_a_live_registry():
     first, second = resolve_obs(None), resolve_obs(None)
     assert first is not second and first.registry is not second.registry
     assert not first.enabled
-    assert not (first.tracer.enabled or first.flight.enabled or first.health.enabled)
+    assert not (first.events.enabled or first.health.enabled)
     first.registry.counter("x").inc()
     assert first.registry.counter("x").value == 1.0
     assert "x" not in second.registry.snapshot()
@@ -184,7 +184,7 @@ def test_default_buckets_are_sorted_and_positive():
 def test_observability_snapshot_bundles_metrics_and_tracing():
     obs = Observability()
     obs.registry.counter("ops").inc()
-    obs.tracer.record("submit", ("c", 0), "c", 1.0)
+    obs.events.record("submit", "c", 1.0, key=("c", 0))
     snap = obs.snapshot()
     assert snap["metrics"]["ops"]["samples"][0]["value"] == 1.0
     assert snap["tracing"]["requests"] == 1

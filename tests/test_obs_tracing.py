@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import connect
-from repro.obs import Observability, PHASES, Tracer
+from repro.obs import EventLog, Observability, PHASES
 from repro.policy import AccessPolicy, Rule
 from repro.sim import Scenario, SimMetrics, run_scenario
 from repro.sim.workloads import consensus_storm
@@ -19,38 +19,38 @@ def open_policy() -> AccessPolicy:
 
 
 # ----------------------------------------------------------------------
-# Tracer unit behaviour
+# Phase view unit behaviour
 # ----------------------------------------------------------------------
 
 
 def test_tracer_first_observation_wins_and_sorts_canonically():
-    tracer = Tracer()
+    log = EventLog()
     key = ("client", 0)
-    tracer.record("prepare", key, "replica-2", 5.0)
-    tracer.record("submit", key, "client", 1.0)
-    tracer.record("prepare", key, "replica-0", 4.0)  # later report, ignored
-    timeline = tracer.timeline(key)
+    log.record("prepare", "replica-2", 5.0, key=key)
+    log.record("submit", "client", 1.0, key=key)
+    log.record("prepare", "replica-0", 4.0, key=key)  # later report, ignored
+    timeline = log.timeline(key)
     assert [row[0] for row in timeline] == ["submit", "prepare"]
     assert timeline[1] == ("prepare", 5.0, "replica-2")
-    assert tracer.phase_durations(key) == [("submit→prepare", 4.0)]
+    assert log.phase_durations(key) == [("submit→prepare", 4.0)]
 
 
 def test_tracer_caps_new_requests_but_completes_open_spans():
-    tracer = Tracer(max_requests=1)
-    tracer.record("submit", "a", "c", 1.0)
-    tracer.record("complete", "a", "c", 2.0)  # open span keeps recording
-    tracer.record("submit", "b", "c", 3.0)  # new key at cap: dropped
-    stats = tracer.statistics()
+    log = EventLog(max_requests=1)
+    log.record("submit", "c", 1.0, key="a")
+    log.record("complete", "c", 2.0, key="a")  # open span keeps recording
+    log.record("submit", "c", 3.0, key="b")  # new key at cap: dropped
+    stats = log.statistics()["tracing"]
     assert stats == {"requests": 1, "complete": 1, "observations": 2, "dropped": 1}
 
 
 def test_phase_report_aggregates_over_requests():
-    tracer = Tracer()
+    log = EventLog()
     for index, latency in enumerate((1.0, 3.0)):
         key = ("c", index)
-        tracer.record("submit", key, "c", 0.0)
-        tracer.record("complete", key, "c", latency)
-    (row,) = tracer.phase_report()
+        log.record("submit", "c", 0.0, key=key)
+        log.record("complete", "c", latency, key=key)
+    (row,) = log.phase_report()
     assert row["phase"] == "submit→complete"
     assert row["count"] == 2
     assert row["mean"] == pytest.approx(2.0)
@@ -67,14 +67,14 @@ def test_replicated_requests_assemble_full_consensus_span():
     space = connect("replicated", policy=open_policy(), f=1, obs=obs)
     space.out(entry("k", 1), process="p0")
     assert space.rd(template("k", Formal("v")), process="p0") == entry("k", 1)
-    keys = obs.tracer.requests()
+    keys = obs.events.requests()
     assert keys, "no spans were traced"
-    phases = [phase for phase, _, _ in obs.tracer.timeline(keys[0])]
+    phases = [phase for phase, _, _ in obs.events.timeline(keys[0])]
     assert phases == [
         "submit", "pre-prepare", "prepare", "commit", "execute", "reply", "complete",
     ]
     # Phase times never run backwards along the lifecycle.
-    times = [when for _, when, _ in obs.tracer.timeline(keys[0])]
+    times = [when for _, when, _ in obs.events.timeline(keys[0])]
     assert times == sorted(times)
 
 
@@ -84,8 +84,8 @@ def test_sharded_requests_include_route_phase_and_shard_node():
     space.out(entry("a", 1), process="p0")
     space.out(entry("b", 2), process="p0")
     routed = {}
-    for key in obs.tracer.requests():
-        for phase, _, node in obs.tracer.timeline(key):
+    for key in obs.events.requests():
+        for phase, _, node in obs.events.timeline(key):
             if phase == "route":
                 routed[key] = node
     assert routed, "sharded submits must traverse the route phase"
@@ -117,8 +117,8 @@ def test_all_phases_are_canonical():
     space.out(entry("k", 1), process="p0")
     seen = {
         phase
-        for key in obs.tracer.requests()
-        for phase, _, _ in obs.tracer.timeline(key)
+        for key in obs.events.requests()
+        for phase, _, _ in obs.events.timeline(key)
     }
     assert seen <= set(PHASES)
 
@@ -222,7 +222,7 @@ def test_instrumented_replay_is_self_identical_and_metrics_match():
         first_obs.registry.to_prometheus_text()
         == second_obs.registry.to_prometheus_text()
     )
-    assert first_obs.tracer.phase_report() == second_obs.tracer.phase_report()
+    assert first_obs.events.phase_report() == second_obs.events.phase_report()
 
 
 # ----------------------------------------------------------------------

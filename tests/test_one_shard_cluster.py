@@ -77,7 +77,7 @@ def test_one_group_never_routes_or_gathers():
     view.cas(template(ANY, 3), entry("C", 3))
     kinds = {
         event["kind"]
-        for node in obs.flight.dump()["nodes"].values()
+        for node in obs.events.dump()["nodes"].values()
         for event in node["events"]
     }
     assert "route" not in kinds

@@ -92,7 +92,7 @@ def test_each_liar_corrupts_independently_and_a_mute_node_sends_nothing(cls):
         # carries the liar's id in a corrupted field.
         assert as_r0["r1"] != as_r0["r2"]
     # Accounting follows what left: liars count, the MUTE node does not.
-    kinds = {node.replica_id: [e["kind"] for e in obs.flight.events(node.replica_id)]
+    kinds = {node.replica_id: [e["kind"] for e in obs.events.events(node.replica_id)]
              for node in nodes}
     assert all(kinds[rid] == [FLIGHT_KIND[cls]] for rid in ("r0", "r1", "r2"))
     assert kinds["r3"] == []

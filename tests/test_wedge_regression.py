@@ -75,7 +75,7 @@ class TestWedgeRegression:
 
     def test_doctor_attributes_divergence_from_flight_dumps_alone(self):
         obs, _result = _run_wedge()
-        diagnosis = diagnose(merge_dumps([obs.flight.dump()]))
+        diagnosis = diagnose(merge_dumps([obs.events.dump()]))
         divergence = [
             f for f in diagnosis["findings"] if f["kind"] == "checkpoint-divergence"
         ]
@@ -94,4 +94,4 @@ class TestWedgeRegression:
     def test_wedge_replay_is_deterministic(self):
         first_obs, _ = _run_wedge()
         second_obs, _ = _run_wedge()
-        assert first_obs.flight.dump() == second_obs.flight.dump()
+        assert first_obs.events.dump() == second_obs.events.dump()
