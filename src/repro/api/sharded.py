@@ -304,9 +304,11 @@ class ShardedSpace(Space):
         )
 
     def _stats_extra(self) -> dict:
+        clients = self._service.client_statistics()
         if not self._gathers:
             nodes = self._service.nodes
             return {
+                "clients": clients,
                 "nodes": {node.replica_id: node.statistics for node in nodes},
                 "notify": {
                     "waiters": {
@@ -315,6 +317,7 @@ class ShardedSpace(Space):
                 },
             }
         return {
+            "clients": clients,
             "shards": self._service.shard_statistics(),
             "notify": {
                 "waiters": {

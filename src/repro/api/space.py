@@ -727,7 +727,8 @@ class Space(_SubmitForms, TupleSpaceInterface):
         ``network`` (the transport's counter dict), ``metrics``/``tracing``
         when an observability bundle is attached, and whatever the
         backend's :meth:`_stats_extra` contributes (tuple counts, per-node
-        ordering progress, per-shard statistics).
+        ordering progress, per-shard statistics, the clients' summed
+        ``client_statistics()``).
         """
         report: dict[str, Any] = {"backend": self.backend, "time_unit": self.time_unit}
         network = getattr(self, "network", None)

@@ -28,6 +28,7 @@ without cross-talk.
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Hashable, Mapping, TYPE_CHECKING, Union
 
 from repro.errors import ReplicationError
@@ -128,6 +129,9 @@ class ShardedPEATS:
             for shard, name in enumerate(names)
         )
         self._clients: dict[Hashable, ShardedClient] = {}
+        # Threads of one process may race to build its client; building
+        # two would register the identity on the network twice.
+        self._clients_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Accessors
@@ -199,12 +203,17 @@ class ShardedPEATS:
         """The request/reply client for ``process`` (one network
         registration, shared by every shard; routing by name when there
         is more than one)."""
-        if process not in self._clients:
-            # repro-lint: disable=RL006 — one routing client per process
-            # identity; processes are the deployment's principals, not
-            # per-request state (each also holds a network registration).
-            self._clients[process] = ShardedClient(process, self)
-        return self._clients[process]
+        client = self._clients.get(process)
+        if client is None:
+            with self._clients_lock:
+                client = self._clients.get(process)
+                if client is None:
+                    client = ShardedClient(process, self)
+                    # repro-lint: disable=RL006 — one routing client per
+                    # process identity; processes are the deployment's
+                    # principals, not per-request state.
+                    self._clients[process] = client
+        return client
 
     # ------------------------------------------------------------------
     # Administrative introspection (tests, benchmarks)

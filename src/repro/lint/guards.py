@@ -266,6 +266,12 @@ GUARDS: tuple[Guard, ...] = (
         "a retired recorder class is back; record once on the EventLog",
     ),
     Guard(
+        "read-only-lane", 40, "one-site", ("*execute_read_only",), ("src/",),
+        "an unordered execution outside the ordering node; its one caller is "
+        "OrderingNode._answer_read, behind the commit-frontier hold",
+        allow=("src/repro/replication/pbft.py",),
+    ),
+    Guard(
         "guards-in-lint", 35, "name", ("grep",), (".github/workflows/ci.yml",),
         "an architecture guard belongs in this table, where tier-1 runs it "
         "and names are matched as tokens; a CI grep step runs only in CI",

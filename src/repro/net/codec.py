@@ -34,15 +34,16 @@ Every other value is an array whose first element is a type code::
     16 + i  message    [16 + i, field, ...]  the i-th class of
                        MESSAGE_CLASSES, fields in dataclasses.fields order
 
-Each class's *plan* — its code, its field order and the function that
-builds it back — is made once, at import.  Encoding dispatches on the
-exact ``type()`` of each node, so a subclass of a wire type is refused
-rather than silently narrowed.  A payload is the format byte ``P``
-followed by the tree as compact ASCII JSON.  Decoding parses it with a
-JSON object hook that refuses every object, then walks the arrays
-against the code table, depth-bounded by :data:`MAX_DEPTH`.  Every
-structural fault — an unknown code, a wrong arity, an unhashable dict
-key, bad base64, an empty ``Entry`` — is a :class:`CodecError`, never
+Each class's *plan* — its code, its field order, its ``bool`` fields
+and the function that builds it back — is made once, at import.
+Encoding dispatches on the exact ``type()`` of each node, so a subclass
+of a wire type is refused rather than silently narrowed.  A payload is
+the format byte ``P`` followed by the tree as compact ASCII JSON.
+Decoding parses it with a JSON object hook that refuses every object,
+then walks the arrays against the code table, depth-bounded by
+:data:`MAX_DEPTH`.  Every structural fault — an unknown code, a wrong
+arity, a ``bool`` field holding anything else, an unhashable dict key,
+bad base64, an empty ``Entry`` — is a :class:`CodecError`, never
 another exception: these bytes can come from an unauthenticated peer.
 
 The frame
@@ -295,11 +296,15 @@ def _build_formal(items: list[Any]) -> Formal:
     return Formal(name, _FORMAL_TYPES[type_name])
 
 
-def _message_decoder(cls: type[Any], names: tuple[str, ...]) -> _Decoder:
+def _message_decoder(
+    cls: type[Any], names: tuple[str, ...], flags: tuple[int, ...]
+) -> _Decoder:
     # Built the way pickle rebuilds an instance — ``__new__``, then the
     # field dict in field order — which is the frozen dataclass
     # ``__init__`` minus one ``object.__setattr__`` per field.  Sound
     # only while no wire class has a ``__post_init__``, hence the check.
+    # ``flags`` are the positions of the ``bool`` fields: a replica
+    # branches on them, so anything but ``True``/``False`` is refused.
     if hasattr(cls, "__post_init__"):
         raise TypeError(f"{cls.__name__} has a __post_init__ the wire decoder would skip")
     arity = len(names)
@@ -308,6 +313,9 @@ def _message_decoder(cls: type[Any], names: tuple[str, ...]) -> _Decoder:
     def build(items: list[Any]) -> Any:
         if len(items) != arity:
             raise CodecError(f"{cls.__name__} takes {arity} fields, got {len(items)}")
+        for index in flags:
+            if type(items[index]) is not bool:
+                raise CodecError(f"{cls.__name__}.{names[index]} must be a bool")
         message = new(cls)
         message.__dict__.update(zip(names, items))
         return message
@@ -327,10 +335,12 @@ _DECODERS: dict[int, _Decoder] = {
 }
 
 for _code, _cls in enumerate(MESSAGE_CLASSES.values(), start=16):
-    _names = tuple(field.name for field in dataclasses.fields(_cls))
+    _fields = dataclasses.fields(_cls)
+    _names = tuple(field.name for field in _fields)
+    _flags = tuple(index for index, field in enumerate(_fields) if field.type == "bool")
     _ENCODERS[_cls] = _sequence_encoder(_code, _fields_of(_names))
-    _DECODERS[_code] = _message_decoder(_cls, _names)
-del _code, _cls, _names
+    _DECODERS[_code] = _message_decoder(_cls, _names, _flags)
+del _code, _cls, _fields, _names, _flags
 
 
 def decode(tree: Any) -> Any:

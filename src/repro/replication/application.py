@@ -27,6 +27,12 @@ class Application(Protocol):
         reply payload.  Re-executing a request at or below the client's
         latest returns the cached reply without changing state."""
 
+    def execute_read_only(self, request: ClientRequest) -> Optional[Any]:
+        """Answer a read-only-lane ``request`` from the executed state
+        without changing it — no reply cache, nothing :meth:`capture_state`
+        sees — or return ``None`` for a request the lane does not serve,
+        which then goes unanswered."""
+
     def cached_reply(self, request: ClientRequest) -> Optional[Any]:
         """The reply to an exact retransmission of the client's latest
         executed request, else ``None``."""

@@ -1,11 +1,31 @@
 """The client-side proxy of the replicated PEATS.
 
-A client broadcasts its request to every replica, then accepts the result
-as soon as ``f + 1`` replicas return matching replies for it — with at
-most ``f`` faulty replicas, at least one of those replies comes from a
-correct replica, and since correct replicas are deterministic and execute
-requests in the same order, the matched value is the correct result.  This
-is the "basic voting protocol" of Section 4.
+A client broadcasts its request to every replica and accepts a result
+under one of two rules:
+
+* **Ordered path, ``f + 1``.**  Replicas order the request and execute
+  it; with at most ``f`` faulty replicas one of ``f + 1`` matching
+  replies comes from a correct replica, and correct replicas execute the
+  same requests in the same order, so the matched value is the correct
+  result.  This is the "basic voting protocol" of Section 4.
+* **Read-only lane, ``2f + 1``.**  Every ``rdp`` is first sent flagged
+  ``read_only`` (Castro–Liskov §5.1.3): each replica answers it from its
+  executed state without ordering it, and the client needs ``2f + 1``
+  matching replies.  A replica answers only once it has executed every
+  sequence it ever sent a COMMIT for (its *commit frontier*), and holds
+  the read until then.  That hold keeps the lane linearizable: a
+  completed write W has ``f + 1`` replies, so at least one correct
+  replica executed W.  That replica holds a commit certificate, so at
+  least ``f + 1`` correct replicas sent COMMIT for W, and with the hold
+  they cannot answer from a state before W.  At most ``f`` correct
+  replicas plus ``f`` Byzantine ones remain, and ``2f < 2f + 1``.
+
+  When the lane's tally reports that ``2f + 1`` can no longer agree
+  (replies that disagree — a read racing a write, not divergence), or
+  at the first retransmission timeout, the client falls back: it
+  re-issues the read as an ordered ``rdp`` under the request id the
+  lane read reserved, voted in a fresh ``f + 1`` tally, so no lane
+  reply ever votes in the ordered round.
 
 Every acceptance on this side is one :class:`~repro.replication.tally.
 Tally` vote: a :class:`PendingRequest` holds one for its replies, an armed
@@ -77,7 +97,7 @@ PUSH_TYPES = (Notify, TxnPrepare, TxnVote, TxnDecision, TxnAck)
 
 
 class PendingRequest(OperationFuture):
-    """A request in flight: a future resolved by the ``f + 1`` reply vote.
+    """A request in flight: a future resolved by its reply vote.
 
     Created by :meth:`PEATSClient.submit`.  The future mechanics (result,
     exception, latency, completion callbacks) come from the backend-agnostic
@@ -108,7 +128,8 @@ class PendingRequest(OperationFuture):
         self.attempts = 0
         #: The replica group this request was addressed (and retransmitted) to.
         self.targets = targets
-        #: Only ``targets`` vote on the result: f Byzantine replicas *per
+        #: Only ``targets`` vote on the result (``f + 1`` of them, or
+        #: ``2f + 1`` on the read-only lane): f Byzantine replicas *per
         #: group* of a sharded cluster must not pool replies across groups
         #: into a quorum for a request their own group never executed.
         self.tally = Tally(targets, threshold)
@@ -189,6 +210,13 @@ class PEATSClient:
         self._obs_quorum_failures = registry.counter(
             "client_quorum_failures_total", "Requests abandoned without an f+1 reply vote"
         ).labels(client=client)
+        self._obs_read_only = registry.counter(
+            "client_read_only_total", "Reads sent down the read-only lane"
+        ).labels(client=client)
+        self._obs_read_only_fallbacks = registry.counter(
+            "client_read_only_fallbacks_total",
+            "Lane reads re-issued on the ordered path without a 2f+1 vote",
+        ).labels(client=client)
         self._obs_wake_latency = registry.histogram(
             "notify_wake_latency",
             "Delay from arming a waiter to its first f+1-voted wake-up",
@@ -219,6 +247,8 @@ class PEATSClient:
             "retransmissions": int(self._obs_retransmissions.value),
             "mismatched_replies": int(self._obs_mismatched_replies.value),
             "quorum_failures": int(self._obs_quorum_failures.value),
+            "read_only": int(self._obs_read_only.value),
+            "read_only_fallbacks": int(self._obs_read_only_fallbacks.value),
         }
 
     @property
@@ -250,6 +280,11 @@ class PEATSClient:
             return
         if voted is not None:
             self._resolve(pending, voted[0])
+        elif pending.request.read_only:
+            # Replies that disagree on the lane are a read racing a write,
+            # not divergence: re-ask on the ordered path.
+            if not pending.tally.reachable():
+                self._fall_back(pending)
         elif pending.tally.ballots() >= len(pending.targets):
             self._record_mismatch(pending)
 
@@ -347,9 +382,42 @@ class PEATSClient:
         if following is not None:
             self._send(following)
 
+    def _fall_back(self, pending: PendingRequest) -> None:
+        """Re-issue a lane read as an ordered ``rdp`` under the id it
+        reserved, voted in a fresh ``f + 1`` tally: no lane reply can
+        vote in the ordered round."""
+        self._obs_read_only_fallbacks.inc()
+        if pending._timer is not None:
+            pending._timer.cancel()
+        lane = pending.request
+        request = ClientRequest(
+            client=self.client_id,
+            request_id=lane.request_id + 1,
+            operation=lane.operation,
+            arguments=lane.arguments,
+        )
+        pending.request = authenticate_request(
+            request, self.network.authenticator, pending.targets
+        )
+        pending.tally = Tally(pending.targets, self.f + 1)
+        self._pending.pop(lane.key, None)
+        self._pending[pending.key] = pending
+        if self._events.enabled:
+            self._events.record(
+                "submit",
+                self.client_id,
+                self.network.now,
+                key=pending.key,
+                operation=lane.operation,
+            )
+        self._send(pending)
+
     def _retransmit(self, request_key: tuple) -> None:
         pending = self._pending.get(request_key)
         if pending is None or pending.done:
+            return
+        if pending.request.read_only:
+            self._fall_back(pending)
             return
         pending.attempts += 1
         if pending.attempts > self._max_retransmissions:
@@ -486,7 +554,8 @@ class PEATSClient:
 
         Does **not** pump the network: the caller (or the scenario engine)
         drives delivery, and ``on_complete`` — if given — fires inside the
-        event loop once ``f + 1`` matching replies arrive.  A retransmission
+        event loop once the reply vote succeeds (an ``rdp`` takes the
+        read-only lane first; see the module docstring).  A retransmission
         timer keeps the request alive until then (or until
         ``max_retransmissions`` is exhausted, which fails the request with
         :class:`~repro.errors.QuorumError`).
@@ -498,19 +567,26 @@ class PEATSClient:
         reaches them relayed inside the primary's ``PRE-PREPARE`` batch.
         """
         targets = tuple(replica_ids) if replica_ids is not None else self.replica_ids
+        read_only = operation == "rdp"
         with self._mint_lock:
             request_id = self._next_request_id
-            self._next_request_id += 1
+            # A lane read reserves the next id for its ordered fallback, so
+            # a group's queue stays in request-id order either way.
+            self._next_request_id += 2 if read_only else 1
             self._obs_requests.inc()
             request = ClientRequest(
                 client=self.client_id,
                 request_id=request_id,
                 operation=operation,
                 arguments=arguments,
+                read_only=read_only,
             )
             request = authenticate_request(request, self.network.authenticator, targets)
             pending = PendingRequest(
-                request, self.network.now, targets=targets, threshold=self.f + 1
+                request,
+                self.network.now,
+                targets=targets,
+                threshold=(2 if read_only else 1) * self.f + 1,
             )
             self._pending[request.key] = pending
             # Enqueued under the lock that minted the id, so a group's
@@ -528,6 +604,8 @@ class PEATSClient:
                 key=request.key,
                 operation=operation,
             )
+        if read_only:
+            self._obs_read_only.inc()
         if on_complete is not None:
             pending.add_done_callback(on_complete)
         if first:
@@ -567,7 +645,15 @@ def summed_statistics(clients: Iterable[PEATSClient]) -> dict[str, int]:
     ``client_statistics()``, which the health monitor's reply-divergence
     probe samples between evaluations."""
     totals = dict.fromkeys(
-        ("requests", "retransmissions", "mismatched_replies", "quorum_failures"), 0
+        (
+            "requests",
+            "retransmissions",
+            "mismatched_replies",
+            "quorum_failures",
+            "read_only",
+            "read_only_fallbacks",
+        ),
+        0,
     )
     for client in clients:
         for name, value in client.statistics.items():

@@ -63,6 +63,11 @@ class ClientRequest:
     request inside a ``PRE-PREPARE`` batch the backups use this vector to
     check the request really originates from ``client`` — a faulty primary
     cannot forge requests under another client's name.
+
+    ``read_only`` sends the request down the read-only lane: replicas
+    answer it from their executed state without ordering it, and the
+    client accepts ``2f + 1`` matching replies (see
+    :mod:`repro.replication.client`).
     """
 
     client: Hashable
@@ -70,6 +75,7 @@ class ClientRequest:
     operation: str
     arguments: tuple
     auth: tuple = ()
+    read_only: bool = False
 
     @property
     def key(self) -> tuple:
@@ -80,9 +86,10 @@ def request_auth_payload(request: "ClientRequest") -> tuple:
     """The request content covered by the client MAC vector.
 
     Everything except ``auth`` itself: the client identity, the
-    idempotency id and the full invocation.  Binding the operation and
-    arguments prevents a relay from splicing a valid MAC onto a different
-    invocation.
+    idempotency id, the full invocation and the lane.  Binding the
+    operation and arguments prevents a relay from splicing a valid MAC
+    onto a different invocation, and binding ``read_only`` from moving a
+    request between the ordered path and the read-only lane.
     """
     return (
         "peats-client-request",
@@ -90,6 +97,7 @@ def request_auth_payload(request: "ClientRequest") -> tuple:
         request.request_id,
         request.operation,
         request.arguments,
+        request.read_only,
     )
 
 

@@ -14,6 +14,12 @@ deployment, simplified to what the simulation needs:
   matching commits it executes the batch's requests (in sequence order, in
   batch order) on its local application and replies to each request's
   client;
+* a request flagged ``read_only`` is never ordered: the node answers it
+  from its executed state through ``Application.execute_read_only``,
+  once ``last_executed`` has reached its ``commit_frontier`` (the
+  highest sequence it ever sent a COMMIT for), and holds it in a
+  bounded queue until then (see :mod:`repro.replication.client` for why
+  the hold keeps the client's ``2f + 1`` read linearizable);
 * checkpoint certificates, log truncation and state transfer live in
   :mod:`repro.replication.checkpointing`, the view change in
   :mod:`repro.replication.viewchange` — two mix-ins of the one
@@ -96,6 +102,11 @@ class ReplicaFaultMode(enum.Enum):
 class OrderingNode(CheckpointingMixin, ViewChangeMixin):
     """One replica of a replicated service: ordering layer + application."""
 
+    #: Read-only requests held until execution reaches the commit
+    #: frontier; a new one evicts the oldest, whose client falls back to
+    #: the ordered path at its retransmission timeout.
+    MAX_HELD_READS = 256
+
     def __init__(
         self,
         replica_id: Hashable,
@@ -134,6 +145,9 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
         self.next_sequence = 1
         self.last_executed = 0
         self.stable_checkpoint = 0
+        #: The highest sequence this node ever sent a COMMIT for.  Monotone:
+        #: a view change clears ``_sent_commit``, never this.
+        self.commit_frontier = 0
 
         # Ordering state, keyed by (view, sequence) / (view, sequence, digest);
         # truncated below the stable checkpoint.
@@ -157,6 +171,9 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
         self._ordered_keys: set[tuple] = set()
         self._executed_keys: set[tuple] = set()
         self._executed_at: Dict[tuple, int] = {}
+        # Read-only requests waiting for last_executed >= commit_frontier,
+        # oldest first; never ordered, never timed for a view change.
+        self._held_reads: Dict[tuple, ClientRequest] = {}
 
         # Checkpoint bookkeeping.  Only the *latest* vote per replica is
         # kept (a correct replica's newer checkpoint supersedes its older
@@ -374,6 +391,9 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
             # batch it, the backups would reject the whole batch, so a
             # correct replica refuses the request up front.
             return
+        if request.read_only:
+            self._answer_read(request)
+            return
         cached = self.application.cached_reply(request)
         if cached is not None:
             # Retransmission of the client's latest executed request:
@@ -394,6 +414,24 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
         self._unordered.setdefault(request.key, request)
         self._maybe_drain()
         self._obs_pending_depth.set(len(self._unordered))
+
+    def _answer_read(self, request: ClientRequest) -> None:
+        """Answer a read-only request from the executed state, once that
+        state covers every sequence this node sent a COMMIT for.
+
+        A completed write has a commit certificate, so at least ``f + 1``
+        correct replicas sent COMMIT for it; holding their reads until they
+        execute it leaves at most ``2f`` replicas able to answer from a
+        state before the write — short of the client's ``2f + 1``.
+        """
+        if self.last_executed < self.commit_frontier:
+            if len(self._held_reads) >= self.MAX_HELD_READS:
+                del self._held_reads[next(iter(self._held_reads))]
+            self._held_reads[request.key] = request
+            return
+        result = self.application.execute_read_only(request)
+        if result is not None:
+            self._reply(request, result)
 
     def _maybe_drain(self) -> None:
         """Primary: drain unordered requests into batches within the window."""
@@ -563,6 +601,7 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
         if not self._prepared(view, sequence, batch_digest):
             return
         self._sent_commit.add(key)
+        self.commit_frontier = max(self.commit_frontier, sequence)
         if self._events.enabled:
             self._event_batch("prepare", self._pre_prepares[key].batch)
         self._multicast(
@@ -627,6 +666,10 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
             self.last_executed = sequence
             if sequence % self.checkpoint_interval == 0:
                 self._take_checkpoint(sequence)
+        if self._held_reads and self.last_executed >= self.commit_frontier:
+            held, self._held_reads = self._held_reads, {}
+            for request in held.values():
+                self._answer_read(request)
 
     def _forget_buffered(self, key: tuple) -> None:
         """Drop a request from the pending-work bookkeeping."""

@@ -240,6 +240,19 @@ class PEATSReplica:
         self._last_reply[request.client] = (request.request_id, payload)
         return payload
 
+    def execute_read_only(self, request: ClientRequest) -> Optional[Any]:
+        """Answer an ``rdp`` on the read-only lane, else ``None``.
+
+        The same checks and probe as the ordered ``rdp`` — arguments,
+        the monitor, a transaction's name locks at the current execution
+        counter — against the state every executed request left, but the
+        counter does not tick and the reply cache is not touched, so
+        :meth:`capture_state` cannot tell the read happened.
+        """
+        if request.operation != "rdp":
+            return None
+        return self._execute_once(request).as_payload()
+
     def _execute_once(self, request: ClientRequest) -> ExecutionResult:
         operation = request.operation
         arguments = request.arguments

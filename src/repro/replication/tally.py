@@ -1,7 +1,8 @@
-"""The client's one acceptance rule: ``f + 1`` addressed senders agree.
+"""The client's one acceptance rule: ``threshold`` addressed senders agree.
 
 Replies, notify pushes and transaction pushes all accept through a
-:class:`Tally`, so the rule of Section 4 — and every defence it needs
+:class:`Tally` (at ``f + 1``, or ``2f + 1`` for a read on the read-only
+lane), so the rule of Section 4 — and every defence it needs
 against Byzantine senders — is spelled once: only the senders a tally was
 addressed to vote, each once per round; content is hashed on receipt and
 a vote that does not hash to the digest it claims is dropped (the sender
@@ -49,6 +50,14 @@ class Tally:
     def ballots(self, round_key: Hashable = None) -> int:
         """Votes counted so far in one undecided round."""
         return len(self._rounds.get(round_key, ()))
+
+    def reachable(self, round_key: Hashable = None) -> bool:
+        """Whether ``threshold`` can still agree in one undecided round:
+        its largest agreeing pile plus the senders yet to vote."""
+        ballots = self._rounds.get(round_key, {})
+        piles = collections.Counter(cast for cast, _ in ballots.values())
+        largest = max(piles.values(), default=0)
+        return largest + len(self.senders) - len(ballots) >= self.threshold
 
     def vote(
         self,

@@ -7,3 +7,6 @@ class OrderingNode:
             self.application.execute(request)
         # wake the waiters whose templates this batch matched
         self.application.drain_pushes()
+
+    def _answer_read(self, request):
+        return self.application.execute_read_only(request)

@@ -5,7 +5,8 @@ Replies, ``Notify`` pushes and transaction pushes all accept through one
 messages into a client's network handler on a two-shard cluster that is
 not pumped while it does, so the only votes are the ones the test feeds:
 
-* ``reply`` — :class:`ClientReply` for a request addressed to shard 0;
+* ``reply`` — :class:`ClientReply` for an ordered request (an ``inp``)
+  addressed to shard 0;
 * ``notify`` — :class:`Notify` for a waiter armed on shard 0;
 * ``txn`` — :class:`TxnVote` for shard 0 of a cross-shard transaction.
 
@@ -49,7 +50,7 @@ class Kind:
         self.events: list = []
         if name == "reply":
             self.pending = self.client.submit(
-                "rdp", (template("N0", ANY),), replica_ids=self.senders
+                "inp", (template("N0", ANY),), replica_ids=self.senders
             )
             self.pending.add_done_callback(lambda done: self.events.append(done.result()))
             self.tally = self.pending.tally

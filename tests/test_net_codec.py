@@ -16,13 +16,14 @@ from __future__ import annotations
 import base64
 import dataclasses
 import json
+import socket
 import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import codec
+from repro.net import TcpTransport, codec
 from repro.replication.crypto import KeyStore, MessageAuthenticator, digest
 from repro.replication.messages import (
     Batch,
@@ -390,7 +391,7 @@ def golden_messages() -> dict:
     }
 
 
-_REQUEST = b'[16,"alice",3,"rdp",[0,[5,"KV",17,[6],[7,"v","str"]]],[0,[0,"r0","ab"]]]'
+_REQUEST = b'[16,"alice",3,"rdp",[0,[5,"KV",17,[6],[7,"v","str"]]],[0,[0,"r0","ab"]],false]'
 _BATCH = b"[18,[0," + _REQUEST + b"]]"
 
 GOLDEN_BYTES = {
@@ -502,9 +503,16 @@ def templates(draw):
 
 
 def messages_of(inner):
+    """Any registered message over ``inner`` values; a ``bool`` field
+    (``ClientRequest.read_only``) draws a bool, the only thing it decodes."""
     return st.one_of(
         [
-            st.tuples(*[inner] * len(dataclasses.fields(cls))).map(lambda args, cls=cls: cls(*args))
+            st.tuples(
+                *[
+                    st.booleans() if field.type == "bool" else inner
+                    for field in dataclasses.fields(cls)
+                ]
+            ).map(lambda args, cls=cls: cls(*args))
             for cls in codec.MESSAGE_CLASSES.values()
         ]
     )
@@ -619,6 +627,43 @@ def test_arbitrary_trees_are_decoded_or_rejected(tree):
     decoded_or_rejected(codec.decode, tree)
     decoded_or_rejected(codec.decode_payload, b"P" + text)
     decoded_or_rejected(codec.decode_frame, envelope(b"j" + text, b"sr0", b"P0", b"00"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(VALUES.filter(lambda value: type(value) is not bool))
+def test_a_request_whose_read_only_is_not_a_bool_is_rejected(flag):
+    """A replica branches on ``read_only``, so ``1``, ``None`` or a tuple
+    there is a CodecError — as the payload of an authenticated peer and as
+    a frame endpoint before any MAC is checked — never a request."""
+    payload = codec.encode_payload(dataclasses.replace(sample_request(), read_only=flag))
+    with pytest.raises(codec.CodecError, match="read_only must be a bool"):
+        codec.decode_payload(payload)
+    with pytest.raises(codec.CodecError, match="read_only must be a bool"):
+        codec.decode_frame(envelope(b"j" + payload[1:], b"sr0", b"P0", b"00"))
+
+
+@pytest.mark.parametrize("flag", [1, 0, None, "true", ()], ids=repr)
+def test_a_tcp_request_whose_read_only_is_not_a_bool_is_one_rejected_frame(flag):
+    """Behind a valid MAC, the frame is counted rejected on the reactor and
+    the connection keeps serving: the next frame is delivered."""
+    with TcpTransport() as net:
+        received = []
+        net.register("victim", lambda sender, payload: received.append(payload))
+        net.register("peer", lambda sender, payload: None)
+
+        def frame(payload_bytes):
+            mac = net.authenticator.mac("peer", "victim", payload_bytes)
+            return codec.encode_frame("peer", "victim", payload_bytes, mac)
+
+        request = dataclasses.replace(sample_request(), client="peer")
+        hostile = codec.encode_payload(dataclasses.replace(request, read_only=flag))
+        with socket.create_connection(net.address_of("victim")) as sock:
+            sock.sendall(frame(hostile))
+            assert net.run_until(lambda: net.statistics["rejected"] == 1, timeout=20_000.0)
+            sock.sendall(frame(codec.encode_payload(request)))
+            assert net.run_until(lambda: received, timeout=20_000.0)
+        assert received == [request]
+        assert net.statistics["handler_errors"] == 0
 
 
 # ----------------------------------------------------------------------

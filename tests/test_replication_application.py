@@ -46,6 +46,9 @@ class LogApplication:
         self.outbox.append(Appended(request.client, len(self.log)))
         return ("OK", len(self.log))
 
+    def execute_read_only(self, request):
+        return ("OK", len(self.log)) if request.operation == "length" else None
+
     def cached_reply(self, request):
         cached = self.replies.get(request.client)
         return cached[1] if cached and cached[0] == request.request_id else None
@@ -107,6 +110,23 @@ def test_requests_order_and_execute_identically_on_all_four():
     replies = [payload for _, payload in inbox if isinstance(payload, ClientReply)]
     assert len(replies) == 20
     assert {reply.result for reply in replies} == {("OK", i) for i in range(1, 6)}
+
+
+def test_read_only_requests_reach_the_stub_unordered():
+    network, nodes, inbox = make_cluster()
+    append(network, 0)
+    for request_id, operation in ((7, "length"), (8, "append")):
+        request = ClientRequest("client", request_id, operation, ("x",), read_only=True)
+        network.broadcast("client", REPLICAS, authenticate_request(request, AUTH, REPLICAS))
+    network.run()
+    lane = [
+        payload.result
+        for _, payload in inbox
+        if isinstance(payload, ClientReply) and payload.request_key[1] in (7, 8)
+    ]
+    assert lane == [("OK", 1)] * 4  # "length" from every node; "append" unanswered
+    assert all(node.application.log == [("line", 0)] for node in nodes)
+    assert all(node.last_executed == 1 for node in nodes)
 
 
 def test_lagging_node_catches_up_by_state_transfer():
