@@ -248,13 +248,17 @@ class ShardedPEATS:
         return summed_statistics(self._clients.values())
 
     def shard_statistics(self) -> dict[int, dict[str, Any]]:
-        """Per-shard ordering progress (executed sequences, views, ...)."""
+        """Per-shard ordering progress (executed sequences, views, ...) and
+        the mean number of requests per batch its primaries proposed."""
         stats: dict[int, dict[str, Any]] = {}
         for shard, group in enumerate(self._groups):
+            counts = [node.statistics for node in group.nodes]
+            batches = sum(count["batches_proposed"] for count in counts)
             stats[shard] = {
                 "last_executed": max(node.last_executed for node in group.nodes),
                 "stable_checkpoint": max(node.stable_checkpoint for node in group.nodes),
                 "views": tuple(node.view for node in group.nodes),
+                "batch_size_mean": sum(c["requests_proposed"] for c in counts) / max(batches, 1),
             }
         return stats
 

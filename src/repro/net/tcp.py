@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import asyncio
 import collections
+import socket
 import struct
 from typing import Any, Callable, Hashable, Mapping, Optional
 
@@ -111,7 +112,8 @@ class TcpTransport(RealTransport):
         self._host = host
         self._addresses: dict[Hashable, tuple[str, int]] = dict(addresses or {})
         self._port_of = port_of
-        self._servers: dict[Hashable, asyncio.base_events.Server] = {}
+        #: Each node's frame server, or its start-up task (see _attach).
+        self._servers: dict[Hashable, Any] = {}
         self._outbound: dict[tuple[int, Hashable], _Outbound] = {}
         #: Accepted connections still open, per node.
         self._inbound: dict[Hashable, set[asyncio.BaseTransport]] = {}
@@ -139,17 +141,20 @@ class TcpTransport(RealTransport):
     # ------------------------------------------------------------------
 
     def _attach(self, node: Hashable) -> None:
+        """Listen at once, then serve from the node's reactor: as a task
+        when called there (the loop cannot wait on itself; peers queue in
+        the listen backlog meanwhile)."""
         reactor = self.reactor_of(node)
         port = 0 if self._port_of is None else self._port_of(node)
-
-        async def start() -> asyncio.base_events.Server:
-            loop = asyncio.get_running_loop()
-            return await loop.create_server(lambda: _Inbound(self, node), self._host, port)
-
-        server = reactor.run_coroutine(start())
-        self._servers[node] = server
-        bound_port = server.sockets[0].getsockname()[1]
-        self._addresses[node] = (self._host, bound_port)
+        family = socket.getaddrinfo(self._host, port, type=socket.SOCK_STREAM)[0][0]
+        listener = socket.create_server((self._host, port), family=family)
+        listener.setblocking(False)
+        self._addresses[node] = (self._host, listener.getsockname()[1])
+        serving = reactor.loop.create_server(lambda: _Inbound(self, node), sock=listener)
+        if reactor.current:
+            self._servers[node] = reactor.loop.create_task(serving)
+        else:
+            self._servers[node] = reactor.run_coroutine(serving)
 
     def _detach(self, node: Hashable) -> None:
         server = self._servers.pop(node, None)
@@ -157,11 +162,12 @@ class TcpTransport(RealTransport):
             return
 
         async def shutdown() -> None:
-            server.close()
-            for connection in self._inbound.pop(node, ()):
-                connection.close()
             try:
-                await server.wait_closed()
+                started = await server if isinstance(server, asyncio.Task) else server
+                started.close()
+                for connection in self._inbound.pop(node, ()):
+                    connection.close()
+                await started.wait_closed()
             except Exception:  # pragma: no cover - teardown best effort
                 pass
 

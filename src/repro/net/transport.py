@@ -128,7 +128,8 @@ class Transport(Protocol):
     def settle(self, future: OperationFuture, timeout: float | None = None) -> bool: ...
 
     #: Event loops serving the nodes: ``pin`` chooses a node's loop, ``post``
-    #: runs a callback in the node's serial context, ``close`` releases
+    #: runs a callback in the node's serial context (after all already
+    #: queued there; inline on the simulation), ``close`` releases
     #: threads and sockets (one loop, the caller's, on the simulation).
     reactor_count: int
 
@@ -275,7 +276,13 @@ class Reactor:
             self.loop.call_soon(self._drain_mailbox)
 
     def run_coroutine(self, coroutine: Any, *, timeout: float = 10.0) -> Any:
-        """Run ``coroutine`` on this reactor and wait for its result."""
+        """Run ``coroutine`` on this reactor and wait for its result.
+
+        Never from the reactor's own thread: the loop would wait on
+        itself until ``timeout``, stalling every node it serves."""
+        if self.current:
+            coroutine.close()
+            raise SimulationError(f"{self.name} cannot wait on itself; schedule a task")
         return asyncio.run_coroutine_threadsafe(coroutine, self.loop).result(timeout)
 
     def stop(self) -> None:
@@ -364,12 +371,14 @@ class RealTransport(DeliveryCore):
         return self._reactors[self._pins.get(node, 0)]
 
     def post(self, node: Hashable, callback: Callable[[], None]) -> None:
-        """Run ``callback()`` on ``node``'s reactor as soon as possible.
+        """Run ``callback()`` on ``node``'s reactor, after every callback
+        and delivery already queued there.
 
         This is how cross-thread pokes (the client's view-change nudge)
         reach a node without racing its message handler: everything that
-        touches the node's state funnels through its own loop.
-        """
+        touches the node's state funnels through its own loop.  The
+        primary's once-per-turn drain rests on the ordering (its batch
+        takes every request queued before it)."""
         self.reactor_of(node).call_soon(self._contained, callback)
 
     def _contained(self, callback: Callable[..., None], *args: Any) -> None:

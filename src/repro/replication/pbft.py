@@ -8,7 +8,10 @@ deployment, simplified to what the simulation needs:
   view (``primary = view mod n``);
 * clients broadcast requests to every replica; the primary drains its
   buffer of pending requests into *batches* of up to ``max_batch_size``,
-  assigns each batch one sequence number and multicasts ``PRE-PREPARE``;
+  assigns each batch one sequence number and multicasts ``PRE-PREPARE``,
+  once per turn of its event loop: a request posts one drain, which every
+  request queued on the loop joins (the simulation's ``post`` runs it
+  inline, so the sim orders exactly as when each request drained at once);
   backups answer with ``PREPARE``; once a replica has the pre-prepare and
   ``2f`` matching prepares it multicasts ``COMMIT``; once it has ``2f + 1``
   matching commits it executes the batch's requests (in sequence order, in
@@ -168,6 +171,8 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
         # primary's drain consumes, kept separate so intake stays O(1) per
         # request instead of rescanning every buffered entry.
         self._unordered: Dict[tuple, ClientRequest] = {}
+        #: Whether a drain is posted to this node's loop and has not run.
+        self._drain_posted = False
         self._ordered_keys: set[tuple] = set()
         self._executed_keys: set[tuple] = set()
         self._executed_at: Dict[tuple, int] = {}
@@ -412,6 +417,14 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
         self._buffered.setdefault(request.key, request)
         self._buffered_since.setdefault(request.key, self.network.now)
         self._unordered.setdefault(request.key, request)
+        self._obs_pending_depth.set(len(self._unordered))
+        if not self._drain_posted and self.is_primary:
+            self._drain_posted = True
+            self.network.post(self.replica_id, self._posted_drain)
+
+    def _posted_drain(self) -> None:
+        """The turn's one drain: every request delivered before it joins."""
+        self._drain_posted = False
         self._maybe_drain()
         self._obs_pending_depth.set(len(self._unordered))
 
@@ -516,14 +529,21 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
             return
         if digest(message.batch) != message.batch_digest:
             return
-        if any(
-            not self._client_authenticated(request)
-            for request in message.batch.requests
-        ):
+        try:
+            forged = any(
+                self._buffered.get(request.key) is not request
+                and not self._client_authenticated(request)
+                for request in message.batch.requests
+            )
+        except TypeError:  # an unhashable client or id: never verified
+            forged = True
+        if forged:
             # At least one relayed request lacks a valid client MAC for
             # this replica: a faulty primary is forging requests under a
             # client's name (or relaying a tampered one).  Reject the batch
-            # — without 2f backup prepares it can never commit.
+            # — without 2f backup prepares it can never commit.  Only the
+            # very object verified on receipt skips the check: an equal
+            # copy is verified again, as ``==`` equates 1, 1.0 and True.
             return
         key = (message.view, message.sequence)
         if key in self._pre_prepares:
@@ -756,6 +776,7 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
             "state_transfers": int(self._obs_state_transfers.value),
             "fault_mode": self.fault_mode.value,
             "batches_proposed": int(self._obs_batches.value),
+            "requests_proposed": int(self._obs_batch_size.sum),
             "pending_unordered": len(self._unordered),
             "view_changes_started": int(self._obs_view_changes.value),
             "checkpoints_taken": int(self._obs_checkpoints.value),

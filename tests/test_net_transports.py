@@ -983,3 +983,57 @@ def test_a_blocking_wait_outlasts_the_default_budget_when_its_timeout_does(kind)
         assert (time.monotonic() - started) * 1000.0 >= 1_000.0
     finally:
         space.close()
+
+
+@pytest.mark.parametrize("transport", ["asyncio", "tcp"])
+def test_a_first_submit_from_a_reactor_callback_does_not_stall_it(transport):
+    # The fresh process registers from the reactor that serves it: TCP
+    # binds its listener at once and starts serving as a task, instead of
+    # waiting on its own loop until a timeout.
+    space = connect("replicated", policy=open_policy(), transport=transport)
+    try:
+        box: dict = {}
+        done = threading.Event()
+
+        def first_submit() -> None:
+            started = time.perf_counter()
+            try:
+                box["future"] = space.submit("out", (entry("fresh", 1),), process="fresh")
+            finally:
+                box["elapsed"] = time.perf_counter() - started
+                done.set()
+
+        started = time.perf_counter()
+        space.network.post("replica-0", first_submit)
+        assert done.wait(WAIT_MS / 1000.0)
+        assert space.network.settle(box["future"], 2_000.0)
+        assert box["future"].result() == ("OK", True)
+        assert box["elapsed"] < 2.0 and time.perf_counter() - started < 2.0
+    finally:
+        space.close()
+
+
+def test_run_coroutine_on_its_own_reactor_raises_without_waiting():
+    reactor = Reactor("test-reactor-self-wait")
+    try:
+        box: dict = {}
+        done = threading.Event()
+
+        async def nothing() -> None:
+            return None
+
+        def wait_on_self() -> None:
+            started = time.perf_counter()
+            try:
+                reactor.run_coroutine(nothing(), timeout=5.0)
+            except SimulationError as error:
+                box["error"] = error
+            box["elapsed"] = time.perf_counter() - started
+            done.set()
+
+        reactor.call_soon(wait_on_self)
+        assert done.wait(WAIT_MS / 1000.0)
+        assert isinstance(box.get("error"), SimulationError)
+        assert box["elapsed"] < 1.0
+    finally:
+        reactor.stop()

@@ -142,6 +142,7 @@ def test_space_stats_surfaces_network_metrics_and_tracing():
     for key in (
         "batches_proposed", "pending_unordered", "view_changes_started",
         "checkpoints_taken", "truncations", "reply_cache_hits", "requests_executed",
+        "requests_proposed",
     ):
         assert key in node_stats
 

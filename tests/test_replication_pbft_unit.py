@@ -1,5 +1,7 @@
 """Unit tests for the ordering node (PBFT-style protocol internals)."""
 
+import dataclasses
+
 import pytest
 
 from repro.policy import AccessPolicy, Rule
@@ -142,6 +144,62 @@ class TestOrderingBasics:
         # Only one prepare (from r2): not enough for the 2f+1 quorum.
         backup.on_message("r2", Prepare(view=0, sequence=1, batch_digest=digest(batch), replica="r2"))
         assert backup.last_executed == 0
+
+
+class TestRelayedRequestVerification:
+    """A backup skips re-verifying a relayed request only when it is the
+    very object the backup verified on direct receipt."""
+
+    @staticmethod
+    def relay(backup, request):
+        """Hand ``backup`` the primary's pre-prepare of ``request`` alone;
+        how many client MACs it checked, and whether it sent a PREPARE."""
+        checked = []
+        verify = backup._client_authenticated
+        backup._client_authenticated = lambda r: checked.append(r) or verify(r)
+        batch = make_batch(request)
+        sent = backup.network.statistics["frames_sent"]
+        backup.on_message(
+            "r0",
+            PrePrepare(view=0, sequence=1, batch_digest=digest(batch), batch=batch, primary="r0"),
+        )
+        return len(checked), backup.network.statistics["frames_sent"] > sent
+
+    def test_the_request_verified_on_receipt_is_not_verified_again(self):
+        _, nodes, _ = make_cluster()
+        request = make_request(1)
+        nodes[1].on_message("client", request)
+        assert self.relay(nodes[1], request) == (0, True)
+
+    def test_same_key_other_arguments_under_the_original_auth_is_rejected(self):
+        _, nodes, _ = make_cluster()
+        request = make_request(1)
+        nodes[1].on_message("client", request)
+        spliced = dataclasses.replace(request, arguments=(entry("A", 99),))
+        assert self.relay(nodes[1], spliced) == (1, False)
+
+    def test_an_equal_copy_with_other_types_is_verified_and_rejected(self):
+        # ``==`` equates 1 and True; the client's MAC does not.
+        _, nodes, _ = make_cluster()
+        request = make_request(1)
+        nodes[1].on_message("client", request)
+        retyped = dataclasses.replace(request, arguments=(entry("A", True),))
+        assert retyped == request
+        assert self.relay(nodes[1], retyped) == (1, False)
+
+    def test_a_request_never_seen_directly_is_verified(self):
+        _, nodes, _ = make_cluster()
+        assert self.relay(nodes[1], make_request(1)) == (1, True)
+
+    def test_a_relayed_request_with_an_unhashable_client_is_rejected(self):
+        _, nodes, _ = make_cluster()
+        malformed = dataclasses.replace(make_request(1), client=["client"])
+        assert self.relay(nodes[1], malformed) == (0, False)
+
+    def test_a_forged_request_never_seen_directly_is_rejected(self):
+        _, nodes, _ = make_cluster()
+        forged = dataclasses.replace(make_request(1), auth=(("r1", "0" * 64),))
+        assert self.relay(nodes[1], forged) == (1, False)
 
 
 class TestViewChange:
