@@ -24,7 +24,7 @@ from repro.api import connect
 from repro.cluster import ShardedPEATS
 from repro.peo import PEATS
 from repro.policy import strong_consensus_policy
-from repro.replication.pbft import ReplicaFaultMode
+from repro.replication import ReplicaFaultMode
 from repro.tspace import AugmentedTupleSpace
 from repro.tuples import Formal, entry, template
 

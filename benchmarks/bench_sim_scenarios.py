@@ -16,7 +16,7 @@ correct-client operations.
 
 from benchmarks._output import emit_table
 from repro.cluster import ExplicitRouting
-from repro.replication.pbft import ReplicaFaultMode
+from repro.replication import ReplicaFaultMode
 from repro.sim import PartitionWindow, Scenario, run_scenario
 from repro.sim.workloads import (
     consensus_storm,

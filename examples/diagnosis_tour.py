@@ -39,7 +39,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.obs import Observability  # noqa: E402
 from repro.obs.doctor import diagnose, merge_dumps, render_text  # noqa: E402
-from repro.replication.pbft import ReplicaFaultMode  # noqa: E402
+from repro.replication import ReplicaFaultMode  # noqa: E402
 from repro.sim import FaultModeWindow, Scenario, run_scenario  # noqa: E402
 from repro.sim.workloads import consensus_storm  # noqa: E402
 

@@ -25,7 +25,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from repro.replication.pbft import ReplicaFaultMode  # noqa: E402
+from repro.replication import ReplicaFaultMode  # noqa: E402
 from repro.sim import PartitionWindow, Scenario, SimMetrics, run_scenario  # noqa: E402
 from repro.sim.workloads import kv_readwrite  # noqa: E402
 

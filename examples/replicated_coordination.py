@@ -40,7 +40,7 @@ from repro import (  # noqa: E402
     strong_consensus_policy,
 )
 from repro.model.faults import unjustified_deciding_byzantine  # noqa: E402
-from repro.replication.pbft import ReplicaFaultMode  # noqa: E402
+from repro.replication import ReplicaFaultMode  # noqa: E402
 from repro.tuples import Formal, entry, template  # noqa: E402
 from repro.universal.emulated import fifo_queue_type  # noqa: E402
 

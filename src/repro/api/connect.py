@@ -69,7 +69,7 @@ def connect(
     network_config: NetworkConfig | None = None,
     transport: Union[str, Transport, None] = None,
     replica_faults: Mapping[Any, Any] | None = None,
-    view_change_timeout: float = 50.0,
+    view_change_timeout: float | None = None,
     max_batch_size: int = 8,
     checkpoint_interval: int = 8,
     obs: Any = None,

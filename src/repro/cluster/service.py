@@ -35,7 +35,8 @@ from repro.errors import ReplicationError
 from repro.obs import resolve_obs
 from repro.policy.policy import AccessPolicy
 from repro.replication.network import NetworkConfig, SimulatedNetwork
-from repro.replication.pbft import OrderingNode, ReplicaFaultMode
+from repro.replication.adversary import ReplicaFaultMode, fault_of, set_fault
+from repro.replication.pbft import OrderingNode
 from repro.replication.client import summed_statistics
 from repro.replication.service import ReplicatedPEATS
 from repro.cluster.client import ShardedClient
@@ -61,14 +62,15 @@ class ShardedPEATS:
         network_config: NetworkConfig | None = None,
         network: "Transport | None" = None,
         replica_faults: Mapping[Union[int, tuple[int, int]], ReplicaFaultMode] | None = None,
-        view_change_timeout: float = 50.0,
+        view_change_timeout: float | None = None,
         max_batch_size: int = 8,
         checkpoint_interval: int = 8,
         obs: Any = None,
     ) -> None:
         """``replica_faults`` keys may be ``(shard, index)`` pairs or flat
         node indexes (``shard = index // (3f + 1)``), matching how the
-        fault schedules address nodes.
+        fault schedules address nodes; each is applied with
+        :func:`~repro.replication.adversary.set_fault` once the groups exist.
 
         ``network`` swaps the substrate: by default the cluster builds a
         fresh :class:`SimulatedNetwork`, but any
@@ -102,7 +104,19 @@ class ShardedPEATS:
             prefix = f"{name}:" if name else ""
             for index in range(group_size):
                 self._network.pin(f"{prefix}replica-{index}", shard % reactor_count)
-        per_group: list[dict[int, ReplicaFaultMode]] = [{} for _ in range(shards)]
+        self._groups = tuple(
+            ReplicatedPEATS(
+                policy,
+                f=f,
+                network=self._network,
+                group=name,
+                view_change_timeout=view_change_timeout,
+                max_batch_size=max_batch_size,
+                checkpoint_interval=checkpoint_interval,
+                obs=self.obs,
+            )
+            for name in names
+        )
         for key, mode in (replica_faults or {}).items():
             if isinstance(key, tuple):
                 shard, index = key
@@ -113,21 +127,7 @@ class ShardedPEATS:
                     f"replica fault target {key!r} is outside the cluster "
                     f"({shards} shards of {group_size} replicas)"
                 )
-            per_group[shard][index] = mode
-        self._groups = tuple(
-            ReplicatedPEATS(
-                policy,
-                f=f,
-                network=self._network,
-                group=name,
-                replica_faults=per_group[shard],
-                view_change_timeout=view_change_timeout,
-                max_batch_size=max_batch_size,
-                checkpoint_interval=checkpoint_interval,
-                obs=self.obs,
-            )
-            for shard, name in enumerate(names)
-        )
+            set_fault(self._groups[shard].nodes[index], mode)
         self._clients: dict[Hashable, ShardedClient] = {}
         # Threads of one process may race to build its client; building
         # two would register the identity on the network twice.
@@ -181,7 +181,7 @@ class ShardedPEATS:
         return self.n_shards * (3 * self.f + 1)
 
     def correct_nodes(self) -> list[OrderingNode]:
-        return [node for node in self.nodes if node.fault_mode is ReplicaFaultMode.CORRECT]
+        return [node for node in self.nodes if fault_of(node) is ReplicaFaultMode.CORRECT]
 
     def check_timeouts(self) -> None:
         """Fire the view-change timers of every replica.
@@ -228,7 +228,7 @@ class ShardedPEATS:
         """
         merged: list[Entry] = []
         for group in self._groups:
-            correct = [n for n in group.nodes if n.fault_mode is ReplicaFaultMode.CORRECT]
+            correct = [n for n in group.nodes if fault_of(n) is ReplicaFaultMode.CORRECT]
             if not correct:
                 raise ReplicationError("no correct replica available for a snapshot")
             most_advanced = max(correct, key=lambda node: node.last_executed)

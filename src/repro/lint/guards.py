@@ -272,6 +272,12 @@ GUARDS: tuple[Guard, ...] = (
         allow=("src/repro/replication/pbft.py",),
     ),
     Guard(
+        "fault-free-ordering-core", 45, "name",
+        ("fault_mode", "is_silent", "ReplicaFaultMode"), _CORE,
+        "a fault branch in the ordering core; a faulty replica is its row of "
+        "the delivery core's fault table (replication/adversary.py)",
+    ),
+    Guard(
         "guards-in-lint", 35, "name", ("grep",), (".github/workflows/ci.yml",),
         "an architecture guard belongs in this table, where tier-1 runs it "
         "and names are matched as tokens; a CI grep step runs only in CI",

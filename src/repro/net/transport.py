@@ -4,8 +4,9 @@ Every layer of the replicated PEATS — the PBFT ordering nodes, the
 replica application, the voting client, the sharded cluster and the
 unified ``repro.api`` — talks to the network through one small surface:
 register a handler, send/broadcast authenticated payloads, cut and heal
-links or tamper with a sender's payloads, schedule cancellable timers,
-read a clock, and drive the system until a condition holds.
+links, make a node faulty or tamper with a sender's payloads, schedule
+cancellable timers, read a clock, and drive the system until a
+condition holds.
 :class:`Transport` names that surface, and three implementations share
 one :class:`~repro.replication.network.DeliveryCore` for everything
 they do to a message besides moving it (registration, fault filters,
@@ -85,6 +86,8 @@ class Transport(Protocol):
     virtual_time: bool
     #: Human-readable unit of ``now``/timeouts (e.g. ``"wall-clock ms"``).
     time_unit: str
+    #: Default view-change timeout of the nodes built on this transport.
+    view_change_timeout: float
 
     @property
     def authenticator(self) -> MessageAuthenticator: ...
@@ -104,13 +107,21 @@ class Transport(Protocol):
         self, sender: Hashable, receivers: Iterable[Hashable], payload: Any
     ) -> None: ...
 
-    #: Fault injection, identical on every transport: cut/restore links
-    #: and rewrite a sender's payloads in flight (receivers reject them).
+    #: Fault injection, identical on every transport: cut/restore links,
+    #: write a node's row of the fault table (see
+    #: :mod:`repro.replication.adversary`) and rewrite a sender's payloads
+    #: in flight (receivers reject them).
     def partition(self, a: Hashable, b: Hashable) -> None: ...
 
     def heal(self, a: Hashable, b: Hashable) -> None: ...
 
     def heal_all(self) -> None: ...
+
+    def set_fault(
+        self, node: Hashable, mode: Any, *, rewrite: Any, sink: bool, posts: bool
+    ) -> None: ...
+
+    def fault_of(self, node: Hashable) -> Any: ...
 
     def set_tampering(self, sender: Hashable, tamper: Callable[[Any], Any] | None) -> None: ...
 
@@ -326,6 +337,10 @@ class RealTransport(DeliveryCore):
 
     virtual_time = False
     time_unit = "wall-clock ms"
+    #: Every node's default view-change timeout, in wall-clock ms: above
+    #: a loaded reactor's stalls and the client's 100 ms retransmission
+    #: nudge, so only a primary that stopped ordering is voted out.
+    view_change_timeout = 1_000.0
     #: Wall-clock ms :meth:`run_until` waits when the caller names no budget
     #: (and :meth:`settle` past the operation's own timeout).
     DEFAULT_WAIT_TIMEOUT = 30_000.0
@@ -378,8 +393,10 @@ class RealTransport(DeliveryCore):
         reach a node without racing its message handler: everything that
         touches the node's state funnels through its own loop.  The
         primary's once-per-turn drain rests on the ordering (its batch
-        takes every request queued before it)."""
-        self.reactor_of(node).call_soon(self._contained, callback)
+        takes every request queued before it).  A node whose fault-table
+        row holds its posts gets none."""
+        if not self._posts_held(node):
+            self.reactor_of(node).call_soon(self._contained, callback)
 
     def _contained(self, callback: Callable[..., None], *args: Any) -> None:
         """Run ``callback(*args)`` on a reactor: an exception a handler,

@@ -11,8 +11,11 @@ fully-simulated substitute:
 
 * :mod:`repro.replication.crypto` — HMAC-authenticated channels (shared
   session keys; the "IPSec/SSL" of Section 4);
-* :mod:`repro.replication.network` — a deterministic discrete-event network
-  with seeded latencies, message loss and Byzantine corruption hooks;
+* :mod:`repro.replication.network` — the delivery core every transport
+  shares (with its per-node fault table) and a deterministic
+  discrete-event network with seeded latencies and message loss;
+* :mod:`repro.replication.adversary` — Byzantine replicas as behaviour of
+  a node: the :class:`ReplicaFaultMode` presets over the fault table;
 * :mod:`repro.replication.pbft` — the ordering core of a simplified
   PBFT-style total-order protocol (pre-prepare / prepare / commit with
   ``2f + 1`` quorums), the "replica coordination" box of Fig. 2, with its
@@ -39,10 +42,11 @@ whose ``bind(process)`` views speak the local PEATS interface, so every
 algorithm in the library runs unchanged on top of it.
 """
 
+from repro.replication.adversary import ReplicaFaultMode, fault_of, set_fault
 from repro.replication.client import PEATSClient, PendingRequest
 from repro.replication.crypto import KeyStore, MessageAuthenticator
 from repro.replication.network import NetworkConfig, SimulatedNetwork, Timer
-from repro.replication.pbft import OrderingNode, ReplicaFaultMode
+from repro.replication.pbft import OrderingNode
 from repro.replication.replica import PEATSReplica
 from repro.replication.service import ReplicatedPEATS
 
@@ -54,6 +58,8 @@ __all__ = [
     "Timer",
     "OrderingNode",
     "ReplicaFaultMode",
+    "set_fault",
+    "fault_of",
     "PEATSReplica",
     "PEATSClient",
     "PendingRequest",

@@ -56,10 +56,10 @@ class Application(Protocol):
     def drain_pushes(self) -> Sequence[Any]:
         """Hand over (and forget) the replica→client wire messages execution
         queued, in the order they must leave; each one's ``client`` names
-        its addressee.  Called once per executed batch, on silent nodes
-        too, so nothing piles up."""
+        its addressee.  Called once per executed batch."""
 
     def push_sent(self, push: Any) -> None:
-        """One drained push actually left this node (a silent node sends —
-        and reports — none).  Type-specific accounting hangs here, so the
-        node never learns what kinds of push exist."""
+        """The node sent one drained push (a faulty node's row of the fault
+        table may still swallow or rewrite it below the node).
+        Type-specific accounting hangs here, so the node never learns what
+        kinds of push exist."""

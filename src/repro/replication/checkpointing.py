@@ -46,21 +46,11 @@ class CheckpointingMixin:
     """Checkpoint votes, stable certificates, truncation, state transfer."""
 
     def _take_checkpoint(self, sequence: int) -> None:
-        # Imported here: the node's module imports this mix-in.
-        from repro.replication.pbft import ReplicaFaultMode
-
         self._obs_checkpoints.inc()
         state = self.application.capture_state()
         state_digest = digest(state)
         # Kept beside the (immutable) state, so nothing digests it again.
         self._checkpoint_states[sequence] = (state, state_digest)
-        if self.fault_mode is ReplicaFaultMode.DIVERGENT:
-            # Deterministically corrupted digest: the vote is internally
-            # consistent (the same wrong digest every time), so two such
-            # replicas split the quorum instead of merely being outvoted —
-            # the certificate starves and the log window jams, which is
-            # exactly how PR 9's nondeterministic-digest bug manifested.
-            state_digest = digest((state, "divergent-checkpoint"))
         message = Checkpoint(
             sequence=sequence, state_digest=state_digest, replica=self.replica_id
         )
@@ -181,7 +171,7 @@ class CheckpointingMixin:
         self._multicast(StateRequest(sequence=sequence, replica=self.replica_id))
 
     def _on_state_request(self, sender: Hashable, message: StateRequest) -> None:
-        if self.is_silent or self._stable_state is None:
+        if self._stable_state is None:
             return
         if self.stable_checkpoint < message.sequence:
             return

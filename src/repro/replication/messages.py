@@ -11,9 +11,7 @@ authenticated envelope.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Hashable, Mapping
-
-from repro.replication.crypto import digest
+from typing import Any, Hashable, Mapping
 
 __all__ = [
     "ClientRequest",
@@ -34,8 +32,6 @@ __all__ = [
     "TxnVote",
     "TxnDecision",
     "TxnAck",
-    "PUSH_LIES",
-    "lying_push",
     "NULL_REQUEST_CLIENT",
     "null_request",
     "null_batch",
@@ -298,41 +294,6 @@ class TxnAck:
     txn_id: tuple
     shard: int
     outcome: str
-
-
-def _flipped(value: str, one: str, other: str) -> str:
-    return other if value == one else one
-
-
-#: How a LYING replica corrupts each replica→client push, by class — the
-#: one place the rule is spelled.  Every lie bakes the liar's id in (as a
-#: field, or through the push's own ``replica``), so ``f`` liars corrupt
-#: *independently* and can never assemble the ``f + 1`` matching pushes a
-#: client acts on.  A push class without an entry cannot be sent by a
-#: liar at all: adding one means deciding here how it is corrupted.
-PUSH_LIES: dict[type, Callable[[Any, Hashable], dict[str, Any]]] = {
-    # Same corruption model as a lying reply: a fabricated entry.
-    Notify: lambda push, liar: {
-        "entry": ("CORRUPTED", liar, repr(push.entry)),
-        "entry_digest": digest(("CORRUPTED", liar, repr(push.entry))),
-    },
-    TxnPrepare: lambda push, liar: {"participants": (("LYING", liar),)},
-    TxnVote: lambda push, liar: {
-        "vote": _flipped(push.vote, "yes", "no"),
-        "reason": ("LYING", liar),
-        "pins_digest": digest(("LYING", liar)),
-    },
-    TxnDecision: lambda push, liar: {
-        "outcome": _flipped(push.outcome, "commit", "abort"),
-        "reason": ("LYING", liar),
-    },
-    TxnAck: lambda push, liar: {"outcome": _flipped(push.outcome, "commit", "abort")},
-}
-
-
-def lying_push(push: Any, liar: Hashable) -> Any:
-    """What the LYING replica ``liar`` sends in place of ``push``."""
-    return dataclasses.replace(push, **PUSH_LIES[type(push)](push, liar))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -3,16 +3,18 @@
 Section 2.1 assumes a faulty process cannot impersonate a correct one;
 here that is a per-pair HMAC on every delivery, and :class:`DeliveryCore`
 keeps that contract once for every transport: node registration, the
-fault filters (``partition``/``heal``/``heal_all``, ``set_tampering``),
-sealing with a per-receiver MAC, verification where a delivery lands,
-the delivered/dropped/rejected counts on ``net_*_total{transport=…}``
-registry children, the ``msg-drop``/``net-reject`` flight events and the
-``statistics`` view.  A transport adds only how a sealed delivery travels
-and how its clock moves: :class:`SimulatedNetwork` (here) draws seeded
-loss and latency and keeps a ``(time, sequence)`` heap;
-:class:`~repro.net.transport.RealTransport` hands deliveries to a reactor
-mailbox, or to TCP frames.  A payload rewritten in flight is rejected by
-every receiver: the core never forges a MAC.
+link filters (``partition``/``heal``/``heal_all``), the per-node fault
+table (``set_fault``, ``set_tampering``), sealing with a per-receiver
+MAC, verification where a delivery lands, the delivered/dropped/rejected
+counts on ``net_*_total{transport=…}`` registry children, the
+``msg-drop``/``net-reject`` flight events and the ``statistics`` view.
+A transport adds only how a sealed delivery travels and how its clock
+moves: :class:`SimulatedNetwork` (here) draws seeded loss and latency and
+keeps a ``(time, sequence)`` heap; :class:`~repro.net.transport.RealTransport`
+hands deliveries to a reactor mailbox, or to TCP frames.  A payload a
+*link* rewrites in flight is rejected by every receiver: the core never
+forges a MAC.  A payload a faulty *node* rewrites is its own word and
+verifies (see :mod:`repro.replication.adversary`).
 
 The simulation's heap also carries *timer events*
 (:meth:`SimulatedNetwork.schedule_at` / ``schedule_after``), interleaved
@@ -36,9 +38,10 @@ from typing import Any, Callable, Hashable, Iterable, Optional
 
 from repro.errors import SimulationError
 from repro.obs import resolve_obs
+from repro.replication.adversary import ReplicaFaultMode
 from repro.replication.crypto import KeyStore, MessageAuthenticator
 
-__all__ = ["NetworkConfig", "Timer", "DeliveryCore", "SimulatedNetwork"]
+__all__ = ["NetworkConfig", "Timer", "FaultRow", "DeliveryCore", "SimulatedNetwork"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,16 +90,43 @@ class Timer:
         return f"Timer(when={self.when:.3f}, {state})"
 
 
+@dataclasses.dataclass(frozen=True)
+class FaultRow:
+    """One node's row of the fault table (a node without one is correct,
+    on honest links); :mod:`repro.replication.adversary` names the presets."""
+
+    mode: ReplicaFaultMode = ReplicaFaultMode.CORRECT
+    #: The node's own word in place of each payload it sends: runs before
+    #: the seal, so its lies verify; ``None`` means it never sent it.
+    rewrite: Optional[Callable[[Any], Any]] = None
+    #: The node's link corrupting each payload after the MAC: every
+    #: receiver rejects it.
+    tamper: Optional[Callable[[Any], Any]] = None
+    #: Whether ``post`` runs the node's callbacks.
+    posts: bool = True
+    #: The node's own handler while a sink stands in for it.
+    sunk: Optional[Callable[[Hashable, Any], None]] = None
+
+
+_HONEST = FaultRow()
+
+
+def _sink(sender: Hashable, payload: Any) -> None:
+    """A crashed node's handler: a delivery lands and nothing handles it."""
+
+
 class DeliveryCore:
     """What every transport does to a message besides moving it.
 
     A transport's ``send`` passes each delivery through :meth:`_seal`
-    (address check, fault filters, per-receiver MAC) and moves what comes
-    out; where it lands, :meth:`_authentic` verifies it and
-    :meth:`_hand_over` counts it and calls the receiver's handler, whose
-    exceptions propagate — a reactor catches them, the simulation lets
-    them reach the caller of ``step``.  Subclasses provide ``send``,
-    ``now`` and ``pending_count``.
+    (the sender's rewrite, address check, link filters, per-receiver MAC,
+    link tampering) and moves what comes out; where it lands,
+    :meth:`_authentic` verifies it and :meth:`_hand_over` counts it and
+    calls the receiver's handler, whose exceptions propagate — a reactor
+    catches them, the simulation lets them reach the caller of ``step``.
+    Subclasses provide ``send``, ``now``, ``post`` (which runs nothing for
+    a node whose row holds its posts) and ``pending_count``.  A correct
+    node pays one ``dict.get`` per send and per post for the fault table.
     """
 
     #: Names this transport's ``transport=`` label (and reactor threads).
@@ -106,7 +136,8 @@ class DeliveryCore:
         self._authenticator = MessageAuthenticator(keystore or KeyStore())
         self._handlers: dict[Hashable, Callable[[Hashable, Any], None]] = {}
         self._partitioned: set[frozenset[Hashable]] = set()
-        self._in_flight_tamper: dict[Hashable, Callable[[Any], Any]] = {}
+        #: The fault table: node → its row, for faulty nodes only.
+        self._faults: dict[Hashable, FaultRow] = {}
         #: Guards every counter child: reactors and caller threads count
         #: concurrently, and ``inc`` is a read-modify-write.
         self._lock = threading.Lock()
@@ -167,16 +198,51 @@ class DeliveryCore:
     def heal_all(self) -> None:
         self._partitioned.clear()
 
-    def set_tampering(self, sender: Hashable, tamper: Callable[[Any], Any] | None) -> None:
-        """Corrupt payloads sent by ``sender`` in flight (Byzantine link).
+    def set_fault(
+        self,
+        node: Hashable,
+        mode: ReplicaFaultMode,
+        *,
+        rewrite: Optional[Callable[[Any], Any]],
+        sink: bool,
+        posts: bool,
+    ) -> None:
+        """Write the registered ``node``'s row of the fault table; its link
+        tampering is kept.  :func:`repro.replication.adversary.set_fault`
+        maps a :class:`ReplicaFaultMode` preset onto these levers."""
+        row = self._faults.get(node, _HONEST)
+        handler = row.sunk or self._handlers[node]
+        self._handlers[node] = _sink if sink else handler
+        sunk = handler if sink else None
+        self._write_row(
+            node,
+            dataclasses.replace(row, mode=mode, rewrite=rewrite, posts=posts, sunk=sunk),
+        )
 
-        The MAC is computed over the original payload, so receivers detect
-        and reject the corruption; the hook exists to exercise that path.
+    def fault_of(self, node: Hashable) -> ReplicaFaultMode:
+        """The mode ``node``'s row names (``CORRECT`` without a row)."""
+        return self._faults.get(node, _HONEST).mode
+
+    def set_tampering(self, sender: Hashable, tamper: Callable[[Any], Any] | None) -> None:
+        """Corrupt payloads sent by ``sender`` in flight (a Byzantine *link*).
+
+        The tamper runs after the MAC was computed over the original
+        payload, so every receiver detects and rejects the corruption; a
+        node that lies in its own name is the row's ``rewrite`` instead.
         """
-        if tamper is None:
-            self._in_flight_tamper.pop(sender, None)
+        row = self._faults.get(sender, _HONEST)
+        self._write_row(sender, dataclasses.replace(row, tamper=tamper))
+
+    def _write_row(self, node: Hashable, row: FaultRow) -> None:
+        if row == _HONEST:
+            self._faults.pop(node, None)
         else:
-            self._in_flight_tamper[sender] = tamper
+            # repro-lint: disable=RL006 — one row per faulty node, bounded
+            # by the registered network identities.
+            self._faults[node] = row
+
+    def _posts_held(self, node: Hashable) -> bool:
+        return not self._faults.get(node, _HONEST).posts
 
     # ------------------------------------------------------------------
     # The delivery path
@@ -201,10 +267,17 @@ class DeliveryCore:
     ) -> Optional[tuple[Any, str, Optional[bytes]]]:
         """Admit one delivery and seal it, or ``None`` once it is dropped.
 
-        Returns the payload as it travels (rewritten when the sender's link
-        tampers), its MAC, and the canonical bytes the MAC covers (``None``
-        for a rewrite: its receivers serialise what they are handed).
+        The sender's own rewrite runs first: what it returns is sealed and
+        verifies, and ``None`` leaves no trace at all.  Returns the payload
+        as it travels (rewritten again when the sender's link tampers),
+        its MAC, and the canonical bytes the MAC covers (``None`` for a
+        tampered payload: its receivers serialise what they are handed).
         """
+        row = self._faults.get(sender)
+        if row is not None and row.rewrite is not None:
+            payload = row.rewrite(payload)
+            if payload is None:
+                return None
         if not self.has_node(receiver):
             raise SimulationError(f"unknown receiver {receiver!r}")
         if self._partitioned and frozenset((sender, receiver)) in self._partitioned:
@@ -216,9 +289,8 @@ class DeliveryCore:
         covered = self._covered(payload)
         mac = self._authenticator.mac(sender, receiver, covered)
         sealed = self._authenticator.sealed_bytes(covered)
-        tamper = self._in_flight_tamper.get(sender)
-        if tamper is not None:
-            payload, sealed = tamper(payload), None
+        if row is not None and row.tamper is not None:
+            payload, sealed = row.tamper(payload), None
         self._count("frames_sent")
         return payload, mac, sealed
 
@@ -290,6 +362,9 @@ class SimulatedNetwork(DeliveryCore):
     #: transport's clock is virtual and single-threaded.
     virtual_time = True
     time_unit = "virtual ms"
+    #: How long a replica lets a buffered request wait before it votes the
+    #: primary out, in this clock's ms (every node's default).
+    view_change_timeout = 50.0
     #: One event loop — the caller's thread (see ``pin``/``post``/``close``).
     reactor_count = 1
     name = "sim"
@@ -322,7 +397,8 @@ class SimulatedNetwork(DeliveryCore):
 
     def post(self, node: Hashable, callback: Callable[[], None]) -> None:
         """Run ``callback()`` now: the caller already is the event loop."""
-        callback()
+        if not self._posts_held(node):
+            callback()
 
     def close(self) -> None:
         """No-op: the simulation holds no threads or sockets."""

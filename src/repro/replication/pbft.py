@@ -47,16 +47,10 @@ request under another client's name.  None of this affects the fault-free
 and crash-fault scenarios the experiments measure (safety with ``f``
 silent/lying replicas, liveness after the failure of a primary,
 request/reply message complexity).
-
-Byzantine replica behaviour is modelled with :class:`ReplicaFaultMode`:
-``CRASHED`` replicas go silent, ``MUTE`` ones execute but never send
-protocol messages, and ``LYING`` ones execute but return corrupted results
-to clients (caught by the client's ``f + 1`` matching-reply vote).
 """
 
 from __future__ import annotations
 
-import enum
 from typing import Any, Callable, Dict, Hashable, Optional, TYPE_CHECKING
 
 from repro.errors import ReplicationError
@@ -76,7 +70,6 @@ from repro.replication.messages import (
     StateRequest,
     StateResponse,
     ViewChange,
-    lying_push,
     request_auth_payload,
 )
 from repro.replication.viewchange import ViewChangeMixin
@@ -85,21 +78,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.net.transport import Transport
     from repro.replication.application import Application
 
-__all__ = ["ReplicaFaultMode", "OrderingNode"]
-
-
-class ReplicaFaultMode(enum.Enum):
-    """Behaviour of a replica in the simulation."""
-
-    CORRECT = "correct"
-    CRASHED = "crashed"
-    MUTE = "mute"
-    LYING = "lying"
-    #: Executes and replies correctly but computes a corrupted (yet
-    #: deterministic) checkpoint digest — the PR 9 wedge shape: with two
-    #: of four replicas divergent the checkpoint votes split 2-vs-2,
-    #: no 2f+1 certificate ever forms, and the log window jams.
-    DIVERGENT = "divergent"
+__all__ = ["OrderingNode"]
 
 
 class OrderingNode(CheckpointingMixin, ViewChangeMixin):
@@ -118,8 +97,7 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
         application: "Application",
         network: "Transport",
         *,
-        view_change_timeout: float = 50.0,
-        fault_mode: ReplicaFaultMode = ReplicaFaultMode.CORRECT,
+        view_change_timeout: float | None = None,
         max_batch_size: int = 8,
         checkpoint_interval: int = 8,
         log_window: int | None = None,
@@ -135,8 +113,10 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
         self.f = f
         self.application = application
         self.network = network
-        self.view_change_timeout = view_change_timeout
-        self.fault_mode = fault_mode
+        #: ``None`` takes the transport's, in its own clock's ms.
+        self.view_change_timeout = (
+            network.view_change_timeout if view_change_timeout is None else view_change_timeout
+        )
         self.max_batch_size = max_batch_size
         self.checkpoint_interval = checkpoint_interval
         #: Distance between the low (stable checkpoint) and high water mark.
@@ -306,20 +286,12 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
     def is_primary(self) -> bool:
         return self.primary_of(self.view) == self.replica_id
 
-    @property
-    def is_silent(self) -> bool:
-        return self.fault_mode in (ReplicaFaultMode.CRASHED, ReplicaFaultMode.MUTE)
-
     def _multicast(self, payload: Any) -> None:
-        if self.is_silent:
-            return
         if self._events.enabled:
             self._event("msg-send", type=type(payload).__name__)
         self.network.broadcast(self.replica_id, self.replica_ids, payload)
 
     def _send(self, receiver: Hashable, payload: Any) -> None:
-        if self.fault_mode is ReplicaFaultMode.CRASHED:
-            return
         if not self.network.has_node(receiver):
             # A faulty primary can batch a request whose claimed client is
             # not on the network; replying must not crash a correct replica.
@@ -332,8 +304,6 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
 
     def on_message(self, sender: Hashable, payload: Any) -> None:
         """Network entry point for this replica."""
-        if self.fault_mode is ReplicaFaultMode.CRASHED:
-            return
         handler = self._handlers.get(type(payload))
         if sender not in self._replica_set and type(payload) is not ClientRequest:
             # Only requests enter the ordered stream from outside the group;
@@ -448,7 +418,7 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
 
     def _maybe_drain(self) -> None:
         """Primary: drain unordered requests into batches within the window."""
-        if not self.is_primary or self._view_changing or self.is_silent:
+        if not self.is_primary or self._view_changing:
             return
         while self._unordered and self.next_sequence <= self.high_water_mark:
             chunk: list[ClientRequest] = []
@@ -647,13 +617,16 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
         votes = self._commits.get((view, sequence, batch_digest), set())
         if len(votes) < self.quorum:
             return
-        if key not in self._pre_prepares:
+        logged = self._pre_prepares.get(key)
+        if logged is None or logged.batch_digest != batch_digest:
+            # A commit certificate for a batch we never logged: an
+            # equivocating primary sent us another one at this sequence.
             return
         if sequence <= self.last_executed or sequence in self._committed:
             return
-        self._committed[sequence] = self._pre_prepares[key].batch
+        self._committed[sequence] = logged.batch
         if self._events.enabled:
-            self._event_batch("commit", self._pre_prepares[key].batch)
+            self._event_batch("commit", logged.batch)
         self._execute_ready()
 
     def _execute_ready(self) -> None:
@@ -678,9 +651,6 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
                     # a view change after the client already moved on) must
                     # not be answered with the newer cached payload.
                     self._reply(request, result)
-            # Drain unconditionally: MUTE replicas execute too, and their
-            # queued pushes must not pile up (_push re-checks the fault
-            # mode before actually sending).
             for push in self.application.drain_pushes():
                 self._push(push)
             self.last_executed = sequence
@@ -723,20 +693,11 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
                 self._forget_buffered(key)
 
     def _reply(self, request: ClientRequest, result: Any) -> None:
-        if self.is_silent:
-            return
         if request.client == NULL_REQUEST_CLIENT:
             # Gap-filling no-ops have no real client to answer.
             return
         if self._events.enabled:
             self._event("reply", key=request.key, client=str(request.client))
-        if self.fault_mode is ReplicaFaultMode.LYING:
-            # The lie is self-consistent (its digest is its result's) and
-            # names its replica, so f liars never agree on one wrong answer.
-            # A single liar claiming the *correct* digest over a forged
-            # result needs no collusion; the client defeats that one by
-            # hashing every reply's result on receipt (replication/tally.py).
-            result = ("CORRUPTED", self.replica_id, repr(result))
         reply = ClientReply(
             replica=self.replica_id,
             view=self.view,
@@ -747,18 +708,8 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
         self._send(request.client, reply)
 
     def _push(self, push: Any) -> None:
-        """Send one replica→client push the application queued.
-
-        Pushes count at the client only as part of an ``f + 1`` matching
-        pile, so — exactly like replies — each LYING replica corrupts
-        *independently* (see :func:`~repro.replication.messages.lying_push`)
-        and ``f`` liars can never assemble a certificate.
-        """
-        if self.is_silent:
-            return
+        """Send one replica→client push the application queued."""
         self.application.push_sent(push)
-        if self.fault_mode is ReplicaFaultMode.LYING:
-            push = lying_push(push, self.replica_id)
         self._send(push.client, push)
 
     # ------------------------------------------------------------------
@@ -774,7 +725,6 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
             "buffered": len(self._buffered),
             "log_instances": len(self._pre_prepares),
             "state_transfers": int(self._obs_state_transfers.value),
-            "fault_mode": self.fault_mode.value,
             "batches_proposed": int(self._obs_batches.value),
             "requests_proposed": int(self._obs_batch_size.sum),
             "pending_unordered": len(self._unordered),
@@ -788,6 +738,5 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
     def __repr__(self) -> str:
         return (
             f"OrderingNode(id={self.replica_id!r}, view={self.view}, "
-            f"executed={self.last_executed}, stable={self.stable_checkpoint}, "
-            f"mode={self.fault_mode.value})"
+            f"executed={self.last_executed}, stable={self.stable_checkpoint})"
         )

@@ -35,7 +35,7 @@ from typing import Any, TYPE_CHECKING
 from repro.errors import ReplicationError
 from repro.obs import resolve_obs
 from repro.policy.policy import AccessPolicy
-from repro.replication.pbft import OrderingNode, ReplicaFaultMode
+from repro.replication.pbft import OrderingNode
 from repro.replication.replica import PEATSReplica
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -55,8 +55,7 @@ class ReplicatedPEATS:
         network: "Transport",
         f: int = 1,
         group: str | None = None,
-        replica_faults: dict[int, ReplicaFaultMode] | None = None,
-        view_change_timeout: float = 50.0,
+        view_change_timeout: float | None = None,
         max_batch_size: int = 8,
         checkpoint_interval: int = 8,
         obs: Any = None,
@@ -88,7 +87,6 @@ class ReplicatedPEATS:
         self._replica_ids = tuple(
             f"{prefix}replica-{index}" for index in range(self.n_replicas)
         )
-        replica_faults = replica_faults or {}
         self._nodes = tuple(
             OrderingNode(
                 replica_id,
@@ -99,12 +97,11 @@ class ReplicatedPEATS:
                 ),
                 self._network,
                 view_change_timeout=view_change_timeout,
-                fault_mode=replica_faults.get(index, ReplicaFaultMode.CORRECT),
                 max_batch_size=max_batch_size,
                 checkpoint_interval=checkpoint_interval,
                 obs=self.obs,
             )
-            for index, replica_id in enumerate(self._replica_ids)
+            for replica_id in self._replica_ids
         )
 
     @property

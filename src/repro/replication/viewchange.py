@@ -17,9 +17,12 @@ structurally validated.  Two mitigations narrow (but do not close) the
 gap: a new primary adopts a view-change vote's stable checkpoint as its
 re-proposal floor only when ``f + 1`` voters corroborate it, and a backup
 adopts a ``NEW-VIEW`` floor only when corroborated by the view-change
-votes it saw itself.  The unauthenticated ``prepared``/``highest_sequence``
-fields remain trusted as in the pre-batching protocol; closing that needs
-signed certificates, which is future work.
+votes it saw itself.  Every claimed sequence above the adopted floor's
+high-water mark is ignored, so a lying ``highest_sequence`` cannot hang
+the new primary's null-fill.  Below that bound the unauthenticated
+``prepared``/``highest_sequence`` fields remain trusted as in the
+pre-batching protocol; closing that needs Castro–Liskov's decision
+procedure over the votes, which is future work.
 """
 
 from __future__ import annotations
@@ -46,8 +49,6 @@ class ViewChangeMixin:
         Called by the service after advancing simulated time; a real
         deployment would use wall-clock timers.
         """
-        if self.is_silent:
-            return
         now = self.network.now
         overdue = [
             key
@@ -82,9 +83,8 @@ class ViewChangeMixin:
         suspicious replicas / view-change storms without waiting for a
         request to go overdue.
         """
-        if self.is_silent or self._view_changing:
-            return
-        self._start_view_change(self.view + 1)
+        if not self._view_changing:
+            self._start_view_change(self.view + 1)
 
     def _start_view_change(self, new_view: int) -> None:
         new_view = max(new_view, self.view + 1)
@@ -248,12 +248,17 @@ class ViewChangeMixin:
                 self._request_state(stable)
         # Number above everything assigned anywhere we know of — our own
         # log, the re-proposals and what the view-change voters report —
-        # so sequence numbers are never reused across views.
+        # so sequence numbers are never reused across views.  A claim above
+        # the adopted floor's high-water mark is ignored (PBFT's bound on a
+        # new view's sequences): one lying vote must not stretch the
+        # null-fill below without limit.
+        ceiling = self.high_water_mark
+        reproposals = {seq: batch for seq, batch in reproposals.items() if seq <= ceiling}
+        claims = [vote.last_executed for vote in votes] + [vote.highest_sequence for vote in votes]
         highest = max(
             [self.next_sequence - 1, self.last_executed, self.stable_checkpoint]
-            + list(reproposals.keys())
-            + [vote.last_executed for vote in votes]
-            + [vote.highest_sequence for vote in votes]
+            + list(reproposals)
+            + [claim for claim in claims if claim <= ceiling]
         )
         self.next_sequence = highest + 1
         # A request ordered in an earlier view but neither executed nor
@@ -271,6 +276,9 @@ class ViewChangeMixin:
             for key, request in self._buffered.items()
             if key not in self._ordered_keys and key not in self._executed_keys
         }
+        # A drain posted in an earlier view may never have run (the node's
+        # posts were held); the new view starts the turn's drain afresh.
+        self._drain_posted = False
         if self.is_primary:
             # Re-propose every sequence number above the checkpoint floor
             # up to the highest one assigned anywhere, keeping the quorum's

@@ -42,7 +42,7 @@ from repro.errors import ReplicationError, SimulationError
 from repro.policy.policy import AccessPolicy
 from repro.policy.rules import Rule
 from repro.replication.network import NetworkConfig
-from repro.replication.pbft import ReplicaFaultMode
+from repro.replication.adversary import ReplicaFaultMode
 from repro.sim.clients import ClientProgram, ClientRunner
 from repro.sim.faults import FaultEvent
 from repro.sim.metrics import SimMetrics
@@ -213,7 +213,8 @@ class Scenario:
     drop_probability: float = 0.0
     #: Per-message processing cost at each node (0 = latency-only model).
     processing_time: float = 0.0
-    view_change_timeout: float = 50.0
+    #: ``None`` takes the transport's (50 virtual ms on the simulation).
+    view_change_timeout: Optional[float] = None
     #: Requests the primary may pack into one consensus instance.
     max_batch_size: int = 8
     #: Sequence numbers between checkpoints (log-truncation cadence).

@@ -16,11 +16,15 @@ Available events:
   certified state (plus the in-window committed/prepared tail) from its
   peers and rejoins at the group's tip;
 * :class:`FaultModeWindow` — toggle any
-  :class:`~repro.replication.pbft.ReplicaFaultMode` (e.g. ``LYING``) on a
-  replica for a window;
+  :class:`~repro.replication.adversary.ReplicaFaultMode` (e.g. ``LYING``)
+  on a replica for a window;
 * :class:`ViewChangeStorm` — force the correct replicas to vote out the
   primary ``rounds`` times, ``gap`` ms apart (the churn a flaky timeout
   configuration produces).
+
+Crashes and modes are written to the replica's row of its transport's
+fault table (:func:`~repro.replication.adversary.set_fault`); the ordering
+node itself never learns it is faulty.
 
 Replicas are named by index (into ``service.nodes``) or by replica id;
 partition endpoints may also name client processes.
@@ -41,7 +45,8 @@ import dataclasses
 from typing import Any, Hashable, Sequence, Union
 
 from repro.errors import SimulationError
-from repro.replication.pbft import OrderingNode, ReplicaFaultMode
+from repro.replication.adversary import ReplicaFaultMode, fault_of, set_fault
+from repro.replication.pbft import OrderingNode
 
 __all__ = [
     "FaultEvent",
@@ -159,12 +164,12 @@ class CrashWindow(FaultEvent):
         before_crash: list[ReplicaFaultMode] = [ReplicaFaultMode.CORRECT]
 
         def crash() -> None:
-            before_crash[0] = node.fault_mode
-            node.fault_mode = ReplicaFaultMode.CRASHED
+            before_crash[0] = fault_of(node)
+            set_fault(node, ReplicaFaultMode.CRASHED)
             engine.metrics.record_event(network.now, "fault", f"crash {node.replica_id}")
 
         def recover() -> None:
-            node.fault_mode = before_crash[0]
+            set_fault(node, before_crash[0])
             engine.metrics.record_event(
                 network.now, "fault", f"recover {node.replica_id}={before_crash[0].value}"
             )
@@ -191,13 +196,13 @@ class FaultModeWindow(FaultEvent):
         node = _resolve_node(engine, self.replica, self.shard)
 
         def enable() -> None:
-            node.fault_mode = self.mode
+            set_fault(node, self.mode)
             engine.metrics.record_event(
                 network.now, "fault", f"mode {node.replica_id}={self.mode.value}"
             )
 
         def disable() -> None:
-            node.fault_mode = self.restore
+            set_fault(node, self.restore)
             engine.metrics.record_event(
                 network.now, "fault", f"mode {node.replica_id}={self.restore.value}"
             )
@@ -232,7 +237,7 @@ class ViewChangeStorm(FaultEvent):
                 network.now, "fault", f"view-change-storm round {round_index}{scope}"
             )
             for node in _shard_nodes(engine, self.shard):
-                node.force_view_change()
+                network.post(node.replica_id, node.force_view_change)
 
         for index in range(self.rounds):
             network.schedule_at(self.start + index * self.gap, lambda i=index: blow(i))

@@ -13,7 +13,7 @@ import pytest
 from repro.api import connect
 from repro.cluster import ExplicitRouting, ShardedPEATS
 from repro.errors import CrossShardError, ReplicationError
-from repro.replication.pbft import ReplicaFaultMode
+from repro.replication import ReplicaFaultMode, fault_of
 from repro.sim import (
     CrashWindow,
     Scenario,
@@ -105,8 +105,8 @@ class TestShardedService:
         cluster = two_shard_cluster(
             replica_faults={(1, 2): ReplicaFaultMode.LYING, 1: ReplicaFaultMode.CRASHED}
         )
-        assert cluster.group(1).nodes[2].fault_mode is ReplicaFaultMode.LYING
-        assert cluster.group(0).nodes[1].fault_mode is ReplicaFaultMode.CRASHED
+        assert fault_of(cluster.group(1).nodes[2]) is ReplicaFaultMode.LYING
+        assert fault_of(cluster.group(0).nodes[1]) is ReplicaFaultMode.CRASHED
         view = connect(service=cluster).bind("p1")
         assert view.out(entry("A", 1)) is True
         assert view.out(entry("B", 2)) is True
@@ -181,7 +181,7 @@ class TestShardedScenarios:
         )
         result = run_scenario(scenario)
         assert result.completed
-        assert result.service.nodes[2].fault_mode is ReplicaFaultMode.CRASHED
+        assert fault_of(result.service.nodes[2]) is ReplicaFaultMode.CRASHED
         from repro.errors import SimulationError
 
         with pytest.raises(SimulationError):

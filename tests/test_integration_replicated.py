@@ -23,7 +23,7 @@ from repro.policy import (
 )
 from repro.policy.library import BOTTOM
 from repro.replication.network import NetworkConfig
-from repro.replication.pbft import ReplicaFaultMode
+from repro.replication import ReplicaFaultMode
 from repro.tuples import ANY, entry, template
 from repro.universal import LockFreeUniversalConstruction, WaitFreeUniversalConstruction
 from repro.universal.emulated import counter_type, kv_store_type

@@ -30,7 +30,7 @@ from repro.notify import Subscription, WaiterTable
 from repro.policy import AccessPolicy, Rule
 from repro.replication.crypto import digest
 from repro.replication.messages import Notify
-from repro.replication.pbft import ReplicaFaultMode
+from repro.replication import ReplicaFaultMode
 from repro.sim import Scenario, run_scenario
 from repro.sim.workloads import queue_consumers
 from repro.tuples import ANY, entry, template

@@ -14,7 +14,7 @@ from repro.cluster import HashRouting, ShardedPEATS
 from repro.errors import ReplicationError, TupleSpaceError
 from repro.obs import Observability
 from repro.replication import ReplicatedPEATS, SimulatedNetwork
-from repro.replication.pbft import ReplicaFaultMode
+from repro.replication import ReplicaFaultMode, fault_of
 from repro.sim import open_sim_policy
 from repro.tuples import ANY, entry, template
 
@@ -146,7 +146,7 @@ def test_replica_fault_keys_reach_the_replica_or_raise(backend, shards, outside)
         replica_faults={(0, 2): ReplicaFaultMode.CRASHED},
         **options,
     )
-    modes = [node.fault_mode for node in space.service.nodes]
+    modes = [fault_of(node) for node in space.service.nodes]
     assert modes[2] is ReplicaFaultMode.CRASHED
     assert modes.count(ReplicaFaultMode.CRASHED) == 1
     with pytest.raises(ReplicationError, match="outside the cluster"):

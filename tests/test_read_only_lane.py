@@ -33,7 +33,7 @@ from repro.replication.messages import (
     authenticate_request,
 )
 from repro.replication.network import NetworkConfig, SimulatedNetwork
-from repro.replication.pbft import OrderingNode, ReplicaFaultMode
+from repro.replication import OrderingNode, ReplicaFaultMode, set_fault
 from repro.replication.replica import PEATSReplica
 from repro.txn.legs import normalize_legs
 from repro.tuples import ANY, entry, template
@@ -369,7 +369,7 @@ class TestCommitFrontierHold:
         commit_without_executing(backup, batch)
         backup.on_message("client", read(1))
         # The primary falls silent; the backups' timers fire.
-        nodes[0].fault_mode = ReplicaFaultMode.CRASHED
+        set_fault(nodes[0], ReplicaFaultMode.CRASHED)
         for node in nodes[1:]:
             node._start_view_change(1)
         network.run_until(lambda: backup.view == 1)

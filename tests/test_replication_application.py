@@ -16,7 +16,7 @@ from repro.replication.messages import (
     authenticate_request,
 )
 from repro.replication.network import NetworkConfig, SimulatedNetwork
-from repro.replication.pbft import OrderingNode, ReplicaFaultMode
+from repro.replication import OrderingNode, ReplicaFaultMode, set_fault
 
 REPLICAS = tuple(f"r{i}" for i in range(4))
 AUTH = MessageAuthenticator(KeyStore())
@@ -84,11 +84,12 @@ def make_cluster(faults=None, **node_kwargs):
             LogApplication(),
             network,
             view_change_timeout=10.0,
-            fault_mode=(faults or {}).get(index, ReplicaFaultMode.CORRECT),
             **node_kwargs,
         )
-        for index, replica_id in enumerate(REPLICAS)
+        for replica_id in REPLICAS
     ]
+    for index, mode in (faults or {}).items():
+        set_fault(nodes[index], mode)
     inbox = []
     network.register("client", lambda sender, payload: inbox.append((sender, payload)))
     return network, nodes, inbox
@@ -138,7 +139,7 @@ def test_lagging_node_catches_up_by_state_transfer():
     live, lagging = nodes[:3], nodes[3]
     assert all(node.stable_checkpoint == 4 for node in live)
     assert lagging.application.log == []
-    lagging.fault_mode = ReplicaFaultMode.CORRECT
+    set_fault(lagging, ReplicaFaultMode.CORRECT)
     for node in live:
         network.send(node.replica_id, lagging.replica_id, node._own_checkpoint)
     network.run()
@@ -187,7 +188,8 @@ def test_pushes_reach_their_addressee_only_from_non_silent_nodes():
     assert sorted(sender for sender, _ in pushes) == ["r0", "r1", "r3"]
     assert {payload for _, payload in pushes} == {Appended("client", 1)}
     mute = nodes[2].application
-    # The MUTE node executed and was drained, but nothing left — or was
-    # reported as having left.
-    assert mute.log == [("line", 0)] and mute.outbox == [] and mute.sent == []
+    # The MUTE node executed, was drained and sent, but nothing left: its
+    # row of the fault table swallows the send below the node.
+    assert mute.log == [("line", 0)] and mute.outbox == []
+    assert mute.sent == [Appended("client", 1)]
     assert all(node.application.sent == [Appended("client", 1)] for node in nodes[:2])

@@ -15,7 +15,7 @@ from repro.policy import AccessPolicy, Rule
 from repro.replication.crypto import KeyStore, MessageAuthenticator
 from repro.replication.network import NetworkConfig, SimulatedNetwork
 from repro.replication.messages import ClientRequest, authenticate_request
-from repro.replication.pbft import OrderingNode, ReplicaFaultMode
+from repro.replication import OrderingNode, ReplicaFaultMode, set_fault
 from repro.replication.replica import PEATSReplica
 from repro.sim import (
     CrashWindow,
@@ -48,10 +48,10 @@ def make_cluster(n=4, f=1, faults=None, **node_kwargs):
                 PEATSReplica(replica_id, open_policy()),
                 network,
                 view_change_timeout=10.0,
-                fault_mode=faults.get(index, ReplicaFaultMode.CORRECT),
                 **node_kwargs,
             )
         )
+        set_fault(nodes[-1], faults.get(index, ReplicaFaultMode.CORRECT))
     replies = []
     network.register("client", lambda sender, payload: replies.append((sender, payload)))
     return network, nodes, replies
@@ -317,7 +317,7 @@ class TestCheckpointRecovery:
         # certificate it slept through; it fetches state at 8 and must
         # adopt the committed batches 9 and 10 shipped alongside.
         lagging = nodes[3]
-        lagging.fault_mode = ReplicaFaultMode.CORRECT
+        set_fault(lagging, ReplicaFaultMode.CORRECT)
         for node in live:
             network.send(node.replica_id, lagging.replica_id, node._own_checkpoint)
         network.run()

@@ -16,7 +16,7 @@ from repro.replication.messages import (
     authenticate_request,
 )
 from repro.replication.network import NetworkConfig, SimulatedNetwork
-from repro.replication.pbft import OrderingNode, ReplicaFaultMode
+from repro.replication import OrderingNode, ReplicaFaultMode, set_fault
 from repro.replication.replica import PEATSReplica
 from repro.tuples import entry
 
@@ -39,9 +39,9 @@ def make_cluster(n=4, f=1, faults=None):
                 PEATSReplica(replica_id, open_policy()),
                 network,
                 view_change_timeout=10.0,
-                fault_mode=faults.get(index, ReplicaFaultMode.CORRECT),
             )
         )
+        set_fault(nodes[-1], faults.get(index, ReplicaFaultMode.CORRECT))
     replies = []
     network.register("client", lambda sender, payload: replies.append((sender, payload)))
     return network, nodes, replies
@@ -246,7 +246,7 @@ class TestViewChange:
         assert all(node.last_executed == 1 for node in (nodes[0], nodes[1], nodes[3]))
 
     def test_statistics_snapshot(self):
-        _, nodes, _ = make_cluster()
+        network, nodes, _ = make_cluster()
         stats = nodes[0].statistics
         assert stats["view"] == 0
-        assert stats["fault_mode"] == "correct"
+        assert network.fault_of("r0") is ReplicaFaultMode.CORRECT

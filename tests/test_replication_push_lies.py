@@ -1,5 +1,5 @@
 """One lie table, complete: every replica→client push class has exactly
-one LYING corruption, spelled beside the dataclasses in ``messages.py``.
+one LYING corruption, spelled once in ``replication/adversary.py``.
 
 The end-to-end LYING scenarios stay where they were, untouched, as the
 regression anchors of this refactor:
@@ -17,8 +17,8 @@ from repro.obs import Observability
 from repro.policy import AccessPolicy, Rule
 from repro.replication import messages, replica
 from repro.replication.crypto import digest
+from repro.replication.adversary import PUSH_LIES
 from repro.replication.messages import (
-    PUSH_LIES,
     Notify,
     TxnAck,
     TxnDecision,
@@ -26,7 +26,7 @@ from repro.replication.messages import (
     TxnVote,
 )
 from repro.replication.network import NetworkConfig, SimulatedNetwork
-from repro.replication.pbft import OrderingNode, ReplicaFaultMode
+from repro.replication import OrderingNode, ReplicaFaultMode, set_fault
 from repro.replication.replica import PEATSReplica
 from repro.tuples import entry
 
@@ -58,12 +58,11 @@ def make_cluster():
     modes = ("CORRECT", "LYING", "LYING", "MUTE")
     policy = AccessPolicy([Rule("out", "out")], name="open")
     nodes = [
-        OrderingNode(
-            rid, ids, 1, PEATSReplica(rid, policy, obs=obs), network,
-            fault_mode=ReplicaFaultMode[mode], obs=obs,
-        )
-        for rid, mode in zip(ids, modes)
+        OrderingNode(rid, ids, 1, PEATSReplica(rid, policy, obs=obs), network, obs=obs)
+        for rid in ids
     ]
+    for node, mode in zip(nodes, modes):
+        set_fault(node, ReplicaFaultMode[mode])
     inbox = {}
     network.register("client", lambda sender, payload: inbox.__setitem__(sender, payload))
     return obs, network, nodes, inbox
@@ -91,13 +90,13 @@ def test_each_liar_corrupts_independently_and_a_mute_node_sends_nothing(cls):
         # Every lie but the ack's (whose only id is ``replica``) also
         # carries the liar's id in a corrupted field.
         assert as_r0["r1"] != as_r0["r2"]
-    # Accounting follows what left: liars count, the MUTE node does not.
+    # Accounting follows what each node sent: the MUTE node sends (and
+    # counts) too, and its row of the fault table swallows the push.
     kinds = {node.replica_id: [e["kind"] for e in obs.events.events(node.replica_id)]
              for node in nodes}
-    assert all(kinds[rid] == [FLIGHT_KIND[cls]] for rid in ("r0", "r1", "r2"))
-    assert kinds["r3"] == []
+    assert all(kinds[rid] == [FLIGHT_KIND[cls]] for rid in ("r0", "r1", "r2", "r3"))
     expected = 1.0 if cls is Notify else 0.0
-    assert pushed_total(obs) == {"r0": expected, "r1": expected, "r2": expected, "r3": 0.0}
+    assert pushed_total(obs) == {"r0": expected, "r1": expected, "r2": expected, "r3": expected}
 
 
 def test_the_lie_table_covers_exactly_what_a_replica_can_enqueue():

@@ -10,7 +10,7 @@ from repro.errors import AccessDeniedError, QuorumError, ReplicationError
 from repro.policy import AccessPolicy, Rule, strong_consensus_policy, weak_consensus_policy
 from repro.replication.crypto import digest
 from repro.replication.messages import ClientReply
-from repro.replication.pbft import ReplicaFaultMode
+from repro.replication import ReplicaFaultMode, set_fault
 from repro.tuples import ANY, Formal, entry, template
 
 
@@ -215,7 +215,7 @@ class TestViewChangeSequenceHoles:
         assert view.out(entry("A", 1)) is True  # executed by replicas 0,2,3
         assert view.out(entry("A", 2)) is True
         network.heal_all()
-        service.nodes[0].fault_mode = ReplicaFaultMode.CRASHED
+        set_fault(service.nodes[0], ReplicaFaultMode.CRASHED)
         # The next request forces a view change electing replica-1, which
         # missed the whole history.
         assert view.out(entry("A", 3)) is True

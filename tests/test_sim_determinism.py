@@ -12,7 +12,7 @@ import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
-from repro.replication.pbft import ReplicaFaultMode
+from repro.replication import ReplicaFaultMode
 from repro.sim import PartitionWindow, Scenario, run_scenario
 from repro.sim.workloads import consensus_storm, kv_readwrite, queue_producer_consumer
 

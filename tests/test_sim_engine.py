@@ -5,7 +5,7 @@ import pytest
 from repro.cluster import ShardedPEATS
 from repro.errors import OperationTimeoutError, QuorumError, SimulationError
 from repro.replication import NetworkConfig, SimulatedNetwork
-from repro.replication.pbft import ReplicaFaultMode
+from repro.replication import ReplicaFaultMode
 from repro.sim import (
     Op,
     Pause,

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.replication.pbft import ReplicaFaultMode
+from repro.replication import ReplicaFaultMode
 from repro.sim import (
     CrashWindow,
     FaultModeWindow,

@@ -21,7 +21,7 @@ from repro.net import TcpTransport
 from repro.obs import Observability
 from repro.policy import AccessPolicy, Rule
 from repro.replication.client import PEATSClient
-from repro.replication.pbft import ReplicaFaultMode
+from repro.replication import ReplicaFaultMode
 from repro.sim import CrashWindow, Scenario, run_scenario
 from repro.sim.workloads import write_burst
 from repro.tuples import Formal, entry, template
@@ -127,8 +127,6 @@ def test_statistics_are_int_views_of_the_registry(exercised, views):
     counted = 0
     for statistics, families, labels in views(exercised):
         for key, value in statistics.items():
-            if key == "fault_mode":
-                continue
             assert type(value) is int, (key, value)
             if key in families:
                 row = sample(registry, families[key], **labels)

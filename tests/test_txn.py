@@ -25,7 +25,7 @@ from repro.policy.policy import AccessPolicy
 from repro.policy.rules import Rule
 from repro.replication.crypto import digest
 from repro.replication.messages import TxnAck, TxnDecision, TxnPrepare, TxnVote
-from repro.replication.pbft import ReplicaFaultMode
+from repro.replication import ReplicaFaultMode, set_fault
 from repro.sim import Scenario, run_scenario
 from repro.sim.workloads import escrow_transfers
 from repro.txn import NO_MATCH, TxnOutcome, outcome_from_payload
@@ -300,7 +300,7 @@ class TestCoordinatorFaults:
             lambda: any(len(node.application._txn_coord) for node in coordinators)
         )
         assert not future.done
-        space.service.group(1).nodes[3].fault_mode = ReplicaFaultMode.CRASHED
+        set_fault(space.service.group(1).nodes[3], ReplicaFaultMode.CRASHED)
         payload = drive(space, future)
         assert outcome_from_payload(payload).committed
         assert set(space.snapshot()) == {entry("N2", "tok")}
@@ -309,7 +309,7 @@ class TestCoordinatorFaults:
         space = sharded_space()
         view = space.bind("p1")
         view.out(entry("N1", "tok"))
-        space.service.group(1).nodes[0].fault_mode = ReplicaFaultMode.CRASHED
+        set_fault(space.service.group(1).nodes[0], ReplicaFaultMode.CRASHED)
         future = space.submit_transfer(
             template("N1", ANY), entry("N2", "tok"), process="p1"
         )
@@ -321,7 +321,7 @@ class TestCoordinatorFaults:
 class TestLyingParticipant:
     def test_lying_participant_replica_cannot_block_or_corrupt(self):
         space = sharded_space()
-        space.service.group(2).nodes[1].fault_mode = ReplicaFaultMode.LYING
+        set_fault(space.service.group(2).nodes[1], ReplicaFaultMode.LYING)
         view = space.bind("p1")
         view.out(entry("N1", "tok"))
         outcome = view.transfer(template("N1", ANY), entry("N2", "tok"))
@@ -330,7 +330,7 @@ class TestLyingParticipant:
 
     def test_lying_coordinator_replica_cannot_forge_a_decision(self):
         space = sharded_space()
-        space.service.group(1).nodes[2].fault_mode = ReplicaFaultMode.LYING
+        set_fault(space.service.group(1).nodes[2], ReplicaFaultMode.LYING)
         view = space.bind("p1")
         view.out(entry("N1", "tok"))
         outcome = view.transfer(template("N1", ANY), entry("N3", "tok"))
@@ -339,7 +339,7 @@ class TestLyingParticipant:
 
     def test_lying_replica_aborts_still_resolve_correctly(self):
         space = sharded_space()
-        space.service.group(1).nodes[3].fault_mode = ReplicaFaultMode.LYING
+        set_fault(space.service.group(1).nodes[3], ReplicaFaultMode.LYING)
         view = space.bind("p1")
         with pytest.raises(TxnAbortedError):
             view.transfer(template("N1", ANY), entry("N2", "never"))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.obs import Observability
 from repro.obs.doctor import diagnose, merge_dumps
-from repro.replication.pbft import ReplicaFaultMode
+from repro.replication import ReplicaFaultMode
 from repro.sim import FaultModeWindow, Scenario, run_scenario
 from repro.sim.workloads import consensus_storm
 
