@@ -1,24 +1,26 @@
 #!/usr/bin/env python3
 """Diagnosis tour: wedge a replica group on purpose, then find the culprits.
 
-This is the PR 9 post-mortem, replayed as a demo.  A digest
+This is an old post-mortem, replayed as a demo.  A digest
 nondeterminism bug once made replicas vote *different digests* for the
 same checkpoint sequence: no 2f+1 certificate could form, the log window
 jammed at ``stable + log_window`` and the group wedged while every
 counter simply stopped moving.  The tour re-creates exactly that failure
 shape with :data:`ReplicaFaultMode.DIVERGENT` on replicas 1 and 3
-(splitting the checkpoint vote 2-vs-2 at f=1) and then walks the three
-PR 10 instruments that make it diagnosable:
+(splitting the checkpoint vote 2-vs-2 at f=1) and then walks the
+instruments that make it diagnosable:
 
 1. the **event log**'s ring view — per-node ring buffers of typed
    events (message flow, checkpoint votes, view changes), always on,
    bounded, and strictly passive;
-2. the **health monitor** — online probes over already-observed state;
-   ``checkpoint-starvation`` fires *critical* and names both digest
-   camps, with zero extra messages;
+2. the **health monitor** — the rule table of :mod:`repro.obs.rules`
+   run online over already-observed state, with zero extra messages:
+   ``checkpoint-divergence`` names both digest camps and
+   ``checkpoint-starvation`` fires *critical*;
 3. the **post-mortem doctor** — fed nothing but the ring dumps, it
-   merges them into one causally ordered timeline and attributes the
-   divergence to exactly replicas {1, 3} vs {0, 2}.
+   merges them into one causally ordered timeline, runs the same rule
+   table and attributes the divergence to exactly replicas {1, 3} vs
+   {0, 2}: the same findings the live monitor reported.
 
 Run it with::
 
@@ -60,7 +62,7 @@ def wedge_scenario(obs: Observability) -> Scenario:
 
 
 def main(argv: list[str] | None = None) -> None:
-    parser = argparse.ArgumentParser(description="PR 9 wedge, diagnosed live")
+    parser = argparse.ArgumentParser(description="A checkpoint wedge, diagnosed live")
     parser.add_argument(
         "--report", type=pathlib.Path, default=None,
         help="also write the doctor's JSON diagnosis here",
@@ -78,7 +80,7 @@ def main(argv: list[str] | None = None) -> None:
             f"(window {node.log_window})"
         )
 
-    print("\n== 2. The online probe sees it (no extra messages) ==")
+    print("\n== 2. The live monitor runs the rules (no extra messages) ==")
     reports = []
     for _ in range(obs.health.fire_after):  # hysteresis: two consecutive looks
         reports = obs.health.check(result.service)
@@ -92,7 +94,7 @@ def main(argv: list[str] | None = None) -> None:
         f"{stats['retained']} retained, {stats['dropped']} dropped"
     )
 
-    print("\n== 4. The doctor works from the dumps alone ==")
+    print("\n== 4. The doctor runs the same rules on the dumps alone ==")
     merged = merge_dumps([obs.events.dump()])
     diagnosis = diagnose(merged, health=[r.as_dict() for r in reports])
     print(render_text(diagnosis))

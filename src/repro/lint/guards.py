@@ -278,6 +278,12 @@ GUARDS: tuple[Guard, ...] = (
         "the delivery core's fault table (replication/adversary.py)",
     ),
     Guard(
+        "one-diagnosis-engine", 50, "name", ("_probe_*", "_analyze_*"), ("src/repro/obs/",),
+        "a diagnoser writes its own thresholds again; a finding is one row of "
+        "repro.obs.rules.RULES over Facts, which the monitor and the doctor both run",
+        allow=("src/repro/obs/rules.py",),
+    ),
+    Guard(
         "guards-in-lint", 35, "name", ("grep",), (".github/workflows/ci.yml",),
         "an architecture guard belongs in this table, where tier-1 runs it "
         "and names are matched as tokens; a CI grep step runs only in CI",

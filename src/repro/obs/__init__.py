@@ -12,10 +12,12 @@ The package bundles three passive instruments:
   correlation id already on the wire, assembled into timelines and a
   "where did the time go" report; and per-node bounded rings with drop
   accounting, dumpable for the post-mortem ``python -m repro.obs.doctor``;
-* :class:`~repro.obs.health.HealthMonitor` — online probes over
-  already-observed state (checkpoint starvation, view-change churn,
-  reply-quorum divergence, waiter occupancy, shard skew) with
-  fire/clear hysteresis, surfaced via ``Space.stats()["health"]``.
+* :class:`~repro.obs.health.HealthMonitor` — the diagnosis rules of
+  :mod:`repro.obs.rules` (checkpoint divergence and starvation, view
+  churn, quorum failures, reply divergence, waiter occupancy, shard
+  skew) run online over already-observed state with fire/clear
+  hysteresis, surfaced via ``Space.stats()["health"]``.  The doctor
+  runs the same rule table over ring dumps.
 
 :class:`Observability` carries all three through ``connect(obs=...)`` /
 ``Scenario(obs=...)`` into every layer.  The registry is the one store

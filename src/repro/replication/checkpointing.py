@@ -69,13 +69,17 @@ class CheckpointingMixin:
                     sequence=message.sequence,
                     digest=message.state_digest,
                     voter=str(replica),
+                    checkpoint_interval=self.checkpoint_interval,
+                    log_window=self.log_window,
                 )
 
     def checkpoint_vote_table(self) -> dict[Hashable, tuple[int, str]]:
         """The latest checkpoint vote this node has seen per replica,
         as ``{replica: (sequence, state_digest)}`` — what the health
         monitor merges to attribute a starved certificate to the
-        replicas whose digests diverge."""
+        replicas whose digests diverge.  The ``checkpoint-vote`` event
+        carries the interval and log window beside the vote, so the
+        doctor reads the same facts from a dump."""
         return {
             replica: (vote.sequence, vote.state_digest)
             for replica, vote in self._checkpoint_votes.items()

@@ -43,6 +43,10 @@ __all__ = ["ViewChangeMixin"]
 class ViewChangeMixin:
     """Timeouts, view-change votes, NEW-VIEW installation and replay."""
 
+    #: ``last_executed`` when this replica's newest view change started;
+    #: the health rules call a group churning when nobody executed past it.
+    executed_at_view_change = 0
+
     def check_timeouts(self) -> None:
         """Start a view change if a buffered request has waited too long.
 
@@ -91,6 +95,7 @@ class ViewChangeMixin:
         self._obs_view_changes.inc()
         self._view_changing = True
         self._view_change_started_at = self.network.now
+        self.executed_at_view_change = self.last_executed
         if self._events.enabled:
             self._event(
                 "view-change",

@@ -19,10 +19,10 @@ from repro.obs.doctor import (
 )
 
 
-def _vote(node, t, sequence, digest, voter, seq):
+def _vote(node, t, sequence, digest, voter, seq, **fields):
     return {
         "kind": "checkpoint-vote", "t": t, "sequence": sequence,
-        "digest": digest, "voter": voter, "seq": seq, "node": node,
+        "digest": digest, "voter": voter, "seq": seq, "node": node, **fields,
     }
 
 
@@ -131,7 +131,11 @@ class TestDiagnose:
 
     def test_subquorum_votes_without_divergence_report_starvation(self):
         x = "aaaa" * 16
-        events = [_vote("r0", 1.0, 8, x, "r0", 0), _vote("r0", 1.1, 8, x, "r1", 1)]
+        events = [
+            _vote("r0", 1.0, 8, x, "r0", 0, checkpoint_interval=8, log_window=16),
+            _vote("r0", 1.1, 8, x, "r1", 1),
+            {"kind": "execute", "t": 1.2, "seq": 2, "sequence": 12},
+        ]
         # r2/r3 executed but their votes never arrived (crashed or cut off):
         # they still count toward n because they recorded replica-side events.
         merged = merge_dumps([

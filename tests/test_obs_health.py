@@ -45,6 +45,8 @@ class FakeNode:
         view_changes=0,
         votes=None,
         waiters=0,
+        view=0,
+        executed_at_view_change=0,
     ):
         self.replica_id = replica_id
         self.last_executed = last_executed
@@ -52,6 +54,8 @@ class FakeNode:
         self.checkpoint_interval = checkpoint_interval
         self.log_window = log_window
         self.statistics = {"view_changes_started": view_changes}
+        self.view = view
+        self.executed_at_view_change = executed_at_view_change
         self._votes = dict(votes or {})
         self.application = FakeApp(waiters=waiters)
 
@@ -115,7 +119,10 @@ class TestCheckpointStarvation:
         node = FakeNode(
             "r0", last_executed=16, stable_checkpoint=0, votes=votes
         )
-        (report,) = settle(HealthMonitor(), FakeService([node]))
+        (report,) = [
+            r for r in settle(HealthMonitor(), FakeService([node]))
+            if r.probe == "checkpoint-divergence"
+        ]
         assert "diverge" in report.detail
         groups = report.data["votes_by_digest"]
         assert sorted(groups.values()) == [["r0", "r2"], ["r1", "r3"]]
@@ -126,8 +133,9 @@ class TestViewChurnAndOccupancy:
         node = FakeNode("r0", last_executed=5, view_changes=0)
         monitor = HealthMonitor(fire_after=1, clear_after=1)
         service = FakeService([node])
-        assert monitor.check(service) == []  # first sample only seeds deltas
+        assert monitor.check(service) == []  # no view change yet
         node.statistics["view_changes_started"] = 4  # +4 churn, no progress
+        node.executed_at_view_change = 5
         (report,) = monitor.check(service)
         assert report.probe == "view-churn"
         node.statistics["view_changes_started"] = 8
@@ -155,7 +163,7 @@ class TestReplyDivergenceAndSkew:
         assert monitor.check(service) == []  # pre-existing count only seeds
         service._totals["quorum_failures"] = 5  # +2 since last evaluation
         (report,) = monitor.check(service)
-        assert (report.probe, report.level) == ("reply-divergence", "critical")
+        assert (report.probe, report.level) == ("quorum-failure", "critical")
         assert report.data["quorum_failures"] == 2
 
     def test_shard_skew_names_the_laggard(self):

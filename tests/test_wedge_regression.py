@@ -8,11 +8,12 @@ purpose — :data:`ReplicaFaultMode.DIVERGENT` corrupts the checkpoint
 digest deterministically on replicas 1 and 3, splitting the vote 2-vs-2
 at f=1 — and asserts the PR 10 instruments see it:
 
-* the ``checkpoint-starvation`` probe fires *critical* once execution
-  runs a full log window past the stable checkpoint, and its report
-  names both digest camps;
+* the live monitor's ``checkpoint-starvation`` fires *critical* once
+  execution runs a full log window past the stable checkpoint, and its
+  ``checkpoint-divergence`` names both digest camps;
 * the post-mortem doctor, fed only the flight dumps, attributes the
-  divergence to exactly replicas {1, 3} vs {0, 2}.
+  divergence to exactly replicas {1, 3} vs {0, 2};
+* both run one rule table, so they report the same findings.
 """
 
 from __future__ import annotations
@@ -68,7 +69,8 @@ class TestWedgeRegression:
         report = starvation[0]
         assert report.level == "critical"
         assert report.data["lag"] >= report.data["log_window"]
-        camps = sorted(report.data["votes_by_digest"].values())
+        (divergence,) = [r for r in reports if r.probe == "checkpoint-divergence"]
+        camps = sorted(divergence.data["votes_by_digest"].values())
         assert camps == [
             ["replica-0", "replica-2"], ["replica-1", "replica-3"],
         ]
@@ -90,6 +92,26 @@ class TestWedgeRegression:
         # The two camps disagree: two distinct digests, neither at quorum.
         digests = list(finding["data"]["votes_by_digest"])
         assert len(digests) == 2 and digests[0] != digests[1]
+
+    def test_live_and_post_mortem_diagnoses_agree(self):
+        obs, result = _run_wedge()
+        for _ in range(obs.health.fire_after):
+            reports = obs.health.check(result.service)
+        live = sorted((r.probe, r.level, r.subject) for r in reports)
+        diagnosis = diagnose(merge_dumps([obs.events.dump()]))
+        dump_only = {"message-loss", "recording-truncated"}
+        post_mortem = sorted(
+            (f["kind"], f["level"], f["subject"])
+            for f in diagnosis["findings"]
+            if f["kind"] not in dump_only and not f["kind"].startswith("health:")
+        )
+        assert live == post_mortem
+        assert ("checkpoint-divergence", "critical", "group") in live
+        (online,) = [r for r in reports if r.probe == "checkpoint-divergence"]
+        (offline,) = [
+            f for f in diagnosis["findings"] if f["kind"] == "checkpoint-divergence"
+        ]
+        assert online.data == offline["data"]
 
     def test_wedge_replay_is_deterministic(self):
         first_obs, _ = _run_wedge()
