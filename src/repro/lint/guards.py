@@ -284,6 +284,14 @@ GUARDS: tuple[Guard, ...] = (
         allow=("src/repro/obs/rules.py",),
     ),
     Guard(
+        "one-vote-store", 55, "name",
+        ("_prepares", "_commits", "_checkpoint_votes", "_state_responses",
+         "_view_change_votes", "_sent_prepare", "_sent_commit", "self.quorum", "self.f"),
+        _CORE,
+        "a hand-built vote table or quorum size in the ordering core; cast the "
+        "ballot in repro.replication.votes.VoteStore and ask it certified()",
+    ),
+    Guard(
         "guards-in-lint", 35, "name", ("grep",), (".github/workflows/ci.yml",),
         "an architecture guard belongs in this table, where tier-1 runs it "
         "and names are matched as tokens; a CI grep step runs only in CI",

@@ -13,22 +13,24 @@ not a layer):
   ``stable + log_window``, so the message log is bounded);
 * a replica that learns a stable checkpoint ahead of its own execution
   horizon fetches the checkpointed application state from a peer and
-  installs it after validating it against the certificate digest (the
-  minimal state transfer a recovering replica needs; incremental/partial
-  transfer is future work).
+  installs it after validating it against the certificate digest
+  (incremental/partial transfer is future work);
+* checkpoint votes and state responses are ballots in the node's
+  :class:`~repro.replication.votes.VoteStore`, one slot per sender each:
+  a replica's newer one evicts its older, so a faulty replica spraying
+  sequence numbers overwrites its own slot instead of growing the table.
 
-Checkpoint messages carry no digital signatures, which matters where one
-replica relays another's words: per-link MACs cannot be verified by a
-third party, so the checkpoint proofs embedded in
+Checkpoint messages carry no digital signatures, and per-link MACs cannot
+be verified by a third party, so the checkpoint proofs embedded in
 ``VIEW-CHANGE``/``NEW-VIEW``/``STATE-RESPONSE`` are only structurally
-validated.  The mitigation on this side narrows (but does not close) the
-gap: a state transfer installs only state shipped byte-identically by
-``f + 1`` distinct responders.
+validated.  This side narrows (but does not close) the gap: a state
+transfer installs only state shipped byte-identically by ``f + 1``
+distinct responders.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Optional
+from typing import Any, Dict, Hashable, Iterable, Optional
 
 from repro.replication.crypto import digest
 from repro.replication.messages import (
@@ -38,6 +40,7 @@ from repro.replication.messages import (
     StateRequest,
     StateResponse,
 )
+from repro.replication.votes import CHECKPOINT, STATE
 
 __all__ = ["CheckpointingMixin"]
 
@@ -51,18 +54,14 @@ class CheckpointingMixin:
         state_digest = digest(state)
         # Kept beside the (immutable) state, so nothing digests it again.
         self._checkpoint_states[sequence] = (state, state_digest)
-        message = Checkpoint(
-            sequence=sequence, state_digest=state_digest, replica=self.replica_id
-        )
+        message = Checkpoint(sequence=sequence, state_digest=state_digest, replica=self.replica_id)
         self._own_checkpoint = message
         self._record_checkpoint_vote(self.replica_id, message)
         self._multicast(message)
         self._maybe_stabilize(sequence, message.state_digest)
 
     def _record_checkpoint_vote(self, replica: Hashable, message: Checkpoint) -> None:
-        current = self._checkpoint_votes.get(replica)
-        if current is None or message.sequence >= current.sequence:
-            self._checkpoint_votes[replica] = message
+        if self.votes.vote(CHECKPOINT, 0, message.sequence, replica, message.state_digest, message):
             if self._events.enabled:
                 self._event(
                     "checkpoint-vote",
@@ -74,22 +73,18 @@ class CheckpointingMixin:
                 )
 
     def checkpoint_vote_table(self) -> dict[Hashable, tuple[int, str]]:
-        """The latest checkpoint vote this node has seen per replica,
-        as ``{replica: (sequence, state_digest)}`` — what the health
-        monitor merges to attribute a starved certificate to the
-        replicas whose digests diverge.  The ``checkpoint-vote`` event
-        carries the interval and log window beside the vote, so the
-        doctor reads the same facts from a dump."""
+        """The latest checkpoint vote seen per replica, as ``{replica:
+        (sequence, state_digest)}``: what the health monitor merges to name
+        the replicas whose digests diverge (the doctor reads the same from
+        the ``checkpoint-vote`` events of a dump)."""
         return {
-            replica: (vote.sequence, vote.state_digest)
-            for replica, vote in self._checkpoint_votes.items()
+            replica: (sequence, state_digest)
+            for _, sequence, replica, state_digest in self.votes.ballots(CHECKPOINT)
         }
 
     def _on_checkpoint(self, sender: Hashable, message: Checkpoint) -> None:
-        if message.replica != sender:
+        if message.replica != sender or message.sequence <= self.stable_checkpoint:
             # A replica may only vouch for its own state.
-            return
-        if message.sequence <= self.stable_checkpoint:
             return
         self._record_checkpoint_vote(sender, message)
         self._maybe_stabilize(message.sequence, message.state_digest)
@@ -97,13 +92,9 @@ class CheckpointingMixin:
     def _maybe_stabilize(self, sequence: int, state_digest: str) -> None:
         if sequence <= self.stable_checkpoint:
             return
-        votes = {
-            replica: vote
-            for replica, vote in self._checkpoint_votes.items()
-            if vote.sequence == sequence and vote.state_digest == state_digest
-        }
-        if len(votes) < self.quorum:
+        if self.votes.certified(CHECKPOINT, 0, sequence, self.votes.quorum, state_digest) is None:
             return
+        votes = self.votes.voters(CHECKPOINT, 0, sequence, state_digest)
         proof = tuple(votes[replica] for replica in sorted(votes, key=repr))
         self._stabilize(sequence, proof)
 
@@ -122,11 +113,9 @@ class CheckpointingMixin:
         certified_digest = proof[0].state_digest if proof else None
         self._truncate(sequence)
         if own_state is not None and certified_digest not in (None, own_state[1]):
-            # Our execution history contradicts the certified majority —
-            # possible only outside the protocol's trust envelope (see the
-            # module docstring), but self-healing is cheap: discard our
-            # copy and install the certified state even though we already
-            # executed past it.
+            # Our history contradicts the certified majority (possible only
+            # outside the trust envelope): install the certified state even
+            # though we already executed past it.
             self._checkpoint_states.pop(sequence, None)
             self._stable_state = None
             self._resync_below = sequence
@@ -134,16 +123,14 @@ class CheckpointingMixin:
         else:
             self._stable_state = own_state
             if self.last_executed < sequence:
-                # The group advanced without us (crash window, partition):
-                # fetch the checkpointed state instead of replaying history
-                # that has been garbage-collected.
+                # The group advanced without us: fetch the checkpointed
+                # state, as the history it covers is garbage-collected.
                 self._request_state(sequence)
         self._slide_window()
 
     def _slide_window(self) -> None:
-        """Resume work the old window was blocking (shared tail of every
-        adopt-checkpoint path except ``_enter_view``, which must re-propose
-        the old sequences before it may drain fresh ones)."""
+        """Resume work the old window blocked (every adopt-checkpoint path but
+        ``_enter_view``, which re-proposes old sequences before fresh ones)."""
         self._maybe_drain()
         self._replay_out_of_window()
 
@@ -151,18 +138,8 @@ class CheckpointingMixin:
         """Garbage-collect all ordering state at or below ``sequence``."""
         self._obs_truncations.inc()
         self._truncate_log(sequence)
-        self._checkpoint_votes = {
-            replica: vote
-            for replica, vote in self._checkpoint_votes.items()
-            if vote.sequence > sequence
-        }
         self._checkpoint_states = {
             seq: stored for seq, stored in self._checkpoint_states.items() if seq >= sequence
-        }
-        self._state_responses = {
-            sender: response
-            for sender, response in self._state_responses.items()
-            if response.sequence > sequence
         }
 
     # ------------------------------------------------------------------
@@ -175,14 +152,10 @@ class CheckpointingMixin:
         self._multicast(StateRequest(sequence=sequence, replica=self.replica_id))
 
     def _on_state_request(self, sender: Hashable, message: StateRequest) -> None:
-        if self._stable_state is None:
-            return
-        if self.stable_checkpoint < message.sequence:
+        if self._stable_state is None or self.stable_checkpoint < message.sequence:
             return
         if self._events.enabled:
-            self._event(
-                "state-response", sequence=self.stable_checkpoint, requester=str(sender)
-            )
+            self._event("state-response", sequence=self.stable_checkpoint, requester=str(sender))
         state, state_digest = self._stable_state
         self._send(
             sender,
@@ -200,25 +173,20 @@ class CheckpointingMixin:
         """Ordering progress above the stable checkpoint, for state transfer.
 
         One ``(sequence, view, batch, committed)`` entry per sequence this
-        replica has committed (authoritative batch, view normalised to 0 so
-        responders in different views still corroborate each other) or
-        prepared (certificate view kept — the requester can only vote on it
-        in that view).  Shipping these alongside the checkpoint lets a
-        recovering replica execute the committed tail and vote on the open
-        instances immediately instead of waiting for the next checkpoint
-        boundary.
+        replica committed (view normalised to 0, so responders in different
+        views corroborate each other) or prepared (certificate view kept:
+        the requester can vote on it in that view only), so a recovering
+        replica executes the committed tail and votes on the open instances
+        without waiting for the next checkpoint.
         """
-        entries: Dict[int, tuple[int, Batch, bool]] = {
-            sequence: (view, batch, False)
+        entries: Dict[int, tuple[int, int, Batch, bool]] = {
+            sequence: (sequence, view, batch, False)
             for sequence, (view, batch) in self._prepared_certificates().items()
         }
         for sequence, batch in self._committed.items():
             if sequence > self.stable_checkpoint:
-                entries[sequence] = (0, batch, True)
-        return tuple(
-            (sequence, view, batch, committed)
-            for sequence, (view, batch, committed) in sorted(entries.items())
-        )
+                entries[sequence] = (sequence, 0, batch, True)
+        return tuple(entries[sequence] for sequence in sorted(entries))
 
     def _on_state_response(self, sender: Hashable, message: StateResponse) -> None:
         if message.replica != sender:
@@ -230,43 +198,34 @@ class CheckpointingMixin:
         certificate = self._checkpoint_certificate(message.proof)
         if certificate != (message.sequence, message.state_digest):
             return
-        # The proof's inner Checkpoint votes are not origin-authenticated
-        # (per-link MACs cannot be verified by a third party), so a lone
-        # Byzantine responder could fabricate one.  Require f + 1 distinct
-        # senders shipping byte-identical state: at least one is correct.
-        self._state_responses[sender] = message
-        matching = [
-            response
-            for response in self._state_responses.values()
-            if response.sequence == message.sequence
-            and response.state_digest == message.state_digest
-        ]
-        if len(matching) < self.f + 1:
+        # The proof's inner votes are not origin-authenticated, so a lone
+        # Byzantine responder could fabricate one: f + 1 distinct senders
+        # must ship byte-identical state, so that one of them is correct.
+        sequence, state_digest = message.sequence, message.state_digest
+        self.votes.vote(STATE, 0, sequence, sender, state_digest, message)
+        if self.votes.certified(STATE, 0, sequence, self.votes.weak, state_digest) is None:
             return
+        matching = self.votes.voters(STATE, 0, sequence, state_digest).values()
         if self._events.enabled:
             self._event(
-                "state-install",
-                sequence=message.sequence,
-                digest=message.state_digest,
-                responders=len(matching),
+                "state-install", sequence=sequence, digest=state_digest, responders=len(matching)
             )
         self.application.install_state(message.state)
-        self.last_executed = message.sequence
-        self.next_sequence = max(self.next_sequence, message.sequence + 1)
+        self.last_executed = sequence
+        self.next_sequence = max(self.next_sequence, sequence + 1)
         self._resync_below = None
-        if message.sequence >= self.stable_checkpoint:
-            self.stable_checkpoint = message.sequence
+        if sequence >= self.stable_checkpoint:
+            self.stable_checkpoint = sequence
             self._checkpoint_proof = message.proof
-            self._stable_state = (message.state, message.state_digest)
-            self._checkpoint_states[message.sequence] = self._stable_state
+            self._stable_state = (message.state, state_digest)
+            self._checkpoint_states[sequence] = self._stable_state
         self._obs_state_transfers.inc()
-        self._truncate(message.sequence)
-        self._adopt_transferred_progress(message.sequence, matching)
-        self._state_responses.clear()
-        # Requests buffered before the blackout may have been executed (and
-        # garbage-collected) by the rest of the group; the transferred
-        # reply cache is the authority.  Dropping them here keeps them from
-        # reading as overdue and triggering spurious view changes.
+        self._truncate(sequence)
+        self._adopt_transferred_progress(sequence, matching)
+        self.votes.clear(STATE)
+        # Requests buffered before the blackout may have been executed and
+        # garbage-collected by the group: the transferred reply cache is
+        # the authority, and they must not read as overdue.
         for key in list(self._buffered):
             client, request_id = key
             latest = self.application.last_request_id(client)
@@ -294,32 +253,25 @@ class CheckpointingMixin:
             for request in batch.requests
         )
 
-    def _adopt_transferred_progress(self, floor: int, matching: list) -> None:
+    def _adopt_transferred_progress(self, floor: int, matching: Iterable[StateResponse]) -> None:
         """Adopt in-window ordering progress shipped with a state transfer.
 
-        The ``prepared`` payload is no better authenticated than the state
-        itself, so the same rule applies: an entry counts only when every
-        one of the ``f + 1`` matching responders ships it byte-identically
-        (at least one of them is correct, and a correct replica only
-        reports batches it really committed or prepared).  Committed
-        batches join the execution queue directly; prepared-but-open
-        instances are re-entered at the ordering layer so this replica can
-        cast its votes immediately.
+        The ``prepared`` payload is no better authenticated than the state,
+        so an entry counts only when ``f + 1`` matching responders ship it
+        byte-identically (one of them is correct).  Committed batches join
+        the execution queue; prepared ones are re-entered at the ordering
+        layer, so this replica votes on them at once.
         """
-        threshold = self.f + 1
         support: Dict[tuple, int] = {}
         for response in matching:
             prepared = response.prepared if isinstance(response.prepared, tuple) else ()
-            seen: set[tuple] = set()
             # Per-response cap: a faulty responder's oversized payload must
             # not grow the support map beyond what a window can hold.
-            for item in prepared[: 4 * self.log_window]:
-                if item in seen or not self._valid_transfer_entry(item, floor):
-                    continue
-                seen.add(item)
-                support[item] = support.get(item, 0) + 1
+            for item in dict.fromkeys(prepared[: 4 * self.log_window]):
+                if self._valid_transfer_entry(item, floor):
+                    support[item] = support.get(item, 0) + 1
         adopted = sorted(
-            (item for item, count in support.items() if count >= threshold),
+            (item for item, count in support.items() if count >= self.votes.weak),
             key=lambda item: item[0],
         )
         for sequence, view, batch, committed in adopted:
@@ -337,25 +289,21 @@ class CheckpointingMixin:
                 self._log_pre_prepare(view, sequence, batch)
             self._vote_on(view, sequence, digest(batch))
 
-    def _valid_checkpoint_proof(
-        self, proof: tuple, sequence: int, state_digest: str
-    ) -> bool:
+    def _valid_checkpoint_proof(self, proof: tuple, sequence: int, state_digest: str) -> bool:
         """Structural check of a checkpoint certificate: 2f + 1 distinct
         replicas vouching for the same (sequence, state digest)."""
         if len(proof) > self.n:
             # More votes than replicas means padding; reject rather than
             # store/iterate/re-propagate an attacker-sized tuple.
             return False
-        replicas = set()
-        for vote in proof:
-            if not isinstance(vote, Checkpoint):
-                return False
-            if vote.sequence != sequence or vote.state_digest != state_digest:
-                return False
-            if vote.replica not in self.replica_ids:
-                return False
-            replicas.add(vote.replica)
-        return len(replicas) >= self.quorum
+        if not all(
+            isinstance(vote, Checkpoint)
+            and (vote.sequence, vote.state_digest) == (sequence, state_digest)
+            and vote.replica in self.replica_ids
+            for vote in proof
+        ):
+            return False
+        return len({vote.replica for vote in proof}) >= self.votes.quorum
 
     def _checkpoint_certificate(self, proof: tuple) -> Optional[tuple[int, str]]:
         """The (sequence, digest) a structurally valid proof certifies."""

@@ -26,7 +26,12 @@ deployment, simplified to what the simulation needs:
 * checkpoint certificates, log truncation and state transfer live in
   :mod:`repro.replication.checkpointing`, the view change in
   :mod:`repro.replication.viewchange` — two mix-ins of the one
-  :class:`OrderingNode`, split out along the protocol's seams.
+  :class:`OrderingNode`, split out along the protocol's seams;
+* every vote the three count — prepares, commits, checkpoints, state
+  responses, view changes, and this node's own — is a ballot in one
+  :class:`~repro.replication.votes.VoteStore`, which holds one ballot per
+  sender per slot and a bounded number of slots per sender, and answers
+  every ``f + 1`` / ``2f + 1`` question.
 
 The node reaches the replicated state machine only through the
 :class:`~repro.replication.application.Application` interface: it orders
@@ -34,19 +39,14 @@ and executes requests without interpreting them, hands un-ordered client
 messages to the application unread, and sends whatever replica→client
 pushes execution queued.
 
-Remaining omissions relative to full PBFT: MAC-vector authenticators (we
-use per-link HMACs provided by the network), digital signatures on
-view-change and checkpoint messages (see the two mix-in modules for what
-that leaves only structurally validated), and big-O optimisations.  The
-client requests relayed inside a ``PRE-PREPARE`` batch, however, *are*
-client-authenticated: every request carries a MAC vector (one HMAC per
-target replica under the client↔replica shared key, full PBFT's
-authenticator scheme), and a replica accepts a request — direct or relayed
-— only after verifying its own entry, so a faulty primary cannot forge a
-request under another client's name.  None of this affects the fault-free
-and crash-fault scenarios the experiments measure (safety with ``f``
-silent/lying replicas, liveness after the failure of a primary,
-request/reply message complexity).
+Remaining omissions relative to full PBFT: replica-to-replica messages
+carry per-link HMACs, not MAC vectors, and view-change and checkpoint
+messages no digital signatures (see the two mix-in modules for what that
+leaves only structurally validated).  Client requests, relayed inside a
+``PRE-PREPARE`` batch too, carry a MAC vector (one HMAC per replica under
+the client↔replica shared key), and a replica accepts a request only after
+verifying its own entry, so a faulty primary cannot forge a request under
+another client's name.
 """
 
 from __future__ import annotations
@@ -73,6 +73,7 @@ from repro.replication.messages import (
     request_auth_payload,
 )
 from repro.replication.viewchange import ViewChangeMixin
+from repro.replication.votes import COMMIT, PREPARE, VoteStore
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.net.transport import Transport
@@ -109,8 +110,6 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
             raise ReplicationError("checkpoint_interval must be at least 1")
         self.replica_id = replica_id
         self.replica_ids = tuple(replica_ids)
-        self._replica_set = frozenset(replica_ids)
-        self.f = f
         self.application = application
         self.network = network
         #: ``None`` takes the transport's, in its own clock's ms.
@@ -124,32 +123,27 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
         if self.log_window < checkpoint_interval:
             raise ReplicationError("log_window must be at least checkpoint_interval")
 
+        #: Every vote this node counts, its own included.
+        self.votes = VoteStore(self.replica_ids, f, self.log_window)
         self.view = 0
         self.next_sequence = 1
         self.last_executed = 0
         self.stable_checkpoint = 0
         #: The highest sequence this node ever sent a COMMIT for.  Monotone:
-        #: a view change clears ``_sent_commit``, never this.
+        #: a new view's COMMIT slots start empty, this does not.
         self.commit_frontier = 0
 
-        # Ordering state, keyed by (view, sequence) / (view, sequence, digest);
-        # truncated below the stable checkpoint.
+        # Ordering state, keyed by (view, sequence); truncated below the
+        # stable checkpoint.
         self._pre_prepares: Dict[tuple[int, int], PrePrepare] = {}
-        self._prepares: Dict[tuple[int, int, str], set[Hashable]] = {}
-        self._commits: Dict[tuple[int, int, str], set[Hashable]] = {}
         self._committed: Dict[int, Batch] = {}
-        self._sent_prepare: set[tuple[int, int]] = set()
-        self._sent_commit: set[tuple[int, int]] = set()
 
-        # Client-request bookkeeping; entries for requests executed at or
-        # below the stable checkpoint are dropped (retransmission
-        # idempotency is then covered by the application's bounded
-        # per-client reply cache).
+        # Client-request bookkeeping, dropped at the stable checkpoint (the
+        # application's per-client reply cache covers retransmissions).
         self._buffered: Dict[tuple, ClientRequest] = {}
         self._buffered_since: Dict[tuple, float] = {}
-        # FIFO of buffered requests not yet assigned to a batch — what the
-        # primary's drain consumes, kept separate so intake stays O(1) per
-        # request instead of rescanning every buffered entry.
+        # FIFO of buffered requests not yet in a batch, which the primary's
+        # drain consumes: intake stays O(1) per request.
         self._unordered: Dict[tuple, ClientRequest] = {}
         #: Whether a drain is posted to this node's loop and has not run.
         self._drain_posted = False
@@ -160,40 +154,27 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
         # oldest first; never ordered, never timed for a view change.
         self._held_reads: Dict[tuple, ClientRequest] = {}
 
-        # Checkpoint bookkeeping.  Only the *latest* vote per replica is
-        # kept (a correct replica's newer checkpoint supersedes its older
-        # one), so a faulty replica spraying artificial sequence numbers
-        # overwrites its own slot instead of growing the map.
-        self._checkpoint_votes: Dict[Hashable, Checkpoint] = {}
+        # Checkpoint bookkeeping (the votes are in the store).
         self._checkpoint_proof: tuple[Checkpoint, ...] = ()
         self._checkpoint_states: Dict[int, tuple[Any, str]] = {}
         self._stable_state: Optional[tuple[Any, str]] = None
         self._own_checkpoint: Optional[Checkpoint] = None
-        # Pending state transfers: the latest response per peer;
-        # installation requires f + 1 distinct senders shipping identical
-        # state, so a single Byzantine responder cannot feed us fabricated
-        # state (and cannot grow this map beyond one slot).
-        self._state_responses: Dict[Hashable, StateResponse] = {}
         # Set when our own checkpoint digest contradicted a stable
         # certificate: the sequence whose certified state we must install
         # even though we already executed past it.
         self._resync_below: Optional[int] = None
 
-        # View-change bookkeeping.
-        self._view_change_votes: Dict[int, Dict[Hashable, ViewChange]] = {}
+        # View-change bookkeeping (the votes are in the store).
         self._view_changing = False
         self._view_change_started_at = 0.0
         self._highest_vote = 0
-        # Ordering messages for views we have not entered yet (they can
-        # overtake the NEW-VIEW announcement on the asynchronous network).
-        # Bounded per sender — senders are replicas (dispatch enforces it)
-        # and a faulty one must not grow the buffer without limit.
+        # Ordering messages that overtook the NEW-VIEW of their view,
+        # bounded per sender (a replica: dispatch enforces it).
         self._future_messages: Dict[Hashable, list[Any]] = {}
         self._future_limit = 4 * self.log_window + 16
-        # Pre-prepares above our high water mark (our checkpoint certificate
-        # may simply not have arrived yet); replayed when the window slides.
-        # Keyed by sequence (latest message wins) and capped by the hard
-        # sequence ceiling below, so it holds at most ~log_window entries.
+        # Pre-prepares above our high water mark (our certificate may lag),
+        # replayed when the window slides; one per sequence, under the hard
+        # ceiling of ``_in_window``.
         self._out_of_window: Dict[int, tuple[Hashable, PrePrepare]] = {}
 
         # Observability: pre-bound per-node children on the deployment's
@@ -232,9 +213,7 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
             "pbft_state_transfers_total", "Certified states this node installed from peers"
         ).labels(node=node)
 
-        # Replica-to-replica protocol handlers by message type; anything
-        # else is garbage (from a replica) or the application's business
-        # (from a client) — see on_message.
+        # Replica-to-replica handlers by message type (see on_message).
         self._handlers: Dict[type, Callable[[Hashable, Any], None]] = {
             ClientRequest: self._on_request,
             PrePrepare: self._on_pre_prepare,
@@ -255,8 +234,7 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
                 self._events.record(kind, self.replica_id, self.network.now, key=request.key)
 
     def _event(self, kind: str, **fields: Any) -> None:
-        """Record one event of this node, stamped with the transport clock
-        (log on)."""
+        """Record one event of this node at the transport's clock (log on)."""
         self._events.record(kind, self.replica_id, self.network.now, **fields)
 
     # ------------------------------------------------------------------
@@ -269,14 +247,12 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
 
     @property
     def quorum(self) -> int:
-        """The 2f + 1 quorum size used by prepares, commits, checkpoints
-        and view changes."""
-        return 2 * self.f + 1
+        """The 2f + 1 quorum size of the vote store's certificates."""
+        return self.votes.quorum
 
     @property
     def high_water_mark(self) -> int:
-        """Highest sequence number that may be assigned before the next
-        checkpoint certificate slides the window."""
+        """Highest sequence assignable before the next certificate slides the window."""
         return self.stable_checkpoint + self.log_window
 
     def primary_of(self, view: int) -> Hashable:
@@ -305,7 +281,7 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
     def on_message(self, sender: Hashable, payload: Any) -> None:
         """Network entry point for this replica."""
         handler = self._handlers.get(type(payload))
-        if sender not in self._replica_set and type(payload) is not ClientRequest:
+        if sender not in self.votes.senders and type(payload) is not ClientRequest:
             # Only requests enter the ordered stream from outside the group;
             # whatever else a client sends is soft state for the application.
             # The protocol handlers are replica-to-replica only: accepting
@@ -333,13 +309,11 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
     def _client_authenticated(self, request: ClientRequest) -> bool:
         """Verify this replica's entry of the request's client MAC vector.
 
-        Per-link envelope MACs only authenticate the immediate sender, so
-        a request relayed by the primary inside a ``PRE-PREPARE`` batch
-        needs its own proof of origin: the client MACs the request content
-        once per target replica under the pairwise shared key.  Protocol
-        no-ops (gap fillers) have no real client and are accepted exactly
-        in their canonical shape — anything else claiming the null client
-        is a forgery trying to execute unauthenticated state changes.
+        Per-link MACs authenticate only the immediate sender, so a request
+        relayed inside a ``PRE-PREPARE`` needs its own proof of origin.
+        Protocol no-ops (gap fillers) have no client and are accepted in
+        their canonical shape only; anything else naming the null client
+        is a forgery.
         """
         if request.client == NULL_REQUEST_CLIENT:
             return request.operation == "__noop__" and request.arguments == ()
@@ -356,31 +330,25 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
 
     def _on_request(self, sender: Hashable, request: ClientRequest) -> None:
         if sender != request.client:
-            # The channel authenticates the sender; a client may only speak
-            # for itself.  Without this check one forged request with a huge
-            # request_id would poison the victim's reply-cache high-water
-            # mark and silently drop all its future requests.
+            # A client may only speak for itself: one forged request with a
+            # huge request_id would poison the victim's reply cache.
             return
         if not self._client_authenticated(request):
-            # No valid client MAC for this replica: were the primary to
-            # batch it, the backups would reject the whole batch, so a
-            # correct replica refuses the request up front.
+            # The backups would reject any batch carrying it.
             return
         if request.read_only:
             self._answer_read(request)
             return
         cached = self.application.cached_reply(request)
         if cached is not None:
-            # Retransmission of the client's latest executed request:
-            # resend the cached reply.
+            # A retransmission of the client's latest executed request.
             self._obs_reply_cache_hits.inc()
             self._reply(request, cached)
             return
         latest = self.application.last_request_id(request.client)
         if latest is not None and latest >= request.request_id:
-            # Stale retransmission of a request the client has already
-            # moved past (PEATSClient keeps at most one request in flight
-            # per replica group, so a lower id was answered already).
+            # Stale: the client has one request in flight per group, so a
+            # lower id was answered already.
             return
         if request.key in self._executed_keys or request.key in self._ordered_keys:
             return
@@ -459,8 +427,7 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
         return message
 
     def _propose(self, sequence: int, batch: Batch) -> None:
-        """Primary: pre-prepare ``batch`` at ``sequence`` in the current view
-        (the primary also records its own pre-prepare locally)."""
+        """Primary: pre-prepare (and log) ``batch`` at ``sequence`` in this view."""
         keys = batch.keys()
         self._ordered_keys.update(keys)
         for key in keys:
@@ -479,14 +446,11 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
             return False
         if message.sequence > self.stable_checkpoint + 2 * self.log_window:
             # Outside any window a correct replica could be in (a correct
-            # primary's can lead ours by at most one certificate): a faulty
-            # peer spraying arbitrary sequences must not grow the log.
+            # primary's leads ours by a certificate at most).
             return False
-        # PBFT: while view-changing, accept only checkpoint and
-        # view-change traffic.  Progressing the old view here would let
-        # a batch commit that our already-cast view-change vote does
-        # not report as prepared — the new primary could then null-fill
-        # its sequence number while we execute it, silently diverging.
+        # PBFT: while view-changing, accept only checkpoint and view-change
+        # traffic; a batch committing here that our cast view-change vote
+        # does not report could be null-filled by the new primary.
         return not self._view_changing
 
     def _on_pre_prepare(self, sender: Hashable, message: PrePrepare) -> None:
@@ -508,12 +472,10 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
         except TypeError:  # an unhashable client or id: never verified
             forged = True
         if forged:
-            # At least one relayed request lacks a valid client MAC for
-            # this replica: a faulty primary is forging requests under a
-            # client's name (or relaying a tampered one).  Reject the batch
-            # — without 2f backup prepares it can never commit.  Only the
-            # very object verified on receipt skips the check: an equal
-            # copy is verified again, as ``==`` equates 1, 1.0 and True.
+            # A relayed request lacks a valid client MAC for us: a faulty
+            # primary forged or tampered with it.  Only the very object
+            # verified on receipt skips the check (``==`` equates 1, 1.0
+            # and True).
             return
         key = (message.view, message.sequence)
         if key in self._pre_prepares:
@@ -542,35 +504,26 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
     def _vote_on(self, view: int, sequence: int, batch_digest: str) -> None:
         """Backup: multicast PREPARE for a logged pre-prepare, once; then
         COMMIT as soon as the instance is prepared."""
-        key = (view, sequence)
-        if not self.is_primary and key not in self._sent_prepare:
-            self._sent_prepare.add(key)
-            self._multicast(
-                Prepare(
-                    view=view,
-                    sequence=sequence,
-                    batch_digest=batch_digest,
-                    replica=self.replica_id,
-                )
-            )
+        if not self.is_primary and not self.votes.voted(PREPARE, view, sequence, self.replica_id):
+            self.votes.vote(PREPARE, view, sequence, self.replica_id, batch_digest)
+            self._multicast(Prepare(view, sequence, batch_digest, self.replica_id))
         self._maybe_send_commit(view, sequence, batch_digest)
 
     def _on_prepare(self, sender: Hashable, message: Prepare) -> None:
         if self._in_window(sender, message):
-            key = (message.view, message.sequence, message.batch_digest)
-            self._prepares.setdefault(key, set()).add(sender)
+            self.votes.vote(PREPARE, message.view, message.sequence, sender, message.batch_digest)
             self._maybe_send_commit(message.view, message.sequence, message.batch_digest)
 
     def _prepared(self, view: int, sequence: int, batch_digest: str) -> bool:
-        """PBFT ``prepared`` predicate: pre-prepare + 2f prepares (incl. self)."""
-        if (view, sequence) not in self._pre_prepares:
+        """PBFT ``prepared`` predicate: pre-prepare + 2f prepares, the
+        primary's pre-prepare and this node counted whatever they cast."""
+        logged = self._pre_prepares.get((view, sequence))
+        if logged is None or logged.batch_digest != batch_digest:
             return False
-        if self._pre_prepares[(view, sequence)].batch_digest != batch_digest:
-            return False
-        votes = set(self._prepares.get((view, sequence, batch_digest), set()))
-        votes.add(self.primary_of(view))
-        votes.add(self.replica_id)
-        return len(votes) >= self.quorum
+        primary = self.primary_of(view)
+        also = (primary,) if primary == self.replica_id else (primary, self.replica_id)
+        quorum = self.votes.quorum
+        return self.votes.certified(PREPARE, view, sequence, quorum, batch_digest, also) is not None
 
     def _prepared_certificates(self) -> dict[int, tuple[int, Batch]]:
         """Per sequence above the stable checkpoint, the ``(view, batch)``
@@ -585,42 +538,29 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
         return prepared
 
     def _maybe_send_commit(self, view: int, sequence: int, batch_digest: str) -> None:
-        key = (view, sequence)
-        if key in self._sent_commit:
+        if self.votes.voted(COMMIT, view, sequence, self.replica_id):
             return
         if not self._prepared(view, sequence, batch_digest):
             return
-        self._sent_commit.add(key)
+        # Our own commit vote counts at once.
+        self.votes.vote(COMMIT, view, sequence, self.replica_id, batch_digest)
         self.commit_frontier = max(self.commit_frontier, sequence)
         if self._events.enabled:
-            self._event_batch("prepare", self._pre_prepares[key].batch)
-        self._multicast(
-            Commit(
-                view=view,
-                sequence=sequence,
-                batch_digest=batch_digest,
-                replica=self.replica_id,
-            )
-        )
-        # Count our own commit vote immediately.
-        self._commits.setdefault((view, sequence, batch_digest), set()).add(self.replica_id)
+            self._event_batch("prepare", self._pre_prepares[(view, sequence)].batch)
+        self._multicast(Commit(view, sequence, batch_digest, self.replica_id))
         self._maybe_execute(view, sequence, batch_digest)
 
     def _on_commit(self, sender: Hashable, message: Commit) -> None:
         if self._in_window(sender, message):
-            key = (message.view, message.sequence, message.batch_digest)
-            self._commits.setdefault(key, set()).add(sender)
+            self.votes.vote(COMMIT, message.view, message.sequence, sender, message.batch_digest)
             self._maybe_execute(message.view, message.sequence, message.batch_digest)
 
     def _maybe_execute(self, view: int, sequence: int, batch_digest: str) -> None:
-        key = (view, sequence)
-        votes = self._commits.get((view, sequence, batch_digest), set())
-        if len(votes) < self.quorum:
+        if self.votes.certified(COMMIT, view, sequence, self.votes.quorum, batch_digest) is None:
             return
-        logged = self._pre_prepares.get(key)
+        logged = self._pre_prepares.get((view, sequence))
         if logged is None or logged.batch_digest != batch_digest:
-            # A commit certificate for a batch we never logged: an
-            # equivocating primary sent us another one at this sequence.
+            # An equivocating primary sent us another batch here.
             return
         if sequence <= self.last_executed or sequence in self._committed:
             return
@@ -647,9 +587,8 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
                 self._executed_at[request.key] = sequence
                 self._forget_buffered(request.key)
                 if not stale:
-                    # A stale duplicate (the same request re-ordered across
-                    # a view change after the client already moved on) must
-                    # not be answered with the newer cached payload.
+                    # A duplicate re-ordered across a view change after the
+                    # client moved on gets no (newer, cached) answer.
                     self._reply(request, result)
             for push in self.application.drain_pushes():
                 self._push(push)
@@ -668,21 +607,12 @@ class OrderingNode(CheckpointingMixin, ViewChangeMixin):
         self._unordered.pop(key, None)
 
     def _truncate_log(self, sequence: int) -> None:
-        """Garbage-collect the ordering log at or below ``sequence``."""
+        """Garbage-collect the ordering log and votes at or below ``sequence``."""
         self._pre_prepares = {
             key: value for key, value in self._pre_prepares.items() if key[1] > sequence
         }
-        self._prepares = {
-            key: value for key, value in self._prepares.items() if key[1] > sequence
-        }
-        self._commits = {
-            key: value for key, value in self._commits.items() if key[1] > sequence
-        }
-        self._committed = {
-            seq: batch for seq, batch in self._committed.items() if seq > sequence
-        }
-        self._sent_prepare = {key for key in self._sent_prepare if key[1] > sequence}
-        self._sent_commit = {key for key in self._sent_commit if key[1] > sequence}
+        self._committed = {seq: batch for seq, batch in self._committed.items() if seq > sequence}
+        self.votes.truncate(sequence)
         # Per-request bookkeeping below the stable checkpoint: from here on
         # the application's per-client reply cache covers retransmissions.
         for key, executed_at in list(self._executed_at.items()):

@@ -33,7 +33,7 @@ def test_every_guard_has_both_fixture_trees():
 
 
 def test_table_entries_are_well_formed():
-    assert len(GUARD_NAMES) == 17
+    assert len(GUARD_NAMES) == 18
     assert len({guard.why for guard in GUARDS}) == len(GUARDS)
     for guard in GUARDS:
         assert guard.kind in KINDS, guard

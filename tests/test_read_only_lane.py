@@ -35,6 +35,7 @@ from repro.replication.messages import (
 from repro.replication.network import NetworkConfig, SimulatedNetwork
 from repro.replication import OrderingNode, ReplicaFaultMode, set_fault
 from repro.replication.replica import PEATSReplica
+from repro.replication.votes import COMMIT
 from repro.txn.legs import normalize_legs
 from repro.tuples import ANY, entry, template
 
@@ -375,7 +376,12 @@ class TestCommitFrontierHold:
         network.run_until(lambda: backup.view == 1)
         # The new view forgot the COMMIT (backup re-proposes sequence 1 as
         # view 1's primary); the frontier did not, so the read still waits.
-        assert backup._sent_commit == set() and backup.last_executed == 0
+        sent_commits = [
+            (view, seq)
+            for view, seq, voter, _ in backup.votes.ballots(COMMIT)
+            if voter == backup.replica_id and view == backup.view
+        ]
+        assert sent_commits == [] and backup.last_executed == 0
         assert backup.commit_frontier == 1 and read(1).key in backup._held_reads
         network.run()
         assert all(node.view == 1 and node.last_executed == 1 for node in nodes[1:])

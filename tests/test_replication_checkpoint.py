@@ -17,6 +17,7 @@ from repro.replication.network import NetworkConfig, SimulatedNetwork
 from repro.replication.messages import ClientRequest, authenticate_request
 from repro.replication import OrderingNode, ReplicaFaultMode, set_fault
 from repro.replication.replica import PEATSReplica
+from repro.replication.votes import CHECKPOINT, COMMIT, PREPARE, VIEW_CHANGE
 from repro.sim import (
     CrashWindow,
     PartitionWindow,
@@ -122,11 +123,12 @@ class TestCheckpointsAndTruncation:
             assert node.stable_checkpoint == 4
             # Everything at or below the stable checkpoint is gone.
             assert all(seq > 4 for _, seq in node._pre_prepares)
-            assert all(key[1] > 4 for key in node._prepares)
-            assert all(key[1] > 4 for key in node._commits)
+            assert all(seq > 4 for _, seq, _, _ in node.votes.ballots(PREPARE))
+            assert all(seq > 4 for _, seq, _, _ in node.votes.ballots(COMMIT))
             assert all(seq > 4 for seq in node._committed)
-            assert all(key[1] > 4 for key in node._sent_prepare)
-            assert all(key[1] > 4 for key in node._sent_commit)
+            own = node.replica_id
+            assert all(seq > 4 for _, seq, voter, _ in node.votes.ballots(PREPARE) if voter == own)
+            assert all(seq > 4 for _, seq, voter, _ in node.votes.ballots(COMMIT) if voter == own)
             # Per-request bookkeeping below the checkpoint is gone too.
             assert len(node._executed_keys) == 1
             assert len(node._executed_at) == 1
@@ -403,7 +405,7 @@ class TestProtocolMessageAuthorization:
                 fake, Checkpoint(sequence=10, state_digest="bogus", replica=fake)
             )
         assert node.stable_checkpoint == 0
-        assert len(node._checkpoint_votes) == 0
+        assert len(list(node.votes.ballots(CHECKPOINT))) == 0
 
     def test_non_replica_sender_cannot_fetch_state(self):
         # StateRequest answers ship the full tuple space; honouring one
@@ -530,8 +532,47 @@ class TestProtocolMessageAuthorization:
             node.on_message(
                 "r2", Commit(view=0, sequence=sequence, batch_digest=f"junk{k}", replica="r2")
             )
-        assert len(node._prepares) == 0
-        assert len(node._commits) == 0
+        assert len(list(node.votes.ballots(PREPARE))) == 0
+        assert len(list(node.votes.ballots(COMMIT))) == 0
+
+    @pytest.mark.parametrize(
+        "kind, sprayed", [(PREPARE, 20_000), (COMMIT, 20_000), (VIEW_CHANGE, 10_000)]
+    )
+    def test_one_sender_spraying_votes_holds_a_bounded_share(self, kind, sprayed):
+        # One faulty replica votes for 20 000 distinct digests at one
+        # in-window slot, or for 10^4 distinct future views.  It keeps one
+        # ballot in the slot (its first digest stands) or 16 view slots,
+        # and the correct replicas' quorum still decides without it.
+        network, nodes, _ = make_cluster(checkpoint_interval=2)
+        from repro.replication.messages import Commit, Prepare, ViewChange
+
+        node = nodes[1]
+        spray = {
+            PREPARE: lambda k: Prepare(0, 1, f"junk{k}", "r2"),
+            COMMIT: lambda k: Commit(0, 1, f"junk{k}", "r2"),
+            VIEW_CHANGE: lambda k: ViewChange(2 + k, "r2", 0, {}),
+        }[kind]
+        for k in range(sprayed):
+            node.on_message("r2", spray(k))
+        held = [(view, seq) for view, seq, voter, _ in node.votes.ballots(kind) if voter == "r2"]
+        if kind == VIEW_CHANGE:
+            assert len(held) == 16
+            for each in nodes:
+                each.force_view_change()
+            network.run()
+            # r2's own vote for view 1 sits below its sprayed views.
+            assert all(each.view == 1 for each in nodes)
+            return
+        assert held == [(0, 1)]
+        assert node.votes.voters(kind, 0, 1) == {"r2": None}
+        req = request_from("client", 0)
+        network.broadcast("client", [n.replica_id for n in nodes], req)
+        network.run()
+        assert all(each.last_executed == 1 for each in nodes)
+        # r2's honest vote was its second digest in the slot: not counted.
+        batch_digest = node._pre_prepares[(0, 1)].batch_digest
+        counted = node.votes.voters(kind, 0, 1, batch_digest)
+        assert "r2" not in counted and len(counted) == {PREPARE: 2, COMMIT: 3}[kind]
 
     def test_checkpoint_vote_bookkeeping_is_bounded_per_replica(self):
         # A faulty replica spraying artificial checkpoint sequences must
@@ -544,7 +585,7 @@ class TestProtocolMessageAuthorization:
             node.on_message(
                 "r2", Checkpoint(sequence=sequence, state_digest=f"d{sequence}", replica="r2")
             )
-        assert len(node._checkpoint_votes) == 1
+        assert len(list(node.votes.ballots(CHECKPOINT))) == 1
         assert node.stable_checkpoint == 0
 
 
